@@ -51,9 +51,12 @@ class ElementNode:
     tag: str
     path: ElementPath
     tokens: tuple[str, ...]  # tokens directly inside this node
-    token_set: frozenset[str]
     children: tuple["ElementNode", ...]
     subtree_size: int  # token count of this node plus all descendants
+
+    @property
+    def token_set(self) -> frozenset[str]:
+        return frozenset(self.tokens)
 
     def walk(self) -> Iterator["ElementNode"]:
         """Pre-order (document order) traversal of this subtree."""
@@ -66,42 +69,89 @@ class ElementNode:
 
 @dataclass(eq=False)
 class DocumentTree:
+    """One parsed document; nodes are addressed by their pre-order index."""
+
     doc: str
     root: ElementNode
-    nodes: tuple[ElementNode, ...]  # document order
+    nodes: tuple[ElementNode, ...]  # document (pre-order) order; nodes[0] is the root
     by_path: dict[ElementPath, ElementNode]
+    # term -> pre-order indices of the nodes holding it directly, one entry per
+    # token occurrence (so len() is the term's frequency in the document)
+    postings: dict[str, tuple[int, ...]]
+    ends: tuple[int, ...]  # ends[i]: index just past node i's subtree
+    parents: tuple[int, ...]  # parents[i]: index of node i's parent, -1 for the root
 
     def node_at(self, path: ElementPath) -> ElementNode | None:
         return self.by_path.get(path)
 
 
-def _build_node(elem: ET.Element, path: ElementPath, tokenizer: TokenizerConfig) -> ElementNode:
-    tokens = list(tokenizer.tokenize(elem.text or ""))
-    children = []
-    sibling_counts: Counter[str] = Counter()
-    for child in elem:
-        sibling_counts[child.tag] += 1
-        child_path = path.child(child.tag, sibling_counts[child.tag])
-        children.append(_build_node(child, child_path, tokenizer))
-        # a child's tail text sits directly inside this node
-        tokens.extend(tokenizer.tokenize(child.tail or ""))
-    size = len(tokens) + sum(c.subtree_size for c in children)
-    return ElementNode(
-        tag=elem.tag,
-        path=path,
-        tokens=tuple(tokens),
-        token_set=frozenset(tokens),
-        children=tuple(children),
-        subtree_size=size,
-    )
-
-
 def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER) -> DocumentTree:
-    """Parse one XML document into an immutable tree; raises ET.ParseError."""
-    elem = ET.fromstring(text)
-    root = _build_node(elem, ElementPath.root(elem.tag), tokenizer)
-    nodes = tuple(root.walk())
-    return DocumentTree(doc=doc, root=root, nodes=nodes, by_path={n.path: n for n in nodes})
+    """Parse one XML document into an immutable tree; raises ET.ParseError.
+
+    One iterative pre-order pass numbers the nodes and collects their paths,
+    tokens and postings; a reverse pass then builds the immutable nodes
+    bottom-up, so nesting depth is bounded by memory, not by recursion.
+    """
+    top = ET.fromstring(text)
+    tokenize = tokenizer.tokenize
+    paths: list[ElementPath] = []
+    tokens: list[tuple[str, ...]] = []
+    parents: list[int] = []
+    postings: dict[str, list[int]] = {}
+    stack = [(top, ElementPath.root(top.tag), -1)]
+    while stack:
+        elem, path, parent = stack.pop()
+        i = len(paths)
+        own = tokenize(elem.text or "")
+        if len(elem):
+            seen: dict[str, int] = {}
+            pending = []
+            for child in elem:
+                # a child's tail text sits directly inside this node
+                if child.tail:
+                    own.extend(tokenize(child.tail))
+                n = seen[child.tag] = seen.get(child.tag, 0) + 1
+                pending.append((child, path.child(child.tag, n), i))
+            stack.extend(reversed(pending))
+        for term in own:
+            hits = postings.get(term)
+            if hits is None:
+                postings[term] = [i]
+            else:
+                hits.append(i)
+        paths.append(path)
+        tokens.append(tuple(own))
+        parents.append(parent)
+
+    count = len(paths)
+    children: list[list[ElementNode]] = [[] for _ in range(count)]
+    ends = list(range(1, count + 1))
+    built: list[ElementNode | None] = [None] * count
+    for i in range(count - 1, -1, -1):  # every descendant of i is built before i
+        below = children[i]
+        below.reverse()
+        node = built[i] = ElementNode(
+            tag=paths[i].tag,
+            path=paths[i],
+            tokens=tokens[i],
+            children=tuple(below),
+            subtree_size=len(tokens[i]) + sum([c.subtree_size for c in below]),
+        )
+        parent = parents[i]
+        if parent >= 0:
+            if not children[parent]:  # i is the parent's last child
+                ends[parent] = ends[i]
+            children[parent].append(node)
+    nodes = tuple(built)
+    return DocumentTree(
+        doc=doc,
+        root=nodes[0],
+        nodes=nodes,
+        by_path={n.path: n for n in nodes},
+        postings={term: tuple(hits) for term, hits in postings.items()},
+        ends=tuple(ends),
+        parents=tuple(parents),
+    )
 
 
 @dataclass(eq=False)
@@ -131,8 +181,9 @@ def ingest_corpus(
 ) -> Corpus:
     """Ingest every ``*.xml`` file under a directory.
 
-    Malformed files are skipped with a diagnostic; an unreadable directory
-    raises. Re-ingesting an unchanged directory yields identical document
+    Malformed or unreadable files, including directories named ``*.xml``,
+    are skipped with one diagnostic each; a missing corpus directory raises.
+    Re-ingesting an unchanged directory yields identical document
     identifiers, order and trees.
     """
     root = Path(root_directory)
@@ -147,7 +198,7 @@ def ingest_corpus(
         try:
             text = path.read_text(encoding="utf-8")
             docs[doc] = parse_document(text, doc, tokenizer_config)
-        except (ET.ParseError, UnicodeDecodeError) as exc:
+        except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: skipped ({exc})")
     return Corpus(docs=docs, tokenizer=tokenizer_config, diagnostics=diagnostics)
 

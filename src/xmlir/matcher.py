@@ -5,13 +5,31 @@ predicate: an element matches when its subtree holds the required terms and
 no proper descendant's subtree does likewise. Per document the matches form
 an antichain listed in document order; across documents they follow the
 ingestion order of document identifiers. No ranking happens here.
+
+Matching reads the document's term postings instead of walking its tree.
+Nodes are numbered in pre-order, so node ``i``'s subtree is the index range
+``[i, ends[i])``. In a sorted list of node indices, a member has no other
+member below it exactly when the next member's index is not below its
+``ends``; that one test finds the most specific nodes for both modes.
+
+* OR: the satisfying nodes with no satisfying descendant are the
+  term-bearing nodes with no term-bearing descendant, so the sorted union of
+  the query terms' postings is tested directly.
+* AND: a document lacking any query term has no match. Otherwise each
+  term's postings are closed upwards through ``parents`` (stopping at nodes
+  already marked for that term); the nodes marked by every term are exactly
+  those whose subtree holds all terms, and the same ``ends`` test picks the
+  smallest of them (the smallest lowest common ancestors of Xu &
+  Papakonstantinou, SIGMOD 2005).
+
+A document holding none of the query terms costs one lookup per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, DocumentTree, ElementNode
+from .corpus import Corpus, DocumentTree
 from .paths import ElementPath
 
 AND = "and"
@@ -43,23 +61,43 @@ class MatchingElement:
 
 def match_elements(tree: DocumentTree, query: ElementQuery) -> list[MatchingElement]:
     """Most specific satisfying elements of one document, in document order."""
+    postings = tree.postings
+    if query.mode == OR:
+        found = [postings[term] for term in query.terms if term in postings]
+        if not found:
+            return []
+        hits = set().union(*found)
+    else:
+        closures = []
+        for term in query.terms:
+            nodes = postings.get(term)
+            if nodes is None:
+                return []
+            closures.append(_ancestor_closure(nodes, tree.parents))
+        hits = set.intersection(*closures)
+    return _most_specific(tree, sorted(hits))
 
-    def visit(node: ElementNode) -> tuple[set[str], list[MatchingElement], bool]:
-        present = set(query.terms & node.token_set)
-        matches: list[MatchingElement] = []
-        child_satisfied = False
-        for child in node.children:
-            c_present, c_matches, c_sat = visit(child)
-            present |= c_present
-            matches.extend(c_matches)
-            child_satisfied = child_satisfied or c_sat
-        satisfied = query.satisfied_by(present)
-        if satisfied and not child_satisfied:
-            matches = [MatchingElement(tree.doc, node.path)]
-        return present, matches, satisfied
 
-    _, matches, _ = visit(tree.root)
-    return matches
+def _ancestor_closure(nodes: tuple[int, ...], parents: tuple[int, ...]) -> set[int]:
+    """The given nodes and all their ancestors, stopping at nodes already marked."""
+    marked: set[int] = set()
+    for i in nodes:
+        while i >= 0 and i not in marked:
+            marked.add(i)
+            i = parents[i]
+    return marked
+
+
+def _most_specific(tree: DocumentTree, satisfied: list[int]) -> list[MatchingElement]:
+    """Members of a sorted node-index list that have no other member below them."""
+    ends = tree.ends
+    nodes = tree.nodes
+    following = satisfied[1:] + [len(nodes)]
+    return [
+        MatchingElement(tree.doc, nodes[i].path)
+        for i, after in zip(satisfied, following)
+        if after >= ends[i]
+    ]
 
 
 def collection_match(corpus: Corpus, query: ElementQuery) -> list[MatchingElement]:

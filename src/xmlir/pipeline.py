@@ -105,9 +105,13 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     """Parse a topics file holding one ``<inex_topic>`` or a container of them.
 
     Structural (non-CO) topics are ignored; a malformed topic element is
-    skipped with a diagnostic rather than failing the whole file.
+    skipped with a diagnostic rather than failing the whole file. A file
+    that is not well-formed XML raises ValueError.
     """
-    root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
+    try:
+        root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed topics file {path}: {exc}") from exc
     if root.tag == "inex_topic":
         elements = [root]
     else:

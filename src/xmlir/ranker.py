@@ -61,11 +61,8 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     doc_lengths: dict[str, int] = {}
     doc_order: dict[str, int] = {}
     for seq, tree in enumerate(corpus.trees()):
-        counts: Counter[str] = Counter()
-        for node in tree.root.walk():
-            counts.update(node.tokens)
-        for term in sorted(counts):
-            postings[term].append((tree.doc, counts[term]))
+        for term in sorted(tree.postings):
+            postings[term].append((tree.doc, len(tree.postings[term])))
         doc_lengths[tree.doc] = tree.root.subtree_size
         doc_order[tree.doc] = seq
     avg = sum(doc_lengths.values()) / len(doc_lengths)

@@ -210,6 +210,23 @@ def test_missing_config_file_is_fatal(workspace, monkeypatch, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_malformed_topics_file_is_a_clean_error(workspace, capsys, command):
+    topics = workspace / "broken-topics.xml"
+    topics.write_text("<inex_topic topic_id='1'><keywords>patricia</inex_topic>")
+    argv = [
+        command, "--corpus", str(workspace / "corpus"), "--topics", str(topics),
+        "--out", str(workspace / "out.tsv"),
+    ]
+    if command == "report":
+        argv += ["--assessments", str(workspace / "assessments")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed topics file")
+    assert "Traceback" not in err
+    assert not (workspace / "out.tsv").exists()
+
+
 def test_assess_stats_outputs(workspace):
     out = workspace / "stats"
     argv = ["assess-stats", "--assessments", str(workspace / "assessments"), "--out", str(out)]

@@ -1,12 +1,23 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from xmlir import ElementPath, ingest_corpus, parse_document, resolve_path, subtree_terms
+from xmlir import (
+    ElementPath,
+    ElementQuery,
+    build_index,
+    collection_match,
+    ingest_corpus,
+    parse_document,
+    resolve_path,
+    subtree_terms,
+)
 from xmlir.corpus import TokenizerConfig
+from xmlir.matcher import AND, OR
 
 import support
 
@@ -163,3 +174,59 @@ def test_reingest_is_deterministic(tmp_path):
         a, b = first.docs[doc], second.docs[doc]
         assert [n.path for n in a.nodes] == [n.path for n in b.nodes]
         assert [n.tokens for n in a.nodes] == [n.tokens for n in b.nodes]
+
+
+def test_ingest_skips_directory_named_like_a_document(tmp_path):
+    (tmp_path / "good.xml").write_text("<article><p>ok</p></article>")
+    (tmp_path / "x.xml").mkdir()
+    (tmp_path / "x.xml" / "inner.xml").write_text("<article><p>inside</p></article>")
+    corpus = ingest_corpus(tmp_path)
+    assert corpus.doc_ids == ["good", "x.xml/inner"]
+    assert len(corpus.diagnostics) == 1
+    assert corpus.diagnostics[0].startswith("x.xml: skipped (")
+
+
+def test_ingest_skips_unreadable_file(tmp_path, monkeypatch):
+    (tmp_path / "a.xml").write_text("<article><p>ok</p></article>")
+    (tmp_path / "b.xml").write_text("<article><p>locked</p></article>")
+    read_text = Path.read_text
+
+    def deny_b(self, *args, **kwargs):
+        if self.name == "b.xml":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", deny_b)
+    corpus = ingest_corpus(tmp_path)
+    assert corpus.doc_ids == ["a"]
+    assert len(corpus.diagnostics) == 1
+    assert corpus.diagnostics[0].startswith("b.xml: skipped (")
+    assert "Permission denied" in corpus.diagnostics[0]
+
+
+def test_deeply_nested_document_ingests_and_matches(tmp_path):
+    depth = 3000
+    beta_level = 1500
+    # beta sits directly in the sec at beta_level, alpha in the innermost sec
+    opening = "".join("<sec>beta" if level == beta_level else "<sec>" for level in range(1, depth + 1))
+    text = "<article>" + opening + "alpha" + "</sec>" * depth + "</article>"
+    (tmp_path / "deep.xml").write_text(text)
+    corpus = ingest_corpus(tmp_path)
+    assert corpus.diagnostics == []
+    tree = corpus.docs["deep"]
+    assert len(tree.nodes) == depth + 1
+    assert tree.root.subtree_size == 2
+
+    def sec_path(level):
+        return ElementPath((("article", 1),) + (("sec", 1),) * level)
+
+    def matches(mode, *terms):
+        query = ElementQuery(terms=frozenset(terms), mode=mode)
+        return [(m.doc, m.path) for m in collection_match(corpus, query)]
+
+    assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
+    assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]
+    assert matches(OR, "beta") == [("deep", sec_path(beta_level))]
+    assert matches(AND, "alpha", "zeta") == []
+    index = build_index(corpus)
+    assert index.postings["alpha"] == [("deep", 1)]

@@ -1,0 +1,101 @@
+"""Element postings: the per-document term lists, subtree ends and parent
+indices built at parse time, and the matcher and index that read them.
+
+Random trees cover deep chains, wide fan-outs, empty elements and terms
+repeated within and across nodes. Everything is checked against a fresh
+``root.walk()`` recomputation or the brute-force oracle in ``support``.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from xmlir import ElementQuery, build_index, match_elements, parse_document
+from xmlir.matcher import AND, OR
+
+import support
+
+VOCAB = ["alpha", "beta", "gamma", "delta"]
+TAGS = ["sec", "p", "ss1"]
+
+words = st.lists(st.sampled_from(VOCAB), max_size=4)  # empty and repeated terms
+
+
+def _with_children(children):
+    return st.tuples(st.sampled_from(TAGS), words, st.lists(st.tuples(children, words), max_size=6))
+
+
+bushy = st.recursive(st.tuples(st.sampled_from(TAGS), words, st.just([])), _with_children, max_leaves=40)
+
+
+@st.composite
+def chain(draw):
+    """A single path of up to 80 nested elements, each with text and tail."""
+    levels = draw(st.lists(st.tuples(st.sampled_from(TAGS), words, words), min_size=1, max_size=80))
+    tag, text, _ = levels[-1]
+    node = (tag, text, [])
+    for tag, text, tail in reversed(levels[:-1]):
+        node = (tag, text, [(node, tail)])
+    return node
+
+
+def _xml(node) -> str:
+    tag, text, children = node
+    inner = " ".join(text)
+    for child, tail in children:
+        inner += _xml(child) + " ".join(tail)
+    return f"<{tag}>{inner}</{tag}>"
+
+
+documents = st.builds(
+    lambda text, children: _xml(("article", text, children)),
+    words,
+    st.lists(st.tuples(st.one_of(bushy, chain()), words), max_size=4),
+)
+query_terms = st.sets(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, query_terms)
+def test_match_elements_equals_brute_force(text, terms):
+    tree = parse_document(text, "d")
+    for mode in (AND, OR):
+        query = ElementQuery(terms=frozenset(terms), mode=mode)
+        got = match_elements(tree, query)
+        assert [m.path for m in got] == support.brute_force_matches(tree, query)
+        assert all(m.doc == "d" for m in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_postings_ends_parents_agree_with_walk(text):
+    tree = parse_document(text, "d")
+    order = list(tree.root.walk())
+    assert len(order) == len(tree.nodes)
+    assert all(a is b for a, b in zip(order, tree.nodes))
+    index_of = {id(node): i for i, node in enumerate(order)}
+
+    postings: dict[str, list[int]] = {}
+    parents = [-1] * len(order)
+    ends = []
+    for i, node in enumerate(order):
+        for term in node.tokens:
+            postings.setdefault(term, []).append(i)
+        for child in node.children:
+            parents[index_of[id(child)]] = i
+        ends.append(i + sum(1 for _ in node.walk()))
+    assert tree.postings == {term: tuple(hits) for term, hits in postings.items()}
+    assert tree.parents == tuple(parents)
+    assert tree.ends == tuple(ends)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(documents, min_size=1, max_size=4))
+def test_build_index_tf_equals_token_counter(texts):
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
+    expected: dict[str, list[tuple[str, int]]] = {}
+    for tree in corpus.trees():
+        counts = Counter(t for node in tree.root.walk() for t in node.tokens)
+        for term in sorted(counts):
+            expected.setdefault(term, []).append((tree.doc, counts[term]))
+    assert build_index(corpus).postings == expected
