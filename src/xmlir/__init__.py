@@ -16,11 +16,8 @@ from .corpus import (
     DocumentTree,
     ElementNode,
     TokenizerConfig,
-    element_size,
     ingest_corpus,
     parse_document,
-    resolve_path,
-    subtree_terms,
 )
 from .cre import (
     COMBO_CODES,
@@ -59,9 +56,7 @@ from .ranker import (
     RankParams,
     ScoredArticle,
     build_index,
-    load_index,
     rank_articles,
-    save_index,
 )
 
 __version__ = "0.1.0"

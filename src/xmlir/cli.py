@@ -1,31 +1,48 @@
-"""Command-line driver: build index artifacts, execute retrieval runs,
-evaluate them against assessments, and emit summary tables.
+"""Command-line driver: execute retrieval runs, evaluate them against
+assessments, and emit summary tables.
 
-Subcommands: ``index``, ``run``, ``eval``, ``report``, ``assess-stats``.
+Subcommands: ``run``, ``eval``, ``report``, ``assess-stats``.
 Any option may also come from a JSON config file named by the
 ``XMLIR_CONFIG`` environment variable; explicit command-line values win.
+Diagnostics go to stderr, each distinct line once.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import assessments as assess
 from . import evaluation, pipeline
 from .corpus import Corpus, ingest_corpus
 from .cre import COMBO_CODES, HeuristicCombo
 from .paths import ElementPath
-from .ranker import build_index, save_index
+from .ranker import build_index
 
 CONFIG_ENV = "XMLIR_CONFIG"
 
 N_CHOICES = ("1", "10", "all")
 CATEGORY_CHOICES = ("all", assess.BROAD, assess.NARROW)
+_DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
+
+Warn = Callable[[str], None]
+
+
+def _warn_once() -> Warn:
+    """A stderr printer that writes each distinct diagnostic once, in first-seen order."""
+    seen: set[str] = set()
+
+    def warn(line: str) -> None:
+        if line not in seen:
+            seen.add(line)
+            print(line, file=sys.stderr)
+
+    return warn
 
 
 def _config_defaults() -> dict[str, Any]:
@@ -58,10 +75,10 @@ def _system_config(args: argparse.Namespace, defaults: dict[str, Any]) -> pipeli
     return pipeline.SystemConfig(
         system=_opt(args, defaults, "system", pipeline.FULLTEXT),
         cre=bool(_opt(args, defaults, "cre", False)),
-        combo=HeuristicCombo.from_string(_opt(args, defaults, "combo", "MpE")),
+        combo=HeuristicCombo.from_string(_opt(args, defaults, "combo", str(_DEFAULTS.combo))),
         n_per_article=_parse_n(str(_opt(args, defaults, "n", "all"))),
-        slope=float(_opt(args, defaults, "slope", 0.55)),
-        max_results=int(_opt(args, defaults, "max_results", 1500)),
+        slope=float(_opt(args, defaults, "slope", _DEFAULTS.slope)),
+        max_results=int(_opt(args, defaults, "max_results", _DEFAULTS.max_results)),
     )
 
 
@@ -73,21 +90,6 @@ def _load_corpus(args: argparse.Namespace, defaults: dict[str, Any]) -> Corpus:
     for line in corpus.diagnostics:
         print(f"corpus: {line}", file=sys.stderr)
     return corpus
-
-
-def cmd_index(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    corpus = _load_corpus(args, defaults)
-    out_dir = Path(_opt(args, defaults, "out", "index"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index = build_index(corpus)
-    save_index(index, out_dir / "index.txt")
-    manifest = "".join(
-        f"{seq}\t{doc}\t{tree.root.subtree_size}\n"
-        for seq, (doc, tree) in enumerate(corpus.docs.items())
-    )
-    (out_dir / "manifest.tsv").write_text(manifest, encoding="utf-8")
-    print(f"indexed {len(corpus)} documents into {out_dir}")
-    return 0
 
 
 def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
@@ -116,6 +118,7 @@ def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
 def _filter_topics(
     sets: list[assess.AssessmentSet],
     category: str,
+    warn: Warn,
 ) -> dict[int, assess.AssessmentSet]:
     """Assessment sets that fall in the requested category; uncategorizable
     topics (no highly relevant elements) are dropped with a diagnostic."""
@@ -124,7 +127,7 @@ def _filter_topics(
         try:
             topic_category = assess.categorize_topic(aset)
         except ValueError as exc:
-            print(f"assessments: {exc}; excluded", file=sys.stderr)
+            warn(f"assessments: {exc}; excluded")
             continue
         if category == "all" or topic_category == category:
             kept[aset.topic_id] = aset
@@ -137,6 +140,7 @@ def _score_runs(
     case: str,
     metric: str,
     corpus: Corpus | None,
+    warn: Warn,
 ) -> dict[int, float]:
     per_topic: dict[int, float] = {}
     sizes: dict[tuple[str, ElementPath], int] | None = None
@@ -150,11 +154,11 @@ def _score_runs(
                 needed.update(evaluation.quantize(judged[run.topic_id], case).relevant)
         sizes, diagnostics = evaluation.build_size_map(corpus, needed)
         for line in diagnostics:
-            print(f"sizes: {line}", file=sys.stderr)
+            warn(f"sizes: {line}")
     for run in runs:
         aset = judged.get(run.topic_id)
         if aset is None:
-            print(f"topic {run.topic_id}: no matching assessments; skipped", file=sys.stderr)
+            warn(f"topic {run.topic_id}: no matching assessments; skipped")
             continue
         judgment = evaluation.quantize(aset, case)
         entries = [(e.doc, e.path) for e in run.entries]
@@ -165,7 +169,7 @@ def _score_runs(
                 mode = "s" if metric == evaluation.METRIC_NG_SIZE else "o"
                 per_topic[run.topic_id] = evaluation.inex_eval_ng(entries, judgment, sizes, mode)
         except ValueError as exc:
-            print(f"topic {run.topic_id}: skipped ({exc})", file=sys.stderr)
+            warn(f"topic {run.topic_id}: skipped ({exc})")
     return per_topic
 
 
@@ -193,8 +197,9 @@ def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     corpus = None
     if metric != evaluation.METRIC_STRICT:
         corpus = _load_corpus(args, defaults)
-    judged = _filter_topics(sets, category)
-    per_topic = _score_runs(runs, judged, case, metric, corpus)
+    warn = _warn_once()
+    judged = _filter_topics(sets, category, warn)
+    per_topic = _score_runs(runs, judged, case, metric, corpus, warn)
     label = evaluation.METRIC_LABELS[metric]
     lines = [f"topic\tap\t{label}/{case}/{category}"]
     for topic_id in sorted(per_topic):
@@ -220,28 +225,19 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     for line in diagnostics:
         print(f"assessments: {line}", file=sys.stderr)
     metric = _opt(args, defaults, "metric", evaluation.METRIC_STRICT)
-    combo = HeuristicCombo.from_string(_opt(args, defaults, "combo", "MpE"))
-    slope = float(_opt(args, defaults, "slope", 0.55))
-    max_results = int(_opt(args, defaults, "max_results", 1500))
+    base = _system_config(args, defaults)
     index = build_index(corpus)
 
-    cells: list[tuple[pipeline.SystemConfig, str]] = []
-    cells.append((pipeline.SystemConfig(system=pipeline.FULLTEXT, slope=slope, max_results=max_results), "-"))
+    cells = [(dataclasses.replace(base, system=pipeline.FULLTEXT, cre=False, n_per_article=None), "-")]
     for system in (pipeline.XMLDB, pipeline.HYBRID):
         for cre in (False, True):
             for n_label in N_CHOICES:
-                config = pipeline.SystemConfig(
-                    system=system,
-                    cre=cre,
-                    combo=combo,
-                    n_per_article=_parse_n(n_label),
-                    slope=slope,
-                    max_results=max_results,
-                )
+                config = dataclasses.replace(base, system=system, cre=cre, n_per_article=_parse_n(n_label))
                 cells.append((config, n_label))
 
+    warn = _warn_once()
     judged_by_category = {
-        category: _filter_topics(sets, category) for category in CATEGORY_CHOICES
+        category: _filter_topics(sets, category, warn) for category in CATEGORY_CHOICES
     }
     lines = ["system\tn\tcase\tcategory\tmetric\ttopics\tmap"]
     label = evaluation.METRIC_LABELS[metric]
@@ -251,10 +247,10 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
             try:
                 runs.append(pipeline.execute(topic, corpus, index, config))
             except ValueError as exc:
-                print(f"topic {topic.id}: skipped ({exc})", file=sys.stderr)
+                warn(f"topic {topic.id}: skipped ({exc})")
         for case in assess.RELEVANCE_CASES:
             for category in CATEGORY_CHOICES:
-                per_topic = _score_runs(runs, judged_by_category[category], case, metric, corpus)
+                per_topic = _score_runs(runs, judged_by_category[category], case, metric, corpus, warn)
                 if per_topic:
                     map_value = f"{evaluation.mean_average_precision(per_topic):.6f}"
                 else:
@@ -303,16 +299,21 @@ def _add_corpus_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", help="directory of XML documents")
 
 
+def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--combo", choices=COMBO_CODES, metavar="{MpB..pME}",
+                        help=f"coherent-element ranking heuristics (default {_DEFAULTS.combo})")
+    parser.add_argument("--slope", type=float,
+                        help=f"length-normalization slope (default {_DEFAULTS.slope})")
+    parser.add_argument("--max-results", dest="max_results", type=int,
+                        help=f"global answer-list cap (default {_DEFAULTS.max_results})")
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--system", choices=pipeline.SYSTEMS)
     parser.add_argument("--cre", action="store_true", default=None,
                         help="replace match lists with ranked coherent elements")
-    parser.add_argument("--combo", choices=COMBO_CODES, metavar="{MpB..pME}",
-                        help="coherent-element ranking heuristics (default MpE)")
     parser.add_argument("--n", choices=N_CHOICES, help="retrieved elements per article")
-    parser.add_argument("--slope", type=float, help="length-normalization slope (default 0.55)")
-    parser.add_argument("--max-results", dest="max_results", type=int,
-                        help="global answer-list cap (default 1500)")
+    _add_ranking_options(parser)
 
 
 def _add_eval_options(parser: argparse.ArgumentParser) -> None:
@@ -328,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid XML retrieval engine and evaluation harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="persist the inverted index and corpus manifest")
-    _add_corpus_option(p)
-    p.add_argument("--out", help="output directory (default: index)")
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("run", help="execute one system over a topics file")
     _add_corpus_option(p)
@@ -352,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_option(p)
     p.add_argument("--topics", help="topics file")
     p.add_argument("--assessments", help="directory of per-topic assessment files")
-    p.add_argument("--combo", choices=COMBO_CODES, metavar="{MpB..pME}")
-    p.add_argument("--slope", type=float)
-    p.add_argument("--max-results", dest="max_results", type=int)
+    _add_ranking_options(p)
     p.add_argument("--metric", choices=evaluation.METRICS)
     p.add_argument("--out", help="grid file (default: stdout)")
     p.set_defaults(func=cmd_report)

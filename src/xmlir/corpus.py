@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import re
 import xml.etree.ElementTree as ET
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -48,11 +47,14 @@ DEFAULT_TOKENIZER = TokenizerConfig()
 
 @dataclass(frozen=True, eq=False)
 class ElementNode:
-    tag: str
     path: ElementPath
     tokens: tuple[str, ...]  # tokens directly inside this node
     children: tuple["ElementNode", ...]
     subtree_size: int  # token count of this node plus all descendants
+
+    @property
+    def tag(self) -> str:
+        return self.path.tag
 
     @property
     def token_set(self) -> frozenset[str]:
@@ -72,7 +74,6 @@ class DocumentTree:
     """One parsed document; nodes are addressed by their pre-order index."""
 
     doc: str
-    root: ElementNode
     nodes: tuple[ElementNode, ...]  # document (pre-order) order; nodes[0] is the root
     by_path: dict[ElementPath, ElementNode]
     # term -> pre-order indices of the nodes holding it directly, one entry per
@@ -80,6 +81,10 @@ class DocumentTree:
     postings: dict[str, tuple[int, ...]]
     ends: tuple[int, ...]  # ends[i]: index just past node i's subtree
     parents: tuple[int, ...]  # parents[i]: index of node i's parent, -1 for the root
+
+    @property
+    def root(self) -> ElementNode:
+        return self.nodes[0]
 
     def node_at(self, path: ElementPath) -> ElementNode | None:
         return self.by_path.get(path)
@@ -131,7 +136,6 @@ def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOK
         below = children[i]
         below.reverse()
         node = built[i] = ElementNode(
-            tag=paths[i].tag,
             path=paths[i],
             tokens=tokens[i],
             children=tuple(below),
@@ -145,7 +149,6 @@ def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOK
     nodes = tuple(built)
     return DocumentTree(
         doc=doc,
-        root=nodes[0],
         nodes=nodes,
         by_path={n.path: n for n in nodes},
         postings={term: tuple(hits) for term, hits in postings.items()},
@@ -166,10 +169,6 @@ class Corpus:
     @property
     def doc_ids(self) -> list[str]:
         return list(self.docs)
-
-    def order_of(self, doc: str) -> int:
-        """Ingestion sequence number of a document identifier."""
-        return list(self.docs).index(doc)
 
     def trees(self) -> Iterator[DocumentTree]:
         return iter(self.docs.values())
@@ -201,29 +200,3 @@ def ingest_corpus(
         except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: skipped ({exc})")
     return Corpus(docs=docs, tokenizer=tokenizer_config, diagnostics=diagnostics)
-
-
-def resolve_path(tree: DocumentTree, path: ElementPath) -> ElementNode | None:
-    """The unique node at ``path``, or None when no such node exists."""
-    return tree.by_path.get(path)
-
-
-def subtree_terms(tree: DocumentTree, path: ElementPath) -> Counter[str]:
-    """Token multiset of the node at ``path`` and all its descendants.
-
-    The total of this multiset is the element's size. Raises ValueError for
-    a path that does not resolve.
-    """
-    node = tree.by_path.get(path)
-    if node is None:
-        raise ValueError(f"path does not resolve in {tree.doc}: {path}")
-    terms: Counter[str] = Counter()
-    for n in node.walk():
-        terms.update(n.tokens)
-    return terms
-
-
-def element_size(tree: DocumentTree, path: ElementPath) -> int | None:
-    """Subtree token count, or None when the path does not resolve."""
-    node = tree.by_path.get(path)
-    return None if node is None else node.subtree_size

@@ -68,12 +68,20 @@ class CoherentElement:
     doc: str
     path: ElementPath
     matches: int  # matching elements lying strictly below this path
-    length: int  # number of path steps
-    sequence: SequenceKey  # sibling-index projection of the path
 
     @classmethod
     def at(cls, doc: str, path: ElementPath, matches: int) -> "CoherentElement":
-        return cls(doc=doc, path=path, matches=matches, length=path.depth, sequence=path.sequence())
+        return cls(doc=doc, path=path, matches=matches)
+
+    @property
+    def length(self) -> int:
+        """Number of path steps."""
+        return self.path.depth
+
+    @property
+    def sequence(self) -> SequenceKey:
+        """Sibling-index projection of the path."""
+        return self.path.sequence()
 
 
 def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentElement]:

@@ -2,7 +2,8 @@
 
 A path is an ordered sequence of (tag, index) steps where the index is the
 node's 1-based position among same-tag siblings, written as
-``/article[1]/bdy[1]/sec[2]``.
+``/article[1]/bdy[1]/sec[2]``. A namespaced tag keeps ElementTree's
+``{uri}local`` form, so a step may read ``/{http://x.org/ns}article[1]``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 PathStep = tuple[str, int]
 SequenceKey = tuple[int, ...]
 
-_STEP_RE = re.compile(r"([^/\[\]]+)\[([0-9]+)\]")
+_STEP = r"/((?:\{[^}]*\})?[^/\[\]{}]+)\[([0-9]+)\]"  # optional {uri}, local name, [index]
+_STEP_RE = re.compile(_STEP)
+_PATH_RE = re.compile(f"(?:{_STEP})+")
 
 
 @dataclass(frozen=True)
@@ -34,15 +37,9 @@ class ElementPath:
     @classmethod
     def from_string(cls, text: str) -> "ElementPath":
         """Parse the /tag[i]/tag[j] notation; raises ValueError on malformed input."""
-        if not text.startswith("/"):
-            raise ValueError(f"element path must start with '/': {text!r}")
-        steps = []
-        for part in text[1:].split("/"):
-            m = _STEP_RE.fullmatch(part)
-            if m is None:
-                raise ValueError(f"bad path step {part!r} in {text!r}")
-            steps.append((m.group(1), int(m.group(2))))
-        return cls(tuple(steps))
+        if _PATH_RE.fullmatch(text) is None:
+            raise ValueError(f"malformed element path {text!r}")
+        return cls(tuple((tag, int(index)) for tag, index in _STEP_RE.findall(text)))
 
     def __str__(self) -> str:
         return "".join(f"/{tag}[{index}]" for tag, index in self.steps)
@@ -62,21 +59,9 @@ class ElementPath:
     def child(self, tag: str, index: int) -> "ElementPath":
         return ElementPath(self.steps + ((tag, index),))
 
-    def parent(self) -> "ElementPath | None":
-        if len(self.steps) == 1:
-            return None
-        return ElementPath(self.steps[:-1])
-
     def is_ancestor_of(self, other: "ElementPath") -> bool:
         """True iff self.steps is a proper prefix of other.steps."""
         return (
             len(self.steps) < len(other.steps)
             and other.steps[: len(self.steps)] == self.steps
         )
-
-    def is_descendant_of(self, other: "ElementPath") -> bool:
-        return other.is_ancestor_of(self)
-
-    def ancestors(self) -> list["ElementPath"]:
-        """Proper ancestors, from the root down to the parent."""
-        return [ElementPath(self.steps[:n]) for n in range(1, len(self.steps))]

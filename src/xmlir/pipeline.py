@@ -281,25 +281,36 @@ def write_run_file(path: str | Path, runs: Iterable[RunResult]) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
+    parts = line.split("\t")
+    if len(parts) != 6:
+        raise ValueError("expected 6 tab-separated fields")
+    topic_id, rank, doc, raw_path, raw_score, tag = parts
+    entry = RunEntry(
+        rank=int(rank),
+        doc=doc,
+        path=ElementPath.from_string(raw_path),
+        score=None if raw_score == "-" else float(raw_score),
+    )
+    return int(topic_id), entry, tag
+
+
 def read_run_file(path: str | Path) -> list[RunResult]:
-    """Parse a run file back into per-topic results, preserving order."""
+    """Parse a run file back into per-topic results, preserving order.
+
+    A malformed line raises ValueError naming the file and the line number.
+    """
     grouped: dict[int, list[RunEntry]] = {}
     tags: dict[int, str] = {}
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"{path}: line {number}: expected 6 tab-separated fields")
-        topic_id, rank, doc, raw_path, raw_score, tag = parts
-        entry = RunEntry(
-            rank=int(rank),
-            doc=doc,
-            path=ElementPath.from_string(raw_path),
-            score=None if raw_score == "-" else float(raw_score),
-        )
-        grouped.setdefault(int(topic_id), []).append(entry)
-        tags[int(topic_id)] = tag
+        try:
+            topic_id, entry, tag = _parse_run_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        grouped.setdefault(topic_id, []).append(entry)
+        tags[topic_id] = tag
     return [
         RunResult(topic_id=topic_id, system_tag=tags[topic_id], entries=tuple(entries))
         for topic_id, entries in grouped.items()

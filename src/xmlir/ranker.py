@@ -14,12 +14,9 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .corpus import Corpus
-
-INDEX_FORMAT = "xmlir-index 1"
 
 
 @dataclass(frozen=True)
@@ -103,48 +100,3 @@ def rank_articles(
     scored.sort(key=lambda item: (-item[1], index.doc_order[item[0]]))
     del scored[params.max_results :]
     return [ScoredArticle(doc=doc, score=score, rank=i + 1) for i, (doc, score) in enumerate(scored)]
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write the index in a line-oriented format that round-trips postings exactly."""
-    lines = [INDEX_FORMAT]
-    lines.append(f"docs {index.doc_count}")
-    for doc, length in index.doc_lengths.items():
-        lines.append(f"d {length} {doc}")
-    lines.append(f"terms {len(index.postings)}")
-    for term in sorted(index.postings):
-        pairs = " ".join(f"{index.doc_order[doc]}:{tf}" for doc, tf in index.postings[term])
-        lines.append(f"t {term} {pairs}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != INDEX_FORMAT:
-        raise ValueError(f"unrecognized index format in {path}")
-    doc_lengths: dict[str, int] = {}
-    postings: dict[str, list[tuple[str, int]]] = {}
-    docs_by_seq: list[str] = []
-    for line in lines[1:]:
-        kind, _, rest = line.partition(" ")
-        if kind == "d":
-            length, _, doc = rest.partition(" ")
-            doc_lengths[doc] = int(length)
-            docs_by_seq.append(doc)
-        elif kind == "t":
-            term, _, pairs = rest.partition(" ")
-            plist = []
-            for pair in pairs.split():
-                seq, _, tf = pair.partition(":")
-                plist.append((docs_by_seq[int(seq)], int(tf)))
-            postings[term] = plist
-    if not doc_lengths:
-        raise ValueError(f"index file has no documents: {path}")
-    doc_order = {doc: seq for seq, doc in enumerate(docs_by_seq)}
-    avg = sum(doc_lengths.values()) / len(doc_lengths)
-    return InvertedIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        doc_order=doc_order,
-        avg_doc_length=avg,
-    )

@@ -33,24 +33,6 @@ def workspace(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_index_writes_artifacts_and_is_deterministic(workspace, capsys):
-    out = workspace / "index"
-    argv = ["index", "--corpus", str(workspace / "corpus"), "--out", str(out)]
-    assert main(argv) == 0
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert set(first) == {"index.txt", "manifest.tsv"}
-    manifest = first["manifest.tsv"].decode()
-    assert manifest.splitlines()[0].startswith("0\tic/1999/w0001\t")
-    assert main(argv) == 0
-    second = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert first == second
-
-
-def test_index_missing_directory_fails(workspace, capsys):
-    assert main(["index", "--corpus", str(workspace / "nothing")]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_run_fulltext_paths_are_roots(workspace):
     out = workspace / "runs" / "fulltext.run"
     argv = [
@@ -242,13 +224,20 @@ def test_assess_stats_outputs(workspace):
     assert categories[1] == "117\t1\t0\tbroad"
 
 
-def test_report_grid_shape(workspace):
+def test_report_grid_shape(workspace, capsys):
+    # topic 118 has no assessments, so every scored cell would report it
+    unjudged = SAMPLE_TOPIC_XML.replace('topic_id="117"', 'topic_id="118"')
+    topics = workspace / "two-topics.xml"
+    topics.write_text(f"<topics>{SAMPLE_TOPIC_XML}{unjudged}</topics>")
     out = workspace / "grid.tsv"
     argv = [
-        "report", "--corpus", str(workspace / "corpus"), "--topics", str(workspace / "topics.xml"),
+        "report", "--corpus", str(workspace / "corpus"), "--topics", str(topics),
         "--assessments", str(workspace / "assessments"), "--out", str(out),
     ]
     assert main(argv) == 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == len(set(err_lines))
+    assert "topic 118: no matching assessments; skipped" in err_lines
     rows = [line.split("\t") for line in out.read_text().splitlines()]
     assert rows[0] == ["system", "n", "case", "category", "metric", "topics", "map"]
     body = rows[1:]
@@ -260,13 +249,13 @@ def test_report_grid_shape(workspace):
 
 def test_module_entry_point_runs_as_subprocess(workspace):
     result = subprocess.run(
-        [sys.executable, "-m", "xmlir", "index", "--corpus", str(workspace / "corpus"),
-         "--out", str(workspace / "subproc-index")],
+        [sys.executable, "-m", "xmlir", "assess-stats", "--assessments", str(workspace / "assessments"),
+         "--out", str(workspace / "subproc-stats")],
         capture_output=True, text=True,
     )
     assert result.returncode == 0
     result = subprocess.run(
-        [sys.executable, "-m", "xmlir", "index", "--corpus", str(workspace / "missing")],
+        [sys.executable, "-m", "xmlir", "assess-stats", "--assessments", str(workspace / "missing")],
         capture_output=True, text=True,
     )
     assert result.returncode == 1

@@ -1,6 +1,7 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,16 @@ from xmlir import (
     collection_match,
     ingest_corpus,
     parse_document,
-    resolve_path,
-    subtree_terms,
 )
 from xmlir.corpus import TokenizerConfig
 from xmlir.matcher import AND, OR
 
 import support
+
+
+def subtree_terms(node) -> Counter:
+    """Token multiset of a node and all its descendants."""
+    return Counter(token for n in node.walk() for token in n.tokens)
 
 
 def test_path_parse_roundtrip():
@@ -43,8 +47,6 @@ def test_path_ancestry():
     assert a.is_ancestor_of(b)
     assert not b.is_ancestor_of(a)
     assert not a.is_ancestor_of(a)
-    assert b.parent() == a
-    assert b.ancestors() == [ElementPath.from_string("/article[1]"), a]
 
 
 def test_tokenizer_splits_on_non_alphanumeric():
@@ -66,7 +68,7 @@ def test_ingest_single_file(tmp_path):
     corpus = ingest_corpus(tmp_path)
     assert corpus.doc_ids == ["a/x"]
     tree = corpus.docs["a/x"]
-    node = resolve_path(tree, ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
+    node = tree.node_at(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
     assert node is not None and node.tokens == ("hi",)
 
 
@@ -92,47 +94,46 @@ def test_ingest_missing_directory_is_fatal(tmp_path):
 
 def test_resolve_root_and_out_of_range():
     tree = parse_document("<article><sec><p>a</p></sec><sec><p>b</p></sec></article>", "d")
-    assert resolve_path(tree, ElementPath.from_string("/article[1]")) is tree.root
-    second = resolve_path(tree, ElementPath.from_string("/article[1]/sec[2]"))
+    assert tree.node_at(ElementPath.from_string("/article[1]")) is tree.root
+    second = tree.node_at(ElementPath.from_string("/article[1]/sec[2]"))
     assert second is not None and second.tag == "sec"
-    assert resolve_path(tree, ElementPath.from_string("/article[1]/sec[9]")) is None
+    assert tree.node_at(ElementPath.from_string("/article[1]/sec[9]")) is None
+    empty = parse_document("<article/>", "d")
+    assert empty.node_at(ElementPath.from_string("/article[1]/sec[1]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
     tree = parse_document("<article><fm/><sec><p>x</p></sec><fig/><sec/></article>", "d")
     # the fourth child overall is only the second <sec>
-    assert resolve_path(tree, ElementPath.from_string("/article[1]/sec[2]")) is not None
-    assert resolve_path(tree, ElementPath.from_string("/article[1]/sec[3]")) is None
+    assert tree.node_at(ElementPath.from_string("/article[1]/sec[2]")) is not None
+    assert tree.node_at(ElementPath.from_string("/article[1]/sec[3]")) is None
 
 
 def test_subtree_terms_leaf_and_parent():
     tree = parse_document(
         "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>", "d"
     )
-    leaf = subtree_terms(tree, ElementPath.from_string("/article[1]/sec[1]/p[1]"))
-    assert leaf == {"patricia": 1, "tries": 1}
-    parent = subtree_terms(tree, ElementPath.from_string("/article[1]/sec[1]"))
-    assert parent == {"patricia": 2, "tries": 2}
-    assert sum(parent.values()) == 4
+    leaf = tree.node_at(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
+    assert subtree_terms(leaf) == {"patricia": 1, "tries": 1}
+    assert leaf.subtree_size == 2
+    parent = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    assert subtree_terms(parent) == {"patricia": 2, "tries": 2}
+    assert parent.tokens == ()
+    assert parent.subtree_size == 4
 
 
 def test_subtree_terms_mixed_content():
     tree = parse_document("<article><sec>lead <p>inner</p> tail</sec></article>", "d")
-    terms = subtree_terms(tree, ElementPath.from_string("/article[1]/sec[1]"))
-    assert terms == {"lead": 1, "inner": 1, "tail": 1}
-    sec = resolve_path(tree, ElementPath.from_string("/article[1]/sec[1]"))
+    sec = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    assert subtree_terms(sec) == {"lead": 1, "inner": 1, "tail": 1}
+    assert sec.subtree_size == 3
     assert sorted(sec.tokens) == ["lead", "tail"]  # tail text belongs to <sec>
-
-
-def test_subtree_terms_unresolvable_path_raises():
-    tree = parse_document("<article/>", "d")
-    with pytest.raises(ValueError):
-        subtree_terms(tree, ElementPath.from_string("/article[1]/sec[1]"))
 
 
 def test_attributes_do_not_contribute_terms():
     tree = parse_document('<article kind="draft"><p id="p7">body</p></article>', "d")
-    assert subtree_terms(tree, ElementPath.from_string("/article[1]")) == {"body": 1}
+    assert subtree_terms(tree.root) == {"body": 1}
+    assert tree.root.subtree_size == 1
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -140,8 +141,8 @@ def test_path_roundtrip_on_random_trees(seed):
     rng = random.Random(seed)
     tree = parse_document(support.random_xml(rng), "d")
     for node in tree.nodes:
-        assert resolve_path(tree, node.path) is node
-        assert resolve_path(tree, ElementPath.from_string(str(node.path))) is node
+        assert tree.node_at(node.path) is node
+        assert tree.node_at(ElementPath.from_string(str(node.path))) is node
 
 
 def test_prefix_law_and_size_monotonicity():

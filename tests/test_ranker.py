@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from xmlir import RankParams, build_index, load_index, rank_articles, save_index
+from xmlir import RankParams, build_index, rank_articles
 
 import support
 
@@ -173,19 +173,3 @@ def test_slope_bounds_validated():
         RankParams(slope=1.5)
     with pytest.raises(ValueError):
         RankParams(slope=-0.1)
-
-
-def test_index_serialization_roundtrip(tmp_path):
-    rng = random.Random(5)
-    docs = {f"grp/d{i}": support.random_xml(rng) for i in range(5)}
-    index = build_index(support.corpus_from_strings(docs))
-    target = tmp_path / "index.txt"
-    save_index(index, target)
-    loaded = load_index(target)
-    assert loaded.postings == index.postings
-    assert loaded.doc_lengths == index.doc_lengths
-    assert loaded.doc_order == index.doc_order
-    assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length, abs=1e-12)
-    # identical bytes when saved again
-    save_index(loaded, tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == target.read_bytes()
