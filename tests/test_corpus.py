@@ -98,8 +98,6 @@ def test_resolve_root_and_out_of_range():
     second = tree.node_at(ElementPath.from_string("/article[1]/sec[2]"))
     assert second is not None and second.tag == "sec"
     assert tree.node_at(ElementPath.from_string("/article[1]/sec[9]")) is None
-    empty = parse_document("<article/>", "d")
-    assert empty.node_at(ElementPath.from_string("/article[1]/sec[1]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
@@ -128,6 +126,14 @@ def test_subtree_terms_mixed_content():
     assert subtree_terms(sec) == {"lead": 1, "inner": 1, "tail": 1}
     assert sec.subtree_size == 3
     assert sorted(sec.tokens) == ["lead", "tail"]  # tail text belongs to <sec>
+
+
+def test_subtree_terms_unresolvable_path_raises():
+    tree = parse_document("<article/>", "d")
+    node = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    assert node is None  # no node, so no subtree terms to count
+    with pytest.raises(AttributeError):
+        subtree_terms(node)
 
 
 def test_attributes_do_not_contribute_terms():
