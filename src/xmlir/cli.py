@@ -92,15 +92,30 @@ def _load_corpus(args: argparse.Namespace, defaults: dict[str, Any]) -> Corpus:
     return corpus
 
 
-def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    config = _system_config(args, defaults)
-    corpus = _load_corpus(args, defaults)
+def _load_topics(args: argparse.Namespace, defaults: dict[str, Any]) -> list[pipeline.Topic]:
     topics_file = _opt(args, defaults, "topics")
     if not topics_file:
         raise ValueError("--topics is required")
-    topics, topic_diagnostics = pipeline.parse_topics(topics_file)
-    for line in topic_diagnostics:
+    topics, diagnostics = pipeline.parse_topics(topics_file)
+    for line in diagnostics:
         print(f"topics: {line}", file=sys.stderr)
+    return topics
+
+
+def _load_assessment_sets(args: argparse.Namespace, defaults: dict[str, Any]) -> list[assess.AssessmentSet]:
+    assessments_dir = _opt(args, defaults, "assessments")
+    if not assessments_dir:
+        raise ValueError("--assessments is required")
+    sets, diagnostics = assess.load_assessments(assessments_dir)
+    for line in diagnostics:
+        print(f"assessments: {line}", file=sys.stderr)
+    return sets
+
+
+def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
+    config = _system_config(args, defaults)
+    corpus = _load_corpus(args, defaults)
+    topics = _load_topics(args, defaults)
     index = build_index(corpus) if config.system in (pipeline.FULLTEXT, pipeline.HYBRID) else None
     runs = []
     for topic in topics:
@@ -185,12 +200,7 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
 
 def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     runs = pipeline.read_run_file(args.run_file)
-    assessments_dir = _opt(args, defaults, "assessments")
-    if not assessments_dir:
-        raise ValueError("--assessments is required")
-    sets, diagnostics = assess.load_assessments(assessments_dir)
-    for line in diagnostics:
-        print(f"assessments: {line}", file=sys.stderr)
+    sets = _load_assessment_sets(args, defaults)
     case = _opt(args, defaults, "case", assess.ORIGINAL)
     category = _opt(args, defaults, "category", "all")
     metric = _opt(args, defaults, "metric", evaluation.METRIC_STRICT)
@@ -214,16 +224,8 @@ def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
 
 def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     corpus = _load_corpus(args, defaults)
-    topics_file = _opt(args, defaults, "topics")
-    assessments_dir = _opt(args, defaults, "assessments")
-    if not topics_file or not assessments_dir:
-        raise ValueError("--topics and --assessments are required")
-    topics, topic_diagnostics = pipeline.parse_topics(topics_file)
-    for line in topic_diagnostics:
-        print(f"topics: {line}", file=sys.stderr)
-    sets, diagnostics = assess.load_assessments(assessments_dir)
-    for line in diagnostics:
-        print(f"assessments: {line}", file=sys.stderr)
+    topics = _load_topics(args, defaults)
+    sets = _load_assessment_sets(args, defaults)
     metric = _opt(args, defaults, "metric", evaluation.METRIC_STRICT)
     base = _system_config(args, defaults)
     index = build_index(corpus)
@@ -263,12 +265,7 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
 
 
 def cmd_assess_stats(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    assessments_dir = _opt(args, defaults, "assessments")
-    if not assessments_dir:
-        raise ValueError("--assessments is required")
-    sets, diagnostics = assess.load_assessments(assessments_dir)
-    for line in diagnostics:
-        print(f"assessments: {line}", file=sys.stderr)
+    sets = _load_assessment_sets(args, defaults)
     scoreable = [s for s in sets if assess.highly_relevant(s)]
     out_dir = Path(_opt(args, defaults, "out", "assess-stats"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,12 @@
 Given one article's list of matching-element paths, a coherent element is an
 ancestor that contains at least two items (matching elements or other
 coherent elements) spread across at least two distinct immediate children.
-The qualification is self-referential, so the set is computed bottom-up to a
-fixpoint: deeper elements qualify first and then count as items for their
-own ancestors.
+The definition is self-referential, but a coherent element below a
+candidate always has a matching element below it through the same child,
+so counting coherent elements as items adds no child. The set is therefore
+the branching nodes of the match set: the non-matching proper ancestors of
+matching elements with matches below at least two distinct children, found
+in one pass over the paths' prefixes.
 
 A single-item input is the special case: the sole matching element is
 returned as-is, since nothing supports promoting any of its ancestors.
@@ -94,7 +97,8 @@ def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentEle
     if not paths:
         raise ValueError("matching element list is empty")
     steps_list = [p.steps for p in paths]
-    if len(set(steps_list)) != len(steps_list):
+    matching_steps = set(steps_list)
+    if len(matching_steps) != len(steps_list):
         raise ValueError("duplicate matching paths")
     root_step = steps_list[0][0]
     if any(s[0] != root_step for s in steps_list):
@@ -103,24 +107,18 @@ def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentEle
     if len(paths) == 1:
         return [CoherentElement.at(doc, paths[0], matches=1)]
 
-    matching_steps = set(steps_list)
-    candidates = {
-        steps[:n] for steps in steps_list for n in range(1, len(steps))
-    } - matching_steps
-
-    # Deepest-first sweep reaches the fixpoint: every item supporting a
-    # candidate is strictly deeper, so it has already been decided.
-    items: set[tuple[PathStep, ...]] = set(matching_steps)
-    records: list[CoherentElement] = []
-    for cand in sorted(candidates, key=len, reverse=True):
-        depth = len(cand)
-        child_steps = {it[depth] for it in items if len(it) > depth and it[:depth] == cand}
-        if len(child_steps) >= 2:
-            items.add(cand)
-            matches = sum(1 for s in matching_steps if len(s) > depth and s[:depth] == cand)
-            records.append(CoherentElement.at(doc, ElementPath(cand), matches))
-    records.sort(key=lambda r: r.path.steps)
-    return records
+    below: dict[tuple[PathStep, ...], int] = {}
+    children: dict[tuple[PathStep, ...], set[PathStep]] = {}
+    for steps in steps_list:
+        for depth in range(1, len(steps)):
+            prefix = steps[:depth]
+            below[prefix] = below.get(prefix, 0) + 1
+            children.setdefault(prefix, set()).add(steps[depth])
+    return [
+        CoherentElement.at(doc, ElementPath(prefix), below[prefix])
+        for prefix in sorted(children)
+        if len(children[prefix]) >= 2 and prefix not in matching_steps
+    ]
 
 
 def _sort_key(record: CoherentElement, combo: HeuristicCombo):

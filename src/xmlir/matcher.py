@@ -53,14 +53,8 @@ class ElementQuery:
         return bool(self.terms & present)
 
 
-@dataclass(frozen=True)
-class MatchingElement:
-    doc: str
-    path: ElementPath
-
-
-def match_elements(tree: DocumentTree, query: ElementQuery) -> list[MatchingElement]:
-    """Most specific satisfying elements of one document, in document order."""
+def match_elements(tree: DocumentTree, query: ElementQuery) -> list[ElementPath]:
+    """Paths of the most specific satisfying elements of one document, in document order."""
     postings = tree.postings
     if query.mode == OR:
         found = [postings[term] for term in query.terms if term in postings]
@@ -88,21 +82,14 @@ def _ancestor_closure(nodes: tuple[int, ...], parents: tuple[int, ...]) -> set[i
     return marked
 
 
-def _most_specific(tree: DocumentTree, satisfied: list[int]) -> list[MatchingElement]:
-    """Members of a sorted node-index list that have no other member below them."""
+def _most_specific(tree: DocumentTree, satisfied: list[int]) -> list[ElementPath]:
+    """Paths of the members of a sorted node-index list that have no other member below them."""
     ends = tree.ends
     nodes = tree.nodes
     following = satisfied[1:] + [len(nodes)]
-    return [
-        MatchingElement(tree.doc, nodes[i].path)
-        for i, after in zip(satisfied, following)
-        if after >= ends[i]
-    ]
+    return [nodes[i].path for i, after in zip(satisfied, following) if after >= ends[i]]
 
 
-def collection_match(corpus: Corpus, query: ElementQuery) -> list[MatchingElement]:
-    """Per-document matches concatenated, documents in ingestion order."""
-    out: list[MatchingElement] = []
-    for tree in corpus.trees():
-        out.extend(match_elements(tree, query))
-    return out
+def collection_match(corpus: Corpus, query: ElementQuery) -> list[tuple[str, ElementPath]]:
+    """Per-document ``(doc, path)`` matches concatenated, documents in ingestion order."""
+    return [(tree.doc, path) for tree in corpus.trees() for path in match_elements(tree, query)]

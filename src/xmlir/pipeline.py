@@ -59,31 +59,27 @@ class TopicQuery:
     or_query: ElementQuery
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+@dataclass(frozen=True, kw_only=True)
+class SystemConfig(RankParams):
+    """One system's settings; ``slope`` and ``max_results`` come from ``RankParams``."""
+
     system: str
     cre: bool = False
     combo: HeuristicCombo = DEFAULT_COMBO
     n_per_article: int | None = None  # None means all
-    slope: float = 0.55
-    max_results: int = 1500
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system: {self.system!r}")
         if self.n_per_article is not None and self.n_per_article < 1:
             raise ValueError("n_per_article must be positive")
-        RankParams(slope=self.slope, max_results=self.max_results)  # bounds check
 
     @property
     def tag(self) -> str:
         if self.system != FULLTEXT and self.cre:
             return f"{self.system}-cre"
         return self.system
-
-    @property
-    def rank_params(self) -> RankParams:
-        return RankParams(slope=self.slope, max_results=self.max_results)
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,10 @@ class RunResult:
 def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     """Parse a topics file holding one ``<inex_topic>`` or a container of them.
 
-    Structural (non-CO) topics are ignored; a malformed topic element is
-    skipped with a diagnostic rather than failing the whole file. A file
-    that is not well-formed XML raises ValueError.
+    Structural (non-CO) topics are ignored; a malformed topic element, or a
+    later one repeating an earlier ``topic_id``, is skipped with a
+    diagnostic rather than failing the whole file. A file that is not
+    well-formed XML raises ValueError.
     """
     try:
         root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
@@ -118,6 +115,7 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
         elements = root.findall("inex_topic")
     topics = []
     diagnostics = []
+    seen: set[int] = set()
     for position, el in enumerate(elements, start=1):
         query_type = el.get("query_type")
         if query_type is not None and query_type != "CO":
@@ -128,6 +126,10 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
         except (TypeError, ValueError):
             diagnostics.append(f"topic #{position}: bad or missing topic_id {raw_id!r}; skipped")
             continue
+        if topic_id in seen:
+            diagnostics.append(f"topic #{position}: duplicate topic_id {topic_id}; skipped")
+            continue
+        seen.add(topic_id)
         keywords_text = (el.findtext("keywords") or "").strip()
         keywords = tuple(p.strip() for p in keywords_text.split(",") if p.strip())
         topics.append(
@@ -164,16 +166,15 @@ def translate_topic(topic: Topic, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
 
 def _combined_paths(tree: DocumentTree, query: TopicQuery) -> list[ElementPath]:
     """One document's AND matches followed by OR matches not already present."""
-    and_paths = [m.path for m in match_elements(tree, query.and_query)]
+    and_paths = match_elements(tree, query.and_query)
     and_set = set(and_paths)
-    or_paths = [m.path for m in match_elements(tree, query.or_query)]
-    return and_paths + [p for p in or_paths if p not in and_set]
+    return and_paths + [p for p in match_elements(tree, query.or_query) if p not in and_set]
 
 
 def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
     """Whole-article answers in descending score order."""
     query = translate_topic(topic, corpus.tokenizer)
-    ranked = rank_articles(index, query.bag, config.rank_params)
+    ranked = rank_articles(index, query.bag, config)
     entries = tuple(
         RunEntry(rank=a.rank, doc=a.doc, path=corpus.docs[a.doc].root.path, score=a.score)
         for a in ranked
@@ -187,11 +188,9 @@ def run_xmldb(topic: Topic, corpus: Corpus, config: SystemConfig) -> RunResult:
     if config.cre:
         pairs = _cre_pairs_per_doc(corpus.trees(), query, config)
     else:
-        and_matches = collection_match(corpus, query.and_query)
-        and_set = {(m.doc, m.path) for m in and_matches}
-        or_matches = collection_match(corpus, query.or_query)
-        combined = and_matches + [m for m in or_matches if (m.doc, m.path) not in and_set]
-        pairs = ((m.doc, m.path) for m in combined)
+        and_pairs = collection_match(corpus, query.and_query)
+        and_set = set(and_pairs)
+        pairs = and_pairs + [p for p in collection_match(corpus, query.or_query) if p not in and_set]
     return RunResult(
         topic_id=topic.id,
         system_tag=config.tag,
@@ -202,7 +201,7 @@ def run_xmldb(topic: Topic, corpus: Corpus, config: SystemConfig) -> RunResult:
 def run_hybrid(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
     """Element answers drawn from articles in ranked-article order."""
     query = translate_topic(topic, corpus.tokenizer)
-    ranked = rank_articles(index, query.bag, config.rank_params)
+    ranked = rank_articles(index, query.bag, config)
     trees = (corpus.docs[a.doc] for a in ranked)
     if config.cre:
         pairs = _cre_pairs_per_doc(trees, query, config)
@@ -298,17 +297,23 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
 def read_run_file(path: str | Path) -> list[RunResult]:
     """Parse a run file back into per-topic results, preserving order.
 
-    A malformed line raises ValueError naming the file and the line number.
+    Each topic's lines must form one contiguous block. A malformed line, or
+    a topic whose block starts again after another topic's, raises
+    ValueError naming the file and the line number.
     """
     grouped: dict[int, list[RunEntry]] = {}
     tags: dict[int, str] = {}
+    current = None
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             topic_id, entry, tag = _parse_run_line(line)
+            if topic_id != current and topic_id in grouped:
+                raise ValueError(f"topic {topic_id} starts a second block")
         except ValueError as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from None
+        current = topic_id
         grouped.setdefault(topic_id, []).append(entry)
         tags[topic_id] = tag
     return [

@@ -229,7 +229,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
 
     def matches(mode, *terms):
         query = ElementQuery(terms=frozenset(terms), mode=mode)
-        return [(m.doc, m.path) for m in collection_match(corpus, query)]
+        return collection_match(corpus, query)
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]

@@ -23,7 +23,7 @@ def test_or_single_occurrence_returns_deepest_container():
         "d",
     )
     result = match_elements(tree, q(OR, "patricia"))
-    assert [str(m.path) for m in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
+    assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
 
 
 def test_and_terms_spread_across_siblings():
@@ -35,9 +35,9 @@ def test_and_terms_spread_across_siblings():
         "d",
     )
     result = match_elements(tree, q(AND, "alpha", "beta"))
-    assert [str(m.path) for m in result] == ["/article[1]/bdy[1]/sec[1]"]
+    assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
-    assert [m.path for m in result] == support.brute_force_matches(tree, q(AND, "alpha", "beta"))
+    assert result == support.brute_force_matches(tree, q(AND, "alpha", "beta"))
 
 
 def test_or_absent_term_yields_empty():
@@ -65,7 +65,7 @@ def test_collection_match_document_order():
         }
     )
     result = collection_match(corpus, q(OR, "patricia"))
-    assert [(m.doc, str(m.path)) for m in result] == [("b/two", "/article[1]/p[1]")]
+    assert [(doc, str(path)) for doc, path in result] == [("b/two", "/article[1]/p[1]")]
 
 
 def test_collection_match_ingestion_order_beats_match_quality():
@@ -76,7 +76,7 @@ def test_collection_match_ingestion_order_beats_match_quality():
         }
     )
     result = collection_match(corpus, q(OR, "patricia"))
-    assert [m.doc for m in result] == ["a", "b"]
+    assert [doc for doc, _ in result] == ["a", "b"]
 
 
 def test_collection_match_empty_corpus():
@@ -91,8 +91,7 @@ def test_most_specific_law_against_oracle():
         terms = rng.sample(vocab, rng.randint(1, 3))
         for mode in (AND, OR):
             query = q(mode, *terms)
-            got = [m.path for m in match_elements(tree, query)]
-            assert got == support.brute_force_matches(tree, query)
+            assert match_elements(tree, query) == support.brute_force_matches(tree, query)
 
 
 def test_antichain_and_lattice_laws():
@@ -101,8 +100,8 @@ def test_antichain_and_lattice_laws():
         tree = parse_document(support.random_xml(rng), "d")
         and_query = q(AND, "alpha", "beta")
         or_query = q(OR, "alpha", "beta")
-        and_paths = [m.path for m in match_elements(tree, and_query)]
-        or_paths = [m.path for m in match_elements(tree, or_query)]
+        and_paths = match_elements(tree, and_query)
+        or_paths = match_elements(tree, or_query)
         for paths in (and_paths, or_paths):
             for a in paths:
                 for b in paths:
@@ -128,4 +127,4 @@ def test_root_failing_predicate_means_no_matches():
 def test_empty_elements_never_match():
     tree = parse_document("<article><sec/><p>alpha</p></article>", "d")
     result = match_elements(tree, q(OR, "alpha"))
-    assert [str(m.path) for m in result] == ["/article[1]/p[1]"]
+    assert [str(path) for path in result] == ["/article[1]/p[1]"]

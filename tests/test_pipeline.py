@@ -127,7 +127,7 @@ def test_xmldb_empty_and_list_equals_or_list():
     config = SystemConfig(system=XMLDB)
     run = run_xmldb(t, corpus, config)
     or_list = collection_match(corpus, translate_topic(t).or_query)
-    assert [(e.doc, e.path) for e in run.entries] == [(m.doc, m.path) for m in or_list]
+    assert [(e.doc, e.path) for e in run.entries] == or_list
     assert all(e.score is None for e in run.entries)
 
 
@@ -194,7 +194,7 @@ def test_hybrid_cre_top_entry_is_the_article(sample_or_paths):
     corpus = support.corpus_from_strings({"ic/1999/w4095": SAMPLE_ARTICLE_XML})
     t = topic("patricia")
     or_list = collection_match(corpus, translate_topic(t).or_query)
-    assert [str(m.path) for m in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
+    assert [str(path) for _, path in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
     config = SystemConfig(system=HYBRID, cre=True, combo=HeuristicCombo.from_string("MpE"),
                           n_per_article=1)
     run = run_hybrid(t, corpus, build_index(corpus), config)
@@ -223,7 +223,7 @@ def test_and_prefix_law_per_document():
     corpus = support.corpus_from_strings(docs)
     t = topic("alpha", "beta")
     query = translate_topic(t)
-    and_set = {(m.doc, m.path) for m in collection_match(corpus, query.and_query)}
+    and_set = set(collection_match(corpus, query.and_query))
     for system in (XMLDB, HYBRID):
         config = SystemConfig(system=system)
         run = execute(t, corpus, build_index(corpus), config)

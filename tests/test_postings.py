@@ -1,5 +1,6 @@
 """Element postings: the per-document term lists, subtree ends and parent
-indices built at parse time, and the matcher and index that read them.
+indices built at parse time, and the matcher, coherent elements and index
+that read them.
 
 Random trees cover deep chains, wide fan-outs, empty elements and terms
 repeated within and across nodes. Everything is checked against a fresh
@@ -10,7 +11,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from xmlir import ElementQuery, build_index, match_elements, parse_document
+from xmlir import ElementQuery, build_index, identify_cres, match_elements, parse_document
 from xmlir.matcher import AND, OR
 
 import support
@@ -61,9 +62,20 @@ def test_match_elements_equals_brute_force(text, terms):
     tree = parse_document(text, "d")
     for mode in (AND, OR):
         query = ElementQuery(terms=frozenset(terms), mode=mode)
-        got = match_elements(tree, query)
-        assert [m.path for m in got] == support.brute_force_matches(tree, query)
-        assert all(m.doc == "d" for m in got)
+        assert match_elements(tree, query) == support.brute_force_matches(tree, query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents, query_terms)
+def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
+    tree = parse_document(text, "d")
+    and_paths = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=AND))
+    or_paths = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=OR))
+    combined = and_paths + [p for p in or_paths if p not in and_paths]
+    if not combined:
+        return
+    got = {r.path: r.matches for r in identify_cres("d", combined)}
+    assert got == support.brute_force_cres([node.path for node in tree.nodes], combined)
 
 
 @settings(max_examples=100, deadline=None)

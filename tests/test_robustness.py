@@ -1,11 +1,14 @@
-"""Odd and hostile input: namespaced documents and malformed run files end in
-results or in one clean ``error:`` line, never in a traceback."""
+"""Odd and hostile input: namespaced, BOM-prefixed, entity-laden, very wide
+and empty documents, repeated topic ids and malformed run files end in
+results, in one diagnostic per skipped item, or in one clean ``error:``
+line, never in a traceback."""
 
 import re
 
 import pytest
 
-from xmlir import ElementPath, parse_document, read_run_file
+from xmlir import ElementPath, ElementQuery, match_elements, parse_document, read_run_file
+from xmlir.matcher import OR
 from xmlir.cli import main
 
 import support
@@ -112,3 +115,99 @@ def test_malformed_run_line_names_file_and_line(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run_file}: line 2: ")
     assert "Traceback" not in err
+
+
+def _entity_bomb(levels: int = 7) -> str:
+    """Nested entities expanding to ``10**levels`` copies of ``lol``."""
+    entities = ['<!ENTITY l0 "lol ">'] + [
+        f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, levels + 1)
+    ]
+    return f"<!DOCTYPE article [{''.join(entities)}]><article><p>&l{levels};</p></article>"
+
+
+def _run_xmldb(tmp_path, docs: dict[str, str], topics: str) -> list[list[str]]:
+    """``xmlir run --system xmldb`` over the given corpus and topics; the run file's fields."""
+    support.write_corpus(tmp_path / "corpus", docs)
+    (tmp_path / "topics.xml").write_text(topics)
+    run_file = tmp_path / "xmldb.run"
+    assert main([
+        "run", "--corpus", str(tmp_path / "corpus"), "--topics", str(tmp_path / "topics.xml"),
+        "--system", "xmldb", "--out", str(run_file),
+    ]) == 0
+    return [line.split("\t") for line in run_file.read_text().splitlines()]
+
+
+def test_hostile_documents_ingest_or_skip_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    fields = _run_xmldb(
+        tmp_path,
+        {
+            "bom": "\ufeff<?xml version='1.0' encoding='utf-8'?><article><p>patricia</p></article>",
+            "bomb": _entity_bomb(),
+            "empty": "<article><sec/><p></p><sec> </sec><p>patricia</p></article>",
+            "entity": '<!DOCTYPE article [<!ENTITY pt "patricia tries">]><article><p>&pt;</p></article>',
+            "wide": "<article>" + "<p>filler</p>" * 20000 + "<p>patricia</p></article>",
+        },
+        NAMESPACED_TOPIC.replace("patricia tries", "patricia"),
+    )
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    corpus_lines = [line for line in err.splitlines() if line.startswith("corpus:")]
+    assert len(corpus_lines) == 1
+    assert corpus_lines[0].startswith("corpus: bomb.xml: skipped (limit on input amplification")
+    assert [f[2:4] for f in fields] == [
+        ["bom", "/article[1]/p[1]"],
+        ["empty", "/article[1]/p[2]"],
+        ["entity", "/article[1]/p[1]"],
+        ["wide", "/article[1]/p[20001]"],
+    ]
+
+
+def test_empty_elements_have_size_zero_and_never_match():
+    tree = parse_document("<article><sec/><p></p><sec> </sec><p>alpha</p></article>", "d")
+    sizes = {str(node.path): node.subtree_size for node in tree.nodes}
+    assert sizes == {
+        "/article[1]": 1,
+        "/article[1]/sec[1]": 0,
+        "/article[1]/p[1]": 0,
+        "/article[1]/sec[2]": 0,
+        "/article[1]/p[2]": 1,
+    }
+    for terms in ({"alpha"}, {"alpha", "absent"}):
+        query = ElementQuery(terms=frozenset(terms), mode=OR)
+        assert [str(path) for path in match_elements(tree, query)] == ["/article[1]/p[2]"]
+
+
+DUPLICATE_TOPICS = """\
+<topics>
+  <inex_topic topic_id="7" query_type="CO"><keywords>patricia</keywords></inex_topic>
+  <inex_topic topic_id="8" query_type="CO"><keywords>tries</keywords></inex_topic>
+  <inex_topic topic_id="7" query_type="CO"><keywords>patricia</keywords></inex_topic>
+</topics>
+"""
+
+
+def test_repeated_topic_id_is_run_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    fields = _run_xmldb(
+        tmp_path,
+        {"a": "<article><p>patricia</p></article>", "b": "<article><p>patricia tries</p></article>"},
+        DUPLICATE_TOPICS,
+    )
+    assert capsys.readouterr().err.splitlines() == ["topics: topic #3: duplicate topic_id 7; skipped"]
+    assert [f[:2] for f in fields] == [["7", "1"], ["7", "2"], ["8", "1"]]
+
+
+def test_run_file_topic_block_restarting_is_rejected(tmp_path, capsys):
+    run_file = tmp_path / "split.run"
+    run_file.write_text(
+        "7\t1\tns/a\t/article[1]\t-\txmldb\n"
+        "8\t1\tns/a\t/article[1]\t-\txmldb\n"
+        "7\t2\tns/a\t/article[1]/p[1]\t-\txmldb\n"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(str(run_file))}: line 3: topic 7 "):
+        read_run_file(run_file)
+    assessments = tmp_path / "assessments"
+    assessments.mkdir()
+    assert main(["eval", str(run_file), "--assessments", str(assessments)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {run_file}: line 3: ")
