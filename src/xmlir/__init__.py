@@ -15,9 +15,9 @@ from .corpus import (
     Corpus,
     DocumentTree,
     ElementNode,
-    TokenizerConfig,
     ingest_corpus,
     parse_document,
+    tokenize,
 )
 from .cre import (
     COMBO_CODES,

@@ -97,20 +97,28 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
 
 
 def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[str]]:
-    """Parse every ``*.xml`` file in a directory; malformed files are skipped
-    with a diagnostic. Sets come back ordered by topic id."""
+    """Parse every ``*.xml`` file in a directory, in file-name order.
+
+    A malformed file, or a later one repeating an earlier file's
+    ``topic_id``, is skipped with a diagnostic. Sets come back ordered by
+    topic id.
+    """
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"assessments directory not found: {root}")
-    sets: list[AssessmentSet] = []
+    by_topic: dict[int, AssessmentSet] = {}
     diagnostics: list[str] = []
     for path in sorted(root.glob("*.xml")):
         try:
-            sets.append(parse_assessment_file(path))
+            aset = parse_assessment_file(path)
         except (ET.ParseError, ValueError) as exc:
             diagnostics.append(f"{path.name}: skipped ({exc})")
-    sets.sort(key=lambda s: s.topic_id)
-    return sets, diagnostics
+            continue
+        if aset.topic_id in by_topic:
+            diagnostics.append(f"{path.name}: duplicate topic_id {aset.topic_id}; skipped")
+        else:
+            by_topic[aset.topic_id] = aset
+    return sorted(by_topic.values(), key=lambda s: s.topic_id), diagnostics
 
 
 def highly_relevant(assessment: AssessmentSet) -> set[tuple[str, ElementPath]]:

@@ -28,6 +28,21 @@ CONFIG_ENV = "XMLIR_CONFIG"
 
 N_CHOICES = ("1", "10", "all")
 CATEGORY_CHOICES = ("all", assess.BROAD, assess.NARROW)
+# the allowed values of each option, for its flag and its config-file key alike
+CHOICES = {
+    "system": pipeline.SYSTEMS,
+    "n": N_CHOICES,
+    "combo": COMBO_CODES,
+    "case": assess.RELEVANCE_CASES,
+    "category": CATEGORY_CHOICES,
+    "metric": evaluation.METRICS,
+}
+# the JSON type a config-file value must have where its flag converts or is a switch
+JSON_TYPES = {
+    "cre": ("boolean", (bool,)),
+    "slope": ("number", (int, float)),
+    "max_results": ("integer", (int,)),
+}
 _DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
 
 Warn = Callable[[str], None]
@@ -52,9 +67,20 @@ def _config_defaults() -> dict[str, Any]:
     path = Path(named)
     if not path.is_file():
         raise FileNotFoundError(f"config file from {CONFIG_ENV} not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file must hold a JSON object: {path}")
+    for name, value in data.items():
+        allowed = CHOICES.get(name)
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"{path}: {name} must be one of {json.dumps(allowed)}, not {json.dumps(value)}")
+        if name in JSON_TYPES:
+            kind, types = JSON_TYPES[name]
+            if type(value) not in types:  # so a JSON true is no integer
+                raise ValueError(f"{path}: {name} must be a JSON {kind}, not {json.dumps(value)}")
     return data
 
 
@@ -74,9 +100,9 @@ def _parse_n(value: str) -> int | None:
 def _system_config(args: argparse.Namespace, defaults: dict[str, Any]) -> pipeline.SystemConfig:
     return pipeline.SystemConfig(
         system=_opt(args, defaults, "system", pipeline.FULLTEXT),
-        cre=bool(_opt(args, defaults, "cre", False)),
+        cre=_opt(args, defaults, "cre", False),
         combo=HeuristicCombo.from_string(_opt(args, defaults, "combo", str(_DEFAULTS.combo))),
-        n_per_article=_parse_n(str(_opt(args, defaults, "n", "all"))),
+        n_per_article=_parse_n(_opt(args, defaults, "n", "all")),
         slope=float(_opt(args, defaults, "slope", _DEFAULTS.slope)),
         max_results=int(_opt(args, defaults, "max_results", _DEFAULTS.max_results)),
     )
@@ -297,7 +323,7 @@ def _add_corpus_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--combo", choices=COMBO_CODES, metavar="{MpB..pME}",
+    parser.add_argument("--combo", choices=CHOICES["combo"], metavar="{MpB..pME}",
                         help=f"coherent-element ranking heuristics (default {_DEFAULTS.combo})")
     parser.add_argument("--slope", type=float,
                         help=f"length-normalization slope (default {_DEFAULTS.slope})")
@@ -306,18 +332,18 @@ def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", choices=pipeline.SYSTEMS)
+    parser.add_argument("--system", choices=CHOICES["system"])
     parser.add_argument("--cre", action="store_true", default=None,
                         help="replace match lists with ranked coherent elements")
-    parser.add_argument("--n", choices=N_CHOICES, help="retrieved elements per article")
+    parser.add_argument("--n", choices=CHOICES["n"], help="retrieved elements per article")
     _add_ranking_options(parser)
 
 
 def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--assessments", help="directory of per-topic assessment files")
-    parser.add_argument("--case", choices=assess.RELEVANCE_CASES)
-    parser.add_argument("--category", choices=CATEGORY_CHOICES)
-    parser.add_argument("--metric", choices=evaluation.METRICS)
+    parser.add_argument("--case", choices=CHOICES["case"])
+    parser.add_argument("--category", choices=CHOICES["category"])
+    parser.add_argument("--metric", choices=CHOICES["metric"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", help="topics file")
     p.add_argument("--assessments", help="directory of per-topic assessment files")
     _add_ranking_options(p)
-    p.add_argument("--metric", choices=evaluation.METRICS)
+    p.add_argument("--metric", choices=CHOICES["metric"])
     p.add_argument("--out", help="grid file (default: stdout)")
     p.set_defaults(func=cmd_report)
 

@@ -4,11 +4,19 @@ Document identifiers are relative file paths with the ``.xml`` suffix
 stripped (``ic/1999/w4095``); ingestion order is the sorted order of those
 relative paths and defines the total order used for tie-breaking everywhere
 downstream.
+
+Each document is held as flat pre-order arrays: one ``ElementNode`` record
+``(path, tokens, subtree_size)`` per element, plus per-term postings,
+subtree ends and parent indices; node ``i``'s subtree is the index range
+``[i, ends[i])`` and its parent is ``parents[i]``.
+
+Terms are the maximal runs of ASCII letters and digits in the lowercased
+text: no stemming, no stopword removal, and attributes and markup never
+contribute terms.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -17,56 +25,19 @@ from typing import Iterator
 
 from .paths import ElementPath
 
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Term extraction: maximal alphanumeric runs, lowercased.
-
-    No stemming, no stopword removal; attributes and markup never
-    contribute terms.
-    """
-
-    token_pattern: str = r"[0-9A-Za-z]+"
-    lowercase: bool = True
-
-    def tokenize(self, text: str) -> list[str]:
-        if not text:
-            return []
-        if self.lowercase:
-            text = text.lower()
-        return _compiled(self.token_pattern).findall(text)
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
-@functools.lru_cache(maxsize=None)
-def _compiled(pattern: str) -> re.Pattern[str]:
-    return re.compile(pattern)
+def tokenize(text: str) -> list[str]:
+    """The terms of a text, in order, repeats kept."""
+    return _TOKEN.findall(text.lower())
 
 
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ElementNode:
     path: ElementPath
     tokens: tuple[str, ...]  # tokens directly inside this node
-    children: tuple["ElementNode", ...]
     subtree_size: int  # token count of this node plus all descendants
-
-    @property
-    def tag(self) -> str:
-        return self.path.tag
-
-    @property
-    def token_set(self) -> frozenset[str]:
-        return frozenset(self.tokens)
-
-    def walk(self) -> Iterator["ElementNode"]:
-        """Pre-order (document order) traversal of this subtree."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
 
 
 @dataclass(eq=False)
@@ -90,15 +61,15 @@ class DocumentTree:
         return self.by_path.get(path)
 
 
-def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER) -> DocumentTree:
+def parse_document(text: str, doc: str) -> DocumentTree:
     """Parse one XML document into an immutable tree; raises ET.ParseError.
 
     One iterative pre-order pass numbers the nodes and collects their paths,
-    tokens and postings; a reverse pass then builds the immutable nodes
-    bottom-up, so nesting depth is bounded by memory, not by recursion.
+    tokens, parents and postings; a reverse pass over ``parents`` then sums
+    subtree sizes and ends, so nesting depth is bounded by memory, not by
+    recursion.
     """
     top = ET.fromstring(text)
-    tokenize = tokenizer.tokenize
     paths: list[ElementPath] = []
     tokens: list[tuple[str, ...]] = []
     parents: list[int] = []
@@ -129,28 +100,18 @@ def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOK
         parents.append(parent)
 
     count = len(paths)
-    children: list[list[ElementNode]] = [[] for _ in range(count)]
+    sizes = [len(own) for own in tokens]
     ends = list(range(1, count + 1))
-    built: list[ElementNode | None] = [None] * count
-    for i in range(count - 1, -1, -1):  # every descendant of i is built before i
-        below = children[i]
-        below.reverse()
-        node = built[i] = ElementNode(
-            path=paths[i],
-            tokens=tokens[i],
-            children=tuple(below),
-            subtree_size=len(tokens[i]) + sum([c.subtree_size for c in below]),
-        )
+    for i in range(count - 1, 0, -1):  # every descendant of a node comes after it
         parent = parents[i]
-        if parent >= 0:
-            if not children[parent]:  # i is the parent's last child
-                ends[parent] = ends[i]
-            children[parent].append(node)
-    nodes = tuple(built)
+        sizes[parent] += sizes[i]
+        if ends[i] > ends[parent]:
+            ends[parent] = ends[i]
+    nodes = tuple(map(ElementNode, paths, tokens, sizes))
     return DocumentTree(
         doc=doc,
         nodes=nodes,
-        by_path={n.path: n for n in nodes},
+        by_path=dict(zip(paths, nodes)),
         postings={term: tuple(hits) for term, hits in postings.items()},
         ends=tuple(ends),
         parents=tuple(parents),
@@ -160,24 +121,16 @@ def parse_document(text: str, doc: str, tokenizer: TokenizerConfig = DEFAULT_TOK
 @dataclass(eq=False)
 class Corpus:
     docs: dict[str, DocumentTree]  # insertion order == ingestion order
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
     diagnostics: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.docs)
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self.docs)
-
     def trees(self) -> Iterator[DocumentTree]:
         return iter(self.docs.values())
 
 
-def ingest_corpus(
-    root_directory: str | Path,
-    tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> Corpus:
+def ingest_corpus(root_directory: str | Path) -> Corpus:
     """Ingest every ``*.xml`` file under a directory.
 
     Malformed or unreadable files, including directories named ``*.xml``,
@@ -196,7 +149,7 @@ def ingest_corpus(
         doc = rel[: -len(".xml")]
         try:
             text = path.read_text(encoding="utf-8")
-            docs[doc] = parse_document(text, doc, tokenizer_config)
+            docs[doc] = parse_document(text, doc)
         except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: skipped ({exc})")
-    return Corpus(docs=docs, tokenizer=tokenizer_config, diagnostics=diagnostics)
+    return Corpus(docs=docs, diagnostics=diagnostics)

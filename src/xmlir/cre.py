@@ -72,10 +72,6 @@ class CoherentElement:
     path: ElementPath
     matches: int  # matching elements lying strictly below this path
 
-    @classmethod
-    def at(cls, doc: str, path: ElementPath, matches: int) -> "CoherentElement":
-        return cls(doc=doc, path=path, matches=matches)
-
     @property
     def length(self) -> int:
         """Number of path steps."""
@@ -105,7 +101,7 @@ def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentEle
         raise ValueError("matching paths span more than one document root")
 
     if len(paths) == 1:
-        return [CoherentElement.at(doc, paths[0], matches=1)]
+        return [CoherentElement(doc, paths[0], matches=1)]
 
     below: dict[tuple[PathStep, ...], int] = {}
     children: dict[tuple[PathStep, ...], set[PathStep]] = {}
@@ -115,7 +111,7 @@ def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentEle
             below[prefix] = below.get(prefix, 0) + 1
             children.setdefault(prefix, set()).add(steps[depth])
     return [
-        CoherentElement.at(doc, ElementPath(prefix), below[prefix])
+        CoherentElement(doc, ElementPath(prefix), below[prefix])
         for prefix in sorted(children)
         if len(children[prefix]) >= 2 and prefix not in matching_steps
     ]
@@ -149,14 +145,9 @@ def _sort_key(record: CoherentElement, combo: HeuristicCombo):
 def rank_cres(
     cres: Sequence[CoherentElement],
     combo: HeuristicCombo = DEFAULT_COMBO,
-    limit: int | None = None,
 ) -> list[CoherentElement]:
     """Total order over coherent elements under a heuristic combination.
 
-    ``limit=None`` keeps the whole list; otherwise the first ``limit``
-    records are returned.
+    The per-article cap is applied by the pipeline, not here.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    ranked = sorted(cres, key=lambda r: _sort_key(r, combo))
-    return ranked if limit is None else ranked[:limit]
+    return sorted(cres, key=lambda r: _sort_key(r, combo))

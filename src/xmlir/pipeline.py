@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import Corpus, DocumentTree, TokenizerConfig, DEFAULT_TOKENIZER
+from .corpus import Corpus, DocumentTree, tokenize
 from .cre import DEFAULT_COMBO, HeuristicCombo, identify_cres, rank_cres
 from .matcher import AND, OR, ElementQuery, collection_match, match_elements
 from .paths import ElementPath
@@ -144,7 +144,7 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     return topics, diagnostics
 
 
-def translate_topic(topic: Topic, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER) -> TopicQuery:
+def translate_topic(topic: Topic) -> TopicQuery:
     """Build the article-ranking bag and the AND/OR element queries.
 
     The bag keeps one occurrence per keyword token; the element queries use
@@ -153,7 +153,7 @@ def translate_topic(topic: Topic, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
     """
     bag: list[str] = []
     for phrase in topic.keywords:
-        bag.extend(tokenizer.tokenize(phrase))
+        bag.extend(tokenize(phrase))
     if not bag:
         raise ValueError(f"topic {topic.id}: no keyword terms to query with")
     terms = frozenset(bag)
@@ -173,7 +173,7 @@ def _combined_paths(tree: DocumentTree, query: TopicQuery) -> list[ElementPath]:
 
 def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
     """Whole-article answers in descending score order."""
-    query = translate_topic(topic, corpus.tokenizer)
+    query = translate_topic(topic)
     ranked = rank_articles(index, query.bag, config)
     entries = tuple(
         RunEntry(rank=a.rank, doc=a.doc, path=corpus.docs[a.doc].root.path, score=a.score)
@@ -184,7 +184,7 @@ def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: Sys
 
 def run_xmldb(topic: Topic, corpus: Corpus, config: SystemConfig) -> RunResult:
     """Element answers for the whole collection, documents in ingestion order."""
-    query = translate_topic(topic, corpus.tokenizer)
+    query = translate_topic(topic)
     if config.cre:
         pairs = _cre_pairs_per_doc(corpus.trees(), query, config)
     else:
@@ -200,7 +200,7 @@ def run_xmldb(topic: Topic, corpus: Corpus, config: SystemConfig) -> RunResult:
 
 def run_hybrid(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
     """Element answers drawn from articles in ranked-article order."""
-    query = translate_topic(topic, corpus.tokenizer)
+    query = translate_topic(topic)
     ranked = rank_articles(index, query.bag, config)
     trees = (corpus.docs[a.doc] for a in ranked)
     if config.cre:
@@ -225,8 +225,7 @@ def _cre_pairs_per_doc(
         paths = _combined_paths(tree, query)
         if not paths:
             continue
-        ranked = rank_cres(identify_cres(tree.doc, paths), config.combo, config.n_per_article)
-        for record in ranked:
+        for record in rank_cres(identify_cres(tree.doc, paths), config.combo):
             yield (tree.doc, record.path)
 
 

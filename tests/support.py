@@ -11,13 +11,16 @@ import random
 from fractions import Fraction
 
 from xmlir import Corpus, DocumentTree, ElementPath, parse_document
-from xmlir.corpus import DEFAULT_TOKENIZER
 
 
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
     """In-memory corpus; insertion order of the dict is the ingestion order."""
-    trees = {doc: parse_document(text, doc) for doc, text in docs.items()}
-    return Corpus(docs=trees, tokenizer=DEFAULT_TOKENIZER)
+    return Corpus(docs={doc: parse_document(text, doc) for doc, text in docs.items()})
+
+
+def subtree(tree: DocumentTree, path: ElementPath) -> list:
+    """The nodes at or below ``path``, found by path prefix."""
+    return [n for n in tree.nodes if n.path == path or path.is_ancestor_of(n.path)]
 
 
 def write_corpus(directory, docs: dict[str, str]) -> None:
@@ -34,14 +37,10 @@ def write_corpus(directory, docs: dict[str, str]) -> None:
 def brute_force_matches(tree: DocumentTree, query) -> list[ElementPath]:
     """Most-specific satisfiers checked directly on every element."""
 
-    def subtree_terms(node) -> set[str]:
-        terms = set(node.token_set)
-        for child in node.children:
-            terms |= subtree_terms(child)
-        return terms
-
     satisfied = {
-        node.path for node in tree.nodes if query.satisfied_by(subtree_terms(node))
+        node.path
+        for node in tree.nodes
+        if query.satisfied_by({t for n in subtree(tree, node.path) for t in n.tokens})
     }
     matches = [
         node.path
@@ -131,21 +130,15 @@ def naive_strict_ap(relevance_flags: list[bool], recall_base: int) -> float:
 
 def token_regions(tree: DocumentTree) -> dict[ElementPath, frozenset[int]]:
     """Each element's subtree as a set of concrete token identifiers."""
-    counter = [0]
-    regions: dict[ElementPath, frozenset[int]] = {}
-
-    def visit(node) -> set[int]:
-        ids = set()
-        for _ in node.tokens:
-            ids.add(counter[0])
-            counter[0] += 1
-        for child in node.children:
-            ids |= visit(child)
-        regions[node.path] = frozenset(ids)
-        return ids
-
-    visit(tree.root)
-    return regions
+    own: dict[ElementPath, range] = {}
+    counter = 0
+    for node in tree.nodes:
+        own[node.path] = range(counter, counter + len(node.tokens))
+        counter += len(node.tokens)
+    return {
+        node.path: frozenset(i for n in subtree(tree, node.path) for i in own[n.path])
+        for node in tree.nodes
+    }
 
 
 def naive_ng_ap(

@@ -88,8 +88,8 @@ def _timed(fn):
 
 def test_c2_sequence_tiebreak_directions():
     records = [
-        CoherentElement.at("d", P("/article[1]/bdy[1]/sec[2]"), matches=4),
-        CoherentElement.at("d", P("/article[1]/bdy[1]/sec[4]"), matches=4),
+        CoherentElement("d", P("/article[1]/bdy[1]/sec[2]"), matches=4),
+        CoherentElement("d", P("/article[1]/bdy[1]/sec[4]"), matches=4),
     ]
     under_e = rank_cres(records, HeuristicCombo.from_string("MpE"))
     under_b = rank_cres(records, HeuristicCombo.from_string("MpB"))
@@ -333,7 +333,7 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
             for entry in run.entries:
                 per_doc[entry.doc] = per_doc.get(entry.doc, 0) + 1
             assert all(count <= 10 for count in per_doc.values()), label
-            query = translate_topic(topics[run.topic_id], corpus.tokenizer)
+            query = translate_topic(topics[run.topic_id])
             if label in ("xmldb", "hybrid"):
                 and_set = set(collection_match(corpus, query.and_query))
                 seen_non_and = {}

@@ -192,6 +192,50 @@ def test_missing_config_file_is_fatal(workspace, monkeypatch, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_malformed_config_file_names_the_file(workspace, monkeypatch, capsys):
+    config_path = workspace / "config.json"
+    config_path.write_text('{"corpus": "corpus"')
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    assert main(["run"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config_path}: Expecting ")
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("eval", {"metric": "bogus"}),
+        ("report", {"metric": "bogus"}),
+        ("eval", {"case": "bogus"}),
+        ("eval", {"category": "bogus"}),
+        ("run", {"cre": "false"}),
+        ("run", {"n": "5"}),
+        ("run", {"max_results": True}),
+        ("run", {"slope": "0.5"}),
+    ],
+    ids=["metric-eval", "metric-report", "case", "category", "cre", "n", "max_results", "slope"],
+)
+def test_bad_config_file_value_is_a_clean_error(workspace, monkeypatch, capsys, command, config):
+    run_file = _write_run(workspace, system="xmldb")
+    out = workspace / "out"
+    argv = {
+        "run": ["run", "--system", "hybrid"],
+        "eval": ["eval", str(run_file), "--assessments", str(workspace / "assessments")],
+        "report": ["report", "--topics", str(workspace / "topics.xml"),
+                   "--assessments", str(workspace / "assessments")],
+    }[command]
+    argv += ["--corpus", str(workspace / "corpus"), "--out", str(out)]
+    config_path = workspace / "config.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    capsys.readouterr()
+    assert main(argv) == 1
+    (name,) = config
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: {name} ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_malformed_topics_file_is_a_clean_error(workspace, capsys, command):
     topics = workspace / "broken-topics.xml"

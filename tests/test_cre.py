@@ -78,8 +78,8 @@ def test_input_validation():
 
 def test_sequence_tiebreak_directions():
     records = [
-        CoherentElement.at("d", P("/article[1]/bdy[1]/sec[2]"), matches=5),
-        CoherentElement.at("d", P("/article[1]/bdy[1]/sec[4]"), matches=5),
+        CoherentElement("d", P("/article[1]/bdy[1]/sec[2]"), matches=5),
+        CoherentElement("d", P("/article[1]/bdy[1]/sec[4]"), matches=5),
     ]
     nearer_end = rank_cres(records, HeuristicCombo.from_string("MpE"))
     assert str(nearer_end[0].path) == "/article[1]/bdy[1]/sec[4]"
@@ -100,15 +100,6 @@ def test_path_length_primary_ordering(sample_or_paths):
         ("/article[1]/bdy[1]", 9, 2),
         ("/article[1]", 12, 1),
     ]
-
-
-def test_limit_truncates(sample_or_paths):
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
-    top = rank_cres(cres, HeuristicCombo.from_string("MpE"), limit=1)
-    assert [str(r.path) for r in top] == ["/article[1]"]
-    assert len(rank_cres(cres, HeuristicCombo.from_string("MpE"), limit=3)) == 3
-    with pytest.raises(ValueError):
-        rank_cres(cres, HeuristicCombo.from_string("MpE"), limit=0)
 
 
 def test_direction_reversal_is_antisymmetric(sample_or_paths):
@@ -147,8 +138,8 @@ def test_ranking_is_total_and_duplicate_free(sample_or_paths):
 def test_ties_on_identical_sequences_still_total():
     # /article[1]/bdy[1] and /article[1]/bm[1] share the sequence (1, 1)
     records = [
-        CoherentElement.at("d", P("/article[1]/bm[1]"), matches=2),
-        CoherentElement.at("d", P("/article[1]/bdy[1]"), matches=2),
+        CoherentElement("d", P("/article[1]/bm[1]"), matches=2),
+        CoherentElement("d", P("/article[1]/bdy[1]"), matches=2),
     ]
     for code in COMBO_CODES:
         ranked = rank_cres(records, HeuristicCombo.from_string(code))

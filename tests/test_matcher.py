@@ -108,10 +108,7 @@ def test_antichain_and_lattice_laws():
                     assert a == b or not a.is_ancestor_of(b)
         # every AND match's subtree also satisfies the OR predicate
         for path in and_paths:
-            node = tree.node_at(path)
-            terms = set()
-            for n in node.walk():
-                terms |= n.token_set
+            terms = {t for n in support.subtree(tree, path) for t in n.tokens}
             assert or_query.satisfied_by(terms)
         # matches come back in document order
         order = {node.path: i for i, node in enumerate(tree.nodes)}

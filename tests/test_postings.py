@@ -3,15 +3,16 @@ indices built at parse time, and the matcher, coherent elements and index
 that read them.
 
 Random trees cover deep chains, wide fan-outs, empty elements and terms
-repeated within and across nodes. Everything is checked against a fresh
-``root.walk()`` recomputation or the brute-force oracle in ``support``.
+repeated within and across nodes. Everything is checked against a
+recomputation from path prefixes or the brute-force oracle in ``support``.
 """
 
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from xmlir import ElementQuery, build_index, identify_cres, match_elements, parse_document
+from xmlir import ElementPath, ElementQuery, build_index, identify_cres, match_elements, parse_document
 from xmlir.matcher import AND, OR
 
 import support
@@ -81,24 +82,24 @@ def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
 @settings(max_examples=100, deadline=None)
 @given(documents)
 def test_postings_ends_parents_agree_with_walk(text):
+    """Postings, ends, parents and subtree sizes equal a recomputation from
+    path prefixes over the nodes in ElementTree's document order."""
     tree = parse_document(text, "d")
-    order = list(tree.root.walk())
-    assert len(order) == len(tree.nodes)
-    assert all(a is b for a, b in zip(order, tree.nodes))
-    index_of = {id(node): i for i, node in enumerate(order)}
+    nodes = tree.nodes
+    assert [n.path.tag for n in nodes] == [e.tag for e in ET.fromstring(text).iter()]
+    assert len(tree.ends) == len(tree.parents) == len(nodes)
+    index_of = {node.path: i for i, node in enumerate(nodes)}
 
     postings: dict[str, list[int]] = {}
-    parents = [-1] * len(order)
-    ends = []
-    for i, node in enumerate(order):
+    for i, node in enumerate(nodes):
         for term in node.tokens:
             postings.setdefault(term, []).append(i)
-        for child in node.children:
-            parents[index_of[id(child)]] = i
-        ends.append(i + sum(1 for _ in node.walk()))
+        below = [index_of[n.path] for n in support.subtree(tree, node.path)]
+        assert below == list(range(i, tree.ends[i]))
+        assert node.subtree_size == sum(len(nodes[j].tokens) for j in below)
+        parent = ElementPath(node.path.steps[:-1]) if node.path.depth > 1 else None
+        assert tree.parents[i] == index_of.get(parent, -1)
     assert tree.postings == {term: tuple(hits) for term, hits in postings.items()}
-    assert tree.parents == tuple(parents)
-    assert tree.ends == tuple(ends)
 
 
 @settings(max_examples=30, deadline=None)
@@ -107,7 +108,7 @@ def test_build_index_tf_equals_token_counter(texts):
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
     expected: dict[str, list[tuple[str, int]]] = {}
     for tree in corpus.trees():
-        counts = Counter(t for node in tree.root.walk() for t in node.tokens)
+        counts = Counter(t for node in tree.nodes for t in node.tokens)
         for term in sorted(counts):
             expected.setdefault(term, []).append((tree.doc, counts[term]))
     assert build_index(corpus).postings == expected

@@ -68,7 +68,7 @@ def test_build_index_against_counting_oracle():
         assert index.doc_lengths[doc] == sum(counts.values())
     for term, plist in index.postings.items():
         assert len(plist) == sum(
-            1 for tree in corpus.trees() if any(term in n.token_set for n in tree.nodes)
+            1 for tree in corpus.trees() if any(term in n.tokens for n in tree.nodes)
         )
 
 

@@ -211,3 +211,24 @@ def test_run_file_topic_block_restarting_is_rejected(tmp_path, capsys):
     assessments.mkdir()
     assert main(["eval", str(run_file), "--assessments", str(assessments)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {run_file}: line 3: ")
+
+
+def test_repeated_assessment_topic_id_keeps_the_first_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    _run_xmldb(tmp_path, {"a": "<article><p>patricia</p></article>"}, NAMESPACED_TOPIC)
+    assessments = tmp_path / "assessments"
+    assessments.mkdir()
+    # the paragraph the run retrieves is relevant in a.xml, only the article in b.xml
+    for name, path in (("a", "/article[1]/p[1]"), ("b", "/article[1]")):
+        (assessments / f"{name}.xml").write_text(
+            f'<assessments topic_id="7"><file file="a"><path E="3" S="3" path="{path}"/></file></assessments>'
+        )
+    capsys.readouterr()
+    scores = tmp_path / "scores.tsv"
+    argv = ["eval", str(tmp_path / "xmldb.run"), "--assessments", str(assessments), "--out", str(scores)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == ["assessments: b.xml: duplicate topic_id 7; skipped"]
+    assert scores.read_text().splitlines()[1:] == ["7\t1.000000", "map\t1.000000"]
+    stats = tmp_path / "stats"
+    assert main(["assess-stats", "--assessments", str(assessments), "--out", str(stats)]) == 0
+    assert (stats / "categories.tsv").read_text().splitlines()[1:] == ["7\t0\t1\tnarrow"]
