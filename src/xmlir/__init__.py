@@ -35,7 +35,7 @@ from .evaluation import (
     mean_average_precision,
     quantize,
 )
-from .matcher import ElementQuery, collection_match, match_elements
+from .matcher import ElementQuery, match_elements
 from .paths import ElementPath
 from .pipeline import (
     RunEntry,

@@ -99,9 +99,9 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
 def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[str]]:
     """Parse every ``*.xml`` file in a directory, in file-name order.
 
-    A malformed file, or a later one repeating an earlier file's
-    ``topic_id``, is skipped with a diagnostic. Sets come back ordered by
-    topic id.
+    A malformed or unreadable file (a directory named ``*.xml``, say), or a
+    later one repeating an earlier file's ``topic_id``, is skipped with a
+    diagnostic. Sets come back ordered by topic id.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -111,7 +111,7 @@ def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[s
     for path in sorted(root.glob("*.xml")):
         try:
             aset = parse_assessment_file(path)
-        except (ET.ParseError, ValueError) as exc:
+        except (OSError, ET.ParseError, ValueError) as exc:
             diagnostics.append(f"{path.name}: skipped ({exc})")
             continue
         if aset.topic_id in by_topic:

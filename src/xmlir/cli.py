@@ -142,7 +142,7 @@ def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     config = _system_config(args, defaults)
     corpus = _load_corpus(args, defaults)
     topics = _load_topics(args, defaults)
-    index = build_index(corpus) if config.system in (pipeline.FULLTEXT, pipeline.HYBRID) else None
+    index = build_index(corpus)
     runs = []
     for topic in topics:
         try:

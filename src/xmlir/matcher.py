@@ -3,8 +3,7 @@
 Returns the most specific elements whose subtree satisfies the term
 predicate: an element matches when its subtree holds the required terms and
 no proper descendant's subtree does likewise. Per document the matches form
-an antichain listed in document order; across documents they follow the
-ingestion order of document identifiers. No ranking happens here.
+an antichain listed in document order. No ranking happens here.
 
 Matching reads the document's term postings instead of walking its tree.
 Nodes are numbered in pre-order, so node ``i``'s subtree is the index range
@@ -28,8 +27,9 @@ A document holding none of the query terms costs one lookup per term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .corpus import Corpus, DocumentTree
+from .corpus import DocumentTree
 from .paths import ElementPath
 
 AND = "and"
@@ -46,11 +46,6 @@ class ElementQuery:
             raise ValueError("element query needs at least one term")
         if self.mode not in (AND, OR):
             raise ValueError(f"unknown query mode: {self.mode!r}")
-
-    def satisfied_by(self, present: frozenset[str] | set[str]) -> bool:
-        if self.mode == AND:
-            return self.terms <= present
-        return bool(self.terms & present)
 
 
 def match_elements(tree: DocumentTree, query: ElementQuery) -> list[ElementPath]:
@@ -90,6 +85,10 @@ def _most_specific(tree: DocumentTree, satisfied: list[int]) -> list[ElementPath
     return [nodes[i].path for i, after in zip(satisfied, following) if after >= ends[i]]
 
 
-def collection_match(corpus: Corpus, query: ElementQuery) -> list[tuple[str, ElementPath]]:
-    """Per-document ``(doc, path)`` matches concatenated, documents in ingestion order."""
-    return [(tree.doc, path) for tree in corpus.trees() for path in match_elements(tree, query)]
+def collection_match(
+    trees: Iterable[DocumentTree], query: ElementQuery
+) -> Iterator[tuple[str, ElementPath]]:
+    """``(doc, path)`` matches of the given documents in the order given, produced lazily."""
+    for tree in trees:
+        for path in match_elements(tree, query):
+            yield tree.doc, path

@@ -3,8 +3,9 @@
 Five system configurations exist:
 
 * ``fulltext``: whole articles by pivoted-cosine score;
-* ``xmldb``: element matches for all documents in ingestion order, the AND
-  answer list followed by OR answers not already in it, with no scores;
+* ``xmldb``: element matches for the documents holding a query term (found
+  from the article index), in ingestion order: the AND answer list followed
+  by OR answers not already in it, with no scores;
 * ``xmldb`` + coherent elements: each document's combined match list is
   replaced by its ranked coherent elements;
 * ``hybrid``: per article in ranked-article order, that article's
@@ -26,6 +27,8 @@ Run files are tab-separated, one entry per line:
 
 from __future__ import annotations
 
+import itertools
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,15 +185,23 @@ def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: Sys
     return RunResult(topic_id=topic.id, system_tag=config.tag, entries=entries)
 
 
-def run_xmldb(topic: Topic, corpus: Corpus, config: SystemConfig) -> RunResult:
-    """Element answers for the whole collection, documents in ingestion order."""
+def run_xmldb(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
+    """Element answers for the documents holding a query term, in ingestion order.
+
+    A document without any query term has no AND, OR or coherent-element
+    answer, so only the union of the terms' article postings is matched. The
+    OR answers are drawn lazily and stop at the global cap.
+    """
     query = translate_topic(topic)
+    holders = {doc for term in query.or_query.terms for doc, _ in index.postings.get(term, ())}
+    trees = [corpus.docs[doc] for doc in sorted(holders, key=index.doc_order.__getitem__)]
     if config.cre:
-        pairs = _cre_pairs_per_doc(corpus.trees(), query, config)
+        pairs = _cre_pairs_per_doc(trees, query, config)
     else:
-        and_pairs = collection_match(corpus, query.and_query)
+        and_pairs = list(collection_match(trees, query.and_query))
         and_set = set(and_pairs)
-        pairs = and_pairs + [p for p in collection_match(corpus, query.or_query) if p not in and_set]
+        or_extras = (p for p in collection_match(trees, query.or_query) if p not in and_set)
+        pairs = itertools.chain(and_pairs, or_extras)
     return RunResult(
         topic_id=topic.id,
         system_tag=config.tag,
@@ -251,14 +262,12 @@ def _capped_entries(
 
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
     """Dispatch one topic through the configured system."""
+    if index is None:
+        raise ValueError(f"{config.system} runs need an index")
     if config.system == FULLTEXT:
-        if index is None:
-            raise ValueError("fulltext runs need an index")
         return run_fulltext(topic, corpus, index, config)
     if config.system == XMLDB:
-        return run_xmldb(topic, corpus, config)
-    if index is None:
-        raise ValueError("hybrid runs need an index")
+        return run_xmldb(topic, corpus, index, config)
     return run_hybrid(topic, corpus, index, config)
 
 
@@ -284,21 +293,19 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
     if len(parts) != 6:
         raise ValueError("expected 6 tab-separated fields")
     topic_id, rank, doc, raw_path, raw_score, tag = parts
-    entry = RunEntry(
-        rank=int(rank),
-        doc=doc,
-        path=ElementPath.from_string(raw_path),
-        score=None if raw_score == "-" else float(raw_score),
-    )
+    score = None if raw_score == "-" else float(raw_score)
+    if score is not None and not math.isfinite(score):
+        raise ValueError(f"score must be finite, not {raw_score!r}")
+    entry = RunEntry(rank=int(rank), doc=doc, path=ElementPath.from_string(raw_path), score=score)
     return int(topic_id), entry, tag
 
 
 def read_run_file(path: str | Path) -> list[RunResult]:
     """Parse a run file back into per-topic results, preserving order.
 
-    Each topic's lines must form one contiguous block. A malformed line, or
-    a topic whose block starts again after another topic's, raises
-    ValueError naming the file and the line number.
+    Each topic's lines must form one contiguous block. A malformed line (a
+    non-finite score included), or a topic whose block starts again after
+    another topic's, raises ValueError naming the file and the line number.
     """
     grouped: dict[int, list[RunEntry]] = {}
     tags: dict[int, str] = {}

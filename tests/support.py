@@ -10,7 +10,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from xmlir import Corpus, DocumentTree, ElementPath, parse_document
+from xmlir import (
+    Corpus,
+    DocumentTree,
+    ElementPath,
+    identify_cres,
+    match_elements,
+    parse_document,
+    rank_cres,
+)
+from xmlir.matcher import AND
 
 
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
@@ -34,13 +43,20 @@ def write_corpus(directory, docs: dict[str, str]) -> None:
 # matcher oracle
 
 
+def satisfies(query, present: set[str]) -> bool:
+    """Whether a set of terms meets an element query's AND/OR predicate."""
+    if query.mode == AND:
+        return query.terms <= present
+    return bool(query.terms & present)
+
+
 def brute_force_matches(tree: DocumentTree, query) -> list[ElementPath]:
     """Most-specific satisfiers checked directly on every element."""
 
     satisfied = {
         node.path
         for node in tree.nodes
-        if query.satisfied_by({t for n in subtree(tree, node.path) for t in n.tokens})
+        if satisfies(query, {t for n in subtree(tree, node.path) for t in n.tokens})
     }
     matches = [
         node.path
@@ -49,6 +65,41 @@ def brute_force_matches(tree: DocumentTree, query) -> list[ElementPath]:
         and not any(other != node.path and node.path.is_ancestor_of(other) for other in satisfied)
     ]
     return matches
+
+
+# ---------------------------------------------------------------------------
+# xmldb oracle
+
+
+def naive_collection_match(corpus: Corpus, query) -> list[tuple[str, ElementPath]]:
+    """Full scan: every document's matches, documents in ingestion order."""
+    return [(tree.doc, path) for tree in corpus.trees() for path in match_elements(tree, query)]
+
+
+def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
+    """The capped ``xmldb`` answer list of a translated topic, by a full scan.
+
+    Without coherent elements: the collection's AND list, then its OR list
+    minus the AND list. With them: each document's AND-then-OR list replaced
+    by its ranked coherent elements. Then the per-article and global caps.
+    """
+    if config.cre:
+        pairs = []
+        for tree in corpus.trees():
+            and_paths = match_elements(tree, query.and_query)
+            paths = and_paths + [p for p in match_elements(tree, query.or_query) if p not in and_paths]
+            if paths:
+                pairs += [(tree.doc, r.path) for r in rank_cres(identify_cres(tree.doc, paths), config.combo)]
+    else:
+        and_pairs = naive_collection_match(corpus, query.and_query)
+        pairs = and_pairs + [p for p in naive_collection_match(corpus, query.or_query) if p not in and_pairs]
+    if config.n_per_article is not None:
+        pairs = [
+            (doc, path)
+            for i, (doc, path) in enumerate(pairs)
+            if sum(d == doc for d, _ in pairs[:i]) < config.n_per_article
+        ]
+    return pairs[: config.max_results]
 
 
 # ---------------------------------------------------------------------------

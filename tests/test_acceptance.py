@@ -14,7 +14,6 @@ from xmlir import (
     RankParams,
     SystemConfig,
     build_index,
-    collection_match,
     execute,
     identify_cres,
     inex_eval_ng,
@@ -335,7 +334,7 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
             assert all(count <= 10 for count in per_doc.values()), label
             query = translate_topic(topics[run.topic_id])
             if label in ("xmldb", "hybrid"):
-                and_set = set(collection_match(corpus, query.and_query))
+                and_set = set(support.naive_collection_match(corpus, query.and_query))
                 seen_non_and = {}
                 for entry in run.entries:
                     if (entry.doc, entry.path) in and_set:

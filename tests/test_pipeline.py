@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
@@ -10,7 +11,6 @@ from xmlir import (
     SystemConfig,
     Topic,
     build_index,
-    collection_match,
     execute,
     parse_topics,
     rank_articles,
@@ -21,6 +21,7 @@ from xmlir import (
     translate_topic,
     write_run_file,
 )
+from xmlir import matcher, pipeline
 from xmlir.matcher import AND, OR
 from xmlir.pipeline import FULLTEXT, HYBRID, XMLDB, format_run_lines
 
@@ -125,8 +126,8 @@ def test_xmldb_empty_and_list_equals_or_list():
     # gamma never occurs, so no element satisfies the AND query
     t = topic("alpha", "gamma")
     config = SystemConfig(system=XMLDB)
-    run = run_xmldb(t, corpus, config)
-    or_list = collection_match(corpus, translate_topic(t).or_query)
+    run = run_xmldb(t, corpus, build_index(corpus), config)
+    or_list = support.naive_collection_match(corpus, translate_topic(t).or_query)
     assert [(e.doc, e.path) for e in run.entries] == or_list
     assert all(e.score is None for e in run.entries)
 
@@ -138,7 +139,7 @@ def test_xmldb_and_matches_precede_or_extras():
             "d2": "<article><sec><p>beta</p></sec></article>",
         }
     )
-    run = run_xmldb(topic("alpha", "beta"), corpus, SystemConfig(system=XMLDB))
+    run = run_xmldb(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
     entries = [(e.doc, str(e.path)) for e in run.entries]
     # d1's sec[1] holds both terms; every other match arrives from the OR list
     assert entries[0] == ("d1", "/article[1]/sec[1]")
@@ -152,12 +153,87 @@ def test_xmldb_matches_hand_built_expectation():
             "b": "<article><sec><p>beta</p></sec></article>",
         }
     )
-    run = run_xmldb(topic("alpha", "beta"), corpus, SystemConfig(system=XMLDB))
+    run = run_xmldb(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
     assert [(e.doc, str(e.path)) for e in run.entries] == [
         ("a", "/article[1]/sec[1]/p[1]"),   # AND answer list first
         ("a", "/article[1]/sec[2]/p[1]"),   # then OR answers not already present
         ("b", "/article[1]/sec[1]/p[1]"),
     ]
+
+
+# Document names out of sorted order, so ingestion order is not name order.
+corpora = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8).map(
+    lambda seeds: {f"d{(7 * i) % 11}": support.random_xml(random.Random(s)) for i, s in enumerate(seeds)}
+)
+keywords = st.sets(st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon", "absent"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=corpora,
+    terms=keywords,
+    cre=st.booleans(),
+    n_per_article=st.sampled_from([None, 1, 2]),
+    max_results=st.one_of(st.integers(1, 12), st.just(1500)),
+)
+def test_xmldb_equals_full_scan(docs, terms, cre, n_per_article, max_results):
+    corpus = support.corpus_from_strings(docs)
+    t = topic(*sorted(terms))
+    config = SystemConfig(system=XMLDB, cre=cre, n_per_article=n_per_article, max_results=max_results)
+    run = run_xmldb(t, corpus, build_index(corpus), config)
+    assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(corpus, translate_topic(t), config)
+    assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
+    assert all(e.score is None for e in run.entries)
+
+
+def _spy_match_elements(monkeypatch) -> list[tuple[str, str]]:
+    """Record ``(doc, mode)`` for every ``match_elements`` call, through either module."""
+    calls = []
+    original = matcher.match_elements
+
+    def spy(tree, query):
+        calls.append((tree.doc, query.mode))
+        return original(tree, query)
+
+    monkeypatch.setattr(matcher, "match_elements", spy)
+    monkeypatch.setattr(pipeline, "match_elements", spy)
+    return calls
+
+
+def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
+    corpus = support.corpus_from_strings(
+        {
+            "c": "<article><p>beta</p></article>",
+            "b": "<article><p>unrelated</p><p>words</p></article>",
+            "a": "<article><sec><p>alpha</p></sec><p>more unrelated words</p></article>",
+        }
+    )
+    index = build_index(corpus)
+    calls = _spy_match_elements(monkeypatch)
+    for cre in (False, True):
+        run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, cre=cre))
+        assert [e.doc for e in run.entries] == ["c", "a"]
+    assert calls and {doc for doc, _ in calls} == {"c", "a"}
+
+
+def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
+    corpus = support.corpus_from_strings(
+        {
+            "d1": "<article><p>alpha beta</p><p>alpha</p></article>",
+            "d2": "<article><p>alpha</p></article>",
+        }
+    )
+    index = build_index(corpus)
+    calls = _spy_match_elements(monkeypatch)
+    run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, max_results=1))
+    assert [(e.doc, str(e.path)) for e in run.entries] == [("d1", "/article[1]/p[1]")]
+    assert calls and all(mode == AND for _, mode in calls)
+
+
+def test_xmldb_needs_an_index():
+    corpus = support.corpus_from_strings({"d": "<article>alpha</article>"})
+    with pytest.raises(ValueError, match="xmldb runs need an index"):
+        execute(topic("alpha"), corpus, None, SystemConfig(system=XMLDB))
 
 
 def test_single_article_hybrid_equals_xmldb():
@@ -166,7 +242,7 @@ def test_single_article_hybrid_equals_xmldb():
     for cre in (False, True):
         config_x = SystemConfig(system=XMLDB, cre=cre)
         config_h = SystemConfig(system=HYBRID, cre=cre)
-        xml_run = run_xmldb(t, corpus, config_x)
+        xml_run = run_xmldb(t, corpus, build_index(corpus), config_x)
         hybrid_run = run_hybrid(t, corpus, build_index(corpus), config_h)
         assert [(e.doc, e.path) for e in xml_run.entries] == [
             (e.doc, e.path) for e in hybrid_run.entries
@@ -186,14 +262,14 @@ def test_hybrid_article_rank_overrides_ingestion_order():
     assert ranked == ["late", "early"]
     hybrid = run_hybrid(t, corpus, index, SystemConfig(system=HYBRID))
     assert [e.doc for e in hybrid.entries] == ["late", "early"]
-    xmldb = run_xmldb(t, corpus, SystemConfig(system=XMLDB))
+    xmldb = run_xmldb(t, corpus, index, SystemConfig(system=XMLDB))
     assert [e.doc for e in xmldb.entries] == ["early", "late"]
 
 
 def test_hybrid_cre_top_entry_is_the_article(sample_or_paths):
     corpus = support.corpus_from_strings({"ic/1999/w4095": SAMPLE_ARTICLE_XML})
     t = topic("patricia")
-    or_list = collection_match(corpus, translate_topic(t).or_query)
+    or_list = support.naive_collection_match(corpus, translate_topic(t).or_query)
     assert [str(path) for _, path in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
     config = SystemConfig(system=HYBRID, cre=True, combo=HeuristicCombo.from_string("MpE"),
                           n_per_article=1)
@@ -209,7 +285,7 @@ def test_per_article_and_global_caps():
         docs[f"d{i}"] = f"<article>{body}</article>"
     corpus = support.corpus_from_strings(docs)
     config = SystemConfig(system=XMLDB, n_per_article=2, max_results=9)
-    run = run_xmldb(topic("alpha"), corpus, config)
+    run = run_xmldb(topic("alpha"), corpus, build_index(corpus), config)
     assert len(run.entries) == 9  # cut mid-article at the global cap
     per_doc = {}
     for e in run.entries:
@@ -223,7 +299,7 @@ def test_and_prefix_law_per_document():
     corpus = support.corpus_from_strings(docs)
     t = topic("alpha", "beta")
     query = translate_topic(t)
-    and_set = set(collection_match(corpus, query.and_query))
+    and_set = set(support.naive_collection_match(corpus, query.and_query))
     for system in (XMLDB, HYBRID):
         config = SystemConfig(system=system)
         run = execute(t, corpus, build_index(corpus), config)

@@ -117,6 +117,35 @@ def test_malformed_run_line_names_file_and_line(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_non_finite_run_score_is_rejected(namespaced_workspace, capsys, score):
+    ws = namespaced_workspace
+    run_file = ws / "bad.run"
+    run_file.write_text(f"7\t1\tns/a\t{MATCH_PATH}\t{score}\tfulltext\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(run_file))}: line 1: score must be finite"):
+        read_run_file(run_file)
+    assert main(["eval", str(run_file), "--assessments", str(ws / "assessments")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {run_file}: line 1: score must be finite")
+    assert "Traceback" not in captured.err and "map" not in captured.out
+
+
+def test_unreadable_assessment_file_is_skipped(namespaced_workspace, capsys):
+    ws = namespaced_workspace
+    (ws / "assessments" / "x.xml").mkdir()  # a directory is not a readable file
+    run_file = ws / "ns.run"
+    run_file.write_text(f"7\t1\tns/a\t{MATCH_PATH}\t-\txmldb\n")
+    scores = ws / "scores.tsv"
+    argv = ["eval", str(run_file), "--assessments", str(ws / "assessments"), "--out", str(scores)]
+    assert main(argv) == 0
+    assert scores.read_text().splitlines()[1:] == ["7\t1.000000", "map\t1.000000"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("assessments: x.xml: skipped (")
+    assert main(["assess-stats", "--assessments", str(ws / "assessments"), "--out", str(ws / "stats")]) == 0
+    assert (ws / "stats" / "categories.tsv").read_text().splitlines()[1:] == ["7\t0\t1\tnarrow"]
+    assert capsys.readouterr().err.splitlines() == err
+
+
 def _entity_bomb(levels: int = 7) -> str:
     """Nested entities expanding to ``10**levels`` copies of ``lol``."""
     entities = ['<!ENTITY l0 "lol ">'] + [
