@@ -1,14 +1,21 @@
 """Coherent retrieval elements: identification and heuristic ranking.
 
-Given one article's list of matching-element paths, a coherent element is an
-ancestor that contains at least two items (matching elements or other
-coherent elements) spread across at least two distinct immediate children.
-The definition is self-referential, but a coherent element below a
-candidate always has a matching element below it through the same child,
-so counting coherent elements as items adds no child. The set is therefore
-the branching nodes of the match set: the non-matching proper ancestors of
-matching elements with matches below at least two distinct children, found
-in one pass over the paths' prefixes.
+Given one article's matching elements, a coherent element is an ancestor
+that contains at least two items (matching elements or other coherent
+elements) spread across at least two distinct immediate children. The
+definition is self-referential, but a coherent element below a candidate
+always has a matching element below it through the same child, so counting
+coherent elements as items adds no child. The set is therefore the branching
+nodes of the match set: the non-matching nodes with matches below at least
+two distinct children.
+
+Matches arrive as ascending pre-order node indices. The branching nodes are
+then exactly the lowest common ancestors (LCAs) of adjacent matches that are
+not matches themselves (the adjacent-neighbour argument of Xu &
+Papakonstantinou, SIGMOD 2005): a branching node with matches below children
+``c1`` before ``c2`` is the LCA of the last match below ``c1`` and the match
+after it, and the LCA of adjacent ``a < b``, unless it is ``a``, holds them
+below two distinct children. One walk up from each ``a`` finds its LCA.
 
 A single-item input is the special case: the sole matching element is
 returned as-is, since nothing supports promoting any of its ancestors.
@@ -27,10 +34,12 @@ giving 16 valid codes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .paths import ElementPath, PathStep, SequenceKey
+from .corpus import DocumentTree
+from .paths import ElementPath, SequenceKey
 
 _MATCH_KEYS = ("M", "m")
 _PATH_KEYS = ("P", "p")
@@ -83,63 +92,37 @@ class CoherentElement:
         return self.path.sequence()
 
 
-def identify_cres(doc: str, matching: Sequence[ElementPath]) -> list[CoherentElement]:
-    """Coherent elements for one article's matching-element paths.
+def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentElement]:
+    """Coherent elements for one article's matching nodes.
 
-    Input paths must be unique and share the root step (one document).
-    Returns records ordered by path; callers treat the result as a set.
+    ``matching`` holds pre-order indices into ``tree.nodes`` in strictly
+    increasing order; members may be nested. Returns records in document
+    order; callers treat the result as a set.
     """
-    paths = list(matching)
-    if not paths:
+    if not matching:
         raise ValueError("matching element list is empty")
-    steps_list = [p.steps for p in paths]
-    matching_steps = set(steps_list)
-    if len(matching_steps) != len(steps_list):
-        raise ValueError("duplicate matching paths")
-    root_step = steps_list[0][0]
-    if any(s[0] != root_step for s in steps_list):
-        raise ValueError("matching paths span more than one document root")
+    if any(b <= a for a, b in zip(matching, matching[1:])):
+        raise ValueError("matching node indices must be strictly increasing")
+    nodes = tree.nodes
+    if matching[0] < 0 or matching[-1] >= len(nodes):
+        raise ValueError(f"matching node index outside [0, {len(nodes)})")
+    if len(matching) == 1:
+        return [CoherentElement(tree.doc, nodes[matching[0]].path, matches=1)]
 
-    if len(paths) == 1:
-        return [CoherentElement(doc, paths[0], matches=1)]
-
-    below: dict[tuple[PathStep, ...], int] = {}
-    children: dict[tuple[PathStep, ...], set[PathStep]] = {}
-    for steps in steps_list:
-        for depth in range(1, len(steps)):
-            prefix = steps[:depth]
-            below[prefix] = below.get(prefix, 0) + 1
-            children.setdefault(prefix, set()).add(steps[depth])
-    return [
-        CoherentElement(doc, ElementPath(prefix), below[prefix])
-        for prefix in sorted(children)
-        if len(children[prefix]) >= 2 and prefix not in matching_steps
-    ]
-
-
-def _sort_key(record: CoherentElement, combo: HeuristicCombo):
-    def component(letter: str):
-        if letter == "M":
-            return -record.matches
-        if letter == "m":
-            return record.matches
-        if letter == "P":
-            return -record.length
-        return record.length
-
-    if combo.tiebreak == "B":
-        seq = record.sequence
-    else:
-        seq = tuple(-i for i in record.sequence)
-    # doc + full path make the order total: distinct sibling-index sequences
-    # are not guaranteed (e.g. /article[1]/bdy[1] vs /article[1]/bm[1]).
-    return (
-        component(combo.primary),
-        component(combo.secondary),
-        seq,
-        record.doc,
-        record.path.steps,
-    )
+    ends, parents = tree.ends, tree.parents
+    lcas = set()
+    for a, b in zip(matching, matching[1:]):
+        x = a
+        while ends[x] <= b:
+            x = parents[x]
+        lcas.add(x)
+    cres = []
+    for x in sorted(lcas):
+        first = bisect_left(matching, x)
+        if matching[first] != x:  # a match is never its own coherent element
+            below = bisect_left(matching, ends[x], first) - first
+            cres.append(CoherentElement(tree.doc, nodes[x].path, below))
+    return cres
 
 
 def rank_cres(
@@ -148,6 +131,23 @@ def rank_cres(
 ) -> list[CoherentElement]:
     """Total order over coherent elements under a heuristic combination.
 
-    The per-article cap is applied by the pipeline, not here.
+    Ties left by the code fall to the document and then the full path, since
+    sibling-index sequences can repeat (``/article[1]/bdy[1]`` and
+    ``/article[1]/bm[1]``). The per-article cap is applied by the pipeline,
+    not here.
     """
-    return sorted(cres, key=lambda r: _sort_key(r, combo))
+    keys = combo.primary + combo.secondary
+    match_sign = -1 if "M" in keys else 1
+    path_sign = -1 if "P" in keys else 1
+    sequence_sign = -1 if combo.tiebreak == "E" else 1
+    matches_first = combo.primary in _MATCH_KEYS
+
+    def key(record: CoherentElement):
+        steps = record.path.steps
+        matches, length = match_sign * record.matches, path_sign * len(steps)
+        sequence = tuple(sequence_sign * index for _, index in steps)
+        if matches_first:
+            return matches, length, sequence, record.doc, steps
+        return length, matches, sequence, record.doc, steps
+
+    return sorted(cres, key=key)

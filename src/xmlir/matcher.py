@@ -3,7 +3,8 @@
 Returns the most specific elements whose subtree satisfies the term
 predicate: an element matches when its subtree holds the required terms and
 no proper descendant's subtree does likewise. Per document the matches form
-an antichain listed in document order. No ranking happens here.
+an antichain, returned as ascending pre-order node indices (document order);
+``tree.nodes[i].path`` gives a match's path. No ranking happens here.
 
 Matching reads the document's term postings instead of walking its tree.
 Nodes are numbered in pre-order, so node ``i``'s subtree is the index range
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .corpus import DocumentTree
-from .paths import ElementPath
 
 AND = "and"
 OR = "or"
@@ -48,8 +48,8 @@ class ElementQuery:
             raise ValueError(f"unknown query mode: {self.mode!r}")
 
 
-def match_elements(tree: DocumentTree, query: ElementQuery) -> list[ElementPath]:
-    """Paths of the most specific satisfying elements of one document, in document order."""
+def match_elements(tree: DocumentTree, query: ElementQuery) -> list[int]:
+    """Ascending pre-order indices of the most specific satisfying elements of one document."""
     postings = tree.postings
     if query.mode == OR:
         found = [postings[term] for term in query.terms if term in postings]
@@ -64,7 +64,9 @@ def match_elements(tree: DocumentTree, query: ElementQuery) -> list[ElementPath]
                 return []
             closures.append(_ancestor_closure(nodes, tree.parents))
         hits = set.intersection(*closures)
-    return _most_specific(tree, sorted(hits))
+    satisfied = sorted(hits)
+    following = satisfied[1:] + [len(tree.ends)]
+    return [i for i, after in zip(satisfied, following) if after >= tree.ends[i]]
 
 
 def _ancestor_closure(nodes: tuple[int, ...], parents: tuple[int, ...]) -> set[int]:
@@ -77,18 +79,10 @@ def _ancestor_closure(nodes: tuple[int, ...], parents: tuple[int, ...]) -> set[i
     return marked
 
 
-def _most_specific(tree: DocumentTree, satisfied: list[int]) -> list[ElementPath]:
-    """Paths of the members of a sorted node-index list that have no other member below them."""
-    ends = tree.ends
-    nodes = tree.nodes
-    following = satisfied[1:] + [len(nodes)]
-    return [nodes[i].path for i, after in zip(satisfied, following) if after >= ends[i]]
-
-
 def collection_match(
     trees: Iterable[DocumentTree], query: ElementQuery
-) -> Iterator[tuple[str, ElementPath]]:
-    """``(doc, path)`` matches of the given documents in the order given, produced lazily."""
+) -> Iterator[tuple[DocumentTree, int]]:
+    """``(tree, node index)`` matches of the given documents in the order given, produced lazily."""
     for tree in trees:
-        for path in match_elements(tree, query):
-            yield tree.doc, path
+        for i in match_elements(tree, query):
+            yield tree, i

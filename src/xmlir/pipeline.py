@@ -167,11 +167,11 @@ def translate_topic(topic: Topic) -> TopicQuery:
     )
 
 
-def _combined_paths(tree: DocumentTree, query: TopicQuery) -> list[ElementPath]:
-    """One document's AND matches followed by OR matches not already present."""
-    and_paths = match_elements(tree, query.and_query)
-    and_set = set(and_paths)
-    return and_paths + [p for p in match_elements(tree, query.or_query) if p not in and_set]
+def _combined_matches(tree: DocumentTree, query: TopicQuery) -> list[int]:
+    """One document's AND matches followed by OR matches not already present, as node indices."""
+    and_matches = match_elements(tree, query.and_query)
+    and_set = set(and_matches)
+    return and_matches + [i for i in match_elements(tree, query.or_query) if i not in and_set]
 
 
 def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
@@ -198,10 +198,10 @@ def run_xmldb(topic: Topic, corpus: Corpus, index: InvertedIndex, config: System
     if config.cre:
         pairs = _cre_pairs_per_doc(trees, query, config)
     else:
-        and_pairs = list(collection_match(trees, query.and_query))
-        and_set = set(and_pairs)
-        or_extras = (p for p in collection_match(trees, query.or_query) if p not in and_set)
-        pairs = itertools.chain(and_pairs, or_extras)
+        and_matches = list(collection_match(trees, query.and_query))
+        and_set = set(and_matches)
+        or_extras = (m for m in collection_match(trees, query.or_query) if m not in and_set)
+        pairs = ((tree.doc, tree.nodes[i].path) for tree, i in itertools.chain(and_matches, or_extras))
     return RunResult(
         topic_id=topic.id,
         system_tag=config.tag,
@@ -217,9 +217,7 @@ def run_hybrid(topic: Topic, corpus: Corpus, index: InvertedIndex, config: Syste
     if config.cre:
         pairs = _cre_pairs_per_doc(trees, query, config)
     else:
-        pairs = (
-            (tree.doc, path) for tree in trees for path in _combined_paths(tree, query)
-        )
+        pairs = ((tree.doc, tree.nodes[i].path) for tree in trees for i in _combined_matches(tree, query))
     return RunResult(
         topic_id=topic.id,
         system_tag=config.tag,
@@ -233,10 +231,10 @@ def _cre_pairs_per_doc(
     config: SystemConfig,
 ) -> Iterable[tuple[str, ElementPath]]:
     for tree in trees:
-        paths = _combined_paths(tree, query)
-        if not paths:
+        matching = sorted(_combined_matches(tree, query))
+        if not matching:
             continue
-        for record in rank_cres(identify_cres(tree.doc, paths), config.combo):
+        for record in rank_cres(identify_cres(tree, matching), config.combo):
             yield (tree.doc, record.path)
 
 
@@ -303,26 +301,31 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
 def read_run_file(path: str | Path) -> list[RunResult]:
     """Parse a run file back into per-topic results, preserving order.
 
-    Each topic's lines must form one contiguous block. A malformed line (a
-    non-finite score included), or a topic whose block starts again after
-    another topic's, raises ValueError naming the file and the line number.
+    Lines end at LF, CR or CR LF. Each topic's lines must form one
+    contiguous block that lists each element once. A malformed line (a
+    non-finite score or bytes that are not UTF-8 included), a topic whose
+    block starts again after another topic's, or an element listed twice in
+    one topic raises ValueError naming the file and the line number.
     """
-    grouped: dict[int, list[RunEntry]] = {}
+    grouped: dict[int, dict[tuple[str, ElementPath], RunEntry]] = {}
     tags: dict[int, str] = {}
     current = None
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             topic_id, entry, tag = _parse_run_line(line)
             if topic_id != current and topic_id in grouped:
                 raise ValueError(f"topic {topic_id} starts a second block")
-        except ValueError as exc:
+            if (entry.doc, entry.path) in grouped.get(topic_id, ()):
+                raise ValueError(f"topic {topic_id} lists {entry.doc} {entry.path} twice")
+        except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: line {number}: {exc}") from None
         current = topic_id
-        grouped.setdefault(topic_id, []).append(entry)
+        grouped.setdefault(topic_id, {})[entry.doc, entry.path] = entry
         tags[topic_id] = tag
     return [
-        RunResult(topic_id=topic_id, system_tag=tags[topic_id], entries=tuple(entries))
+        RunResult(topic_id=topic_id, system_tag=tags[topic_id], entries=tuple(entries.values()))
         for topic_id, entries in grouped.items()
     ]

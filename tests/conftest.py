@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from xmlir import ElementPath
+from xmlir import DocumentTree, ElementPath, parse_document
+
+import support
 
 # A document in which the term "patricia" occurs in exactly twelve leaf
 # elements, chosen so the coherent-element analysis has a fully known answer.
@@ -121,3 +123,14 @@ SAMPLE_TOPIC_XML = """\
 @pytest.fixture
 def sample_or_paths() -> list[ElementPath]:
     return [ElementPath.from_string(p) for p in SAMPLE_OR_PATHS]
+
+
+@pytest.fixture
+def sample_tree() -> DocumentTree:
+    return parse_document(SAMPLE_ARTICLE_XML, SAMPLE_DOC_ID)
+
+
+@pytest.fixture
+def sample_or_matches(sample_tree, sample_or_paths) -> list[int]:
+    """Pre-order indices of ``SAMPLE_OR_PATHS`` in the parsed sample article."""
+    return support.indices_of(sample_tree, sample_or_paths)

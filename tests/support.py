@@ -11,13 +11,12 @@ import random
 from fractions import Fraction
 
 from xmlir import (
+    CoherentElement,
     Corpus,
     DocumentTree,
     ElementPath,
-    identify_cres,
     match_elements,
     parse_document,
-    rank_cres,
 )
 from xmlir.matcher import AND
 
@@ -30,6 +29,36 @@ def corpus_from_strings(docs: dict[str, str]) -> Corpus:
 def subtree(tree: DocumentTree, path: ElementPath) -> list:
     """The nodes at or below ``path``, found by path prefix."""
     return [n for n in tree.nodes if n.path == path or path.is_ancestor_of(n.path)]
+
+
+def paths_of(tree: DocumentTree, indices) -> list[ElementPath]:
+    """The paths of the given pre-order node indices, in the order given."""
+    return [tree.nodes[i].path for i in indices]
+
+
+def indices_of(tree: DocumentTree, paths) -> list[int]:
+    """The ascending pre-order indices of the nodes at the given paths."""
+    position = {node.path: i for i, node in enumerate(tree.nodes)}
+    return sorted(position[path] for path in paths)
+
+
+def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
+    """Parse an XML rendering of a ``random_tree_paths`` tree.
+
+    Children are written in the order their paths appear, which is the
+    order ``random_tree_paths`` numbered same-tag siblings in, so the parsed
+    tree has exactly the given paths.
+    """
+    children: dict[ElementPath, list[ElementPath]] = {path: [] for path in paths}
+    for path in paths[1:]:
+        children[ElementPath(path.steps[:-1])].append(path)
+
+    def render(path: ElementPath) -> str:
+        return f"<{path.tag}>{''.join(render(child) for child in children[path])}</{path.tag}>"
+
+    tree = parse_document(render(paths[0]), doc)
+    assert {node.path for node in tree.nodes} == set(paths)
+    return tree
 
 
 def write_corpus(directory, docs: dict[str, str]) -> None:
@@ -72,24 +101,28 @@ def brute_force_matches(tree: DocumentTree, query) -> list[ElementPath]:
 
 
 def naive_collection_match(corpus: Corpus, query) -> list[tuple[str, ElementPath]]:
-    """Full scan: every document's matches, documents in ingestion order."""
-    return [(tree.doc, path) for tree in corpus.trees() for path in match_elements(tree, query)]
+    """Full scan: every document's match paths, documents in ingestion order."""
+    return [(tree.doc, tree.nodes[i].path) for tree in corpus.trees() for i in match_elements(tree, query)]
 
 
 def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
     """The capped ``xmldb`` answer list of a translated topic, by a full scan.
 
     Without coherent elements: the collection's AND list, then its OR list
-    minus the AND list. With them: each document's AND-then-OR list replaced
-    by its ranked coherent elements. Then the per-article and global caps.
+    minus the AND list. With them: each document's AND and OR matches
+    replaced by the ``brute_force_cres`` fixpoint, sorted by
+    ``naive_cre_key``. Then the per-article and global caps.
     """
     if config.cre:
         pairs = []
         for tree in corpus.trees():
-            and_paths = match_elements(tree, query.and_query)
-            paths = and_paths + [p for p in match_elements(tree, query.or_query) if p not in and_paths]
+            paths = set(paths_of(tree, match_elements(tree, query.and_query)))
+            paths |= set(paths_of(tree, match_elements(tree, query.or_query)))
             if paths:
-                pairs += [(tree.doc, r.path) for r in rank_cres(identify_cres(tree.doc, paths), config.combo)]
+                cres = brute_force_cres([node.path for node in tree.nodes], list(paths))
+                records = [CoherentElement(tree.doc, path, count) for path, count in cres.items()]
+                records.sort(key=lambda record: naive_cre_key(record, config.combo))
+                pairs += [(tree.doc, record.path) for record in records]
     else:
         and_pairs = naive_collection_match(corpus, query.and_query)
         pairs = and_pairs + [p for p in naive_collection_match(corpus, query.or_query) if p not in and_pairs]
@@ -137,6 +170,33 @@ def brute_force_cres(
         path: sum(1 for m in matching if path.is_ancestor_of(m))
         for path in qualified
     }
+
+
+def naive_cre_key(record: CoherentElement, combo):
+    """Reference sort key for ``rank_cres``, one comparison component per letter."""
+
+    def component(letter: str):
+        if letter == "M":
+            return -record.matches
+        if letter == "m":
+            return record.matches
+        if letter == "P":
+            return -record.length
+        return record.length
+
+    if combo.tiebreak == "B":
+        seq = record.sequence
+    else:
+        seq = tuple(-i for i in record.sequence)
+    # doc + full path make the order total: distinct sibling-index sequences
+    # are not guaranteed (e.g. /article[1]/bdy[1] vs /article[1]/bm[1]).
+    return (
+        component(combo.primary),
+        component(combo.secondary),
+        seq,
+        record.doc,
+        record.path.steps,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def P(text):
     return ElementPath.from_string(text)
 
 
-def test_c1_coherent_element_fixture_exactness(sample_or_paths):
+def test_c1_coherent_element_fixture_exactness(sample_tree, sample_or_matches):
     expected = [
         (P(path), matches, length, sequence)
         for path, matches, length, sequence in EXPECTED_CRES_MPE
@@ -65,7 +65,7 @@ def test_c1_coherent_element_fixture_exactness(sample_or_paths):
     combo = HeuristicCombo.from_string("MpE")
 
     def run_once():
-        return rank_cres(identify_cres(SAMPLE_DOC_ID, sample_or_paths), combo)
+        return rank_cres(identify_cres(sample_tree, sample_or_matches), combo)
 
     run_once()  # warm caches before timing
     best = min(
@@ -111,7 +111,8 @@ def test_c3_coherent_element_oracle_equivalence():
         matching = support.random_antichain(rng, paths)
         if len(matching) == 1:
             singletons += 1
-        got = {r.path: r.matches for r in identify_cres("d", matching)}
+        tree = support.tree_of(paths)
+        got = {r.path: r.matches for r in identify_cres(tree, support.indices_of(tree, matching))}
         expected = support.brute_force_cres(paths, matching)
         assert got == expected, f"mismatch on tree {trees}"
         trees += 1

@@ -4,8 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xmlir import COMBO_CODES, CoherentElement, ElementPath, HeuristicCombo, identify_cres, rank_cres
+from xmlir import COMBO_CODES, CoherentElement, ElementPath, HeuristicCombo, identify_cres, parse_document, rank_cres
 
 import support
 from conftest import EXPECTED_CRES_MPE, SAMPLE_DOC_ID
@@ -35,8 +36,8 @@ def test_invalid_combo_codes_rejected(bad):
         HeuristicCombo.from_string(bad)
 
 
-def test_known_or_list_produces_known_ranking(sample_or_paths):
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
+def test_known_or_list_produces_known_ranking(sample_tree, sample_or_matches):
+    cres = identify_cres(sample_tree, sample_or_matches)
     ranked = rank_cres(cres, HeuristicCombo.from_string("MpE"))
     got = [(str(r.path), r.matches, r.length, r.sequence) for r in ranked]
     assert got == EXPECTED_CRES_MPE
@@ -44,36 +45,38 @@ def test_known_or_list_produces_known_ranking(sample_or_paths):
 
 
 def test_singleton_input_returns_the_matching_element():
-    path = P("/article[1]/bdy[1]/sec[1]/p[1]")
-    cres = identify_cres("d", [path])
+    tree = parse_document("<article><bdy><sec><p/></sec></bdy></article>", "d")
+    cres = identify_cres(tree, [3])
     assert len(cres) == 1
-    assert cres[0].path == path
+    assert cres[0].path == P("/article[1]/bdy[1]/sec[1]/p[1]")
     assert cres[0].matches == 1
     assert cres[0].length == 4
     assert cres[0].sequence == (1, 1, 1, 1)
 
 
 def test_two_siblings_qualify_only_their_parent():
-    cres = identify_cres(
-        "d", [P("/article[1]/bdy[1]/sec[1]/p[1]"), P("/article[1]/bdy[1]/sec[1]/p[2]")]
-    )
+    tree = parse_document("<article><bdy><sec><p/><p/></sec></bdy></article>", "d")
+    cres = identify_cres(tree, [3, 4])
     got = {(str(r.path), r.matches, r.length) for r in cres}
     # bdy and article hold both items under a single child, so neither qualifies
     assert got == {("/article[1]/bdy[1]/sec[1]", 2, 3)}
 
 
-def test_everything_under_one_child_never_qualifies(sample_or_paths):
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
+def test_everything_under_one_child_never_qualifies(sample_tree, sample_or_matches):
+    cres = identify_cres(sample_tree, sample_or_matches)
     assert P("/article[1]/bm[1]") not in {r.path for r in cres}
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        identify_cres("d", [])
-    with pytest.raises(ValueError):
-        identify_cres("d", [P("/article[1]/p[1]"), P("/article[1]/p[1]")])
-    with pytest.raises(ValueError):
-        identify_cres("d", [P("/article[1]/p[1]"), P("/other[1]/p[1]")])
+    tree = parse_document("<article><p/><p/><p/></article>", "d")
+    with pytest.raises(ValueError, match="empty"):
+        identify_cres(tree, [])
+    for not_increasing in ([1, 1], [2, 1], [1, 3, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            identify_cres(tree, not_increasing)
+    for out_of_range in ([4], [1, 4], [-1], [-1, 2]):  # a negative index would wrap silently
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            identify_cres(tree, out_of_range)
 
 
 def test_sequence_tiebreak_directions():
@@ -87,8 +90,8 @@ def test_sequence_tiebreak_directions():
     assert str(nearer_beginning[0].path) == "/article[1]/bdy[1]/sec[2]"
 
 
-def test_path_length_primary_ordering(sample_or_paths):
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
+def test_path_length_primary_ordering(sample_tree, sample_or_matches):
+    cres = identify_cres(sample_tree, sample_or_matches)
     ranked = rank_cres(cres, HeuristicCombo.from_string("PME"))
     got = [(str(r.path), r.matches, r.length) for r in ranked]
     assert got == [
@@ -102,10 +105,10 @@ def test_path_length_primary_ordering(sample_or_paths):
     ]
 
 
-def test_direction_reversal_is_antisymmetric(sample_or_paths):
+def test_direction_reversal_is_antisymmetric(sample_tree, sample_or_matches):
     # flipping the matches direction while it is the primary key reverses
     # the relative order of any two records with different match counts
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
+    cres = identify_cres(sample_tree, sample_or_matches)
     for code, flipped in (("MpE", "mpE"), ("MPB", "mPB"), ("mPE", "MPE")):
         forward = rank_cres(cres, HeuristicCombo.from_string(code))
         backward = rank_cres(cres, HeuristicCombo.from_string(flipped))
@@ -124,8 +127,8 @@ def test_direction_reversal_is_antisymmetric(sample_or_paths):
         assert (forward.index(a) < forward.index(b)) != (backward.index(a) < backward.index(b))
 
 
-def test_ranking_is_total_and_duplicate_free(sample_or_paths):
-    cres = identify_cres(SAMPLE_DOC_ID, sample_or_paths)
+def test_ranking_is_total_and_duplicate_free(sample_tree, sample_or_matches):
+    cres = identify_cres(sample_tree, sample_or_matches)
     for code in COMBO_CODES:
         ranked = rank_cres(cres, HeuristicCombo.from_string(code))
         assert len(ranked) == len(cres)
@@ -152,7 +155,8 @@ def test_matches_count_law_random_antichains():
     for _ in range(200):
         paths = support.random_tree_paths(rng)
         matching = support.random_antichain(rng, paths)
-        cres = identify_cres("d", matching)
+        tree = support.tree_of(paths)
+        cres = identify_cres(tree, support.indices_of(tree, matching))
         if len(matching) == 1:
             assert cres[0].matches == 1
             continue
@@ -170,9 +174,33 @@ def test_identify_matches_brute_force_oracle_with_degenerate_inputs():
         paths = support.random_tree_paths(rng)
         k = rng.randint(1, min(8, len(paths)))
         matching = rng.sample(paths, k)
-        got = {r.path: r.matches for r in identify_cres("d", matching)}
+        tree = support.tree_of(paths)
+        got = {r.path: r.matches for r in identify_cres(tree, support.indices_of(tree, matching))}
         expected = support.brute_force_cres(paths, matching)
         if len(matching) == 1:
             assert got == {matching[0]: 1}
         else:
             assert got == expected
+
+
+# Few docs, tags, indices and counts, so records often tie on every code key
+# and on the sibling-index sequence (/article[1]/bdy[1] vs /article[1]/bm[1]).
+cre_records = st.lists(
+    st.builds(
+        CoherentElement,
+        doc=st.sampled_from(["a", "b", "c"]),
+        path=st.lists(st.tuples(st.sampled_from(["bdy", "bm"]), st.integers(1, 2)), max_size=3).map(
+            lambda steps: ElementPath((("article", 1), *steps))
+        ),
+        matches=st.integers(1, 3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cre_records)
+def test_rank_cres_equals_reference_key_for_every_code(records):
+    for code in COMBO_CODES:
+        combo = HeuristicCombo.from_string(code)
+        assert rank_cres(records, combo) == sorted(records, key=lambda r: support.naive_cre_key(r, combo))

@@ -23,7 +23,8 @@ def test_or_single_occurrence_returns_deepest_container():
         "d",
     )
     result = match_elements(tree, q(OR, "patricia"))
-    assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
+    assert result == [5]  # article, bdy, sec, p, sec, p
+    assert [str(path) for path in support.paths_of(tree, result)] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
 
 
 def test_and_terms_spread_across_siblings():
@@ -34,7 +35,7 @@ def test_and_terms_spread_across_siblings():
         "</bdy></article>",
         "d",
     )
-    result = match_elements(tree, q(AND, "alpha", "beta"))
+    result = support.paths_of(tree, match_elements(tree, q(AND, "alpha", "beta")))
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
     assert result == support.brute_force_matches(tree, q(AND, "alpha", "beta"))
@@ -98,7 +99,7 @@ def test_most_specific_law_against_oracle():
         terms = rng.sample(vocab, rng.randint(1, 3))
         for mode in (AND, OR):
             query = q(mode, *terms)
-            assert match_elements(tree, query) == support.brute_force_matches(tree, query)
+            assert support.paths_of(tree, match_elements(tree, query)) == support.brute_force_matches(tree, query)
 
 
 def test_antichain_and_lattice_laws():
@@ -107,8 +108,10 @@ def test_antichain_and_lattice_laws():
         tree = parse_document(support.random_xml(rng), "d")
         and_query = q(AND, "alpha", "beta")
         or_query = q(OR, "alpha", "beta")
-        and_paths = match_elements(tree, and_query)
-        or_paths = match_elements(tree, or_query)
+        and_matches = match_elements(tree, and_query)
+        or_matches = match_elements(tree, or_query)
+        and_paths = support.paths_of(tree, and_matches)
+        or_paths = support.paths_of(tree, or_matches)
         for paths in (and_paths, or_paths):
             for a in paths:
                 for b in paths:
@@ -117,10 +120,9 @@ def test_antichain_and_lattice_laws():
         for path in and_paths:
             terms = {t for n in support.subtree(tree, path) for t in n.tokens}
             assert support.satisfies(or_query, terms)
-        # matches come back in document order
-        order = {node.path: i for i, node in enumerate(tree.nodes)}
-        assert [order[p] for p in or_paths] == sorted(order[p] for p in or_paths)
-        assert [order[p] for p in and_paths] == sorted(order[p] for p in and_paths)
+        # matches come back as strictly ascending pre-order indices
+        assert or_matches == sorted(set(or_matches))
+        assert and_matches == sorted(set(and_matches))
 
 
 def test_root_failing_predicate_means_no_matches():
@@ -130,5 +132,5 @@ def test_root_failing_predicate_means_no_matches():
 
 def test_empty_elements_never_match():
     tree = parse_document("<article><sec/><p>alpha</p></article>", "d")
-    result = match_elements(tree, q(OR, "alpha"))
+    result = support.paths_of(tree, match_elements(tree, q(OR, "alpha")))
     assert [str(path) for path in result] == ["/article[1]/p[1]"]

@@ -63,20 +63,35 @@ def test_match_elements_equals_brute_force(text, terms):
     tree = parse_document(text, "d")
     for mode in (AND, OR):
         query = ElementQuery(terms=frozenset(terms), mode=mode)
-        assert match_elements(tree, query) == support.brute_force_matches(tree, query)
+        matches = match_elements(tree, query)
+        assert matches == sorted(set(matches))
+        assert support.paths_of(tree, matches) == support.brute_force_matches(tree, query)
 
 
 @settings(max_examples=100, deadline=None)
 @given(documents, query_terms)
 def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
     tree = parse_document(text, "d")
-    and_paths = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=AND))
-    or_paths = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=OR))
-    combined = and_paths + [p for p in or_paths if p not in and_paths]
+    and_matches = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=AND))
+    or_matches = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=OR))
+    combined = sorted(set(and_matches) | set(or_matches))  # AND matches may hold OR matches
     if not combined:
         return
-    got = {r.path: r.matches for r in identify_cres("d", combined)}
-    assert got == support.brute_force_cres([node.path for node in tree.nodes], combined)
+    got = {r.path: r.matches for r in identify_cres(tree, combined)}
+    all_paths = [node.path for node in tree.nodes]
+    assert got == support.brute_force_cres(all_paths, support.paths_of(tree, combined))
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, st.data())
+def test_identify_cres_on_any_index_subset_equals_brute_force(text, data):
+    """Any strictly increasing index list, nested members included."""
+    tree = parse_document(text, "d")
+    chosen = data.draw(st.sets(st.integers(0, len(tree.nodes) - 1), min_size=1, max_size=12))
+    matching = sorted(chosen)
+    got = {r.path: r.matches for r in identify_cres(tree, matching)}
+    all_paths = [node.path for node in tree.nodes]
+    assert got == support.brute_force_cres(all_paths, support.paths_of(tree, matching))
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,9 @@ line, never in a traceback."""
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from xmlir import ElementPath, ElementQuery, match_elements, parse_document, read_run_file
+from xmlir import ElementPath, ElementQuery, RunResult, match_elements, parse_document, read_run_file
 from xmlir.matcher import OR
 from xmlir.cli import main
 
@@ -130,6 +131,20 @@ def test_non_finite_run_score_is_rejected(namespaced_workspace, capsys, score):
     assert "Traceback" not in captured.err and "map" not in captured.out
 
 
+def test_element_listed_twice_in_a_topic_is_rejected(namespaced_workspace, capsys):
+    ws = namespaced_workspace
+    run_file = ws / "twice.run"
+    run_file.write_text(f"7\t1\tns/a\t{MATCH_PATH}\t-\txmldb\n" * 2)
+    message = f"{run_file}: line 2: topic 7 lists ns/a {MATCH_PATH} twice"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_run_file(run_file)
+    argv = ["eval", str(run_file), "--assessments", str(ws / "assessments"), "--corpus", str(ws / "corpus")]
+    assert main(argv + ["--metric", "ng-s"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "map" not in captured.out
+
+
 def test_unreadable_assessment_file_is_skipped(namespaced_workspace, capsys):
     ws = namespaced_workspace
     (ws / "assessments" / "x.xml").mkdir()  # a directory is not a readable file
@@ -204,7 +219,7 @@ def test_empty_elements_have_size_zero_and_never_match():
     }
     for terms in ({"alpha"}, {"alpha", "absent"}):
         query = ElementQuery(terms=frozenset(terms), mode=OR)
-        assert [str(path) for path in match_elements(tree, query)] == ["/article[1]/p[2]"]
+        assert [str(tree.nodes[i].path) for i in match_elements(tree, query)] == ["/article[1]/p[2]"]
 
 
 DUPLICATE_TOPICS = """\
@@ -261,3 +276,58 @@ def test_repeated_assessment_topic_id_keeps_the_first_file(tmp_path, capsys, mon
     stats = tmp_path / "stats"
     assert main(["assess-stats", "--assessments", str(assessments), "--out", str(stats)]) == 0
     assert (stats / "categories.tsv").read_text().splitlines()[1:] == ["7\t0\t1\tnarrow"]
+
+
+VALID_RUN = (
+    f"7\t1\tns/a\t{MATCH_PATH}\t0.500000\tfulltext\n"
+    "7\t2\tplain/b\t/article[1]\t0.250000\tfulltext\n"
+    "8\t1\tns/a\t/article[1]/sec[1]/p[1]\t-\txmldb\n"
+).encode()
+
+
+@st.composite
+def mutated_run_files(draw) -> bytes:
+    """A valid run file after a few truncations, byte flips, swapped fields,
+    huge integers and non-UTF-8 bytes."""
+    data = VALID_RUN
+    for kind in draw(st.lists(st.sampled_from(["cut", "flip", "swap", "huge", "bytes"]), min_size=1, max_size=4)):
+        at = draw(st.integers(0, len(data)))
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "swap":
+            lines = data.split(b"\n")
+            row = draw(st.integers(0, len(lines) - 1))
+            fields = lines[row].split(b"\t")
+            i, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+            fields[i], fields[j] = fields[j], fields[i]
+            lines[row] = b"\t".join(fields)
+            data = b"\n".join(lines)
+        elif kind == "huge":
+            digits = draw(st.sampled_from([b"9" * 30, b"9" * 400, b"1" * 5000, b"1e999", b"-0"]))
+            data = data[:at] + digits + data[at:]
+        elif kind == "bytes":
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_run_files(), metric=st.sampled_from(["inex-eval", "ng-s"]))
+def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, data, metric):
+    ws = namespaced_workspace
+    run_file = ws / "fuzzed.run"
+    run_file.write_bytes(data)
+    try:
+        runs = read_run_file(run_file)
+    except ValueError:
+        runs = None
+    assert runs is None or all(isinstance(run, RunResult) for run in runs)
+    capsys.readouterr()
+    argv = ["eval", str(run_file), "--assessments", str(ws / "assessments"), "--corpus", str(ws / "corpus")]
+    code = main(argv + ["--metric", metric])
+    err = capsys.readouterr().err
+    assert code == (1 if runs is None else 0)
+    assert "Traceback" not in err
+    if runs is None:
+        assert re.match(f"error: {re.escape(str(run_file))}: line [0-9]+: ", err)
