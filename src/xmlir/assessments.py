@@ -65,9 +65,13 @@ class AssessmentSet:
 
 
 def parse_assessment_file(path: str | Path) -> AssessmentSet:
-    """Parse one topic's assessment file; raises ValueError on bad content."""
+    """Parse one topic's assessment file; raises ValueError on bad content,
+    including XML that is not well-formed in its declared encoding."""
     source = Path(path)
-    root = ET.fromstring(source.read_text(encoding="utf-8"))
+    try:
+        root = ET.fromstring(source.read_bytes())
+    except (ET.ParseError, LookupError, ValueError) as exc:  # LookupError: unknown declared encoding
+        raise ValueError(f"malformed assessment file {source}: {exc}") from exc
     topic_attr = root.get("topic_id")
     if topic_attr is not None:
         topic_id = int(topic_attr)
@@ -111,7 +115,7 @@ def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[s
     for path in sorted(root.glob("*.xml")):
         try:
             aset = parse_assessment_file(path)
-        except (OSError, ET.ParseError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             diagnostics.append(f"{path.name}: skipped ({exc})")
             continue
         if aset.topic_id in by_topic:

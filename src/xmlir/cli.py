@@ -69,7 +69,7 @@ def _config_defaults() -> dict[str, Any]:
         raise FileNotFoundError(f"config file from {CONFIG_ENV} not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file must hold a JSON object: {path}")

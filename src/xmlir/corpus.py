@@ -6,9 +6,14 @@ relative paths and defines the total order used for tie-breaking everywhere
 downstream.
 
 Each document is held as flat pre-order arrays: one ``ElementNode`` record
-``(path, tokens, subtree_size)`` per element, plus per-term postings,
-subtree ends and parent indices; node ``i``'s subtree is the index range
-``[i, ends[i])`` and its parent is ``parents[i]``.
+``(path, subtree_size)`` per element, plus per-term postings, subtree ends
+and parent indices; node ``i``'s subtree is the index range ``[i, ends[i])``
+and its parent is ``parents[i]``. ``by_path`` finds a node by its path.
+A node's own tokens are not kept: the postings hold every occurrence.
+
+Terms and tags are interned with ``sys.intern``, so a term or tag that
+recurs across documents is one string; within one ``ingest_corpus`` call,
+equal ``(tag, n)`` path steps are also one tuple.
 
 Terms are the maximal runs of ASCII letters and digits in the lowercased
 text: no stemming, no stopword removal, and attributes and markup never
@@ -18,12 +23,13 @@ contribute terms.
 from __future__ import annotations
 
 import re
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .paths import ElementPath
+from .paths import ElementPath, PathStep
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -36,7 +42,6 @@ def tokenize(text: str) -> list[str]:
 @dataclass(frozen=True, eq=False, slots=True)
 class ElementNode:
     path: ElementPath
-    tokens: tuple[str, ...]  # tokens directly inside this node
     subtree_size: int  # token count of this node plus all descendants
 
 
@@ -57,24 +62,32 @@ class DocumentTree:
     def root(self) -> ElementNode:
         return self.nodes[0]
 
-    def node_at(self, path: ElementPath) -> ElementNode | None:
-        return self.by_path.get(path)
-
 
 def parse_document(text: str, doc: str) -> DocumentTree:
     """Parse one XML document into an immutable tree; raises ET.ParseError.
 
     One iterative pre-order pass numbers the nodes and collects their paths,
-    tokens, parents and postings; a reverse pass over ``parents`` then sums
-    subtree sizes and ends, so nesting depth is bounded by memory, not by
-    recursion.
+    own token counts, parents and postings; a reverse pass over ``parents``
+    then sums subtree sizes and ends, so nesting depth is bounded by memory,
+    not by recursion.
     """
+    return _parse(text, doc, {})
+
+
+def _parse(text: str, doc: str, steps: dict[PathStep, PathStep]) -> DocumentTree:
+    """``parse_document``, sharing equal path steps through ``steps``."""
+    intern = sys.intern
+
+    def step(tag: str, n: int) -> PathStep:
+        key = (tag, n)
+        return steps.setdefault(key, key)
+
     top = ET.fromstring(text)
     paths: list[ElementPath] = []
-    tokens: list[tuple[str, ...]] = []
+    sizes: list[int] = []
     parents: list[int] = []
     postings: dict[str, list[int]] = {}
-    stack = [(top, ElementPath.root(top.tag), -1)]
+    stack = [(top, (step(intern(top.tag), 1),), -1)]
     while stack:
         elem, path, parent = stack.pop()
         i = len(paths)
@@ -86,28 +99,28 @@ def parse_document(text: str, doc: str) -> DocumentTree:
                 # a child's tail text sits directly inside this node
                 if child.tail:
                     own.extend(tokenize(child.tail))
-                n = seen[child.tag] = seen.get(child.tag, 0) + 1
-                pending.append((child, path.child(child.tag, n), i))
+                tag = intern(child.tag)
+                n = seen[tag] = seen.get(tag, 0) + 1
+                pending.append((child, path + (step(tag, n),), i))
             stack.extend(reversed(pending))
         for term in own:
             hits = postings.get(term)
             if hits is None:
-                postings[term] = [i]
+                postings[intern(term)] = [i]
             else:
                 hits.append(i)
-        paths.append(path)
-        tokens.append(tuple(own))
+        paths.append(ElementPath(path))
+        sizes.append(len(own))
         parents.append(parent)
 
     count = len(paths)
-    sizes = [len(own) for own in tokens]
     ends = list(range(1, count + 1))
     for i in range(count - 1, 0, -1):  # every descendant of a node comes after it
         parent = parents[i]
         sizes[parent] += sizes[i]
         if ends[i] > ends[parent]:
             ends[parent] = ends[i]
-    nodes = tuple(map(ElementNode, paths, tokens, sizes))
+    nodes = tuple(map(ElementNode, paths, sizes))
     return DocumentTree(
         doc=doc,
         nodes=nodes,
@@ -143,13 +156,14 @@ def ingest_corpus(root_directory: str | Path) -> Corpus:
         raise FileNotFoundError(f"corpus directory not found: {root}")
     docs: dict[str, DocumentTree] = {}
     diagnostics: list[str] = []
+    steps: dict[PathStep, PathStep] = {}
     files = sorted(root.rglob("*.xml"), key=lambda p: p.relative_to(root).as_posix())
     for path in files:
         rel = path.relative_to(root).as_posix()
         doc = rel[: -len(".xml")]
         try:
             text = path.read_text(encoding="utf-8")
-            docs[doc] = parse_document(text, doc)
+            docs[doc] = _parse(text, doc, steps)
         except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: skipped ({exc})")
     return Corpus(docs=docs, diagnostics=diagnostics)

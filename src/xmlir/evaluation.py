@@ -193,7 +193,7 @@ def build_size_map(
     diagnostics: list[str] = []
     for doc, path in sorted(needed, key=lambda p: (p[0], p[1].steps)):
         tree = corpus.docs.get(doc)
-        node = tree.node_at(path) if tree is not None else None
+        node = tree.by_path.get(path) if tree is not None else None
         if node is None:
             sizes[(doc, path)] = 0
             diagnostics.append(f"size unavailable, using 0: {doc} {path}")

@@ -19,7 +19,7 @@ _STEP_RE = re.compile(_STEP)
 _PATH_RE = re.compile(f"(?:{_STEP})+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementPath:
     steps: tuple[PathStep, ...]
 
@@ -29,10 +29,6 @@ class ElementPath:
         for tag, index in self.steps:
             if not tag or index < 1:
                 raise ValueError(f"bad path step ({tag!r}, {index!r})")
-
-    @classmethod
-    def root(cls, tag: str) -> "ElementPath":
-        return cls(((tag, 1),))
 
     @classmethod
     def from_string(cls, text: str) -> "ElementPath":
@@ -55,9 +51,6 @@ class ElementPath:
     def sequence(self) -> SequenceKey:
         """Index projection of the steps, compared lexicographically."""
         return tuple(index for _, index in self.steps)
-
-    def child(self, tag: str, index: int) -> "ElementPath":
-        return ElementPath(self.steps + ((tag, index),))
 
     def is_ancestor_of(self, other: "ElementPath") -> bool:
         """True iff self.steps is a proper prefix of other.steps."""

@@ -106,11 +106,12 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     Structural (non-CO) topics are ignored; a malformed topic element, or a
     later one repeating an earlier ``topic_id``, is skipped with a
     diagnostic rather than failing the whole file. A file that is not
-    well-formed XML raises ValueError.
+    well-formed XML in its declared encoding (UTF-8 by default) raises
+    ValueError.
     """
     try:
-        root = ET.fromstring(Path(path).read_text(encoding="utf-8"))
-    except ET.ParseError as exc:
+        root = ET.fromstring(Path(path).read_bytes())
+    except (ET.ParseError, LookupError, ValueError) as exc:  # LookupError: unknown declared encoding
         raise ValueError(f"malformed topics file {path}: {exc}") from exc
     if root.tag == "inex_topic":
         elements = [root]

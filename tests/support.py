@@ -8,6 +8,8 @@ independent of the implementation paths they verify.
 from __future__ import annotations
 
 import random
+import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from xmlir import (
@@ -24,6 +26,35 @@ from xmlir.matcher import AND
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
     """In-memory corpus; insertion order of the dict is the ingestion order."""
     return Corpus(docs={doc: parse_document(text, doc) for doc, text in docs.items()})
+
+
+_TERM = re.compile(r"[0-9a-z]+")
+
+
+def own_tokens(xml_text: str) -> dict[ElementPath, tuple[str, ...]]:
+    """Each element's own tokens, keyed by path in document order.
+
+    Re-derived with ElementTree alone: an element's own tokens are those of
+    its text and of its children's tails, in that order.
+    """
+    own: dict[ElementPath, tuple[str, ...]] = {}
+
+    def visit(elem: ET.Element, steps: tuple) -> None:
+        texts = [elem.text or ""] + [child.tail or "" for child in elem]
+        own[ElementPath(steps)] = tuple(t for text in texts for t in _TERM.findall(text.lower()))
+        seen: dict[str, int] = {}
+        for child in elem:
+            seen[child.tag] = seen.get(child.tag, 0) + 1
+            visit(child, steps + ((child.tag, seen[child.tag]),))
+
+    top = ET.fromstring(xml_text)
+    visit(top, ((top.tag, 1),))
+    return own
+
+
+def subtree_tokens(own: dict[ElementPath, tuple[str, ...]], path: ElementPath) -> list[str]:
+    """The own tokens of ``path`` and of every element below it."""
+    return [t for p, tokens in own.items() if p == path or path.is_ancestor_of(p) for t in tokens]
 
 
 def subtree(tree: DocumentTree, path: ElementPath) -> list:
@@ -79,21 +110,16 @@ def satisfies(query, present: set[str]) -> bool:
     return bool(query.terms & present)
 
 
-def brute_force_matches(tree: DocumentTree, query) -> list[ElementPath]:
+def brute_force_matches(xml_text: str, query) -> list[ElementPath]:
     """Most-specific satisfiers checked directly on every element."""
-
-    satisfied = {
-        node.path
-        for node in tree.nodes
-        if satisfies(query, {t for n in subtree(tree, node.path) for t in n.tokens})
-    }
-    matches = [
-        node.path
-        for node in tree.nodes  # tree.nodes is document order
-        if node.path in satisfied
-        and not any(other != node.path and node.path.is_ancestor_of(other) for other in satisfied)
+    own = own_tokens(xml_text)
+    satisfied = {path for path in own if satisfies(query, set(subtree_tokens(own, path)))}
+    return [
+        path
+        for path in own  # own is in document order
+        if path in satisfied
+        and not any(other != path and path.is_ancestor_of(other) for other in satisfied)
     ]
-    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +265,16 @@ def naive_strict_ap(relevance_flags: list[bool], recall_base: int) -> float:
     return float(total / 100)
 
 
-def token_regions(tree: DocumentTree) -> dict[ElementPath, frozenset[int]]:
+def token_regions(xml_text: str) -> dict[ElementPath, frozenset[int]]:
     """Each element's subtree as a set of concrete token identifiers."""
-    own: dict[ElementPath, range] = {}
+    ids: dict[ElementPath, range] = {}
     counter = 0
-    for node in tree.nodes:
-        own[node.path] = range(counter, counter + len(node.tokens))
-        counter += len(node.tokens)
+    for path, tokens in own_tokens(xml_text).items():
+        ids[path] = range(counter, counter + len(tokens))
+        counter += len(tokens)
     return {
-        node.path: frozenset(i for n in subtree(tree, node.path) for i in own[n.path])
-        for node in tree.nodes
+        path: frozenset(i for p, own in ids.items() if p == path or path.is_ancestor_of(p) for i in own)
+        for path in ids
     }
 
 
@@ -298,7 +324,7 @@ TAG_POOL = ("sec", "p", "ss1", "ip1", "fig")
 
 def random_tree_paths(rng: random.Random, max_nodes: int = 30) -> list[ElementPath]:
     """Paths of a random tree (root included), in creation order."""
-    root = ElementPath.root("article")
+    root = ElementPath((("article", 1),))
     paths = [root]
     children_of: dict[ElementPath, dict[str, int]] = {root: {}}
     for _ in range(rng.randint(0, max_nodes - 1)):
@@ -306,7 +332,7 @@ def random_tree_paths(rng: random.Random, max_nodes: int = 30) -> list[ElementPa
         tag = rng.choice(TAG_POOL)
         counts = children_of.setdefault(parent, {})
         counts[tag] = counts.get(tag, 0) + 1
-        child = parent.child(tag, counts[tag])
+        child = ElementPath(parent.steps + ((tag, counts[tag]),))
         paths.append(child)
         children_of[child] = {}
     return paths

@@ -269,8 +269,8 @@ def test_c7_ranking_properties():
     import math
 
     tokens = {
-        doc: [t for node in tree.nodes for t in node.tokens]
-        for doc, tree in corpus.docs.items()
+        doc: [t for own in support.own_tokens(docs[doc]).values() for t in own]
+        for doc in corpus.docs
     }
     n = len(tokens)
     avg = sum(len(t) for t in tokens.values()) / n

@@ -253,6 +253,27 @@ def test_malformed_topics_file_is_a_clean_error(workspace, capsys, command):
     assert not (workspace / "out.tsv").exists()
 
 
+def test_non_utf8_topics_file_names_the_file(workspace, capsys):
+    topics = workspace / "latin1-topics.xml"
+    topics.write_bytes(b'<inex_topic topic_id="1" query_type="CO"><keywords>patricia \xff</keywords></inex_topic>')
+    argv = ["run", "--corpus", str(workspace / "corpus"), "--topics", str(topics), "--out", str(workspace / "out.run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed topics file {topics}: not well-formed (invalid token): line 1, column ")
+    assert len(err.splitlines()) == 1
+    assert not (workspace / "out.run").exists()
+
+
+def test_non_utf8_config_file_names_the_file(workspace, monkeypatch, capsys):
+    config_path = workspace / "config.json"
+    config_path.write_bytes(b'{"system": "x\xff"}')
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    assert main(["run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
 def test_assess_stats_outputs(workspace):
     out = workspace / "stats"
     argv = ["assess-stats", "--assessments", str(workspace / "assessments"), "--out", str(out)]

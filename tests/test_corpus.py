@@ -1,13 +1,17 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
+import dataclasses
 import random
+import sys
+import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xmlir import (
+    ElementNode,
     ElementPath,
     ElementQuery,
     build_index,
@@ -21,8 +25,15 @@ import support
 
 
 def subtree_terms(tree, node) -> Counter:
-    """Token multiset of a node and all its descendants."""
-    return Counter(token for n in support.subtree(tree, node.path) for token in n.tokens)
+    """Token multiset of a node and all its descendants, read from the postings."""
+    i = [n.path for n in tree.nodes].index(node.path)
+    return Counter(term for term, hits in tree.postings.items() for j in hits if i <= j < tree.ends[i])
+
+
+def own_terms(tree, node) -> list[str]:
+    """The sorted tokens directly inside a node, read from the postings."""
+    i = tree.nodes.index(node)
+    return sorted(term for term, hits in tree.postings.items() for j in hits if j == i)
 
 
 def test_path_parse_roundtrip():
@@ -61,8 +72,8 @@ def test_ingest_single_file(tmp_path):
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a/x"]
     tree = corpus.docs["a/x"]
-    node = tree.node_at(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
-    assert node is not None and node.tokens == ("hi",)
+    node = tree.by_path.get(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
+    assert node is not None and own_terms(tree, node) == ["hi"]
 
 
 def test_ingest_empty_directory(tmp_path):
@@ -87,43 +98,43 @@ def test_ingest_missing_directory_is_fatal(tmp_path):
 
 def test_resolve_root_and_out_of_range():
     tree = parse_document("<article><sec><p>a</p></sec><sec><p>b</p></sec></article>", "d")
-    assert tree.node_at(ElementPath.from_string("/article[1]")) is tree.root
-    second = tree.node_at(ElementPath.from_string("/article[1]/sec[2]"))
+    assert tree.by_path.get(ElementPath.from_string("/article[1]")) is tree.root
+    second = tree.by_path.get(ElementPath.from_string("/article[1]/sec[2]"))
     assert second is not None and second.path.tag == "sec"
-    assert tree.node_at(ElementPath.from_string("/article[1]/sec[9]")) is None
+    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[9]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
     tree = parse_document("<article><fm/><sec><p>x</p></sec><fig/><sec/></article>", "d")
     # the fourth child overall is only the second <sec>
-    assert tree.node_at(ElementPath.from_string("/article[1]/sec[2]")) is not None
-    assert tree.node_at(ElementPath.from_string("/article[1]/sec[3]")) is None
+    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[2]")) is not None
+    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[3]")) is None
 
 
 def test_subtree_terms_leaf_and_parent():
     tree = parse_document(
         "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>", "d"
     )
-    leaf = tree.node_at(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
+    leaf = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
     assert subtree_terms(tree, leaf) == {"patricia": 1, "tries": 1}
     assert leaf.subtree_size == 2
-    parent = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    parent = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, parent) == {"patricia": 2, "tries": 2}
-    assert parent.tokens == ()
+    assert own_terms(tree, parent) == []
     assert parent.subtree_size == 4
 
 
 def test_subtree_terms_mixed_content():
     tree = parse_document("<article><sec>lead <p>inner</p> tail</sec></article>", "d")
-    sec = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    sec = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, sec) == {"lead": 1, "inner": 1, "tail": 1}
     assert sec.subtree_size == 3
-    assert sorted(sec.tokens) == ["lead", "tail"]  # tail text belongs to <sec>
+    assert own_terms(tree, sec) == ["lead", "tail"]  # tail text belongs to <sec>
 
 
 def test_subtree_terms_unresolvable_path_raises():
     tree = parse_document("<article/>", "d")
-    node = tree.node_at(ElementPath.from_string("/article[1]/sec[1]"))
+    node = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
     assert node is None  # no node, so no subtree terms to count
     with pytest.raises(AttributeError):
         subtree_terms(tree, node)
@@ -140,8 +151,8 @@ def test_path_roundtrip_on_random_trees(seed):
     rng = random.Random(seed)
     tree = parse_document(support.random_xml(rng), "d")
     for node in tree.nodes:
-        assert tree.node_at(node.path) is node
-        assert tree.node_at(ElementPath.from_string(str(node.path))) is node
+        assert tree.by_path.get(node.path) is node
+        assert tree.by_path.get(ElementPath.from_string(str(node.path))) is node
 
 
 def test_prefix_law_and_size_monotonicity():
@@ -171,7 +182,8 @@ def test_reingest_is_deterministic(tmp_path):
     for doc in first.docs:
         a, b = first.docs[doc], second.docs[doc]
         assert [n.path for n in a.nodes] == [n.path for n in b.nodes]
-        assert [n.tokens for n in a.nodes] == [n.tokens for n in b.nodes]
+        assert [n.subtree_size for n in a.nodes] == [n.subtree_size for n in b.nodes]
+        assert a.postings == b.postings
 
 
 def test_ingest_skips_directory_named_like_a_document(tmp_path):
@@ -228,3 +240,71 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
     assert matches(AND, "alpha", "zeta") == []
     index = build_index(corpus)
     assert index.postings["alpha"] == [("deep", 1)]
+
+
+def _elementtree_layout(text: str):
+    """Paths, postings, subtree sizes, ends and parents re-derived with
+    ElementTree: pre-order is ``iter()`` order, as in ``support.own_tokens``."""
+    own = support.own_tokens(text)
+    elements = list(ET.fromstring(text).iter())
+    position = {id(elem): i for i, elem in enumerate(elements)}
+    counts = [len(tokens) for tokens in own.values()]
+    parents = [-1] * len(elements)
+    for elem in elements:
+        for child in elem:
+            parents[position[id(child)]] = position[id(elem)]
+    ends = [position[id(elem)] + len(list(elem.iter())) for elem in elements]
+    sizes = [sum(counts[position[id(below)]] for below in elem.iter()) for elem in elements]
+    postings: dict[str, list[int]] = {}
+    for i, tokens in enumerate(own.values()):
+        for term in tokens:
+            postings.setdefault(term, []).append(i)
+    return list(own), {term: tuple(hits) for term, hits in postings.items()}, sizes, ends, parents
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_parse_document_equals_elementtree_rederivation(seed):
+    text = support.random_xml(random.Random(seed))
+    tree = parse_document(text, "d")
+    paths, postings, sizes, ends, parents = _elementtree_layout(text)
+    assert [node.path for node in tree.nodes] == paths
+    assert tree.postings == postings
+    assert [node.subtree_size for node in tree.nodes] == sizes
+    assert list(tree.ends) == ends
+    assert list(tree.parents) == parents
+
+
+def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
+    support.write_corpus(tmp_path, {
+        "a": "<article><sec><p>shared alpha</p></sec></article>",
+        "b": "<article><fm/><sec>beta shared</sec></article>",
+    })
+    corpus = ingest_corpus(tmp_path)
+    a, b = corpus.docs["a"], corpus.docs["b"]
+    (term_a,) = (term for term in a.postings if term == "shared")
+    (term_b,) = (term for term in b.postings if term == "shared")
+    assert term_a is term_b is sys.intern("shared")
+    sec_a = a.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
+    sec_b = b.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
+    assert sec_a.steps[-1] == ("sec", 1)
+    assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
+    assert sec_a.tag is sec_b.tag is sys.intern("sec")
+    assert a.root.path.steps[0] is b.root.path.steps[0]
+    assert a.nodes[2].path.steps[1] is sec_a.steps[-1]  # the <p> below shares it too
+
+
+def test_separately_parsed_documents_share_terms_and_tags():
+    a = parse_document("<article><sec>shared</sec></article>", "a")
+    b = parse_document("<article><sec>x shared</sec></article>", "b")
+    (term_a,) = a.postings
+    assert term_a is next(term for term in b.postings if term == "shared")
+    assert a.nodes[1].path.tag is b.nodes[1].path.tag
+
+
+def test_node_record_holds_only_path_and_size():
+    assert [field.name for field in dataclasses.fields(ElementNode)] == ["path", "subtree_size"]
+    tree = parse_document("<article><p>x</p></article>", "d")
+    for node in tree.nodes:
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(node.path, "__dict__")

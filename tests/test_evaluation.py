@@ -114,7 +114,7 @@ def _sizes_and_regions(docs: dict[str, str]):
         for doc, tree in corpus.docs.items()
         for node in tree.nodes
     }
-    regions = {doc: support.token_regions(tree) for doc, tree in corpus.docs.items()}
+    regions = {doc: support.token_regions(docs[doc]) for doc in corpus.docs}
     return sizes, regions
 
 

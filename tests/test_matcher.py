@@ -28,17 +28,17 @@ def test_or_single_occurrence_returns_deepest_container():
 
 
 def test_and_terms_spread_across_siblings():
-    tree = parse_document(
+    text = (
         "<article><bdy>"
         "<sec><p>alpha only</p><p>beta only</p></sec>"
         "<sec><p>unrelated</p></sec>"
-        "</bdy></article>",
-        "d",
+        "</bdy></article>"
     )
+    tree = parse_document(text, "d")
     result = support.paths_of(tree, match_elements(tree, q(AND, "alpha", "beta")))
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
-    assert result == support.brute_force_matches(tree, q(AND, "alpha", "beta"))
+    assert result == support.brute_force_matches(text, q(AND, "alpha", "beta"))
 
 
 def test_or_absent_term_yields_empty():
@@ -95,17 +95,20 @@ def test_most_specific_law_against_oracle():
     rng = random.Random(101)
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
     for _ in range(150):
-        tree = parse_document(support.random_xml(rng), "d")
+        text = support.random_xml(rng)
+        tree = parse_document(text, "d")
         terms = rng.sample(vocab, rng.randint(1, 3))
         for mode in (AND, OR):
             query = q(mode, *terms)
-            assert support.paths_of(tree, match_elements(tree, query)) == support.brute_force_matches(tree, query)
+            assert support.paths_of(tree, match_elements(tree, query)) == support.brute_force_matches(text, query)
 
 
 def test_antichain_and_lattice_laws():
     rng = random.Random(202)
     for _ in range(100):
-        tree = parse_document(support.random_xml(rng), "d")
+        text = support.random_xml(rng)
+        tree = parse_document(text, "d")
+        own = support.own_tokens(text)
         and_query = q(AND, "alpha", "beta")
         or_query = q(OR, "alpha", "beta")
         and_matches = match_elements(tree, and_query)
@@ -118,7 +121,7 @@ def test_antichain_and_lattice_laws():
                     assert a == b or not a.is_ancestor_of(b)
         # every AND match's subtree also satisfies the OR predicate
         for path in and_paths:
-            terms = {t for n in support.subtree(tree, path) for t in n.tokens}
+            terms = set(support.subtree_tokens(own, path))
             assert support.satisfies(or_query, terms)
         # matches come back as strictly ascending pre-order indices
         assert or_matches == sorted(set(or_matches))

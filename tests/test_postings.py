@@ -65,7 +65,7 @@ def test_match_elements_equals_brute_force(text, terms):
         query = ElementQuery(terms=frozenset(terms), mode=mode)
         matches = match_elements(tree, query)
         assert matches == sorted(set(matches))
-        assert support.paths_of(tree, matches) == support.brute_force_matches(tree, query)
+        assert support.paths_of(tree, matches) == support.brute_force_matches(text, query)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,14 +104,16 @@ def test_postings_ends_parents_agree_with_walk(text):
     assert [n.path.tag for n in nodes] == [e.tag for e in ET.fromstring(text).iter()]
     assert len(tree.ends) == len(tree.parents) == len(nodes)
     index_of = {node.path: i for i, node in enumerate(nodes)}
+    own = support.own_tokens(text)
+    assert list(own) == [node.path for node in nodes]
 
     postings: dict[str, list[int]] = {}
     for i, node in enumerate(nodes):
-        for term in node.tokens:
+        for term in own[node.path]:
             postings.setdefault(term, []).append(i)
         below = [index_of[n.path] for n in support.subtree(tree, node.path)]
         assert below == list(range(i, tree.ends[i]))
-        assert node.subtree_size == sum(len(nodes[j].tokens) for j in below)
+        assert node.subtree_size == sum(len(own[nodes[j].path]) for j in below)
         parent = ElementPath(node.path.steps[:-1]) if node.path.depth > 1 else None
         assert tree.parents[i] == index_of.get(parent, -1)
     assert tree.postings == {term: tuple(hits) for term, hits in postings.items()}
@@ -122,8 +124,8 @@ def test_postings_ends_parents_agree_with_walk(text):
 def test_build_index_tf_equals_token_counter(texts):
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
     expected: dict[str, list[tuple[str, int]]] = {}
-    for tree in corpus.trees():
-        counts = Counter(t for node in tree.nodes for t in node.tokens)
+    for tree, text in zip(corpus.trees(), texts):
+        counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
         for term in sorted(counts):
             expected.setdefault(term, []).append((tree.doc, counts[term]))
     assert build_index(corpus).postings == expected

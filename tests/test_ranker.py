@@ -59,16 +59,16 @@ def test_build_index_against_counting_oracle():
     docs = {f"d{i}": support.random_xml(rng) for i in range(3)}
     corpus = support.corpus_from_strings(docs)
     index = build_index(corpus)
-    for doc, tree in corpus.docs.items():
+    for doc in corpus.docs:
         counts = Counter()
-        for node in tree.nodes:
-            counts.update(node.tokens)
+        for tokens in support.own_tokens(docs[doc]).values():
+            counts.update(tokens)
         for term, tf in counts.items():
             assert (doc, tf) in index.postings[term]
         assert index.doc_lengths[doc] == sum(counts.values())
     for term, plist in index.postings.items():
         assert len(plist) == sum(
-            1 for tree in corpus.trees() if any(term in n.tokens for n in tree.nodes)
+            1 for text in docs.values() if any(term in tokens for tokens in support.own_tokens(text).values())
         )
 
 
@@ -98,7 +98,7 @@ def test_rank_matches_formula_oracle_on_10_docs():
     docs = {f"d{i}": support.random_xml(rng) for i in range(10)}
     corpus = support.corpus_from_strings(docs)
     tokens = {
-        doc: [t for n in tree.nodes for t in n.tokens] for doc, tree in corpus.docs.items()
+        doc: [t for own in support.own_tokens(docs[doc]).values() for t in own] for doc in corpus.docs
     }
     index = build_index(corpus)
     query = ["alpha", "beta", "alpha"]

@@ -8,7 +8,19 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from xmlir import ElementPath, ElementQuery, RunResult, match_elements, parse_document, read_run_file
+from xmlir import (
+    AssessmentSet,
+    ElementPath,
+    ElementQuery,
+    RunResult,
+    Topic,
+    load_assessments,
+    match_elements,
+    parse_assessment_file,
+    parse_document,
+    parse_topics,
+    read_run_file,
+)
 from xmlir.matcher import OR
 from xmlir.cli import main
 
@@ -71,7 +83,7 @@ def test_namespaced_paths_round_trip():
     for node in tree.nodes:
         text = str(node.path)
         assert ElementPath.from_string(text) == node.path
-        assert tree.node_at(ElementPath.from_string(text)) is node
+        assert tree.by_path.get(ElementPath.from_string(text)) is node
 
 
 @pytest.mark.parametrize(
@@ -286,10 +298,10 @@ VALID_RUN = (
 
 
 @st.composite
-def mutated_run_files(draw) -> bytes:
-    """A valid run file after a few truncations, byte flips, swapped fields,
-    huge integers and non-UTF-8 bytes."""
-    data = VALID_RUN
+def mutated(draw, valid: bytes, separator: bytes) -> bytes:
+    """A valid file after a few truncations, byte flips, swapped
+    ``separator``-delimited fields, huge integers and non-UTF-8 bytes."""
+    data = valid
     for kind in draw(st.lists(st.sampled_from(["cut", "flip", "swap", "huge", "bytes"]), min_size=1, max_size=4)):
         at = draw(st.integers(0, len(data)))
         if kind == "cut":
@@ -299,10 +311,10 @@ def mutated_run_files(draw) -> bytes:
         elif kind == "swap":
             lines = data.split(b"\n")
             row = draw(st.integers(0, len(lines) - 1))
-            fields = lines[row].split(b"\t")
+            fields = lines[row].split(separator)
             i, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
             fields[i], fields[j] = fields[j], fields[i]
-            lines[row] = b"\t".join(fields)
+            lines[row] = separator.join(fields)
             data = b"\n".join(lines)
         elif kind == "huge":
             digits = draw(st.sampled_from([b"9" * 30, b"9" * 400, b"1" * 5000, b"1e999", b"-0"]))
@@ -313,7 +325,7 @@ def mutated_run_files(draw) -> bytes:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated_run_files(), metric=st.sampled_from(["inex-eval", "ng-s"]))
+@given(data=mutated(VALID_RUN, b"\t"), metric=st.sampled_from(["inex-eval", "ng-s"]))
 def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, data, metric):
     ws = namespaced_workspace
     run_file = ws / "fuzzed.run"
@@ -331,3 +343,80 @@ def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, d
     assert "Traceback" not in err
     if runs is None:
         assert re.match(f"error: {re.escape(str(run_file))}: line [0-9]+: ", err)
+
+
+VALID_TOPICS = (
+    "<inex_topics>\n"
+    '<inex_topic topic_id="7" query_type="CO"><title>Patricia Tries</title><keywords>patricia, tries</keywords></inex_topic>\n'
+    '<inex_topic topic_id="8" query_type="CO"><keywords>compact storage</keywords></inex_topic>\n'
+    '<inex_topic topic_id="9" query_type="CAS"><keywords>other</keywords></inex_topic>\n'
+    "</inex_topics>\n"
+).encode()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated(VALID_TOPICS, b'"'))
+def test_mutated_topics_files_parse_or_fail_cleanly(namespaced_workspace, capsys, data):
+    ws = namespaced_workspace
+    topics_file = ws / "fuzzed-topics.xml"
+    topics_file.write_bytes(data)
+    try:
+        topics, _ = parse_topics(topics_file)
+    except ValueError:
+        topics = None
+    assert topics is None or all(isinstance(topic, Topic) for topic in topics)
+    capsys.readouterr()
+    argv = [
+        "run", "--corpus", str(ws / "corpus"), "--topics", str(topics_file),
+        "--system", "xmldb", "--out", str(ws / "fuzzed.run"),
+    ]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == (1 if topics is None else 0)
+    assert "Traceback" not in err
+    if topics is None:
+        assert err.startswith(f"error: malformed topics file {topics_file}: ")
+
+
+VALID_ASSESSMENT = (
+    '<assessments topic_id="7">\n'
+    '<file file="ns/a">\n'
+    f'<path E="3" S="3" path="{MATCH_PATH}"/>\n'
+    f'<path E="2" S="1" path="/{NS}article[1]"/>\n'
+    "</file>\n"
+    '<file file="plain/b"><path E="3" S="3" path="/article[1]/p[1]"/></file>\n'
+    "</assessments>\n"
+).encode()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated(VALID_ASSESSMENT, b'"'), metric=st.sampled_from(["inex-eval", "ng-s"]))
+def test_mutated_assessment_files_parse_or_skip_cleanly(namespaced_workspace, capsys, data, metric):
+    ws = namespaced_workspace
+    assessments = ws / "assessments"
+    assessment_file = assessments / "7.xml"
+    assessment_file.write_bytes(data)
+    try:
+        parsed = parse_assessment_file(assessment_file)
+    except ValueError:
+        parsed = None
+    assert parsed is None or isinstance(parsed, AssessmentSet)
+    sets, diagnostics = load_assessments(assessments)
+    if parsed is None:
+        assert sets == [] and len(diagnostics) == 1
+        assert diagnostics[0].startswith("7.xml: skipped (")
+    else:
+        assert sets == [parsed] and diagnostics == []
+
+    run_file = ws / "ns.run"
+    run_file.write_text(f"7\t1\tns/a\t{MATCH_PATH}\t-\txmldb\n")
+    capsys.readouterr()
+    for argv in (
+        ["eval", str(run_file), "--assessments", str(assessments), "--corpus", str(ws / "corpus"),
+         "--metric", metric, "--out", str(ws / "scores.tsv")],
+        ["assess-stats", "--assessments", str(assessments), "--out", str(ws / "stats")],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or (code == 1 and err.startswith("error: "))
