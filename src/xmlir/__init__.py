@@ -45,9 +45,6 @@ from .pipeline import (
     execute,
     parse_topics,
     read_run_file,
-    run_fulltext,
-    run_hybrid,
-    run_xmldb,
     translate_topic,
     write_run_file,
 )

@@ -37,11 +37,15 @@ CHOICES = {
     "category": CATEGORY_CHOICES,
     "metric": evaluation.METRICS,
 }
-# the JSON type a config-file value must have where its flag converts or is a switch
+# the JSON type a config-file value must have where its flag converts, is a switch or names a path
 JSON_TYPES = {
     "cre": ("boolean", (bool,)),
     "slope": ("number", (int, float)),
     "max_results": ("integer", (int,)),
+    "corpus": ("string", (str,)),
+    "topics": ("string", (str,)),
+    "assessments": ("string", (str,)),
+    "out": ("string", (str,)),
 }
 _DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
 
@@ -160,24 +164,30 @@ def _filter_topics(
     sets: list[assess.AssessmentSet],
     category: str,
     warn: Warn,
-) -> dict[int, assess.AssessmentSet]:
-    """Assessment sets that fall in the requested category; uncategorizable
-    topics (no highly relevant elements) are dropped with a diagnostic."""
+) -> tuple[dict[int, assess.AssessmentSet], dict[int, str]]:
+    """Assessment sets that fall in the requested category, and why each
+    other assessed topic is left out; uncategorizable topics (no highly
+    relevant elements) are also reported with a diagnostic."""
     kept: dict[int, assess.AssessmentSet] = {}
+    left_out: dict[int, str] = {}
     for aset in sets:
         try:
             topic_category = assess.categorize_topic(aset)
         except ValueError as exc:
             warn(f"assessments: {exc}; excluded")
+            left_out[aset.topic_id] = "no highly relevant elements"
             continue
         if category == "all" or topic_category == category:
             kept[aset.topic_id] = aset
-    return kept
+        else:
+            left_out[aset.topic_id] = f"{topic_category}, not {category}"
+    return kept, left_out
 
 
 def _score_runs(
     runs: list[pipeline.RunResult],
     judged: dict[int, assess.AssessmentSet],
+    left_out: dict[int, str],
     case: str,
     metric: str,
     corpus: Corpus | None,
@@ -199,7 +209,8 @@ def _score_runs(
     for run in runs:
         aset = judged.get(run.topic_id)
         if aset is None:
-            warn(f"topic {run.topic_id}: no matching assessments; skipped")
+            reason = left_out.get(run.topic_id, "no matching assessments")
+            warn(f"topic {run.topic_id}: {reason}; skipped")
             continue
         judgment = evaluation.quantize(aset, case)
         entries = [(e.doc, e.path) for e in run.entries]
@@ -234,8 +245,8 @@ def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
     if metric != evaluation.METRIC_STRICT:
         corpus = _load_corpus(args, defaults)
     warn = _warn_once()
-    judged = _filter_topics(sets, category, warn)
-    per_topic = _score_runs(runs, judged, case, metric, corpus, warn)
+    judged, left_out = _filter_topics(sets, category, warn)
+    per_topic = _score_runs(runs, judged, left_out, case, metric, corpus, warn)
     label = evaluation.METRIC_LABELS[metric]
     lines = [f"topic\tap\t{label}/{case}/{category}"]
     for topic_id in sorted(per_topic):
@@ -278,7 +289,8 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
                 warn(f"topic {topic.id}: skipped ({exc})")
         for case in assess.RELEVANCE_CASES:
             for category in CATEGORY_CHOICES:
-                per_topic = _score_runs(runs, judged_by_category[category], case, metric, corpus, warn)
+                judged, left_out = judged_by_category[category]
+                per_topic = _score_runs(runs, judged, left_out, case, metric, corpus, warn)
                 if per_topic:
                     map_value = f"{evaluation.mean_average_precision(per_topic):.6f}"
                 else:

@@ -13,7 +13,7 @@ A node's own tokens are not kept: the postings hold every occurrence.
 
 Terms and tags are interned with ``sys.intern``, so a term or tag that
 recurs across documents is one string; within one ``ingest_corpus`` call,
-equal ``(tag, n)`` path steps are also one tuple.
+equal paths are also one ``ElementPath``.
 
 Terms are the maximal runs of ASCII letters and digits in the lowercased
 text: no stemming, no stopword removal, and attributes and markup never
@@ -74,22 +74,20 @@ def parse_document(text: str, doc: str) -> DocumentTree:
     return _parse(text, doc, {})
 
 
-def _parse(text: str, doc: str, steps: dict[PathStep, PathStep]) -> DocumentTree:
-    """``parse_document``, sharing equal path steps through ``steps``."""
+def _parse(text: str, doc: str, shared: dict[tuple[PathStep, ...], ElementPath]) -> DocumentTree:
+    """``parse_document``, sharing equal paths through ``shared`` (keyed by steps)."""
     intern = sys.intern
-
-    def step(tag: str, n: int) -> PathStep:
-        key = (tag, n)
-        return steps.setdefault(key, key)
-
     top = ET.fromstring(text)
     paths: list[ElementPath] = []
     sizes: list[int] = []
     parents: list[int] = []
     postings: dict[str, list[int]] = {}
-    stack = [(top, (step(intern(top.tag), 1),), -1)]
+    stack = [(top, ((intern(top.tag), 1),), -1)]
     while stack:
-        elem, path, parent = stack.pop()
+        elem, steps, parent = stack.pop()
+        path = shared.get(steps)
+        if path is None:
+            path = shared[steps] = ElementPath(steps)
         i = len(paths)
         own = tokenize(elem.text or "")
         if len(elem):
@@ -101,7 +99,7 @@ def _parse(text: str, doc: str, steps: dict[PathStep, PathStep]) -> DocumentTree
                     own.extend(tokenize(child.tail))
                 tag = intern(child.tag)
                 n = seen[tag] = seen.get(tag, 0) + 1
-                pending.append((child, path + (step(tag, n),), i))
+                pending.append((child, path.steps + ((tag, n),), i))
             stack.extend(reversed(pending))
         for term in own:
             hits = postings.get(term)
@@ -109,7 +107,7 @@ def _parse(text: str, doc: str, steps: dict[PathStep, PathStep]) -> DocumentTree
                 postings[intern(term)] = [i]
             else:
                 hits.append(i)
-        paths.append(ElementPath(path))
+        paths.append(path)
         sizes.append(len(own))
         parents.append(parent)
 
@@ -156,14 +154,14 @@ def ingest_corpus(root_directory: str | Path) -> Corpus:
         raise FileNotFoundError(f"corpus directory not found: {root}")
     docs: dict[str, DocumentTree] = {}
     diagnostics: list[str] = []
-    steps: dict[PathStep, PathStep] = {}
+    shared: dict[tuple[PathStep, ...], ElementPath] = {}
     files = sorted(root.rglob("*.xml"), key=lambda p: p.relative_to(root).as_posix())
     for path in files:
         rel = path.relative_to(root).as_posix()
         doc = rel[: -len(".xml")]
         try:
             text = path.read_text(encoding="utf-8")
-            docs[doc] = _parse(text, doc, steps)
+            docs[doc] = _parse(text, doc, shared)
         except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(f"{rel}: skipped ({exc})")
     return Corpus(docs=docs, diagnostics=diagnostics)

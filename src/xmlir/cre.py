@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import DocumentTree
-from .paths import ElementPath, SequenceKey
+from .paths import ElementPath
 
 _MATCH_KEYS = ("M", "m")
 _PATH_KEYS = ("P", "p")
@@ -80,16 +80,6 @@ class CoherentElement:
     doc: str
     path: ElementPath
     matches: int  # matching elements lying strictly below this path
-
-    @property
-    def length(self) -> int:
-        """Number of path steps."""
-        return self.path.depth
-
-    @property
-    def sequence(self) -> SequenceKey:
-        """Sibling-index projection of the path."""
-        return self.path.sequence()
 
 
 def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentElement]:

@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 PathStep = tuple[str, int]
-SequenceKey = tuple[int, ...]
 
 _STEP = r"/((?:\{[^}]*\})?[^/\[\]{}]+)\[([0-9]+)\]"  # optional {uri}, local name, [index]
 _STEP_RE = re.compile(_STEP)
@@ -47,10 +46,6 @@ class ElementPath:
     @property
     def tag(self) -> str:
         return self.steps[-1][0]
-
-    def sequence(self) -> SequenceKey:
-        """Index projection of the steps, compared lexicographically."""
-        return tuple(index for _, index in self.steps)
 
     def is_ancestor_of(self, other: "ElementPath") -> bool:
         """True iff self.steps is a proper prefix of other.steps."""

@@ -1,16 +1,19 @@
 """Per-topic retrieval systems composed into capped, ranked answer lists.
 
-Five system configurations exist:
+The five system configurations vary on two axes. The article stream is
+either the fulltext ranking (pivoted-cosine score order) or, for ``xmldb``,
+the documents holding a query term (found from the article index) in
+ingestion order. The answer unit is the whole article, the AND-then-OR
+match list, or the ranked coherent elements (``cre``):
 
-* ``fulltext``: whole articles by pivoted-cosine score;
-* ``xmldb``: element matches for the documents holding a query term (found
-  from the article index), in ingestion order: the AND answer list followed
-  by OR answers not already in it, with no scores;
-* ``xmldb`` + coherent elements: each document's combined match list is
-  replaced by its ranked coherent elements;
-* ``hybrid``: per article in ranked-article order, that article's
-  AND-then-OR match list;
-* ``hybrid`` + coherent elements: likewise with ranked coherent elements.
+* ``fulltext``: ranked articles, whole, with their scores;
+* ``xmldb``: over the term-holding articles, the AND answer list followed by
+  the OR answers not already in it, with no scores;
+* ``xmldb`` + coherent elements: per term-holding article, its ranked
+  coherent elements;
+* ``hybrid``: per ranked article, its AND-then-OR match list;
+* ``hybrid`` + coherent elements: per ranked article, its ranked coherent
+  elements.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -32,7 +35,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus import Corpus, DocumentTree, tokenize
 from .cre import DEFAULT_COMBO, HeuristicCombo, identify_cres, rank_cres
@@ -91,6 +94,10 @@ class RunEntry:
     doc: str
     path: ElementPath
     score: float | None
+
+
+# one answer before capping: document, element path, and score (None for elements)
+Answer = tuple[str, ElementPath, float | None]
 
 
 @dataclass
@@ -175,99 +182,68 @@ def _combined_matches(tree: DocumentTree, query: TopicQuery) -> list[int]:
     return and_matches + [i for i in match_elements(tree, query.or_query) if i not in and_set]
 
 
-def run_fulltext(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
-    """Whole-article answers in descending score order."""
-    query = translate_topic(topic)
-    ranked = rank_articles(index, query.bag, config)
-    entries = tuple(
-        RunEntry(rank=a.rank, doc=a.doc, path=corpus.docs[a.doc].root.path, score=a.score)
-        for a in ranked
-    )
-    return RunResult(topic_id=topic.id, system_tag=config.tag, entries=entries)
-
-
-def run_xmldb(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
-    """Element answers for the documents holding a query term, in ingestion order.
-
-    A document without any query term has no AND, OR or coherent-element
-    answer, so only the union of the terms' article postings is matched. The
-    OR answers are drawn lazily and stop at the global cap.
-    """
-    query = translate_topic(topic)
-    holders = {doc for term in query.or_query.terms for doc, _ in index.postings.get(term, ())}
-    trees = [corpus.docs[doc] for doc in sorted(holders, key=index.doc_order.__getitem__)]
-    if config.cre:
-        pairs = _cre_pairs_per_doc(trees, query, config)
-    else:
-        and_matches = list(collection_match(trees, query.and_query))
-        and_set = set(and_matches)
-        or_extras = (m for m in collection_match(trees, query.or_query) if m not in and_set)
-        pairs = ((tree.doc, tree.nodes[i].path) for tree, i in itertools.chain(and_matches, or_extras))
-    return RunResult(
-        topic_id=topic.id,
-        system_tag=config.tag,
-        entries=_capped_entries(pairs, config),
-    )
-
-
-def run_hybrid(topic: Topic, corpus: Corpus, index: InvertedIndex, config: SystemConfig) -> RunResult:
-    """Element answers drawn from articles in ranked-article order."""
-    query = translate_topic(topic)
-    ranked = rank_articles(index, query.bag, config)
-    trees = (corpus.docs[a.doc] for a in ranked)
-    if config.cre:
-        pairs = _cre_pairs_per_doc(trees, query, config)
-    else:
-        pairs = ((tree.doc, tree.nodes[i].path) for tree in trees for i in _combined_matches(tree, query))
-    return RunResult(
-        topic_id=topic.id,
-        system_tag=config.tag,
-        entries=_capped_entries(pairs, config),
-    )
-
-
-def _cre_pairs_per_doc(
+def _cre_answers(
     trees: Iterable[DocumentTree],
     query: TopicQuery,
     config: SystemConfig,
-) -> Iterable[tuple[str, ElementPath]]:
+) -> Iterator[Answer]:
     for tree in trees:
         matching = sorted(_combined_matches(tree, query))
         if not matching:
             continue
         for record in rank_cres(identify_cres(tree, matching), config.combo):
-            yield (tree.doc, record.path)
+            yield (tree.doc, record.path, None)
 
 
-def _capped_entries(
-    pairs: Iterable[tuple[str, ElementPath]],
-    config: SystemConfig,
-) -> tuple[RunEntry, ...]:
-    """Apply the per-article and global caps; element entries carry no score."""
+def _capped_entries(answers: Iterable[Answer], config: SystemConfig) -> tuple[RunEntry, ...]:
+    """Apply the per-article and global caps, numbering the entries kept."""
     n = config.n_per_article
     per_doc: dict[str, int] = {}
     entries: list[RunEntry] = []
-    for doc, path in pairs:
+    for doc, path, score in answers:
         if n is not None:
             taken = per_doc.get(doc, 0)
             if taken >= n:
                 continue
             per_doc[doc] = taken + 1
-        entries.append(RunEntry(rank=len(entries) + 1, doc=doc, path=path, score=None))
+        entries.append(RunEntry(rank=len(entries) + 1, doc=doc, path=path, score=score))
         if len(entries) >= config.max_results:
             break
     return tuple(entries)
 
 
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
-    """Dispatch one topic through the configured system."""
+    """Run one topic through the configured system.
+
+    ``xmldb`` matches only the documents holding a query term, since no other
+    document has an AND, OR or coherent-element answer; its OR answers are
+    drawn lazily and stop at the global cap. Raises ValueError without an
+    index or for a topic without keyword terms.
+    """
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
-    if config.system == FULLTEXT:
-        return run_fulltext(topic, corpus, index, config)
+    query = translate_topic(topic)
     if config.system == XMLDB:
-        return run_xmldb(topic, corpus, index, config)
-    return run_hybrid(topic, corpus, index, config)
+        holders = {doc for term in query.or_query.terms for doc, _ in index.postings.get(term, ())}
+        # a list, since both the AND and the OR pass read it
+        trees: Iterable[DocumentTree] = [
+            corpus.docs[doc] for doc in sorted(holders, key=index.doc_order.__getitem__)
+        ]
+    else:
+        ranked = rank_articles(index, query.bag, config)
+        trees = (corpus.docs[a.doc] for a in ranked)
+    if config.system == FULLTEXT:
+        answers = ((a.doc, corpus.docs[a.doc].root.path, a.score) for a in ranked)
+    elif config.cre:
+        answers = _cre_answers(trees, query, config)
+    elif config.system == XMLDB:
+        and_matches = list(collection_match(trees, query.and_query))
+        and_set = set(and_matches)
+        or_extras = (m for m in collection_match(trees, query.or_query) if m not in and_set)
+        answers = ((tree.doc, tree.nodes[i].path, None) for tree, i in itertools.chain(and_matches, or_extras))
+    else:
+        answers = ((tree.doc, tree.nodes[i].path, None) for tree in trees for i in _combined_matches(tree, query))
+    return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
 
 
 def format_run_lines(run: RunResult) -> list[str]:

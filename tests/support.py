@@ -198,6 +198,11 @@ def brute_force_cres(
     }
 
 
+def sequence(path: ElementPath) -> tuple[int, ...]:
+    """The sibling-index projection of a path, compared lexicographically."""
+    return tuple(index for _, index in path.steps)
+
+
 def naive_cre_key(record: CoherentElement, combo):
     """Reference sort key for ``rank_cres``, one comparison component per letter."""
 
@@ -207,13 +212,13 @@ def naive_cre_key(record: CoherentElement, combo):
         if letter == "m":
             return record.matches
         if letter == "P":
-            return -record.length
-        return record.length
+            return -record.path.depth
+        return record.path.depth
 
     if combo.tiebreak == "B":
-        seq = record.sequence
+        seq = sequence(record.path)
     else:
-        seq = tuple(-i for i in record.sequence)
+        seq = tuple(-i for i in sequence(record.path))
     # doc + full path make the order total: distinct sibling-index sequences
     # are not guaranteed (e.g. /article[1]/bdy[1] vs /article[1]/bm[1]).
     return (

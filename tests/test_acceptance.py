@@ -73,7 +73,7 @@ def test_c1_coherent_element_fixture_exactness(sample_tree, sample_or_matches):
         key=lambda pair: pair[0],
     )
     elapsed, ranked = best
-    got = [(r.path, r.matches, r.length, r.sequence) for r in ranked]
+    got = [(r.path, r.matches, r.path.depth, support.sequence(r.path)) for r in ranked]
     assert got == expected
     assert elapsed < 0.001, f"took {elapsed * 1e3:.3f} ms"
     print(f"\n[acceptance] 1 PASS coherent-element fixture exact, {elapsed * 1e6:.0f} us")

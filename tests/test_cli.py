@@ -114,7 +114,7 @@ def test_eval_perfect_run_scores_map_one(workspace):
     assert any(row.startswith("117\t1.000000") for row in rows)
 
 
-def test_eval_category_filter_excludes_other_topics(workspace):
+def test_eval_category_filter_excludes_other_topics(workspace, capsys):
     # topic 117's general view is one whole article: a broad topic
     run_file = _write_run(workspace)
     report = workspace / "broad.tsv"
@@ -129,10 +129,12 @@ def test_eval_category_filter_excludes_other_topics(workspace):
         "eval", str(run_file), "--assessments", str(workspace / "assessments"),
         "--category", "narrow", "--out", str(narrow_report),
     ]
+    capsys.readouterr()
     assert main(argv) == 0
     assert not any(
         line.startswith("117\t") for line in narrow_report.read_text().splitlines()
     )
+    assert capsys.readouterr().err.splitlines() == ["topic 117: broad, not narrow; skipped", "no scoreable topics"]
 
 
 def test_eval_ng_modes_agree_when_run_has_no_overlap(workspace):
@@ -211,19 +213,26 @@ def test_malformed_config_file_names_the_file(workspace, monkeypatch, capsys):
         ("run", {"n": "5"}),
         ("run", {"max_results": True}),
         ("run", {"slope": "0.5"}),
+        ("run", {"corpus": 5}),
+        ("run", {"out": 7}),
+        ("run", {"topics": True}),
+        ("assess-stats", {"assessments": 5}),
     ],
-    ids=["metric-eval", "metric-report", "case", "category", "cre", "n", "max_results", "slope"],
+    ids=["metric-eval", "metric-report", "case", "category", "cre", "n", "max_results", "slope",
+         "corpus", "out", "topics", "assessments"],
 )
 def test_bad_config_file_value_is_a_clean_error(workspace, monkeypatch, capsys, command, config):
     run_file = _write_run(workspace, system="xmldb")
     out = workspace / "out"
     argv = {
-        "run": ["run", "--system", "hybrid"],
-        "eval": ["eval", str(run_file), "--assessments", str(workspace / "assessments")],
+        "run": ["run", "--system", "hybrid", "--corpus", str(workspace / "corpus")],
+        "eval": ["eval", str(run_file), "--assessments", str(workspace / "assessments"),
+                 "--corpus", str(workspace / "corpus")],
         "report": ["report", "--topics", str(workspace / "topics.xml"),
-                   "--assessments", str(workspace / "assessments")],
+                   "--assessments", str(workspace / "assessments"), "--corpus", str(workspace / "corpus")],
+        "assess-stats": ["assess-stats"],
     }[command]
-    argv += ["--corpus", str(workspace / "corpus"), "--out", str(out)]
+    argv += ["--out", str(out)]
     config_path = workspace / "config.json"
     config_path.write_text(json.dumps(config))
     monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
@@ -232,6 +241,8 @@ def test_bad_config_file_value_is_a_clean_error(workspace, monkeypatch, capsys, 
     (name,) = config
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config_path}: {name} ")
+    if name in ("corpus", "topics", "assessments", "out"):
+        assert err == f"error: {config_path}: {name} must be a JSON string, not {json.dumps(config[name])}\n"
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -303,6 +314,9 @@ def test_report_grid_shape(workspace, capsys):
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == len(set(err_lines))
     assert "topic 118: no matching assessments; skipped" in err_lines
+    # topic 117 is assessed, so only its category keeps it out of the narrow rows
+    assert "topic 117: broad, not narrow; skipped" in err_lines
+    assert "topic 117: no matching assessments; skipped" not in err_lines
     rows = [line.split("\t") for line in out.read_text().splitlines()]
     assert rows[0] == ["system", "n", "case", "category", "metric", "topics", "map"]
     body = rows[1:]
@@ -310,6 +324,23 @@ def test_report_grid_shape(workspace, capsys):
     assert len(body) == 13 * 9
     systems = {row[0] for row in body}
     assert systems == {"fulltext", "xmldb", "xmldb-cre", "hybrid", "hybrid-cre"}
+
+
+def test_report_names_each_skipped_topics_category(tmp_path, monkeypatch, capsys):
+    # every synthetic topic is assessed; each is left out of the other category's rows
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    ws = support.build_synthetic_workspace(tmp_path)
+    argv = [
+        "report", "--corpus", str(ws["corpus"]), "--topics", str(ws["topics"]),
+        "--assessments", str(ws["assessments"]), "--out", str(tmp_path / "grid.tsv"),
+    ]
+    assert main(argv) == 0
+    expected = [
+        f"topic {topic}: broad, not narrow; skipped" if topic in support.BROAD_TOPICS
+        else f"topic {topic}: narrow, not broad; skipped"
+        for topic in range(1, support.N_TOPICS + 1)
+    ]
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(expected)
 
 
 def test_module_entry_point_runs_as_subprocess(workspace):

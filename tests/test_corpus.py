@@ -41,7 +41,7 @@ def test_path_parse_roundtrip():
     path = ElementPath.from_string(text)
     assert str(path) == text
     assert path.steps == (("article", 1), ("bdy", 1), ("sec", 2))
-    assert path.sequence() == (1, 1, 2)
+    assert support.sequence(path) == (1, 1, 2)
     assert path.tag == "sec"
 
 
@@ -288,6 +288,7 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
     sec_a = a.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
     sec_b = b.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
     assert sec_a.steps[-1] == ("sec", 1)
+    assert sec_a is sec_b  # one ElementPath per distinct path per ingest
     assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
     assert sec_a.tag is sec_b.tag is sys.intern("sec")
     assert a.root.path.steps[0] is b.root.path.steps[0]

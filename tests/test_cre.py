@@ -39,7 +39,7 @@ def test_invalid_combo_codes_rejected(bad):
 def test_known_or_list_produces_known_ranking(sample_tree, sample_or_matches):
     cres = identify_cres(sample_tree, sample_or_matches)
     ranked = rank_cres(cres, HeuristicCombo.from_string("MpE"))
-    got = [(str(r.path), r.matches, r.length, r.sequence) for r in ranked]
+    got = [(str(r.path), r.matches, r.path.depth, support.sequence(r.path)) for r in ranked]
     assert got == EXPECTED_CRES_MPE
     assert all(r.doc == SAMPLE_DOC_ID for r in ranked)
 
@@ -50,14 +50,14 @@ def test_singleton_input_returns_the_matching_element():
     assert len(cres) == 1
     assert cres[0].path == P("/article[1]/bdy[1]/sec[1]/p[1]")
     assert cres[0].matches == 1
-    assert cres[0].length == 4
-    assert cres[0].sequence == (1, 1, 1, 1)
+    assert cres[0].path.depth == 4
+    assert support.sequence(cres[0].path) == (1, 1, 1, 1)
 
 
 def test_two_siblings_qualify_only_their_parent():
     tree = parse_document("<article><bdy><sec><p/><p/></sec></bdy></article>", "d")
     cres = identify_cres(tree, [3, 4])
-    got = {(str(r.path), r.matches, r.length) for r in cres}
+    got = {(str(r.path), r.matches, r.path.depth) for r in cres}
     # bdy and article hold both items under a single child, so neither qualifies
     assert got == {("/article[1]/bdy[1]/sec[1]", 2, 3)}
 
@@ -93,7 +93,7 @@ def test_sequence_tiebreak_directions():
 def test_path_length_primary_ordering(sample_tree, sample_or_matches):
     cres = identify_cres(sample_tree, sample_or_matches)
     ranked = rank_cres(cres, HeuristicCombo.from_string("PME"))
-    got = [(str(r.path), r.matches, r.length) for r in ranked]
+    got = [(str(r.path), r.matches, r.path.depth) for r in ranked]
     assert got == [
         ("/article[1]/bdy[1]/sec[2]/ss1[1]", 2, 4),
         ("/article[1]/bm[1]/app[1]/sec[2]", 2, 4),
@@ -122,7 +122,7 @@ def test_direction_reversal_is_antisymmetric(sample_tree, sample_or_matches):
     forward = rank_cres(cres, HeuristicCombo.from_string("pME"))
     backward = rank_cres(cres, HeuristicCombo.from_string("pmE"))
     for a, b in itertools.combinations(cres, 2):
-        if a.length != b.length or a.matches == b.matches:
+        if a.path.depth != b.path.depth or a.matches == b.matches:
             continue
         assert (forward.index(a) < forward.index(b)) != (backward.index(a) < backward.index(b))
 

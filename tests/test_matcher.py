@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from xmlir import ElementQuery, SystemConfig, Topic, build_index, match_elements, parse_document, run_xmldb
+from xmlir import ElementQuery, SystemConfig, Topic, build_index, execute, match_elements, parse_document
 from xmlir.matcher import AND, OR
 
 import support
@@ -59,7 +59,7 @@ def test_empty_query_rejected():
 
 
 def _xmldb_pairs(corpus, *keywords):
-    run = run_xmldb(Topic(id=1, keywords=keywords), corpus, build_index(corpus), SystemConfig(system="xmldb"))
+    run = execute(Topic(id=1, keywords=keywords), corpus, build_index(corpus), SystemConfig(system="xmldb"))
     return [(e.doc, e.path) for e in run.entries]
 
 

@@ -15,9 +15,6 @@ from xmlir import (
     parse_topics,
     rank_articles,
     read_run_file,
-    run_fulltext,
-    run_hybrid,
-    run_xmldb,
     translate_topic,
     write_run_file,
 )
@@ -95,7 +92,7 @@ def test_fulltext_run_paths_are_document_roots():
         {"d1": "<article>patricia</article>", "d2": "<article>other</article>"}
     )
     config = SystemConfig(system=FULLTEXT)
-    run = run_fulltext(topic("patricia"), corpus, build_index(corpus), config)
+    run = execute(topic("patricia"), corpus, build_index(corpus), config)
     assert [e.doc for e in run.entries] == ["d1"]
     assert all(e.path == P("/article[1]") for e in run.entries)
     assert all(e.score is not None for e in run.entries)
@@ -104,14 +101,14 @@ def test_fulltext_run_paths_are_document_roots():
 
 def test_fulltext_no_match_is_empty():
     corpus = support.corpus_from_strings({"d1": "<article>something</article>"})
-    run = run_fulltext(topic("absent"), corpus, build_index(corpus), SystemConfig(system=FULLTEXT))
+    run = execute(topic("absent"), corpus, build_index(corpus), SystemConfig(system=FULLTEXT))
     assert run.entries == ()
 
 
 def test_fulltext_global_cap():
     docs = {f"d{i:04d}": "<article>patricia filler</article>" for i in range(2000)}
     corpus = support.corpus_from_strings(docs)
-    run = run_fulltext(topic("patricia"), corpus, build_index(corpus), SystemConfig(system=FULLTEXT))
+    run = execute(topic("patricia"), corpus, build_index(corpus), SystemConfig(system=FULLTEXT))
     assert len(run.entries) == 1500
     assert [e.rank for e in run.entries] == list(range(1, 1501))
 
@@ -126,7 +123,7 @@ def test_xmldb_empty_and_list_equals_or_list():
     # gamma never occurs, so no element satisfies the AND query
     t = topic("alpha", "gamma")
     config = SystemConfig(system=XMLDB)
-    run = run_xmldb(t, corpus, build_index(corpus), config)
+    run = execute(t, corpus, build_index(corpus), config)
     or_list = support.naive_collection_match(corpus, translate_topic(t).or_query)
     assert [(e.doc, e.path) for e in run.entries] == or_list
     assert all(e.score is None for e in run.entries)
@@ -139,7 +136,7 @@ def test_xmldb_and_matches_precede_or_extras():
             "d2": "<article><sec><p>beta</p></sec></article>",
         }
     )
-    run = run_xmldb(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
+    run = execute(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
     entries = [(e.doc, str(e.path)) for e in run.entries]
     # d1's sec[1] holds both terms; every other match arrives from the OR list
     assert entries[0] == ("d1", "/article[1]/sec[1]")
@@ -153,7 +150,7 @@ def test_xmldb_matches_hand_built_expectation():
             "b": "<article><sec><p>beta</p></sec></article>",
         }
     )
-    run = run_xmldb(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
+    run = execute(topic("alpha", "beta"), corpus, build_index(corpus), SystemConfig(system=XMLDB))
     assert [(e.doc, str(e.path)) for e in run.entries] == [
         ("a", "/article[1]/sec[1]/p[1]"),   # AND answer list first
         ("a", "/article[1]/sec[2]/p[1]"),   # then OR answers not already present
@@ -180,7 +177,7 @@ def test_xmldb_equals_full_scan(docs, terms, cre, n_per_article, max_results):
     corpus = support.corpus_from_strings(docs)
     t = topic(*sorted(terms))
     config = SystemConfig(system=XMLDB, cre=cre, n_per_article=n_per_article, max_results=max_results)
-    run = run_xmldb(t, corpus, build_index(corpus), config)
+    run = execute(t, corpus, build_index(corpus), config)
     assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(corpus, translate_topic(t), config)
     assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
     assert all(e.score is None for e in run.entries)
@@ -242,8 +239,8 @@ def test_single_article_hybrid_equals_xmldb():
     for cre in (False, True):
         config_x = SystemConfig(system=XMLDB, cre=cre)
         config_h = SystemConfig(system=HYBRID, cre=cre)
-        xml_run = run_xmldb(t, corpus, build_index(corpus), config_x)
-        hybrid_run = run_hybrid(t, corpus, build_index(corpus), config_h)
+        xml_run = execute(t, corpus, build_index(corpus), config_x)
+        hybrid_run = execute(t, corpus, build_index(corpus), config_h)
         assert [(e.doc, e.path) for e in xml_run.entries] == [
             (e.doc, e.path) for e in hybrid_run.entries
         ]
@@ -260,9 +257,9 @@ def test_hybrid_article_rank_overrides_ingestion_order():
     index = build_index(corpus)
     ranked = [a.doc for a in rank_articles(index, translate_topic(t).bag)]
     assert ranked == ["late", "early"]
-    hybrid = run_hybrid(t, corpus, index, SystemConfig(system=HYBRID))
+    hybrid = execute(t, corpus, index, SystemConfig(system=HYBRID))
     assert [e.doc for e in hybrid.entries] == ["late", "early"]
-    xmldb = run_xmldb(t, corpus, index, SystemConfig(system=XMLDB))
+    xmldb = execute(t, corpus, index, SystemConfig(system=XMLDB))
     assert [e.doc for e in xmldb.entries] == ["early", "late"]
 
 
@@ -273,7 +270,7 @@ def test_hybrid_cre_top_entry_is_the_article(sample_or_paths):
     assert [str(path) for _, path in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
     config = SystemConfig(system=HYBRID, cre=True, combo=HeuristicCombo.from_string("MpE"),
                           n_per_article=1)
-    run = run_hybrid(t, corpus, build_index(corpus), config)
+    run = execute(t, corpus, build_index(corpus), config)
     assert [(e.doc, str(e.path)) for e in run.entries] == [("ic/1999/w4095", "/article[1]")]
     assert run.system_tag == "hybrid-cre"
 
@@ -285,7 +282,7 @@ def test_per_article_and_global_caps():
         docs[f"d{i}"] = f"<article>{body}</article>"
     corpus = support.corpus_from_strings(docs)
     config = SystemConfig(system=XMLDB, n_per_article=2, max_results=9)
-    run = run_xmldb(topic("alpha"), corpus, build_index(corpus), config)
+    run = execute(topic("alpha"), corpus, build_index(corpus), config)
     assert len(run.entries) == 9  # cut mid-article at the global cap
     per_doc = {}
     for e in run.entries:
@@ -320,7 +317,7 @@ def test_hybrid_docs_form_subsequence_of_article_ranking():
     index = build_index(corpus)
     ranking = [a.doc for a in rank_articles(index, translate_topic(t).bag)]
     for cre in (False, True):
-        run = run_hybrid(t, corpus, index, SystemConfig(system=HYBRID, cre=cre))
+        run = execute(t, corpus, index, SystemConfig(system=HYBRID, cre=cre))
         seen = []
         for e in run.entries:
             if not seen or seen[-1] != e.doc:
