@@ -2,15 +2,18 @@
 assessments, and emit summary tables.
 
 Subcommands: ``run``, ``eval``, ``report``, ``assess-stats``.
-Any option may also come from a JSON config file named by the
-``XMLIR_CONFIG`` environment variable; explicit command-line values win.
+Each option is defined once, by its flag in ``build_parser``. A JSON config
+file named by the ``XMLIR_CONFIG`` environment variable may set any option
+under its dest (the flag without ``--``, ``-`` written ``_``); its values
+become the subcommand's defaults, so command-line values win and the
+built-in defaults apply last. A config value is checked against its flag's
+choices or kind, and a key that names no option is an error.
 Diagnostics go to stderr, each distinct line once.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -28,25 +31,6 @@ CONFIG_ENV = "XMLIR_CONFIG"
 
 N_CHOICES = ("1", "10", "all")
 CATEGORY_CHOICES = ("all", assess.BROAD, assess.NARROW)
-# the allowed values of each option, for its flag and its config-file key alike
-CHOICES = {
-    "system": pipeline.SYSTEMS,
-    "n": N_CHOICES,
-    "combo": COMBO_CODES,
-    "case": assess.RELEVANCE_CASES,
-    "category": CATEGORY_CHOICES,
-    "metric": evaluation.METRICS,
-}
-# the JSON type a config-file value must have where its flag converts, is a switch or names a path
-JSON_TYPES = {
-    "cre": ("boolean", (bool,)),
-    "slope": ("number", (int, float)),
-    "max_results": ("integer", (int,)),
-    "corpus": ("string", (str,)),
-    "topics": ("string", (str,)),
-    "assessments": ("string", (str,)),
-    "out": ("string", (str,)),
-}
 _DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
 
 Warn = Callable[[str], None]
@@ -64,7 +48,20 @@ def _warn_once() -> Warn:
     return warn
 
 
-def _config_defaults() -> dict[str, Any]:
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _json_kind(action: argparse.Action) -> tuple[str, tuple[type, ...]]:
+    """The JSON kind a config value for ``action``'s flag must have, and the Python types that hold it."""
+    if action.nargs == 0:  # a switch
+        return "boolean", (bool,)
+    return {float: ("number", (int, float)), int: ("integer", (int,))}.get(action.type, ("string", (str,)))
+
+
+def _config_defaults(parser: argparse.ArgumentParser) -> dict[str, Any]:
+    """The config file's values, each checked against the option of that dest."""
     named = os.environ.get(CONFIG_ENV)
     if not named:
         return {}
@@ -77,75 +74,64 @@ def _config_defaults() -> dict[str, Any]:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file must hold a JSON object: {path}")
+    commands = _subcommands(parser).values()
+    options = {a.dest: a for c in commands for a in c._actions if a.option_strings and a.dest != "help"}
     for name, value in data.items():
-        allowed = CHOICES.get(name)
-        if allowed is not None and value not in allowed:
-            raise ValueError(f"{path}: {name} must be one of {json.dumps(allowed)}, not {json.dumps(value)}")
-        if name in JSON_TYPES:
-            kind, types = JSON_TYPES[name]
-            if type(value) not in types:  # so a JSON true is no integer
-                raise ValueError(f"{path}: {name} must be a JSON {kind}, not {json.dumps(value)}")
+        action = options.get(name)
+        if action is None:
+            raise ValueError(f"{path}: unknown option {json.dumps(name)}")
+        if action.choices is not None:
+            if value not in action.choices:
+                raise ValueError(f"{path}: {name} must be one of {json.dumps(action.choices)}, not {json.dumps(value)}")
+            continue
+        kind, types = _json_kind(action)
+        if type(value) not in types:  # so a JSON true is no integer
+            raise ValueError(f"{path}: {name} must be a JSON {kind}, not {json.dumps(value)}")
     return data
 
 
-def _opt(args: argparse.Namespace, defaults: dict[str, Any], name: str, fallback: Any = None) -> Any:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in defaults:
-        return defaults[name]
-    return fallback
-
-
-def _parse_n(value: str) -> int | None:
-    return None if value == "all" else int(value)
-
-
-def _system_config(args: argparse.Namespace, defaults: dict[str, Any]) -> pipeline.SystemConfig:
+def _system_config(args: argparse.Namespace, system: str, cre: bool, n: str) -> pipeline.SystemConfig:
     return pipeline.SystemConfig(
-        system=_opt(args, defaults, "system", pipeline.FULLTEXT),
-        cre=_opt(args, defaults, "cre", False),
-        combo=HeuristicCombo.from_string(_opt(args, defaults, "combo", str(_DEFAULTS.combo))),
-        n_per_article=_parse_n(_opt(args, defaults, "n", "all")),
-        slope=float(_opt(args, defaults, "slope", _DEFAULTS.slope)),
-        max_results=int(_opt(args, defaults, "max_results", _DEFAULTS.max_results)),
+        system=system,
+        cre=cre,
+        combo=HeuristicCombo.from_string(args.combo),
+        n_per_article=None if n == "all" else int(n),
+        slope=float(args.slope),
+        max_results=args.max_results,
     )
 
 
-def _load_corpus(args: argparse.Namespace, defaults: dict[str, Any]) -> Corpus:
-    corpus_dir = _opt(args, defaults, "corpus")
-    if not corpus_dir:
+def _load_corpus(args: argparse.Namespace) -> Corpus:
+    if not args.corpus:
         raise ValueError("--corpus is required")
-    corpus = ingest_corpus(corpus_dir)
+    corpus = ingest_corpus(args.corpus)
     for line in corpus.diagnostics:
         print(f"corpus: {line}", file=sys.stderr)
     return corpus
 
 
-def _load_topics(args: argparse.Namespace, defaults: dict[str, Any]) -> list[pipeline.Topic]:
-    topics_file = _opt(args, defaults, "topics")
-    if not topics_file:
+def _load_topics(args: argparse.Namespace) -> list[pipeline.Topic]:
+    if not args.topics:
         raise ValueError("--topics is required")
-    topics, diagnostics = pipeline.parse_topics(topics_file)
+    topics, diagnostics = pipeline.parse_topics(args.topics)
     for line in diagnostics:
         print(f"topics: {line}", file=sys.stderr)
     return topics
 
 
-def _load_assessment_sets(args: argparse.Namespace, defaults: dict[str, Any]) -> list[assess.AssessmentSet]:
-    assessments_dir = _opt(args, defaults, "assessments")
-    if not assessments_dir:
+def _load_assessment_sets(args: argparse.Namespace) -> list[assess.AssessmentSet]:
+    if not args.assessments:
         raise ValueError("--assessments is required")
-    sets, diagnostics = assess.load_assessments(assessments_dir)
+    sets, diagnostics = assess.load_assessments(args.assessments)
     for line in diagnostics:
         print(f"assessments: {line}", file=sys.stderr)
     return sets
 
 
-def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    config = _system_config(args, defaults)
-    corpus = _load_corpus(args, defaults)
-    topics = _load_topics(args, defaults)
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _system_config(args, args.system, args.cre, args.n)
+    corpus = _load_corpus(args)
+    topics = _load_topics(args)
     index = build_index(corpus)
     runs = []
     for topic in topics:
@@ -153,7 +139,7 @@ def cmd_run(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
             runs.append(pipeline.execute(topic, corpus, index, config))
         except ValueError as exc:
             print(f"topic {topic.id}: skipped ({exc})", file=sys.stderr)
-    out = Path(_opt(args, defaults, "out", f"{config.tag}.run"))
+    out = Path(args.out or f"{config.tag}.run")
     out.parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_run_file(out, runs)
     print(f"wrote {sum(len(r.entries) for r in runs)} entries for {len(runs)} topics to {out}")
@@ -194,25 +180,25 @@ def _score_runs(
     warn: Warn,
 ) -> dict[int, float]:
     per_topic: dict[int, float] = {}
+    judgments = {r.topic_id: evaluation.quantize(judged[r.topic_id], case) for r in runs if r.topic_id in judged}
     sizes: dict[tuple[str, ElementPath], int] | None = None
     if metric != evaluation.METRIC_STRICT:
         if corpus is None:
             raise ValueError(f"metric {metric} needs --corpus for element sizes")
         needed: set[tuple[str, ElementPath]] = set()
         for run in runs:
-            if run.topic_id in judged:
+            if run.topic_id in judgments:
                 needed.update((e.doc, e.path) for e in run.entries)
-                needed.update(evaluation.quantize(judged[run.topic_id], case).relevant)
+                needed.update(judgments[run.topic_id].relevant)
         sizes, diagnostics = evaluation.build_size_map(corpus, needed)
         for line in diagnostics:
             warn(f"sizes: {line}")
     for run in runs:
-        aset = judged.get(run.topic_id)
-        if aset is None:
+        judgment = judgments.get(run.topic_id)
+        if judgment is None:
             reason = left_out.get(run.topic_id, "no matching assessments")
             warn(f"topic {run.topic_id}: {reason}; skipped")
             continue
-        judgment = evaluation.quantize(aset, case)
         entries = [(e.doc, e.path) for e in run.entries]
         try:
             if metric == evaluation.METRIC_STRICT:
@@ -235,15 +221,13 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     runs = pipeline.read_run_file(args.run_file)
-    sets = _load_assessment_sets(args, defaults)
-    case = _opt(args, defaults, "case", assess.ORIGINAL)
-    category = _opt(args, defaults, "category", "all")
-    metric = _opt(args, defaults, "metric", evaluation.METRIC_STRICT)
+    sets = _load_assessment_sets(args)
+    case, category, metric = args.case, args.category, args.metric
     corpus = None
     if metric != evaluation.METRIC_STRICT:
-        corpus = _load_corpus(args, defaults)
+        corpus = _load_corpus(args)
     warn = _warn_once()
     judged, left_out = _filter_topics(sets, category, warn)
     per_topic = _score_runs(runs, judged, left_out, case, metric, corpus, warn)
@@ -255,31 +239,29 @@ def cmd_eval(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
         lines.append(f"map\t{evaluation.mean_average_precision(per_topic):.6f}")
     else:
         print("no scoreable topics", file=sys.stderr)
-    _write_lines(_opt(args, defaults, "out"), lines)
+    _write_lines(args.out, lines)
     return 0
 
 
-def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    corpus = _load_corpus(args, defaults)
-    topics = _load_topics(args, defaults)
-    sets = _load_assessment_sets(args, defaults)
-    metric = _opt(args, defaults, "metric", evaluation.METRIC_STRICT)
-    base = _system_config(args, defaults)
+def cmd_report(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
+    topics = _load_topics(args)
+    sets = _load_assessment_sets(args)
     index = build_index(corpus)
 
-    cells = [(dataclasses.replace(base, system=pipeline.FULLTEXT, cre=False, n_per_article=None), "-")]
+    # the grid sets the system, cre and n of every cell; the options give the rest
+    cells = [(_system_config(args, pipeline.FULLTEXT, False, "all"), "-")]
     for system in (pipeline.XMLDB, pipeline.HYBRID):
         for cre in (False, True):
             for n_label in N_CHOICES:
-                config = dataclasses.replace(base, system=system, cre=cre, n_per_article=_parse_n(n_label))
-                cells.append((config, n_label))
+                cells.append((_system_config(args, system, cre, n_label), n_label))
 
     warn = _warn_once()
     judged_by_category = {
         category: _filter_topics(sets, category, warn) for category in CATEGORY_CHOICES
     }
     lines = ["system\tn\tcase\tcategory\tmetric\ttopics\tmap"]
-    label = evaluation.METRIC_LABELS[metric]
+    label = evaluation.METRIC_LABELS[args.metric]
     for config, n_label in cells:
         runs = []
         for topic in topics:
@@ -290,7 +272,7 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
         for case in assess.RELEVANCE_CASES:
             for category in CATEGORY_CHOICES:
                 judged, left_out = judged_by_category[category]
-                per_topic = _score_runs(runs, judged, left_out, case, metric, corpus, warn)
+                per_topic = _score_runs(runs, judged, left_out, case, args.metric, corpus, warn)
                 if per_topic:
                     map_value = f"{evaluation.mean_average_precision(per_topic):.6f}"
                 else:
@@ -298,14 +280,14 @@ def cmd_report(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
                 lines.append(
                     f"{config.tag}\t{n_label}\t{case}\t{category}\t{label}\t{len(per_topic)}\t{map_value}"
                 )
-    _write_lines(_opt(args, defaults, "out"), lines)
+    _write_lines(args.out, lines)
     return 0
 
 
-def cmd_assess_stats(args: argparse.Namespace, defaults: dict[str, Any]) -> int:
-    sets = _load_assessment_sets(args, defaults)
+def cmd_assess_stats(args: argparse.Namespace) -> int:
+    sets = _load_assessment_sets(args)
     scoreable = [s for s in sets if assess.highly_relevant(s)]
-    out_dir = Path(_opt(args, defaults, "out", "assess-stats"))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case in assess.RELEVANCE_CASES:
         counts = assess.element_distribution(scoreable, case)
@@ -335,27 +317,32 @@ def _add_corpus_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--combo", choices=CHOICES["combo"], metavar="{MpB..pME}",
-                        help=f"coherent-element ranking heuristics (default {_DEFAULTS.combo})")
-    parser.add_argument("--slope", type=float,
-                        help=f"length-normalization slope (default {_DEFAULTS.slope})")
-    parser.add_argument("--max-results", dest="max_results", type=int,
-                        help=f"global answer-list cap (default {_DEFAULTS.max_results})")
+    parser.add_argument("--combo", choices=COMBO_CODES, default=str(_DEFAULTS.combo), metavar="{MpB..pME}",
+                        help="coherent-element ranking heuristics (default: %(default)s)")
+    parser.add_argument("--slope", type=float, default=_DEFAULTS.slope,
+                        help="length-normalization slope (default: %(default)s)")
+    parser.add_argument("--max-results", dest="max_results", type=int, default=_DEFAULTS.max_results,
+                        help="global answer-list cap (default: %(default)s)")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", choices=CHOICES["system"])
-    parser.add_argument("--cre", action="store_true", default=None,
+    parser.add_argument("--system", choices=pipeline.SYSTEMS, default=pipeline.FULLTEXT,
+                        help="retrieval system (default: %(default)s)")
+    parser.add_argument("--cre", action="store_true",
                         help="replace match lists with ranked coherent elements")
-    parser.add_argument("--n", choices=CHOICES["n"], help="retrieved elements per article")
+    parser.add_argument("--n", choices=N_CHOICES, default="all",
+                        help="retrieved elements per article (default: %(default)s)")
     _add_ranking_options(parser)
 
 
 def _add_eval_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--assessments", help="directory of per-topic assessment files")
-    parser.add_argument("--case", choices=CHOICES["case"])
-    parser.add_argument("--category", choices=CHOICES["category"])
-    parser.add_argument("--metric", choices=CHOICES["metric"])
+    parser.add_argument("--case", choices=assess.RELEVANCE_CASES, default=assess.ORIGINAL,
+                        help="relevance case (default: %(default)s)")
+    parser.add_argument("--category", choices=CATEGORY_CHOICES, default="all",
+                        help="topic category (default: %(default)s)")
+    parser.add_argument("--metric", choices=evaluation.METRICS, default=evaluation.METRIC_STRICT,
+                        help="evaluation metric (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_option(p)
     p.add_argument("--topics", help="topics file")
     _add_run_options(p)
-    p.add_argument("--out", help="run file to write")
+    p.add_argument("--out", help="run file to write (default: <system tag>.run)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a run file against assessments")
@@ -384,13 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", help="topics file")
     p.add_argument("--assessments", help="directory of per-topic assessment files")
     _add_ranking_options(p)
-    p.add_argument("--metric", choices=CHOICES["metric"])
+    p.add_argument("--metric", choices=evaluation.METRICS, default=evaluation.METRIC_STRICT,
+                   help="evaluation metric (default: %(default)s)")
     p.add_argument("--out", help="grid file (default: stdout)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("assess-stats", help="tag distributions and topic categories")
     p.add_argument("--assessments", help="directory of per-topic assessment files")
-    p.add_argument("--out", help="output directory (default: assess-stats)")
+    p.add_argument("--out", default="assess-stats", help="output directory (default: %(default)s)")
     p.set_defaults(func=cmd_assess_stats)
 
     return parser
@@ -398,10 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # --help and usage errors come before the config file is read
     try:
-        defaults = _config_defaults()
-        return args.func(args, defaults)
+        # config values become the subcommand's defaults, so flags still win
+        _subcommands(parser)[args.command].set_defaults(**_config_defaults(parser))
+        args = parser.parse_args(argv)
+        return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

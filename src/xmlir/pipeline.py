@@ -272,6 +272,8 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
     if score is not None and not math.isfinite(score):
         raise ValueError(f"score must be finite, not {raw_score!r}")
     entry = RunEntry(rank=int(rank), doc=doc, path=ElementPath.from_string(raw_path), score=score)
+    if entry.rank < 1:
+        raise ValueError(f"rank must be at least 1, not {entry.rank}")
     return int(topic_id), entry, tag
 
 
@@ -279,14 +281,15 @@ def read_run_file(path: str | Path) -> list[RunResult]:
     """Parse a run file back into per-topic results, preserving order.
 
     Lines end at LF, CR or CR LF. Each topic's lines must form one
-    contiguous block that lists each element once. A malformed line (a
-    non-finite score or bytes that are not UTF-8 included), a topic whose
-    block starts again after another topic's, or an element listed twice in
-    one topic raises ValueError naming the file and the line number.
+    contiguous block that lists each element once, in increasing rank from
+    1 up. A malformed line (a non-finite score, a rank below 1 or bytes that
+    are not UTF-8 included), a topic whose block starts again after another
+    topic's, an element listed twice in one topic, or a rank not above the
+    one before it raises ValueError naming the file and the line number.
     """
     grouped: dict[int, dict[tuple[str, ElementPath], RunEntry]] = {}
     tags: dict[int, str] = {}
-    current = None
+    current = previous = None
     for number, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
@@ -297,9 +300,11 @@ def read_run_file(path: str | Path) -> list[RunResult]:
                 raise ValueError(f"topic {topic_id} starts a second block")
             if (entry.doc, entry.path) in grouped.get(topic_id, ()):
                 raise ValueError(f"topic {topic_id} lists {entry.doc} {entry.path} twice")
+            if topic_id == current and entry.rank <= previous:
+                raise ValueError(f"topic {topic_id} ranks {entry.rank} after {previous}")
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: line {number}: {exc}") from None
-        current = topic_id
+        current, previous = topic_id, entry.rank
         grouped.setdefault(topic_id, {})[entry.doc, entry.path] = entry
         tags[topic_id] = tag
     return [

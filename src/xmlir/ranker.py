@@ -35,7 +35,6 @@ class RankParams:
 class ScoredArticle:
     doc: str
     score: float
-    rank: int
 
 
 @dataclass(eq=False)
@@ -99,4 +98,4 @@ def rank_articles(
         scored.append((doc, raw / norm))
     scored.sort(key=lambda item: (-item[1], index.doc_order[item[0]]))
     del scored[params.max_results :]
-    return [ScoredArticle(doc=doc, score=score, rank=i + 1) for i, (doc, score) in enumerate(scored)]
+    return [ScoredArticle(doc=doc, score=score) for doc, score in scored]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from xmlir.cli import main
+from xmlir.cli import _subcommands, build_parser, main
 
 import support
 from conftest import SAMPLE_ARTICLE_XML, SAMPLE_ASSESSMENT_XML, SAMPLE_TOPIC_XML
@@ -202,6 +202,72 @@ def test_malformed_config_file_names_the_file(workspace, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: {config_path}: Expecting ")
 
 
+def _command_argv(workspace, command, out):
+    """A command line that runs ``command`` on the workspace and writes ``out``."""
+    corpus, topics, assessments = (str(workspace / name) for name in ("corpus", "topics.xml", "assessments"))
+    argv = {
+        "run": ["run", "--system", "hybrid", "--corpus", corpus, "--topics", topics],
+        "eval": ["eval", "--assessments", assessments, "--corpus", corpus],
+        "report": ["report", "--topics", topics, "--assessments", assessments, "--corpus", corpus],
+        "assess-stats": ["assess-stats", "--assessments", assessments],
+    }[command]
+    if command == "eval":
+        argv.append(str(_write_run(workspace, system="xmldb")))
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("config", [{"sytem": "xmldb"}, {"max-results": 1}], ids=["misspelt", "flag-spelling"])
+def test_unknown_config_key_is_a_clean_error(workspace, monkeypatch, capsys, config):
+    out = workspace / "out.run"
+    argv = _command_argv(workspace, "run", out)
+    config_path = workspace / "config.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    assert main(argv) == 1
+    (name,) = config
+    assert capsys.readouterr().err == f'error: {config_path}: unknown option "{name}"\n'
+    assert not out.exists()
+
+
+OPTION_DEFAULTS = [
+    (command, action.dest, action.default)
+    for command, parser in _subcommands(build_parser()).items()
+    for action in parser._actions
+    if action.option_strings and action.dest != "help"
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, default", OPTION_DEFAULTS, ids=[f"{command}-{name}" for command, name, _ in OPTION_DEFAULTS]
+)
+def test_every_option_takes_its_default_from_the_config_file(workspace, monkeypatch, capsys, command, name, default):
+    # an option without a built-in default names a path, which the command line gives
+    out = workspace / "out"
+    argv = _command_argv(workspace, command, out)
+    config_path = workspace / "config.json"
+    config_path.write_text(json.dumps({name: "unused" if default is None else default}))
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert out.exists()
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["run", "--help"], 0), (["run", "--system", "bogus"], 2)], ids=["help", "usage"]
+)
+def test_parser_answers_before_the_config_file_is_read(workspace, monkeypatch, capsys, argv, code):
+    config_path = workspace / "config.json"
+    config_path.write_text('{"corpus": ')
+    monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage: xmlir run")
+    assert str(config_path) not in captured.out + captured.err
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -222,17 +288,8 @@ def test_malformed_config_file_names_the_file(workspace, monkeypatch, capsys):
          "corpus", "out", "topics", "assessments"],
 )
 def test_bad_config_file_value_is_a_clean_error(workspace, monkeypatch, capsys, command, config):
-    run_file = _write_run(workspace, system="xmldb")
     out = workspace / "out"
-    argv = {
-        "run": ["run", "--system", "hybrid", "--corpus", str(workspace / "corpus")],
-        "eval": ["eval", str(run_file), "--assessments", str(workspace / "assessments"),
-                 "--corpus", str(workspace / "corpus")],
-        "report": ["report", "--topics", str(workspace / "topics.xml"),
-                   "--assessments", str(workspace / "assessments"), "--corpus", str(workspace / "corpus")],
-        "assess-stats": ["assess-stats"],
-    }[command]
-    argv += ["--out", str(out)]
+    argv = _command_argv(workspace, command, out)
     config_path = workspace / "config.json"
     config_path.write_text(json.dumps(config))
     monkeypatch.setenv("XMLIR_CONFIG", str(config_path))

@@ -87,7 +87,6 @@ def test_rank_matches_frozen_oracle_scores():
     index = build_index(support.corpus_from_strings(FIXTURE))
     results = rank_articles(index, ["patricia", "tries"], RankParams(slope=0.55))
     assert [r.doc for r in results] == ["d1", "d2", "d3"]
-    assert [r.rank for r in results] == [1, 2, 3]
     expected = [2.3089644922761074, 1.0623660659410494, 0.8573480532155836]
     for result, value in zip(results, expected):
         assert result.score == pytest.approx(value, abs=1e-9)

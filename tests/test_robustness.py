@@ -114,8 +114,11 @@ GOOD_LINE = "7\t1\tns/a\t/article[1]\t-\txmldb"
         "7\t1\tns/a\tarticle[1]\t-\txmldb",  # path
         "7\t1\tns/a\t/article[1]\tx\txmldb",  # score
         "7\t1\tns/a\t/article[1]\t-",  # field count
+        "7\t-7\tns/a\t/article[1]/p[1]\t-\txmldb",  # rank below 1
+        "8\t0\tns/a\t/article[1]\t-\txmldb",  # rank below 1 opening a topic
+        "7\t1\tns/a\t/article[1]/p[1]\t-\txmldb",  # rank not above the one before
     ],
-    ids=["topic-id", "rank", "path", "score", "field-count"],
+    ids=["topic-id", "rank", "path", "score", "field-count", "negative-rank", "zero-rank", "rank-order"],
 )
 def test_malformed_run_line_names_file_and_line(tmp_path, capsys, line):
     run_file = tmp_path / "bad.run"
