@@ -1,0 +1,54 @@
+"""Golden digests: the answers of every system and the ng-o report grid on
+the synthetic workspace, pinned as SHA-256 of the files the CLI writes.
+
+A change that alters any answer byte fails here; one that means to must
+update the digest and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from xmlir.cli import main
+
+import support
+
+RUN_DIGESTS = {
+    ("fulltext", False): "0bb5b519af506e965414b596c83ea00bf3156e426713910b895ee3af65da4176",
+    ("xmldb", False): "40515dc6fbec8bc8e9e9a68ef4ddcaabb5e7385f8d914ee3c3364d1ed9975133",
+    ("xmldb", True): "99c83072e60cdc79938350db7ecf629b863049ea334fec1d2dd2ccbbcb938f12",
+    ("hybrid", False): "2b4c208b6a204b884269c47533c1a9944877158c19ec9033969ca214e261c42c",
+    ("hybrid", True): "8b53ae96ccc20b3f4acc7d1e100afddeb9a406f0e027f86d9f56f3aa6351b9fd",
+}
+GRID_DIGEST = "0f1fc6b4e8e3f88324fd93c5087dc1f709af82a3d09e5c95731736ed791a098b"
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    support.build_synthetic_workspace(root)
+    return root
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(("system", "cre"), list(RUN_DIGESTS), ids=lambda v: str(v))
+def test_run_file_digest(workspace, tmp_path, system, cre):
+    out = tmp_path / "out.run"
+    argv = ["run", "--system", system, "--corpus", str(workspace / "corpus"),
+            "--topics", str(workspace / "topics.xml"), "--out", str(out)]
+    assert main(argv + ["--cre"] * cre) == 0
+    assert _sha256(out) == RUN_DIGESTS[system, cre]
+
+
+def test_report_grid_digest(workspace, tmp_path, capsys):
+    out = tmp_path / "grid.tsv"
+    argv = ["report", "--corpus", str(workspace / "corpus"), "--topics", str(workspace / "topics.xml"),
+            "--assessments", str(workspace / "assessments"), "--metric", "ng-o", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(out) == GRID_DIGEST
