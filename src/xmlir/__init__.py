@@ -14,7 +14,6 @@ from .assessments import (
 from .corpus import (
     Corpus,
     DocumentTree,
-    ElementNode,
     ingest_corpus,
     parse_document,
     tokenize,

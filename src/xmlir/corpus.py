@@ -1,23 +1,17 @@
-"""XML corpus ingestion: immutable, path-addressable document trees.
+"""XML corpus ingestion: one corpus-wide index of pre-order numbered nodes.
 
-Document identifiers are relative file paths with the ``.xml`` suffix
-stripped (``ic/1999/w4095``); ingestion order is the sorted order of those
-relative paths and defines the total order used for tie-breaking everywhere
-downstream.
-
-Each document is held as flat pre-order arrays: one ``ElementNode`` record
-``(path, subtree_size)`` per element, plus per-term postings, subtree ends
-and parent indices; node ``i``'s subtree is the index range ``[i, ends[i])``
-and its parent is ``parents[i]``. ``by_path`` finds a node by its path.
-A node's own tokens are not kept: the postings hold every occurrence.
-
-Terms and tags are interned with ``sys.intern``, so a term or tag that
-recurs across documents is one string; within one ``ingest_corpus`` call,
-equal paths are also one ``ElementPath``.
-
-Terms are the maximal runs of ASCII letters and digits in the lowercased
-text: no stemming, no stopword removal, and attributes and markup never
-contribute terms.
+A document's identifier is its file's relative path without ``.xml``
+(``ic/1999/w4095``); its number, its place in the sorted order of those
+paths, breaks ties everywhere downstream. Nodes are numbered in pre-order
+across the corpus: document ``d`` is the range ``[starts[d], starts[d +
+1])`` and node ``i``'s subtree is ``[i, ends[i])``. Node facts are columns:
+``paths`` (one ``ElementPath`` per distinct path), ``sizes`` (subtree token
+counts), ``ends`` and ``parents`` (-1 for a root). Each term has one
+ascending ``array('i')`` of the nodes holding it directly, one entry per
+occurrence: a document's run of it is a slice, whose length is the term's
+frequency there. ``DocumentTree`` is a view of one document. Terms and tags
+are interned. Terms are the maximal runs of ASCII letters and digits in the
+lowercased text; attributes and markup never contribute terms.
 """
 
 from __future__ import annotations
@@ -25,13 +19,16 @@ from __future__ import annotations
 import re
 import sys
 import xml.etree.ElementTree as ET
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .paths import ElementPath, PathStep
 
 _TOKEN = re.compile(r"[0-9a-z]+")
+Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
 
 
 def tokenize(text: str) -> list[str]:
@@ -39,129 +36,162 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ElementNode:
+class Node(NamedTuple):
     path: ElementPath
     subtree_size: int  # token count of this node plus all descendants
 
 
 @dataclass(eq=False)
-class DocumentTree:
-    """One parsed document; nodes are addressed by their pre-order index."""
-
-    doc: str
-    nodes: tuple[ElementNode, ...]  # document (pre-order) order; nodes[0] is the root
-    by_path: dict[ElementPath, ElementNode]
-    # term -> pre-order indices of the nodes holding it directly, one entry per
-    # token occurrence (so len() is the term's frequency in the document)
-    postings: dict[str, tuple[int, ...]]
-    ends: tuple[int, ...]  # ends[i]: index just past node i's subtree
-    parents: tuple[int, ...]  # parents[i]: index of node i's parent, -1 for the root
-
-    @property
-    def root(self) -> ElementNode:
-        return self.nodes[0]
-
-
-def parse_document(text: str, doc: str) -> DocumentTree:
-    """Parse one XML document into an immutable tree; raises ET.ParseError.
-
-    One iterative pre-order pass numbers the nodes and collects their paths,
-    own token counts, parents and postings; a reverse pass over ``parents``
-    then sums subtree sizes and ends, so nesting depth is bounded by memory,
-    not by recursion.
-    """
-    return _parse(text, doc, {})
-
-
-def _parse(text: str, doc: str, shared: dict[tuple[PathStep, ...], ElementPath]) -> DocumentTree:
-    """``parse_document``, sharing equal paths through ``shared`` (keyed by steps)."""
-    intern = sys.intern
-    top = ET.fromstring(text)
-    paths: list[ElementPath] = []
-    sizes: list[int] = []
-    parents: list[int] = []
-    postings: dict[str, list[int]] = {}
-    stack = [(top, ((intern(top.tag), 1),), -1)]
-    while stack:
-        elem, steps, parent = stack.pop()
-        path = shared.get(steps)
-        if path is None:
-            path = shared[steps] = ElementPath(steps)
-        i = len(paths)
-        own = tokenize(elem.text or "")
-        if len(elem):
-            seen: dict[str, int] = {}
-            pending = []
-            for child in elem:
-                # a child's tail text sits directly inside this node
-                if child.tail:
-                    own.extend(tokenize(child.tail))
-                tag = intern(child.tag)
-                n = seen[tag] = seen.get(tag, 0) + 1
-                pending.append((child, path.steps + ((tag, n),), i))
-            stack.extend(reversed(pending))
-        for term in own:
-            hits = postings.get(term)
-            if hits is None:
-                postings[intern(term)] = [i]
-            else:
-                hits.append(i)
-        paths.append(path)
-        sizes.append(len(own))
-        parents.append(parent)
-
-    count = len(paths)
-    ends = list(range(1, count + 1))
-    for i in range(count - 1, 0, -1):  # every descendant of a node comes after it
-        parent = parents[i]
-        sizes[parent] += sizes[i]
-        if ends[i] > ends[parent]:
-            ends[parent] = ends[i]
-    nodes = tuple(map(ElementNode, paths, sizes))
-    return DocumentTree(
-        doc=doc,
-        nodes=nodes,
-        by_path=dict(zip(paths, nodes)),
-        postings={term: tuple(hits) for term, hits in postings.items()},
-        ends=tuple(ends),
-        parents=tuple(parents),
-    )
-
-
-@dataclass(eq=False)
 class Corpus:
-    docs: dict[str, DocumentTree]  # insertion order == ingestion order
+    docs: list[str] = field(default_factory=list)  # document number -> identifier
+    starts: array = field(default_factory=lambda: array("i", [0]))  # one past the last document too
+    paths: list[ElementPath] = field(default_factory=list)
+    sizes: array = field(default_factory=lambda: array("i"))
+    ends: array = field(default_factory=lambda: array("i"))  # ends[i]: just past node i's subtree
+    parents: array = field(default_factory=lambda: array("i"))
+    postings: dict[str, array] = field(default_factory=dict)  # term -> ascending node numbers
     diagnostics: list[str] = field(default_factory=list)
+    _shared: dict[tuple[PathStep, ...], ElementPath] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.docs)
 
+    def tree(self, number: int, runs: Runs | None = None) -> DocumentTree:
+        return DocumentTree(self, number, self.docs[number], self.starts[number], self.starts[number + 1], runs or {})
+
     def trees(self) -> Iterator[DocumentTree]:
-        return iter(self.docs.values())
+        return map(self.tree, range(len(self.docs)))
+
+    def runs(self, terms: Iterable[str], tfs: Mapping[str, Iterable[tuple[int, int]]]) -> dict[int, Runs]:
+        """For each document holding any of ``terms``, its run of each, cut by
+        ``tfs``: every term's ``(document number, tf)`` pairs in ascending
+        number (``InvertedIndex.postings``), as postings hold runs in that order."""
+        none = dict.fromkeys(terms, ())
+        by_document: dict[int, Runs] = {}
+        for term in none:
+            nodes, end = self.postings.get(term, ()), 0
+            for number, tf in tfs.get(term, ()):
+                runs = by_document.get(number)
+                if runs is None:
+                    runs = by_document[number] = none.copy()
+                runs[term] = nodes[end : end + tf]
+                end += tf
+        return by_document
+
+    def add(self, doc: str, source: str | bytes) -> None:
+        """Parse one XML document into the next document number; a parse error
+        raises before any change. One iterative pre-order pass collects paths,
+        own token counts, parents and postings, and a reverse pass over
+        ``parents`` sums subtree sizes and ends: no recursion limits depth."""
+        intern = sys.intern
+        top = ET.fromstring(source)
+        shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings
+        start = len(paths)
+        stack = [(top, ((intern(top.tag), 1),), -1)]
+        while stack:
+            elem, steps, parent = stack.pop()
+            path = shared.get(steps) or shared.setdefault(steps, ElementPath(steps))
+            i = len(paths)
+            own = tokenize(elem.text or "")
+            if len(elem):
+                seen: dict[str, int] = {}
+                pending = []
+                for child in elem:
+                    # a child's tail text sits directly inside this node
+                    if child.tail:
+                        own.extend(tokenize(child.tail))
+                    tag = intern(child.tag)
+                    n = seen[tag] = seen.get(tag, 0) + 1
+                    pending.append((child, path.steps + ((tag, n),), i))
+                stack.extend(reversed(pending))
+            for term in own:
+                hits = postings.get(term)
+                if hits is None:
+                    postings[intern(term)] = array("i", (i,))
+                else:
+                    hits.append(i)
+            paths.append(path)
+            sizes.append(len(own))
+            parents.append(parent)
+
+        end, ends = len(paths), self.ends
+        ends.extend(range(start + 1, end + 1))
+        for i in range(end - 1, start, -1):  # every descendant of a node comes after it
+            parent = parents[i]
+            sizes[parent] += sizes[i]
+            if ends[i] > ends[parent]:
+                ends[parent] = ends[i]
+        self.docs.append(doc)
+        self.starts.append(end)
+
+
+@dataclass(eq=False, slots=True)
+class DocumentTree:
+    """One document of a corpus: the node range ``[start, end)``."""
+
+    corpus: Corpus
+    number: int
+    doc: str
+    start: int
+    end: int
+    runs: Runs  # for the terms whose runs were cut in advance
+
+    def hits(self, terms: Iterable[str]) -> list[Sequence[int]]:
+        """Per term, in the order given, this document's nodes holding it
+        directly, one per occurrence: the run cut in advance, else the
+        ``bisect`` slice of the term's postings within the document."""
+        runs = self.runs
+        found = []
+        for term in terms:
+            run = runs.get(term)
+            if run is None:
+                nodes = self.corpus.postings.get(term, ())
+                first = bisect_left(nodes, self.start)
+                run = nodes[first : bisect_left(nodes, self.end, first)]
+            found.append(run)
+        return found
+
+    @property
+    def nodes(self) -> range:
+        return range(self.start, self.end)
+
+    @property
+    def root(self) -> Node:
+        return Node(self.corpus.paths[self.start], self.corpus.sizes[self.start])
+
+    def find(self, path: ElementPath) -> int | None:
+        """The node at ``path``, found by walking down its steps; None when absent."""
+        paths, ends = self.corpus.paths, self.corpus.ends
+        i, stop = self.start, self.end  # the candidates at depth 0: the root alone
+        for depth, step in enumerate(path.steps):
+            while i < stop and paths[i].steps[depth] != step:
+                i = ends[i]  # the next sibling
+            if i == stop:
+                return None
+            i, stop = i + 1, ends[i]  # on to the first child
+        return i - 1
+
+
+def parse_document(source: str | bytes, doc: str) -> DocumentTree:
+    """Parse one XML document as a corpus of its own; raises ET.ParseError."""
+    corpus = Corpus()
+    corpus.add(doc, source)
+    return corpus.tree(0)
 
 
 def ingest_corpus(root_directory: str | Path) -> Corpus:
-    """Ingest every ``*.xml`` file under a directory.
-
-    Malformed or unreadable files, including directories named ``*.xml``,
-    are skipped with one diagnostic each; a missing corpus directory raises.
-    Re-ingesting an unchanged directory yields identical document
-    identifiers, order and trees.
-    """
+    """Ingest every ``*.xml`` file under a directory, each file's bytes parsed
+    in its declared encoding; re-ingesting an unchanged directory yields the
+    same corpus. Malformed or unreadable files, directories named ``*.xml``
+    and false or unknown declared encodings included, are skipped with one
+    diagnostic each; a missing corpus directory raises."""
     root = Path(root_directory)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    docs: dict[str, DocumentTree] = {}
-    diagnostics: list[str] = []
-    shared: dict[tuple[PathStep, ...], ElementPath] = {}
-    files = sorted(root.rglob("*.xml"), key=lambda p: p.relative_to(root).as_posix())
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        doc = rel[: -len(".xml")]
+    corpus = Corpus()
+    for rel in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.xml")):
         try:
-            text = path.read_text(encoding="utf-8")
-            docs[doc] = _parse(text, doc, shared)
-        except (OSError, ET.ParseError, UnicodeDecodeError) as exc:
-            diagnostics.append(f"{rel}: skipped ({exc})")
-    return Corpus(docs=docs, diagnostics=diagnostics)
+            corpus.add(rel[: -len(".xml")], (root / rel).read_bytes())
+        except (OSError, ET.ParseError, LookupError, ValueError) as exc:
+            corpus.diagnostics.append(f"{rel}: skipped ({exc})")
+    return corpus

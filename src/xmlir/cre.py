@@ -9,7 +9,7 @@ coherent elements as items adds no child. The set is therefore the branching
 nodes of the match set: the non-matching nodes with matches below at least
 two distinct children.
 
-Matches arrive as ascending pre-order node indices. The branching nodes are
+Matches arrive as ascending pre-order node numbers. The branching nodes are
 then exactly the lowest common ancestors (LCAs) of adjacent matches that are
 not matches themselves (the adjacent-neighbour argument of Xu &
 Papakonstantinou, SIGMOD 2005): a branching node with matches below children
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import DocumentTree
 from .paths import ElementPath
@@ -75,8 +75,7 @@ class HeuristicCombo:
 DEFAULT_COMBO = HeuristicCombo.from_string("MpE")
 
 
-@dataclass(frozen=True)
-class CoherentElement:
+class CoherentElement(NamedTuple):  # a tuple: cheap to make by the thousand per topic
     doc: str
     path: ElementPath
     matches: int  # matching elements lying strictly below this path
@@ -85,21 +84,19 @@ class CoherentElement:
 def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentElement]:
     """Coherent elements for one article's matching nodes.
 
-    ``matching`` holds pre-order indices into ``tree.nodes`` in strictly
-    increasing order; members may be nested. Returns records in document
-    order; callers treat the result as a set.
+    ``matching`` holds node numbers of ``tree`` in strictly increasing
+    order; members may be nested. Returns records in document order;
+    callers treat the result as a set.
     """
     if not matching:
         raise ValueError("matching element list is empty")
     if any(b <= a for a, b in zip(matching, matching[1:])):
         raise ValueError("matching node indices must be strictly increasing")
-    nodes = tree.nodes
-    if matching[0] < 0 or matching[-1] >= len(nodes):
-        raise ValueError(f"matching node index outside [0, {len(nodes)})")
+    if matching[0] < tree.start or matching[-1] >= tree.end:
+        raise ValueError(f"matching node index outside [{tree.start}, {tree.end})")
+    paths, ends, parents = tree.corpus.paths, tree.corpus.ends, tree.corpus.parents
     if len(matching) == 1:
-        return [CoherentElement(tree.doc, nodes[matching[0]].path, matches=1)]
-
-    ends, parents = tree.ends, tree.parents
+        return [CoherentElement(tree.doc, paths[matching[0]], matches=1)]
     lcas = set()
     for a, b in zip(matching, matching[1:]):
         x = a
@@ -111,7 +108,7 @@ def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentE
         first = bisect_left(matching, x)
         if matching[first] != x:  # a match is never its own coherent element
             below = bisect_left(matching, ends[x], first) - first
-            cres.append(CoherentElement(tree.doc, nodes[x].path, below))
+            cres.append(CoherentElement(tree.doc, paths[x], below))
     return cres
 
 

@@ -101,39 +101,19 @@ def inex_eval_strict(
     return interpolated_average_precision(points)
 
 
-class _CoverageLedger:
-    """Per-document antichains of already-covered subtree roots.
-
-    Subtrees of distinct elements are either nested or disjoint, so the
-    uncovered portion of a new entry is its size minus the sizes of covered
-    roots strictly below it, or zero when a covered root encloses it.
-    """
-
-    def __init__(self, sizes: SizeMap) -> None:
-        self._sizes = sizes
-        self._covered: dict[str, set[tuple[PathStep, ...]]] = {}
-
-    def uncovered_size(self, doc: str, path: ElementPath) -> int:
-        size = self._sizes.get((doc, path), 0)
-        roots = self._covered.get(doc, set())
-        steps = path.steps
-        depth = len(steps)
-        inner = 0
-        for root in roots:
-            if len(root) <= depth and steps[: len(root)] == root:
-                return 0
-            if len(root) > depth and root[:depth] == steps:
-                inner += self._sizes.get((doc, ElementPath(root)), 0)
-        return max(0, size - inner)
-
-    def cover(self, doc: str, path: ElementPath) -> None:
-        roots = self._covered.setdefault(doc, set())
-        steps = path.steps
-        depth = len(steps)
-        if any(len(r) <= depth and steps[: len(r)] == r for r in roots):
-            return
-        roots.difference_update({r for r in roots if len(r) > depth and r[:depth] == steps})
-        roots.add(steps)
+def _cover(roots: dict[tuple[PathStep, ...], int], path: ElementPath, size: int) -> int:
+    """Cover an entry of ``size`` in one document's covered roots (an antichain
+    of steps, each with its size) and return its part not covered before:
+    subtrees are nested or disjoint, so that is its size minus the covered
+    roots below it, or zero when a covered root encloses it."""
+    steps = path.steps
+    depth = len(steps)
+    if any(len(r) <= depth and steps[: len(r)] == r for r in roots):
+        return 0
+    inner = [r for r in roots if len(r) > depth and r[:depth] == steps]
+    uncovered = size - sum(map(roots.pop, inner))
+    roots[steps] = size
+    return max(0, uncovered)
 
 
 def inex_eval_ng(
@@ -153,18 +133,14 @@ def inex_eval_ng(
     total_relevant = sum(sizes.get(entry, 0) for entry in judgments.relevant)
     if total_relevant <= 0:
         raise ValueError(f"topic {judgments.topic_id}: empty size-weighted recall base")
-    ledger = _CoverageLedger(sizes) if overlap_mode == "o" else None
+    covered_roots: dict[str, dict[tuple[PathStep, ...], int]] = {}
     covered = 0
     consumed = 0
     points = []
     for entry in entries:
         doc, path = entry
         size = sizes.get(entry, 0)
-        if ledger is None:
-            credit = size
-        else:
-            credit = ledger.uncovered_size(doc, path)
-            ledger.cover(doc, path)
+        credit = size if overlap_mode == "s" else _cover(covered_roots.setdefault(doc, {}), path, size)
         if entry in judgments.relevant:
             covered += credit
         consumed += size
@@ -189,14 +165,13 @@ def build_size_map(
     Pairs that do not resolve against the corpus get size 0 and a
     diagnostic; evaluation proceeds regardless.
     """
+    numbers = dict(zip(corpus.docs, range(len(corpus))))
     sizes: dict[tuple[str, ElementPath], int] = {}
     diagnostics: list[str] = []
     for doc, path in sorted(needed, key=lambda p: (p[0], p[1].steps)):
-        tree = corpus.docs.get(doc)
-        node = tree.by_path.get(path) if tree is not None else None
+        number = numbers.get(doc)
+        node = corpus.tree(number).find(path) if number is not None else None
+        sizes[(doc, path)] = 0 if node is None else corpus.sizes[node]
         if node is None:
-            sizes[(doc, path)] = 0
             diagnostics.append(f"size unavailable, using 0: {doc} {path}")
-        else:
-            sizes[(doc, path)] = node.subtree_size
     return sizes, diagnostics

@@ -35,7 +35,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Corpus, DocumentTree, tokenize
 from .cre import DEFAULT_COMBO, HeuristicCombo, identify_cres, rank_cres
@@ -88,8 +88,7 @@ class SystemConfig(RankParams):
         return self.system
 
 
-@dataclass(frozen=True)
-class RunEntry:
+class RunEntry(NamedTuple):  # a tuple: a capped list makes up to 1500 of them per topic
     rank: int
     doc: str
     path: ElementPath
@@ -223,26 +222,25 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
     query = translate_topic(topic)
+    paths = corpus.paths
+    runs = {} if config.system == FULLTEXT else corpus.runs(query.or_query.terms, index.postings)
     if config.system == XMLDB:
-        holders = {doc for term in query.or_query.terms for doc, _ in index.postings.get(term, ())}
         # a list, since both the AND and the OR pass read it
-        trees: Iterable[DocumentTree] = [
-            corpus.docs[doc] for doc in sorted(holders, key=index.doc_order.__getitem__)
-        ]
+        trees: Iterable[DocumentTree] = [corpus.tree(number, runs[number]) for number in sorted(runs)]
     else:
         ranked = rank_articles(index, query.bag, config)
-        trees = (corpus.docs[a.doc] for a in ranked)
+        trees = (corpus.tree(a.number, runs[a.number]) for a in ranked)
     if config.system == FULLTEXT:
-        answers = ((a.doc, corpus.docs[a.doc].root.path, a.score) for a in ranked)
+        answers = ((a.doc, paths[corpus.starts[a.number]], a.score) for a in ranked)
     elif config.cre:
         answers = _cre_answers(trees, query, config)
     elif config.system == XMLDB:
         and_matches = list(collection_match(trees, query.and_query))
         and_set = set(and_matches)
         or_extras = (m for m in collection_match(trees, query.or_query) if m not in and_set)
-        answers = ((tree.doc, tree.nodes[i].path, None) for tree, i in itertools.chain(and_matches, or_extras))
+        answers = ((tree.doc, paths[i], None) for tree, i in itertools.chain(and_matches, or_extras))
     else:
-        answers = ((tree.doc, tree.nodes[i].path, None) for tree in trees for i in _combined_matches(tree, query))
+        answers = ((tree.doc, paths[i], None) for tree in trees for i in _combined_matches(tree, query))
     return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
 
 

@@ -6,15 +6,18 @@ Scoring is log tf-idf with pivoted length normalization:
                ln(1 + N/df_t) * (1 + ln(tf_td))  /  norm(d)
     norm(d)  = (1 - slope) + slope * len(d)/avg_len
 
-Documents scoring zero are omitted; ties break by ingestion order.
+Documents scoring zero are omitted; ties break by document number, which is
+ingestion order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import pairwise, repeat
+from typing import Iterable, Sequence
 
 from .corpus import Corpus
 
@@ -33,15 +36,16 @@ class RankParams:
 
 @dataclass(frozen=True)
 class ScoredArticle:
+    number: int  # the document's number in the corpus
     doc: str
     score: float
 
 
 @dataclass(eq=False)
 class InvertedIndex:
-    postings: dict[str, list[tuple[str, int]]]  # term -> [(doc, tf)] in ingestion order
-    doc_lengths: dict[str, int]  # insertion order == ingestion order
-    doc_order: dict[str, int]
+    postings: dict[str, list[tuple[int, int]]]  # term -> [(document number, tf)], ascending numbers
+    docs: Sequence[str]  # document number -> identifier, the corpus's list
+    doc_lengths: array  # document number -> token count
     avg_doc_length: float
 
     @property
@@ -50,23 +54,25 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    """Index whole-document token multisets; deterministic for a fixed corpus."""
+    """Count each term's node postings per document; equal ``(document number,
+    tf)`` pairs are one tuple, shared across terms."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    doc_lengths: dict[str, int] = {}
-    doc_order: dict[str, int] = {}
-    for seq, tree in enumerate(corpus.trees()):
-        for term in sorted(tree.postings):
-            postings[term].append((tree.doc, len(tree.postings[term])))
-        doc_lengths[tree.doc] = tree.root.subtree_size
-        doc_order[tree.doc] = seq
-    avg = sum(doc_lengths.values()) / len(doc_lengths)
+    starts = corpus.starts
+    doc_of = array("i")  # node -> document number
+    for number, (start, end) in enumerate(pairwise(starts)):
+        doc_of.extend(repeat(number, end - start))
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    postings = {
+        term: [shared.setdefault(pair, pair) for pair in Counter(map(doc_of.__getitem__, nodes)).items()]
+        for term, nodes in corpus.postings.items()
+    }
+    doc_lengths = array("i", map(corpus.sizes.__getitem__, starts[:-1]))
     return InvertedIndex(
-        postings=dict(postings),
+        postings=postings,
+        docs=corpus.docs,
         doc_lengths=doc_lengths,
-        doc_order=doc_order,
-        avg_doc_length=avg,
+        avg_doc_length=sum(doc_lengths) / len(doc_lengths),
     )
 
 
@@ -80,22 +86,22 @@ def rank_articles(
     if not weights:
         return []
     n = index.doc_count
-    accum: dict[str, float] = defaultdict(float)
+    accum: dict[int, float] = defaultdict(float)
     for term, qtf in weights.items():
         plist = index.postings.get(term)
         if not plist:
             continue
         w_q = math.log(1.0 + n / len(plist))
-        for doc, tf in plist:
-            accum[doc] += qtf * w_q * (1.0 + math.log(tf))
+        for number, tf in plist:
+            accum[number] += qtf * w_q * (1.0 + math.log(tf))
     if not accum:
         return []
     slope = params.slope
     avg = index.avg_doc_length
     scored = []
-    for doc, raw in accum.items():
-        norm = (1.0 - slope) + slope * (index.doc_lengths[doc] / avg)
-        scored.append((doc, raw / norm))
-    scored.sort(key=lambda item: (-item[1], index.doc_order[item[0]]))
+    for number, raw in accum.items():
+        norm = (1.0 - slope) + slope * (index.doc_lengths[number] / avg)
+        scored.append((number, raw / norm))
+    scored.sort(key=lambda item: (-item[1], item[0]))
     del scored[params.max_results :]
-    return [ScoredArticle(doc=doc, score=score) for doc, score in scored]
+    return [ScoredArticle(number, index.docs[number], score) for number, score in scored]

@@ -25,7 +25,10 @@ from xmlir.matcher import AND
 
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
     """In-memory corpus; insertion order of the dict is the ingestion order."""
-    return Corpus(docs={doc: parse_document(text, doc) for doc, text in docs.items()})
+    corpus = Corpus()
+    for doc, text in docs.items():
+        corpus.add(doc, text)
+    return corpus
 
 
 _TERM = re.compile(r"[0-9a-z]+")
@@ -57,19 +60,30 @@ def subtree_tokens(own: dict[ElementPath, tuple[str, ...]], path: ElementPath) -
     return [t for p, tokens in own.items() if p == path or path.is_ancestor_of(p) for t in tokens]
 
 
-def subtree(tree: DocumentTree, path: ElementPath) -> list:
+def element_sizes(corpus: Corpus) -> dict[tuple[str, ElementPath], int]:
+    """Every node's subtree size keyed by (document, path), in document and pre-order."""
+    return {(tree.doc, corpus.paths[i]): corpus.sizes[i] for tree in corpus.trees() for i in tree.nodes}
+
+
+def all_paths(tree: DocumentTree) -> list[ElementPath]:
+    """The document's node paths in pre-order."""
+    return tree.corpus.paths[tree.start : tree.end]
+
+
+def subtree(tree: DocumentTree, path: ElementPath) -> list[int]:
     """The nodes at or below ``path``, found by path prefix."""
-    return [n for n in tree.nodes if n.path == path or path.is_ancestor_of(n.path)]
+    paths = tree.corpus.paths
+    return [i for i in tree.nodes if paths[i] == path or path.is_ancestor_of(paths[i])]
 
 
 def paths_of(tree: DocumentTree, indices) -> list[ElementPath]:
-    """The paths of the given pre-order node indices, in the order given."""
-    return [tree.nodes[i].path for i in indices]
+    """The paths of the given node numbers, in the order given."""
+    return [tree.corpus.paths[i] for i in indices]
 
 
 def indices_of(tree: DocumentTree, paths) -> list[int]:
-    """The ascending pre-order indices of the nodes at the given paths."""
-    position = {node.path: i for i, node in enumerate(tree.nodes)}
+    """The ascending node numbers of the nodes at the given paths."""
+    position = {tree.corpus.paths[i]: i for i in tree.nodes}
     return sorted(position[path] for path in paths)
 
 
@@ -88,7 +102,7 @@ def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
         return f"<{path.tag}>{''.join(render(child) for child in children[path])}</{path.tag}>"
 
     tree = parse_document(render(paths[0]), doc)
-    assert {node.path for node in tree.nodes} == set(paths)
+    assert set(all_paths(tree)) == set(paths)
     return tree
 
 
@@ -128,7 +142,7 @@ def brute_force_matches(xml_text: str, query) -> list[ElementPath]:
 
 def naive_collection_match(corpus: Corpus, query) -> list[tuple[str, ElementPath]]:
     """Full scan: every document's match paths, documents in ingestion order."""
-    return [(tree.doc, tree.nodes[i].path) for tree in corpus.trees() for i in match_elements(tree, query)]
+    return [(tree.doc, corpus.paths[i]) for tree in corpus.trees() for i in match_elements(tree, query)]
 
 
 def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
@@ -145,7 +159,7 @@ def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
             paths = set(paths_of(tree, match_elements(tree, query.and_query)))
             paths |= set(paths_of(tree, match_elements(tree, query.or_query)))
             if paths:
-                cres = brute_force_cres([node.path for node in tree.nodes], list(paths))
+                cres = brute_force_cres(all_paths(tree), list(paths))
                 records = [CoherentElement(tree.doc, path, count) for path, count in cres.items()]
                 records.sort(key=lambda record: naive_cre_key(record, config.combo))
                 pairs += [(tree.doc, record.path) for record in records]

@@ -217,17 +217,8 @@ def test_c6_metric_oracles():
     for _ in range(200):
         docs = {f"d{i}": support.random_xml(rng) for i in range(2)}
         corpus = support.corpus_from_strings(docs)
-        sizes = {
-            (doc, node.path): node.subtree_size
-            for doc, tree in corpus.docs.items()
-            for node in tree.nodes
-        }
-        pool = [
-            (doc, node.path)
-            for doc, tree in corpus.docs.items()
-            for node in tree.nodes
-            if node.subtree_size > 0
-        ]
+        sizes = support.element_sizes(corpus)
+        pool = [element for element, size in sizes.items() if size > 0]
         if len(pool) < 4:
             continue
         run = rng.sample(pool, rng.randint(3, min(12, len(pool))))

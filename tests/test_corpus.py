@@ -1,6 +1,5 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
-import dataclasses
 import random
 import sys
 import xml.etree.ElementTree as ET
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmlir import (
-    ElementNode,
     ElementPath,
     ElementQuery,
     build_index,
@@ -19,21 +17,29 @@ from xmlir import (
     parse_document,
     tokenize,
 )
+from xmlir.corpus import Node
 from xmlir.matcher import AND, OR
 
 import support
 
 
-def subtree_terms(tree, node) -> Counter:
-    """Token multiset of a node and all its descendants, read from the postings."""
-    i = [n.path for n in tree.nodes].index(node.path)
-    return Counter(term for term, hits in tree.postings.items() for j in hits if i <= j < tree.ends[i])
+def subtree_terms(tree, i) -> Counter:
+    """Token multiset of node ``i`` and all its descendants, read from the postings."""
+    corpus = tree.corpus
+    end = corpus.ends[i]
+    return Counter(term for term, hits in corpus.postings.items() for j in hits if i <= j < end)
 
 
-def own_terms(tree, node) -> list[str]:
-    """The sorted tokens directly inside a node, read from the postings."""
-    i = tree.nodes.index(node)
-    return sorted(term for term, hits in tree.postings.items() for j in hits if j == i)
+def own_terms(tree, i) -> list[str]:
+    """The sorted tokens directly inside node ``i``, read from the postings."""
+    return sorted(term for term, hits in tree.corpus.postings.items() for j in hits if j == i)
+
+
+def document_postings(tree) -> dict[str, tuple[int, ...]]:
+    """The document's hits per term, as document-relative node numbers."""
+    terms = list(tree.corpus.postings)
+    postings = {term: tuple(j - tree.start for j in hits) for term, hits in zip(terms, tree.hits(terms))}
+    return {term: hits for term, hits in postings.items() if hits}
 
 
 def test_path_parse_roundtrip():
@@ -71,8 +77,8 @@ def test_ingest_single_file(tmp_path):
     (tmp_path / "a" / "x.xml").write_text("<article><bdy><p>hi</p></bdy></article>")
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a/x"]
-    tree = corpus.docs["a/x"]
-    node = tree.by_path.get(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
+    tree = corpus.tree(0)
+    node = tree.find(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
     assert node is not None and own_terms(tree, node) == ["hi"]
 
 
@@ -98,51 +104,51 @@ def test_ingest_missing_directory_is_fatal(tmp_path):
 
 def test_resolve_root_and_out_of_range():
     tree = parse_document("<article><sec><p>a</p></sec><sec><p>b</p></sec></article>", "d")
-    assert tree.by_path.get(ElementPath.from_string("/article[1]")) is tree.root
-    second = tree.by_path.get(ElementPath.from_string("/article[1]/sec[2]"))
-    assert second is not None and second.path.tag == "sec"
-    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[9]")) is None
+    assert tree.find(ElementPath.from_string("/article[1]")) == tree.start
+    second = tree.find(ElementPath.from_string("/article[1]/sec[2]"))
+    assert second is not None and tree.corpus.paths[second].tag == "sec"
+    assert tree.find(ElementPath.from_string("/article[1]/sec[9]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
     tree = parse_document("<article><fm/><sec><p>x</p></sec><fig/><sec/></article>", "d")
     # the fourth child overall is only the second <sec>
-    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[2]")) is not None
-    assert tree.by_path.get(ElementPath.from_string("/article[1]/sec[3]")) is None
+    assert tree.find(ElementPath.from_string("/article[1]/sec[2]")) is not None
+    assert tree.find(ElementPath.from_string("/article[1]/sec[3]")) is None
 
 
 def test_subtree_terms_leaf_and_parent():
     tree = parse_document(
         "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>", "d"
     )
-    leaf = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
+    leaf = tree.find(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
     assert subtree_terms(tree, leaf) == {"patricia": 1, "tries": 1}
-    assert leaf.subtree_size == 2
-    parent = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
+    assert tree.corpus.sizes[leaf] == 2
+    parent = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, parent) == {"patricia": 2, "tries": 2}
     assert own_terms(tree, parent) == []
-    assert parent.subtree_size == 4
+    assert tree.corpus.sizes[parent] == 4
 
 
 def test_subtree_terms_mixed_content():
     tree = parse_document("<article><sec>lead <p>inner</p> tail</sec></article>", "d")
-    sec = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
+    sec = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, sec) == {"lead": 1, "inner": 1, "tail": 1}
-    assert sec.subtree_size == 3
+    assert tree.corpus.sizes[sec] == 3
     assert own_terms(tree, sec) == ["lead", "tail"]  # tail text belongs to <sec>
 
 
 def test_subtree_terms_unresolvable_path_raises():
     tree = parse_document("<article/>", "d")
-    node = tree.by_path.get(ElementPath.from_string("/article[1]/sec[1]"))
+    node = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
     assert node is None  # no node, so no subtree terms to count
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         subtree_terms(tree, node)
 
 
 def test_attributes_do_not_contribute_terms():
     tree = parse_document('<article kind="draft"><p id="p7">body</p></article>', "d")
-    assert subtree_terms(tree, tree.root) == {"body": 1}
+    assert subtree_terms(tree, tree.start) == {"body": 1}
     assert tree.root.subtree_size == 1
 
 
@@ -151,15 +157,16 @@ def test_path_roundtrip_on_random_trees(seed):
     rng = random.Random(seed)
     tree = parse_document(support.random_xml(rng), "d")
     for node in tree.nodes:
-        assert tree.by_path.get(node.path) is node
-        assert tree.by_path.get(ElementPath.from_string(str(node.path))) is node
+        path = tree.corpus.paths[node]
+        assert tree.find(path) == node
+        assert tree.find(ElementPath.from_string(str(path))) == node
 
 
 def test_prefix_law_and_size_monotonicity():
     rng = random.Random(7)
     for _ in range(50):
         tree = parse_document(support.random_xml(rng), "d")
-        nodes = tree.nodes
+        nodes = [Node(tree.corpus.paths[i], tree.corpus.sizes[i]) for i in tree.nodes]
         # prefix law, all pairs; size never grows downward
         for a in nodes:
             for b in nodes:
@@ -179,11 +186,12 @@ def test_reingest_is_deterministic(tmp_path):
     first = ingest_corpus(tmp_path)
     second = ingest_corpus(tmp_path)
     assert list(first.docs) == list(second.docs)
-    for doc in first.docs:
-        a, b = first.docs[doc], second.docs[doc]
-        assert [n.path for n in a.nodes] == [n.path for n in b.nodes]
-        assert [n.subtree_size for n in a.nodes] == [n.subtree_size for n in b.nodes]
-        assert a.postings == b.postings
+    for a, b in zip(first.trees(), second.trees()):
+        assert a.nodes == b.nodes
+        assert [first.paths[i] for i in a.nodes] == [second.paths[i] for i in b.nodes]
+        assert [first.sizes[i] for i in a.nodes] == [second.sizes[i] for i in b.nodes]
+        assert document_postings(a) == document_postings(b)
+    assert first.postings == second.postings
 
 
 def test_ingest_skips_directory_named_like_a_document(tmp_path):
@@ -199,14 +207,14 @@ def test_ingest_skips_directory_named_like_a_document(tmp_path):
 def test_ingest_skips_unreadable_file(tmp_path, monkeypatch):
     (tmp_path / "a.xml").write_text("<article><p>ok</p></article>")
     (tmp_path / "b.xml").write_text("<article><p>locked</p></article>")
-    read_text = Path.read_text
+    read_bytes = Path.read_bytes
 
     def deny_b(self, *args, **kwargs):
         if self.name == "b.xml":
             raise PermissionError(13, "Permission denied", str(self))
-        return read_text(self, *args, **kwargs)
+        return read_bytes(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", deny_b)
+    monkeypatch.setattr(Path, "read_bytes", deny_b)
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a"]
     assert len(corpus.diagnostics) == 1
@@ -223,7 +231,8 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
     (tmp_path / "deep.xml").write_text(text)
     corpus = ingest_corpus(tmp_path)
     assert corpus.diagnostics == []
-    tree = corpus.docs["deep"]
+    (tree,) = corpus.trees()
+    assert tree.doc == "deep"
     assert len(tree.nodes) == depth + 1
     assert tree.root.subtree_size == 2
 
@@ -239,7 +248,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
     assert matches(OR, "beta") == [("deep", sec_path(beta_level))]
     assert matches(AND, "alpha", "zeta") == []
     index = build_index(corpus)
-    assert index.postings["alpha"] == [("deep", 1)]
+    assert index.postings["alpha"] == [(0, 1)]
 
 
 def _elementtree_layout(text: str):
@@ -268,11 +277,12 @@ def test_parse_document_equals_elementtree_rederivation(seed):
     text = support.random_xml(random.Random(seed))
     tree = parse_document(text, "d")
     paths, postings, sizes, ends, parents = _elementtree_layout(text)
-    assert [node.path for node in tree.nodes] == paths
-    assert tree.postings == postings
-    assert [node.subtree_size for node in tree.nodes] == sizes
-    assert list(tree.ends) == ends
-    assert list(tree.parents) == parents
+    corpus = tree.corpus
+    assert corpus.paths == paths
+    assert document_postings(tree) == postings
+    assert list(corpus.sizes) == sizes
+    assert list(corpus.ends) == ends
+    assert list(corpus.parents) == parents
 
 
 def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
@@ -281,31 +291,58 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
         "b": "<article><fm/><sec>beta shared</sec></article>",
     })
     corpus = ingest_corpus(tmp_path)
-    a, b = corpus.docs["a"], corpus.docs["b"]
-    (term_a,) = (term for term in a.postings if term == "shared")
-    (term_b,) = (term for term in b.postings if term == "shared")
-    assert term_a is term_b is sys.intern("shared")
-    sec_a = a.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
-    sec_b = b.by_path[ElementPath.from_string("/article[1]/sec[1]")].path
+    a, b = corpus.trees()
+    (term,) = (term for term in corpus.postings if term == "shared")
+    assert len(a.hits([term])[0]) == len(b.hits([term])[0]) == 1  # one postings array holds both documents
+    assert term is sys.intern("shared")
+    sec_a = corpus.paths[a.find(ElementPath.from_string("/article[1]/sec[1]"))]
+    sec_b = corpus.paths[b.find(ElementPath.from_string("/article[1]/sec[1]"))]
     assert sec_a.steps[-1] == ("sec", 1)
     assert sec_a is sec_b  # one ElementPath per distinct path per ingest
     assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
     assert sec_a.tag is sec_b.tag is sys.intern("sec")
     assert a.root.path.steps[0] is b.root.path.steps[0]
-    assert a.nodes[2].path.steps[1] is sec_a.steps[-1]  # the <p> below shares it too
+    assert corpus.paths[a.start + 2].steps[1] is sec_a.steps[-1]  # the <p> below shares it too
 
 
 def test_separately_parsed_documents_share_terms_and_tags():
     a = parse_document("<article><sec>shared</sec></article>", "a")
     b = parse_document("<article><sec>x shared</sec></article>", "b")
-    (term_a,) = a.postings
-    assert term_a is next(term for term in b.postings if term == "shared")
-    assert a.nodes[1].path.tag is b.nodes[1].path.tag
+    (term_a,) = a.corpus.postings
+    assert term_a is next(term for term in b.corpus.postings if term == "shared")
+    assert a.corpus.paths[1].tag is b.corpus.paths[1].tag
 
 
 def test_node_record_holds_only_path_and_size():
-    assert [field.name for field in dataclasses.fields(ElementNode)] == ["path", "subtree_size"]
+    assert Node._fields == ("path", "subtree_size")
     tree = parse_document("<article><p>x</p></article>", "d")
+    assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
+    corpus = tree.corpus
     for node in tree.nodes:
-        assert not hasattr(node, "__dict__")
-        assert not hasattr(node.path, "__dict__")
+        assert not hasattr(corpus.paths[node], "__dict__")
+    # node facts are flat integer columns, not per-node objects
+    assert {column.typecode for column in (corpus.sizes, corpus.ends, corpus.parents, *corpus.postings.values())} == {"i"}
+
+
+def test_ingest_honours_declared_encoding(tmp_path):
+    declared = '<?xml version="1.0" encoding="ISO-8859-1"?><article><p>café olé</p></article>'
+    (tmp_path / "latin.xml").write_bytes(declared.encode("latin-1"))  # 0xe9 is no UTF-8 text
+    corpus = ingest_corpus(tmp_path)
+    assert corpus.diagnostics == []
+    assert list(corpus.docs) == ["latin"]
+    assert sorted(corpus.postings) == ["caf", "ol"]  # a non-ASCII letter splits words
+
+
+@pytest.mark.parametrize(
+    "declaration",
+    ['<?xml version="1.0" encoding="UTF-16"?>', '<?xml version="1.0" encoding="x-no-such-codec"?>'],
+    ids=["false", "unknown"],
+)
+def test_ingest_skips_file_with_false_or_unknown_encoding(tmp_path, declaration):
+    (tmp_path / "good.xml").write_text("<article><p>ok</p></article>")
+    (tmp_path / "liar.xml").write_bytes((declaration + "<article><p>text</p></article>").encode("utf-8"))
+    corpus = ingest_corpus(tmp_path)
+    assert list(corpus.docs) == ["good"]
+    assert len(corpus.diagnostics) == 1
+    assert corpus.diagnostics[0].startswith("liar.xml: skipped (")
+    assert sorted(corpus.postings) == ["ok"]  # nothing of the skipped file is kept

@@ -109,11 +109,7 @@ NESTED_DOC = """\
 
 def _sizes_and_regions(docs: dict[str, str]):
     corpus = support.corpus_from_strings(docs)
-    sizes = {
-        (doc, node.path): node.subtree_size
-        for doc, tree in corpus.docs.items()
-        for node in tree.nodes
-    }
+    sizes = support.element_sizes(corpus)
     regions = {doc: support.token_regions(docs[doc]) for doc in corpus.docs}
     return sizes, regions
 
@@ -157,12 +153,7 @@ def test_ng_overlap_never_beats_size_mode():
         docs = {f"d{i}": support.random_xml(rng) for i in range(2)}
         corpus = support.corpus_from_strings(docs)
         sizes, regions = _sizes_and_regions(docs)
-        pool = [
-            (doc, node.path)
-            for doc, tree in corpus.docs.items()
-            for node in tree.nodes
-            if node.subtree_size > 0
-        ]
+        pool = [element for element, size in support.element_sizes(corpus).items() if size > 0]
         if len(pool) < 3:
             continue
         run = rng.sample(pool, rng.randint(2, min(10, len(pool))))

@@ -1,5 +1,5 @@
-"""Element postings: the per-document term lists, subtree ends and parent
-indices built at parse time, and the matcher, coherent elements and index
+"""Element postings: the corpus-wide term postings, subtree ends and parent
+columns built at parse time, and the matcher, coherent elements and index
 that read them.
 
 Random trees cover deep chains, wide fan-outs, empty elements and terms
@@ -7,6 +7,7 @@ repeated within and across nodes. Everything is checked against a
 recomputation from path prefixes or the brute-force oracle in ``support``.
 """
 
+import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -78,7 +79,7 @@ def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
     if not combined:
         return
     got = {r.path: r.matches for r in identify_cres(tree, combined)}
-    all_paths = [node.path for node in tree.nodes]
+    all_paths = support.all_paths(tree)
     assert got == support.brute_force_cres(all_paths, support.paths_of(tree, combined))
 
 
@@ -87,10 +88,10 @@ def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
 def test_identify_cres_on_any_index_subset_equals_brute_force(text, data):
     """Any strictly increasing index list, nested members included."""
     tree = parse_document(text, "d")
-    chosen = data.draw(st.sets(st.integers(0, len(tree.nodes) - 1), min_size=1, max_size=12))
+    chosen = data.draw(st.sets(st.integers(tree.start, tree.end - 1), min_size=1, max_size=12))
     matching = sorted(chosen)
     got = {r.path: r.matches for r in identify_cres(tree, matching)}
-    all_paths = [node.path for node in tree.nodes]
+    all_paths = support.all_paths(tree)
     assert got == support.brute_force_cres(all_paths, support.paths_of(tree, matching))
 
 
@@ -100,32 +101,70 @@ def test_postings_ends_parents_agree_with_walk(text):
     """Postings, ends, parents and subtree sizes equal a recomputation from
     path prefixes over the nodes in ElementTree's document order."""
     tree = parse_document(text, "d")
-    nodes = tree.nodes
-    assert [n.path.tag for n in nodes] == [e.tag for e in ET.fromstring(text).iter()]
-    assert len(tree.ends) == len(tree.parents) == len(nodes)
-    index_of = {node.path: i for i, node in enumerate(nodes)}
+    corpus = tree.corpus
+    paths = corpus.paths
+    assert [paths[i].tag for i in tree.nodes] == [e.tag for e in ET.fromstring(text).iter()]
+    assert len(corpus.ends) == len(corpus.parents) == len(corpus.sizes) == len(paths) == len(tree.nodes)
+    index_of = {paths[i]: i for i in tree.nodes}
     own = support.own_tokens(text)
-    assert list(own) == [node.path for node in nodes]
+    assert list(own) == support.all_paths(tree)
 
     postings: dict[str, list[int]] = {}
-    for i, node in enumerate(nodes):
-        for term in own[node.path]:
+    for i in tree.nodes:
+        for term in own[paths[i]]:
             postings.setdefault(term, []).append(i)
-        below = [index_of[n.path] for n in support.subtree(tree, node.path)]
-        assert below == list(range(i, tree.ends[i]))
-        assert node.subtree_size == sum(len(own[nodes[j].path]) for j in below)
-        parent = ElementPath(node.path.steps[:-1]) if node.path.depth > 1 else None
-        assert tree.parents[i] == index_of.get(parent, -1)
-    assert tree.postings == {term: tuple(hits) for term, hits in postings.items()}
+        below = support.subtree(tree, paths[i])
+        assert below == list(range(i, corpus.ends[i]))
+        assert corpus.sizes[i] == sum(len(own[paths[j]]) for j in below)
+        parent = ElementPath(paths[i].steps[:-1]) if paths[i].depth > 1 else None
+        assert corpus.parents[i] == index_of.get(parent, -1)
+    assert {term: list(hits) for term, hits in corpus.postings.items()} == postings
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(documents, min_size=1, max_size=4))
 def test_build_index_tf_equals_token_counter(texts):
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
-    expected: dict[str, list[tuple[str, int]]] = {}
+    expected: dict[str, list[tuple[int, int]]] = {}
     for tree, text in zip(corpus.trees(), texts):
         counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
         for term in sorted(counts):
-            expected.setdefault(term, []).append((tree.doc, counts[term]))
+            expected.setdefault(term, []).append((tree.number, counts[term]))
     assert build_index(corpus).postings == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 6), query_terms)
+def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, terms):
+    """In a corpus of several documents, each document's AND/OR matches,
+    coherent elements and subtree sizes, read from the corpus-wide columns,
+    equal the brute-force oracle on that document parsed alone; so the
+    document boundaries (the matcher's end-of-document successor, and
+    ``ends`` and ``parents`` at a document's first and last node) hold."""
+    rng = random.Random(seed)
+    texts = {f"d{i}": support.random_xml(rng) for i in range(n_docs)}
+    corpus = support.corpus_from_strings(texts)
+    assert list(corpus.starts) == sorted(set(corpus.starts)) and corpus.starts[-1] == len(corpus.paths)
+    for tree, text in zip(corpus.trees(), texts.values()):
+        alone = parse_document(text, tree.doc)
+        offset = tree.start
+        assert len(tree.nodes) == len(alone.nodes)
+        assert corpus.parents[tree.start] == -1 and corpus.ends[tree.start] == tree.end
+        assert corpus.ends[tree.end - 1] == tree.end
+        regions = support.token_regions(text)
+        for i in tree.nodes:
+            assert corpus.paths[i] == alone.corpus.paths[i - offset]
+            assert corpus.sizes[i] == len(regions[corpus.paths[i]])
+            assert corpus.ends[i] - offset == alone.corpus.ends[i - offset]
+            assert max(corpus.parents[i] - offset, -1) == alone.corpus.parents[i - offset]
+        combined: set[int] = set()
+        for mode in (AND, OR):
+            query = ElementQuery(terms=frozenset(terms), mode=mode)
+            matches = match_elements(tree, query)
+            assert all(tree.start <= i < tree.end for i in matches)
+            assert support.paths_of(tree, matches) == support.brute_force_matches(text, query)
+            combined |= set(matches)
+        if combined:
+            got = {r.path: r.matches for r in identify_cres(tree, sorted(combined))}
+            assert all(r.doc == tree.doc for r in identify_cres(tree, sorted(combined)))
+            assert got == support.brute_force_cres(list(regions), support.paths_of(tree, sorted(combined)))

@@ -39,9 +39,9 @@ FIXTURE = {
 def test_build_index_hand_counts():
     corpus = support.corpus_from_strings({"d1": "<article>a a b</article>"})
     index = build_index(corpus)
-    assert index.postings["a"] == [("d1", 2)]
-    assert index.postings["b"] == [("d1", 1)]
-    assert index.doc_lengths == {"d1": 3}
+    assert index.postings["a"] == [(0, 2)]
+    assert index.postings["b"] == [(0, 1)]
+    assert list(index.doc_lengths) == [3]
     assert index.avg_doc_length == 3.0
 
 
@@ -50,8 +50,17 @@ def test_build_index_identical_docs():
         {"d1": "<article>x y</article>", "d2": "<article>x y</article>"}
     )
     index = build_index(corpus)
-    assert index.postings["x"] == [("d1", 1), ("d2", 1)]
+    assert index.postings["x"] == [(0, 1), (1, 1)]
     assert index.avg_doc_length == 2.0
+
+
+def test_build_index_shares_equal_pairs():
+    corpus = support.corpus_from_strings({"d1": "<article>x y y</article>", "d2": "<article>x y</article>"})
+    index = build_index(corpus)
+    assert index.postings["x"] == [(0, 1), (1, 1)]
+    assert index.postings["y"] == [(0, 2), (1, 1)]
+    assert index.postings["x"][1] is index.postings["y"][1]  # one (document number, tf) tuple
+    assert index.docs is corpus.docs
 
 
 def test_build_index_against_counting_oracle():
@@ -59,13 +68,13 @@ def test_build_index_against_counting_oracle():
     docs = {f"d{i}": support.random_xml(rng) for i in range(3)}
     corpus = support.corpus_from_strings(docs)
     index = build_index(corpus)
-    for doc in corpus.docs:
+    for number, doc in enumerate(corpus.docs):
         counts = Counter()
         for tokens in support.own_tokens(docs[doc]).values():
             counts.update(tokens)
         for term, tf in counts.items():
-            assert (doc, tf) in index.postings[term]
-        assert index.doc_lengths[doc] == sum(counts.values())
+            assert (number, tf) in index.postings[term]
+        assert index.doc_lengths[number] == sum(counts.values())
     for term, plist in index.postings.items():
         assert len(plist) == sum(
             1 for text in docs.values() if any(term in tokens for tokens in support.own_tokens(text).values())

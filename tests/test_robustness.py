@@ -79,11 +79,12 @@ def test_namespaced_corpus_runs_and_evaluates(namespaced_workspace, capsys, metr
 
 def test_namespaced_paths_round_trip():
     tree = parse_document(NAMESPACED_XML, "d")
-    assert str(tree.nodes[1].path) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
+    paths = tree.corpus.paths
+    assert str(paths[1]) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
     for node in tree.nodes:
-        text = str(node.path)
-        assert ElementPath.from_string(text) == node.path
-        assert tree.by_path.get(ElementPath.from_string(text)) is node
+        text = str(paths[node])
+        assert ElementPath.from_string(text) == paths[node]
+        assert tree.find(ElementPath.from_string(text)) == node
 
 
 @pytest.mark.parametrize(
@@ -224,7 +225,7 @@ def test_hostile_documents_ingest_or_skip_cleanly(tmp_path, capsys, monkeypatch)
 
 def test_empty_elements_have_size_zero_and_never_match():
     tree = parse_document("<article><sec/><p></p><sec> </sec><p>alpha</p></article>", "d")
-    sizes = {str(node.path): node.subtree_size for node in tree.nodes}
+    sizes = {str(path): size for (_, path), size in support.element_sizes(tree.corpus).items()}
     assert sizes == {
         "/article[1]": 1,
         "/article[1]/sec[1]": 0,
@@ -234,7 +235,7 @@ def test_empty_elements_have_size_zero_and_never_match():
     }
     for terms in ({"alpha"}, {"alpha", "absent"}):
         query = ElementQuery(terms=frozenset(terms), mode=OR)
-        assert [str(tree.nodes[i].path) for i in match_elements(tree, query)] == ["/article[1]/p[2]"]
+        assert [str(path) for path in support.paths_of(tree, match_elements(tree, query))] == ["/article[1]/p[2]"]
 
 
 DUPLICATE_TOPICS = """\
