@@ -26,7 +26,6 @@ from .cre import (
     rank_cres,
 )
 from .evaluation import (
-    QuantizedJudgment,
     build_size_map,
     inex_eval_ng,
     inex_eval_strict,

@@ -34,6 +34,7 @@ CATEGORY_CHOICES = ("all", assess.BROAD, assess.NARROW)
 _DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
 
 Warn = Callable[[str], None]
+Judgment = tuple[str, dict[str, frozenset[tuple[str, ElementPath]]]]
 
 
 def _warn_once() -> Warn:
@@ -146,66 +147,63 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _filter_topics(
-    sets: list[assess.AssessmentSet],
-    category: str,
-    warn: Warn,
-) -> tuple[dict[int, assess.AssessmentSet], dict[int, str]]:
-    """Assessment sets that fall in the requested category, and why each
-    other assessed topic is left out; uncategorizable topics (no highly
-    relevant elements) are also reported with a diagnostic."""
-    kept: dict[int, assess.AssessmentSet] = {}
-    left_out: dict[int, str] = {}
+def _judge(sets: list[assess.AssessmentSet], warn: Warn) -> dict[int, Judgment | None]:
+    """Each assessed topic's category and its relevant set per relevance case;
+    None, with a diagnostic, for a topic with no highly relevant elements."""
+    judged: dict[int, Judgment | None] = {}
     for aset in sets:
         try:
-            topic_category = assess.categorize_topic(aset)
+            category = assess.categorize_topic(aset)
         except ValueError as exc:
             warn(f"assessments: {exc}; excluded")
-            left_out[aset.topic_id] = "no highly relevant elements"
+            judged[aset.topic_id] = None
             continue
-        if category == "all" or topic_category == category:
-            kept[aset.topic_id] = aset
-        else:
-            left_out[aset.topic_id] = f"{topic_category}, not {category}"
-    return kept, left_out
+        judged[aset.topic_id] = category, {case: evaluation.quantize(aset, case) for case in assess.RELEVANCE_CASES}
+    return judged
 
 
 def _score_runs(
     runs: list[pipeline.RunResult],
-    judged: dict[int, assess.AssessmentSet],
-    left_out: dict[int, str],
+    judged: dict[int, Judgment | None],
     case: str,
+    category: str,
     metric: str,
     corpus: Corpus | None,
     warn: Warn,
 ) -> dict[int, float]:
-    per_topic: dict[int, float] = {}
-    judgments = {r.topic_id: evaluation.quantize(judged[r.topic_id], case) for r in runs if r.topic_id in judged}
+    """Average precision per run whose topic is judged and in ``category``;
+    every other run is skipped with its reason."""
+    relevant: dict[int, frozenset[tuple[str, ElementPath]]] = {}
+    left_out: dict[int, str] = {}
+    for run in runs:
+        if run.topic_id not in judged:
+            left_out[run.topic_id] = "no matching assessments"
+        elif judged[run.topic_id] is None:
+            left_out[run.topic_id] = "no highly relevant elements"
+        else:
+            topic_category, views = judged[run.topic_id]
+            if category in ("all", topic_category):
+                relevant[run.topic_id] = views[case]
+            else:
+                left_out[run.topic_id] = f"{topic_category}, not {category}"
     sizes: dict[tuple[str, ElementPath], int] | None = None
     if metric != evaluation.METRIC_STRICT:
-        if corpus is None:
-            raise ValueError(f"metric {metric} needs --corpus for element sizes")
-        needed: set[tuple[str, ElementPath]] = set()
-        for run in runs:
-            if run.topic_id in judgments:
-                needed.update((e.doc, e.path) for e in run.entries)
-                needed.update(judgments[run.topic_id].relevant)
-        sizes, diagnostics = evaluation.build_size_map(corpus, needed)
+        needed = {(e.doc, e.path) for run in runs if run.topic_id in relevant for e in run.entries}
+        sizes, diagnostics = evaluation.build_size_map(corpus, needed.union(*relevant.values()))
         for line in diagnostics:
             warn(f"sizes: {line}")
+    per_topic: dict[int, float] = {}
     for run in runs:
-        judgment = judgments.get(run.topic_id)
-        if judgment is None:
-            reason = left_out.get(run.topic_id, "no matching assessments")
-            warn(f"topic {run.topic_id}: {reason}; skipped")
+        if run.topic_id in left_out:
+            warn(f"topic {run.topic_id}: {left_out[run.topic_id]}; skipped")
             continue
         entries = [(e.doc, e.path) for e in run.entries]
         try:
             if metric == evaluation.METRIC_STRICT:
-                per_topic[run.topic_id] = evaluation.inex_eval_strict(entries, judgment)
+                per_topic[run.topic_id] = evaluation.inex_eval_strict(entries, relevant[run.topic_id])
             else:
                 mode = "s" if metric == evaluation.METRIC_NG_SIZE else "o"
-                per_topic[run.topic_id] = evaluation.inex_eval_ng(entries, judgment, sizes, mode)
+                per_topic[run.topic_id] = evaluation.inex_eval_ng(entries, relevant[run.topic_id], sizes, mode)
         except ValueError as exc:
             warn(f"topic {run.topic_id}: skipped ({exc})")
     return per_topic
@@ -225,12 +223,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     runs = pipeline.read_run_file(args.run_file)
     sets = _load_assessment_sets(args)
     case, category, metric = args.case, args.category, args.metric
-    corpus = None
-    if metric != evaluation.METRIC_STRICT:
-        corpus = _load_corpus(args)
+    corpus = None if metric == evaluation.METRIC_STRICT else _load_corpus(args)
     warn = _warn_once()
-    judged, left_out = _filter_topics(sets, category, warn)
-    per_topic = _score_runs(runs, judged, left_out, case, metric, corpus, warn)
+    per_topic = _score_runs(runs, _judge(sets, warn), case, category, metric, corpus, warn)
     label = evaluation.METRIC_LABELS[metric]
     lines = [f"topic\tap\t{label}/{case}/{category}"]
     for topic_id in sorted(per_topic):
@@ -257,9 +252,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 cells.append((_system_config(args, system, cre, n_label), n_label))
 
     warn = _warn_once()
-    judged_by_category = {
-        category: _filter_topics(sets, category, warn) for category in CATEGORY_CHOICES
-    }
+    judged = _judge(sets, warn)
     lines = ["system\tn\tcase\tcategory\tmetric\ttopics\tmap"]
     label = evaluation.METRIC_LABELS[args.metric]
     for config, n_label in cells:
@@ -271,8 +264,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 warn(f"topic {topic.id}: skipped ({exc})")
         for case in assess.RELEVANCE_CASES:
             for category in CATEGORY_CHOICES:
-                judged, left_out = judged_by_category[category]
-                per_topic = _score_runs(runs, judged, left_out, case, args.metric, corpus, warn)
+                per_topic = _score_runs(runs, judged, case, category, args.metric, corpus, warn)
                 if per_topic:
                     map_value = f"{evaluation.mean_average_precision(per_topic):.6f}"
                 else:

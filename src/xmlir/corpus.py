@@ -16,6 +16,7 @@ lowercased text; attributes and markup never contribute terms.
 
 from __future__ import annotations
 
+import html.entities
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -28,6 +29,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .paths import ElementPath, PathStep
 
 _TOKEN = re.compile(r"[0-9a-z]+")
+# the HTML named entities, for documents whose external DTD (not read) declares them
+_ENTITIES = {name: chr(code) for name, code in html.entities.name2codepoint.items()}
 Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
 
 
@@ -84,7 +87,9 @@ class Corpus:
         own token counts, parents and postings, and a reverse pass over
         ``parents`` sums subtree sizes and ends: no recursion limits depth."""
         intern = sys.intern
-        top = ET.fromstring(source)
+        parser = ET.XMLParser()
+        parser.entity.update(_ENTITIES)
+        top = ET.fromstring(source, parser)
         shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings
         start = len(paths)
         stack = [(top, ((intern(top.tag), 1),), -1)]

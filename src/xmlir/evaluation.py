@@ -1,9 +1,10 @@
 """Retrieval metrics: strict average precision and size-aware variants.
 
-Strict scoring quantizes the active assessment view to binary relevance and
-averages interpolated precision over the 100 recall levels 0.01..1.00,
-where interpolated precision at level r is the maximum precision among
-ranks whose recall reaches r (0 when none does).
+Every metric takes a ranked list of (doc, path) entries and the relevant
+set: ``quantize`` makes it, binary, from an assessment view, and it is the
+recall base. Strict scoring averages interpolated precision over the 100
+recall levels 0.01..1.00, where interpolated precision at level r is the
+maximum precision among ranks whose recall reaches r (0 when none does).
 
 The size-aware variants (reported as ``ng-s-reconstructed`` and
 ``ng-o-reconstructed``) weigh the curve by subtree token counts. Mode ``s``
@@ -17,8 +18,7 @@ overlap-free runs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .assessments import AssessmentSet, derive_view
 from .corpus import Corpus
@@ -40,22 +40,9 @@ METRIC_LABELS = {
 SizeMap = Mapping[tuple[str, ElementPath], int]
 
 
-@dataclass(frozen=True)
-class QuantizedJudgment:
-    topic_id: int
-    relevant: frozenset[tuple[str, ElementPath]]
-
-    @property
-    def recall_base(self) -> int:
-        return len(self.relevant)
-
-
-def quantize(assessment: AssessmentSet, case: str) -> QuantizedJudgment:
-    """Binary judgments for the chosen view; the view is the recall base."""
-    return QuantizedJudgment(
-        topic_id=assessment.topic_id,
-        relevant=frozenset(derive_view(assessment, case)),
-    )
+def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, ElementPath]]:
+    """The chosen view as binary judgments: the relevant set."""
+    return frozenset(derive_view(assessment, case))
 
 
 def interpolated_average_precision(points: Sequence[tuple[float, float]]) -> float:
@@ -81,20 +68,20 @@ def interpolated_average_precision(points: Sequence[tuple[float, float]]) -> flo
 
 def inex_eval_strict(
     entries: Sequence[tuple[str, ElementPath]],
-    judgments: QuantizedJudgment,
+    relevant: AbstractSet[tuple[str, ElementPath]],
 ) -> float:
-    """Average precision with exact (doc, path) matching.
+    """Average precision with exact (doc, path) matching against the relevant set.
 
     Raises ValueError when the recall base is empty.
     """
-    base = judgments.recall_base
+    base = len(relevant)
     if base == 0:
-        raise ValueError(f"topic {judgments.topic_id}: empty recall base")
+        raise ValueError("empty recall base")
     points = []
     hits = 0
     seen: set[tuple[str, ElementPath]] = set()
     for rank, entry in enumerate(entries, start=1):
-        if entry in judgments.relevant and entry not in seen:
+        if entry in relevant and entry not in seen:
             hits += 1
             seen.add(entry)
         points.append((hits / base, hits / rank))
@@ -118,7 +105,7 @@ def _cover(roots: dict[tuple[PathStep, ...], int], path: ElementPath, size: int)
 
 def inex_eval_ng(
     entries: Sequence[tuple[str, ElementPath]],
-    judgments: QuantizedJudgment,
+    relevant: AbstractSet[tuple[str, ElementPath]],
     sizes: SizeMap,
     overlap_mode: str,
 ) -> float:
@@ -130,9 +117,9 @@ def inex_eval_ng(
     """
     if overlap_mode not in ("s", "o"):
         raise ValueError(f"unknown overlap mode: {overlap_mode!r}")
-    total_relevant = sum(sizes.get(entry, 0) for entry in judgments.relevant)
+    total_relevant = sum(sizes.get(entry, 0) for entry in relevant)
     if total_relevant <= 0:
-        raise ValueError(f"topic {judgments.topic_id}: empty size-weighted recall base")
+        raise ValueError("empty size-weighted recall base")
     covered_roots: dict[str, dict[tuple[PathStep, ...], int]] = {}
     covered = 0
     consumed = 0
@@ -141,7 +128,7 @@ def inex_eval_ng(
         doc, path = entry
         size = sizes.get(entry, 0)
         credit = size if overlap_mode == "s" else _cover(covered_roots.setdefault(doc, {}), path, size)
-        if entry in judgments.relevant:
+        if entry in relevant:
             covered += credit
         consumed += size
         recall = covered / total_relevant

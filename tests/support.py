@@ -12,6 +12,8 @@ import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from xmlir import (
     CoherentElement,
     Corpus,
@@ -383,6 +385,33 @@ def random_xml(rng: random.Random, max_children: int = 3, max_depth: int = 4) ->
         return f"<{tag}>{inner}</{tag}>"
 
     return element("article", 0)
+
+
+@st.composite
+def mutated(draw, valid: bytes, separator: bytes) -> bytes:
+    """A valid file after a few truncations, byte flips, swapped
+    ``separator``-delimited fields, huge integers and non-UTF-8 bytes."""
+    data = valid
+    for kind in draw(st.lists(st.sampled_from(["cut", "flip", "swap", "huge", "bytes"]), min_size=1, max_size=4)):
+        at = draw(st.integers(0, len(data)))
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "swap":
+            lines = data.split(b"\n")
+            row = draw(st.integers(0, len(lines) - 1))
+            fields = lines[row].split(separator)
+            i, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+            fields[i], fields[j] = fields[j], fields[i]
+            lines[row] = separator.join(fields)
+            data = b"\n".join(lines)
+        elif kind == "huge":
+            digits = draw(st.sampled_from([b"9" * 30, b"9" * 400, b"1" * 5000, b"1e999", b"-0"]))
+            data = data[:at] + digits + data[at:]
+        elif kind == "bytes":
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r"])) + data[at:]
+    return data
 
 
 # ---------------------------------------------------------------------------

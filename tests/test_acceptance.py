@@ -10,7 +10,6 @@ import pytest
 from xmlir import (
     ElementPath,
     HeuristicCombo,
-    QuantizedJudgment,
     RankParams,
     SystemConfig,
     build_index,
@@ -201,15 +200,14 @@ def test_c6_metric_oracles():
         relevant = [("d", P(f"/a[1]/p[{i}]")) for i in range(1, base + 1)]
         pool = relevant + [("d", P(f"/a[1]/x[{i}]")) for i in range(1, 15)]
         run = rng.sample(pool, rng.randint(0, len(pool)))
-        judgment = QuantizedJudgment(topic_id=1, relevant=frozenset(relevant))
-        got = inex_eval_strict(run, judgment)
+        got = inex_eval_strict(run, frozenset(relevant))
         expected = support.naive_strict_ap([e in set(relevant) for e in run], base)
         assert got == pytest.approx(expected, abs=1e-9), f"trial {trial}"
 
     rel1, rel2 = ("d", P("/a[1]/p[1]")), ("d", P("/a[1]/p[2]"))
     hand = inex_eval_strict(
         [rel1, ("d", P("/a[1]/x[1]")), rel2],
-        QuantizedJudgment(topic_id=1, relevant=frozenset({rel1, rel2})),
+        frozenset({rel1, rel2}),
     )
     assert hand == pytest.approx(0.8333333333333333, abs=1e-9)
 
@@ -230,9 +228,8 @@ def test_c6_metric_oracles():
             continue
         overlapping_runs += 1
         relevant = frozenset(rng.sample(pool, rng.randint(1, min(5, len(pool)))))
-        judgment = QuantizedJudgment(topic_id=1, relevant=relevant)
-        ap_s = inex_eval_ng(run, judgment, sizes, "s")
-        ap_o = inex_eval_ng(run, judgment, sizes, "o")
+        ap_s = inex_eval_ng(run, relevant, sizes, "s")
+        ap_o = inex_eval_ng(run, relevant, sizes, "o")
         assert ap_o <= ap_s + 1e-12
     assert overlapping_runs >= 50
     print(

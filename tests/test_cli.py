@@ -163,6 +163,26 @@ def test_eval_ng_metric_requires_corpus(workspace, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+def test_eval_ng_names_an_unresolved_recall_base_once(workspace, capsys):
+    # topic 117's only 3/3 element names a document the corpus lacks
+    (workspace / "assessments" / "117.xml").write_text(
+        '<assessments topic_id="117"><file file="ic/9999/gone">'
+        '<path E="3" S="3" path="/article[1]"/></file></assessments>'
+    )
+    run_file = workspace / "one.run"
+    run_file.write_text("117\t1\tic/1999/w0001\t/article[1]\t-\tsynthetic\n")
+    argv = [
+        "eval", str(run_file), "--assessments", str(workspace / "assessments"),
+        "--corpus", str(workspace / "corpus"), "--metric", "ng-s",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sizes: size unavailable, using 0: ic/9999/gone /article[1]",
+        "topic 117: skipped (empty size-weighted recall base)",
+        "no scoreable topics",
+    ]
+
+
 def test_config_file_provides_defaults_and_cli_overrides(workspace, monkeypatch, capsys):
     config = {
         "corpus": str(workspace / "corpus"),

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
@@ -17,6 +17,7 @@ from xmlir import (
     parse_document,
     tokenize,
 )
+from xmlir.cli import main
 from xmlir.corpus import Node
 from xmlir.matcher import AND, OR
 
@@ -346,3 +347,62 @@ def test_ingest_skips_file_with_false_or_unknown_encoding(tmp_path, declaration)
     assert len(corpus.diagnostics) == 1
     assert corpus.diagnostics[0].startswith("liar.xml: skipped (")
     assert sorted(corpus.postings) == ["ok"]  # nothing of the skipped file is kept
+
+
+def test_ingest_resolves_html_entities_named_by_an_external_dtd(tmp_path):
+    prolog = '<?xml version="1.0"?>\n<!DOCTYPE article SYSTEM "xmlarticle.dtd">\n'
+    (tmp_path / "ieee.xml").write_text(prolog + "<article><p>pre&ndash;order caf&eacute; &amp; tries</p></article>")
+    (tmp_path / "odd.xml").write_text(prolog + "<article><p>&nosuchentity;</p></article>")
+    corpus = ingest_corpus(tmp_path)
+    assert list(corpus.docs) == ["ieee"]
+    assert corpus.diagnostics == ["odd.xml: skipped (undefined entity &nosuchentity;: line 3, column 12)"]
+    assert sorted(corpus.postings) == ["caf", "order", "pre", "tries"]  # the dash and the é split words
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.integers(0, 2**32 - 1).flatmap(
+    lambda seed: support.mutated(support.random_xml(random.Random(seed)).encode(), b"<")
+))
+def test_mutated_documents_ingest_or_skip_cleanly(tmp_path, capsys, data):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir(exist_ok=True)
+    (corpus_dir / "fuzzed.xml").write_bytes(data)
+    corpus = ingest_corpus(corpus_dir)
+    if corpus.docs:
+        assert list(corpus.docs) == ["fuzzed"] and corpus.diagnostics == []
+        paths, postings, sizes, ends, parents = _elementtree_layout(data)
+        assert corpus.paths == paths
+        assert document_postings(corpus.tree(0)) == postings
+        assert (list(corpus.sizes), list(corpus.ends), list(corpus.parents)) == (sizes, ends, parents)
+    else:
+        assert len(corpus.diagnostics) == 1
+        assert corpus.diagnostics[0].startswith("fuzzed.xml: skipped (")
+    topics = tmp_path / "topics.xml"
+    topics.write_text('<inex_topic topic_id="1" query_type="CO"><keywords>alpha beta</keywords></inex_topic>')
+    capsys.readouterr()
+    code = main([
+        "run", "--corpus", str(corpus_dir), "--topics", str(topics),
+        "--system", "hybrid", "--cre", "--out", str(tmp_path / "fuzzed.run"),
+    ])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if corpus.docs:
+        assert code == 0
+    else:
+        assert code == 1 and err.splitlines()[-1] == "error: cannot index an empty corpus"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_runs_cut_from_the_index_equal_the_bisect_slices(seed):
+    rng = random.Random(seed)
+    corpus = support.corpus_from_strings({f"d{i}": support.random_xml(rng) for i in range(rng.randint(1, 6))})
+    terms = rng.sample(["alpha", "beta", "gamma", "delta", "epsilon", "absent"], rng.randint(1, 4))
+    runs = corpus.runs(terms, build_index(corpus).postings)
+    for tree in corpus.trees():
+        hits = [list(run) for run in tree.hits(terms)]
+        if not any(hits):
+            assert tree.number not in runs  # a document holding no query term
+            continue
+        assert list(runs[tree.number]) == terms  # every query term, in the order given
+        assert [list(runs[tree.number][term]) for term in terms] == hits

@@ -301,35 +301,8 @@ VALID_RUN = (
 ).encode()
 
 
-@st.composite
-def mutated(draw, valid: bytes, separator: bytes) -> bytes:
-    """A valid file after a few truncations, byte flips, swapped
-    ``separator``-delimited fields, huge integers and non-UTF-8 bytes."""
-    data = valid
-    for kind in draw(st.lists(st.sampled_from(["cut", "flip", "swap", "huge", "bytes"]), min_size=1, max_size=4)):
-        at = draw(st.integers(0, len(data)))
-        if kind == "cut":
-            data = data[:at]
-        elif kind == "flip" and at < len(data):
-            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
-        elif kind == "swap":
-            lines = data.split(b"\n")
-            row = draw(st.integers(0, len(lines) - 1))
-            fields = lines[row].split(separator)
-            i, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
-            fields[i], fields[j] = fields[j], fields[i]
-            lines[row] = separator.join(fields)
-            data = b"\n".join(lines)
-        elif kind == "huge":
-            digits = draw(st.sampled_from([b"9" * 30, b"9" * 400, b"1" * 5000, b"1e999", b"-0"]))
-            data = data[:at] + digits + data[at:]
-        elif kind == "bytes":
-            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r"])) + data[at:]
-    return data
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated(VALID_RUN, b"\t"), metric=st.sampled_from(["inex-eval", "ng-s"]))
+@given(data=support.mutated(VALID_RUN, b"\t"), metric=st.sampled_from(["inex-eval", "ng-s"]))
 def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, data, metric):
     ws = namespaced_workspace
     run_file = ws / "fuzzed.run"
@@ -359,7 +332,7 @@ VALID_TOPICS = (
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated(VALID_TOPICS, b'"'))
+@given(data=support.mutated(VALID_TOPICS, b'"'))
 def test_mutated_topics_files_parse_or_fail_cleanly(namespaced_workspace, capsys, data):
     ws = namespaced_workspace
     topics_file = ws / "fuzzed-topics.xml"
@@ -394,7 +367,7 @@ VALID_ASSESSMENT = (
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated(VALID_ASSESSMENT, b'"'), metric=st.sampled_from(["inex-eval", "ng-s"]))
+@given(data=support.mutated(VALID_ASSESSMENT, b'"'), metric=st.sampled_from(["inex-eval", "ng-s"]))
 def test_mutated_assessment_files_parse_or_skip_cleanly(namespaced_workspace, capsys, data, metric):
     ws = namespaced_workspace
     assessments = ws / "assessments"
