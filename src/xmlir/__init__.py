@@ -21,7 +21,6 @@ from .corpus import (
 from .cre import (
     COMBO_CODES,
     CoherentElement,
-    HeuristicCombo,
     identify_cres,
     rank_cres,
 )
@@ -33,7 +32,7 @@ from .evaluation import (
     mean_average_precision,
     quantize,
 )
-from .matcher import ElementQuery, match_elements
+from .matcher import match_elements
 from .paths import ElementPath
 from .pipeline import (
     RunEntry,

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 from . import assessments as assess
 from . import evaluation, pipeline
 from .corpus import Corpus, ingest_corpus
-from .cre import COMBO_CODES, HeuristicCombo
+from .cre import COMBO_CODES
 from .paths import ElementPath
 from .ranker import build_index
 
@@ -95,7 +95,7 @@ def _system_config(args: argparse.Namespace, system: str, cre: bool, n: str) -> 
     return pipeline.SystemConfig(
         system=system,
         cre=cre,
-        combo=HeuristicCombo.from_string(args.combo),
+        combo=args.combo,
         n_per_article=None if n == "all" else int(n),
         slope=float(args.slope),
         max_results=args.max_results,
@@ -309,7 +309,7 @@ def _add_corpus_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--combo", choices=COMBO_CODES, default=str(_DEFAULTS.combo), metavar="{MpB..pME}",
+    parser.add_argument("--combo", choices=COMBO_CODES, default=_DEFAULTS.combo, metavar="{MpB..pME}",
                         help="coherent-element ranking heuristics (default: %(default)s)")
     parser.add_argument("--slope", type=float, default=_DEFAULTS.slope,
                         help="length-normalization slope (default: %(default)s)")

@@ -31,6 +31,8 @@ from .paths import ElementPath, PathStep
 _TOKEN = re.compile(r"[0-9a-z]+")
 # the HTML named entities, for documents whose external DTD (not read) declares them
 _ENTITIES = {name: chr(code) for name, code in html.entities.name2codepoint.items()}
+# a reference expat cannot resolve without a DTD: not predefined, not a character reference
+_REFERENCE = re.compile(r"&(?!#|(?:amp|lt|gt|quot|apos);)[\w.:-]+;")
 Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
 
 
@@ -89,7 +91,10 @@ class Corpus:
         intern = sys.intern
         parser = ET.XMLParser()
         parser.entity.update(_ENTITIES)
-        top = ET.fromstring(source, parser)
+        try:
+            top = ET.fromstring(source, parser)
+        except ET.ParseError as exc:
+            raise (_named_entity(exc, source) if exc.code == 11 else exc) from None  # 11: an undefined entity
         shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings
         start = len(paths)
         stack = [(top, ((intern(top.tag), 1),), -1)]
@@ -128,6 +133,21 @@ class Corpus:
                 ends[parent] = ends[i]
         self.docs.append(doc)
         self.starts.append(end)
+
+
+def _named_entity(exc: ET.ParseError, source: str | bytes) -> ET.ParseError:
+    """Expat's own undefined-entity error, in a document without a DTD, names
+    no entity: name the first unresolvable reference from its line and
+    character column on, as a document with a DTD does."""
+    line, column = exc.position
+    text = source if isinstance(source, str) else source.decode("utf-8", "replace")
+    start = re.match(r"(?:[^\r\n]*(?:\r\n?|\n)){%d}" % (line - 1), text)
+    found = start and _REFERENCE.search(text, start.end() + column)
+    if not found:  # e.g. a UTF-16 source, whose bytes do not decode as UTF-8
+        return exc
+    named = ET.ParseError(f"undefined entity {found.group()}: line {line}, column {column}")
+    named.code, named.position = exc.code, exc.position
+    return named
 
 
 @dataclass(eq=False, slots=True)

@@ -20,7 +20,7 @@ below two distinct children. One walk up from each ``a`` finds its LCA.
 A single-item input is the special case: the sole matching element is
 returned as-is, since nothing supports promoting any of its ancestors.
 
-Ranking uses a three-key heuristic code such as ``MpE``:
+Ranking uses a heuristic combination, a three-letter code such as ``MpE``:
 
 * ``M``/``m``: more/fewer containing matches first;
 * ``P``/``p``: longer/shorter path first;
@@ -29,50 +29,19 @@ Ranking uses a three-key heuristic code such as ``MpE``:
 
 The first two letters are the primary and secondary keys in either order
 (one from each pair), the third letter always resolves remaining ties,
-giving 16 valid codes.
+giving the 16 ``COMBO_CODES``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .corpus import DocumentTree
 from .paths import ElementPath
 
-_MATCH_KEYS = ("M", "m")
-_PATH_KEYS = ("P", "p")
-_TIEBREAKS = ("B", "E")
-
-_KEY_PAIRS = [(a, b) for a in _MATCH_KEYS for b in _PATH_KEYS] + [
-    (a, b) for a in _PATH_KEYS for b in _MATCH_KEYS
-]
-COMBO_CODES: tuple[str, ...] = tuple(a + b + t for a, b in _KEY_PAIRS for t in _TIEBREAKS)
-
-
-@dataclass(frozen=True)
-class HeuristicCombo:
-    primary: str
-    secondary: str
-    tiebreak: str
-
-    def __post_init__(self) -> None:
-        code = self.primary + self.secondary + self.tiebreak
-        if code not in COMBO_CODES:
-            raise ValueError(f"invalid heuristic combination {code!r}")
-
-    @classmethod
-    def from_string(cls, code: str) -> "HeuristicCombo":
-        if len(code) != 3:
-            raise ValueError(f"invalid heuristic combination {code!r}")
-        return cls(code[0], code[1], code[2])
-
-    def __str__(self) -> str:
-        return self.primary + self.secondary + self.tiebreak
-
-
-DEFAULT_COMBO = HeuristicCombo.from_string("MpE")
+COMBO_CODES = tuple(a + b + t for x, y in (("Mm", "Pp"), ("Pp", "Mm")) for a in x for b in y for t in "BE")
+DEFAULT_COMBO = "MpE"
 
 
 class CoherentElement(NamedTuple):  # a tuple: cheap to make by the thousand per topic
@@ -112,22 +81,20 @@ def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentE
     return cres
 
 
-def rank_cres(
-    cres: Sequence[CoherentElement],
-    combo: HeuristicCombo = DEFAULT_COMBO,
-) -> list[CoherentElement]:
-    """Total order over coherent elements under a heuristic combination.
+def rank_cres(cres: Sequence[CoherentElement], combo: str = DEFAULT_COMBO) -> list[CoherentElement]:
+    """Total order over coherent elements under a heuristic combination code.
 
     Ties left by the code fall to the document and then the full path, since
     sibling-index sequences can repeat (``/article[1]/bdy[1]`` and
     ``/article[1]/bm[1]``). The per-article cap is applied by the pipeline,
     not here.
     """
-    keys = combo.primary + combo.secondary
-    match_sign = -1 if "M" in keys else 1
-    path_sign = -1 if "P" in keys else 1
-    sequence_sign = -1 if combo.tiebreak == "E" else 1
-    matches_first = combo.primary in _MATCH_KEYS
+    if combo not in COMBO_CODES:
+        raise ValueError(f"invalid heuristic combination {combo!r}")
+    match_sign = -1 if "M" in combo else 1
+    path_sign = -1 if "P" in combo else 1
+    sequence_sign = -1 if combo[2] == "E" else 1
+    matches_first = combo[0] in "Mm"
 
     def key(record: CoherentElement):
         steps = record.path.steps

@@ -2,9 +2,10 @@
 
 Returns the most specific elements whose subtree satisfies the term
 predicate: an element matches when its subtree holds the required terms and
-no proper descendant's subtree does likewise. Per document the matches form
-an antichain, returned as ascending node numbers; ``corpus.paths[i]`` gives
-a match's path. No ranking happens here.
+no proper descendant's subtree does likewise. A query is a non-empty term
+set and a mode, ``AND`` or ``OR``. Per document the matches form an
+antichain, returned as ascending node numbers; ``corpus.paths[i]`` gives a
+match's path. No ranking happens here.
 
 Matching reads the document's runs of the query terms (``DocumentTree.hits``),
 not its tree. Node ``i``'s subtree is ``[i, ends[i])``, so in a sorted list
@@ -25,7 +26,6 @@ test finds the most specific nodes in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import DocumentTree
@@ -34,23 +34,16 @@ AND = "and"
 OR = "or"
 
 
-@dataclass(frozen=True)
-class ElementQuery:
-    terms: frozenset[str]
-    mode: str  # AND or OR
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("element query needs at least one term")
-        if self.mode not in (AND, OR):
-            raise ValueError(f"unknown query mode: {self.mode!r}")
-
-
-def match_elements(tree: DocumentTree, query: ElementQuery) -> list[int]:
-    """Ascending node numbers of the most specific satisfying elements of one document."""
+def match_elements(tree: DocumentTree, terms: Iterable[str], mode: str) -> list[int]:
+    """Ascending node numbers of the most specific elements of one document
+    holding all (``AND``) or any (``OR``) of ``terms``."""
+    if mode not in (AND, OR):
+        raise ValueError(f"unknown query mode: {mode!r}")
+    found = tree.hits(terms)
+    if not found:
+        raise ValueError("element query needs at least one term")
     corpus = tree.corpus
-    found = tree.hits(query.terms)
-    if query.mode == OR:
+    if mode == OR:
         hits = set().union(*found)
     elif all(found):
         hits = set.intersection(*[_ancestor_closure(nodes, corpus.parents) for nodes in found])
@@ -74,9 +67,9 @@ def _ancestor_closure(nodes: Sequence[int], parents: Sequence[int]) -> set[int]:
 
 
 def collection_match(
-    trees: Iterable[DocumentTree], query: ElementQuery
+    trees: Iterable[DocumentTree], terms: Iterable[str], mode: str
 ) -> Iterator[tuple[DocumentTree, int]]:
     """``(tree, node index)`` matches of the given documents in the order given, produced lazily."""
     for tree in trees:
-        for i in match_elements(tree, query):
+        for i in match_elements(tree, terms, mode):
             yield tree, i

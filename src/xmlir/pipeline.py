@@ -22,7 +22,8 @@ configured.
 Topics arrive in the ``<inex_topic>`` XML format (title, description,
 narrative and a comma-separated keywords field); queries are built from the
 keywords alone: phrases split on commas, tokenized, and flattened into a
-term bag for article ranking and a term set for element matching.
+term bag for article ranking; its distinct terms are the AND and the OR
+element query.
 
 Run files are tab-separated, one entry per line:
 ``topic_id  rank  doc_id  element_path  score_or_dash  system_tag``.
@@ -38,8 +39,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Corpus, DocumentTree, tokenize
-from .cre import DEFAULT_COMBO, HeuristicCombo, identify_cres, rank_cres
-from .matcher import AND, OR, ElementQuery, collection_match, match_elements
+from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
+from .matcher import AND, OR, collection_match, match_elements
 from .paths import ElementPath
 from .ranker import InvertedIndex, RankParams, rank_articles
 
@@ -58,26 +59,21 @@ class Topic:
     keywords: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TopicQuery:
-    bag: tuple[str, ...]  # duplicates retained, used for article ranking
-    and_query: ElementQuery
-    or_query: ElementQuery
-
-
 @dataclass(frozen=True, kw_only=True)
 class SystemConfig(RankParams):
     """One system's settings; ``slope`` and ``max_results`` come from ``RankParams``."""
 
     system: str
     cre: bool = False
-    combo: HeuristicCombo = DEFAULT_COMBO
+    combo: str = DEFAULT_COMBO  # one of COMBO_CODES
     n_per_article: int | None = None  # None means all
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.system not in SYSTEMS:
             raise ValueError(f"unknown system: {self.system!r}")
+        if self.combo not in COMBO_CODES:
+            raise ValueError(f"invalid heuristic combination {self.combo!r}")
         if self.n_per_article is not None and self.n_per_article < 1:
             raise ValueError("n_per_article must be positive")
 
@@ -154,43 +150,30 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     return topics, diagnostics
 
 
-def translate_topic(topic: Topic) -> TopicQuery:
-    """Build the article-ranking bag and the AND/OR element queries.
-
-    The bag keeps one occurrence per keyword token; the element queries use
-    the distinct term set. Raises ValueError for a topic without usable
-    keywords.
-    """
+def translate_topic(topic: Topic) -> tuple[str, ...]:
+    """The article-ranking bag, one occurrence per keyword token; its distinct
+    terms are the element query. Raises ValueError for a topic without terms."""
     bag: list[str] = []
     for phrase in topic.keywords:
         bag.extend(tokenize(phrase))
     if not bag:
-        raise ValueError(f"topic {topic.id}: no keyword terms to query with")
-    terms = frozenset(bag)
-    return TopicQuery(
-        bag=tuple(bag),
-        and_query=ElementQuery(terms=terms, mode=AND),
-        or_query=ElementQuery(terms=terms, mode=OR),
-    )
+        raise ValueError("no keyword terms to query with")
+    return tuple(bag)
 
 
-def _combined_matches(tree: DocumentTree, query: TopicQuery) -> list[int]:
+def _combined_matches(tree: DocumentTree, terms: frozenset[str]) -> list[int]:
     """One document's AND matches followed by OR matches not already present, as node indices."""
-    and_matches = match_elements(tree, query.and_query)
+    and_matches = match_elements(tree, terms, AND)
     and_set = set(and_matches)
-    return and_matches + [i for i in match_elements(tree, query.or_query) if i not in and_set]
+    return and_matches + [i for i in match_elements(tree, terms, OR) if i not in and_set]
 
 
-def _cre_answers(
-    trees: Iterable[DocumentTree],
-    query: TopicQuery,
-    config: SystemConfig,
-) -> Iterator[Answer]:
+def _cre_answers(trees: Iterable[DocumentTree], terms: frozenset[str], combo: str) -> Iterator[Answer]:
     for tree in trees:
-        matching = sorted(_combined_matches(tree, query))
+        matching = sorted(_combined_matches(tree, terms))
         if not matching:
             continue
-        for record in rank_cres(identify_cres(tree, matching), config.combo):
+        for record in rank_cres(identify_cres(tree, matching), combo):
             yield (tree.doc, record.path, None)
 
 
@@ -221,26 +204,27 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     """
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
-    query = translate_topic(topic)
+    bag = translate_topic(topic)
+    terms = frozenset(bag)
     paths = corpus.paths
-    runs = {} if config.system == FULLTEXT else corpus.runs(query.or_query.terms, index.postings)
+    runs = {} if config.system == FULLTEXT else corpus.runs(terms, index.postings)
     if config.system == XMLDB:
         # a list, since both the AND and the OR pass read it
         trees: Iterable[DocumentTree] = [corpus.tree(number, runs[number]) for number in sorted(runs)]
     else:
-        ranked = rank_articles(index, query.bag, config)
+        ranked = rank_articles(index, bag, config)
         trees = (corpus.tree(a.number, runs[a.number]) for a in ranked)
     if config.system == FULLTEXT:
         answers = ((a.doc, paths[corpus.starts[a.number]], a.score) for a in ranked)
     elif config.cre:
-        answers = _cre_answers(trees, query, config)
+        answers = _cre_answers(trees, terms, config.combo)
     elif config.system == XMLDB:
-        and_matches = list(collection_match(trees, query.and_query))
+        and_matches = list(collection_match(trees, terms, AND))
         and_set = set(and_matches)
-        or_extras = (m for m in collection_match(trees, query.or_query) if m not in and_set)
+        or_extras = (m for m in collection_match(trees, terms, OR) if m not in and_set)
         answers = ((tree.doc, paths[i], None) for tree, i in itertools.chain(and_matches, or_extras))
     else:
-        answers = ((tree.doc, paths[i], None) for tree in trees for i in _combined_matches(tree, query))
+        answers = ((tree.doc, paths[i], None) for tree in trees for i in _combined_matches(tree, terms))
     return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
 
 

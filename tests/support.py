@@ -22,7 +22,7 @@ from xmlir import (
     match_elements,
     parse_document,
 )
-from xmlir.matcher import AND
+from xmlir.matcher import AND, OR
 
 
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
@@ -119,17 +119,17 @@ def write_corpus(directory, docs: dict[str, str]) -> None:
 # matcher oracle
 
 
-def satisfies(query, present: set[str]) -> bool:
+def satisfies(terms: frozenset[str], mode: str, present: set[str]) -> bool:
     """Whether a set of terms meets an element query's AND/OR predicate."""
-    if query.mode == AND:
-        return query.terms <= present
-    return bool(query.terms & present)
+    if mode == AND:
+        return terms <= present
+    return bool(terms & present)
 
 
-def brute_force_matches(xml_text: str, query) -> list[ElementPath]:
+def brute_force_matches(xml_text: str, terms: frozenset[str], mode: str) -> list[ElementPath]:
     """Most-specific satisfiers checked directly on every element."""
     own = own_tokens(xml_text)
-    satisfied = {path for path in own if satisfies(query, set(subtree_tokens(own, path)))}
+    satisfied = {path for path in own if satisfies(terms, mode, set(subtree_tokens(own, path)))}
     return [
         path
         for path in own  # own is in document order
@@ -142,13 +142,13 @@ def brute_force_matches(xml_text: str, query) -> list[ElementPath]:
 # xmldb oracle
 
 
-def naive_collection_match(corpus: Corpus, query) -> list[tuple[str, ElementPath]]:
+def naive_collection_match(corpus: Corpus, terms: frozenset[str], mode: str) -> list[tuple[str, ElementPath]]:
     """Full scan: every document's match paths, documents in ingestion order."""
-    return [(tree.doc, corpus.paths[i]) for tree in corpus.trees() for i in match_elements(tree, query)]
+    return [(tree.doc, corpus.paths[i]) for tree in corpus.trees() for i in match_elements(tree, terms, mode)]
 
 
-def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
-    """The capped ``xmldb`` answer list of a translated topic, by a full scan.
+def naive_xmldb(corpus: Corpus, terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+    """The capped ``xmldb`` answer list of a topic's terms, by a full scan.
 
     Without coherent elements: the collection's AND list, then its OR list
     minus the AND list. With them: each document's AND and OR matches
@@ -158,16 +158,16 @@ def naive_xmldb(corpus: Corpus, query, config) -> list[tuple[str, ElementPath]]:
     if config.cre:
         pairs = []
         for tree in corpus.trees():
-            paths = set(paths_of(tree, match_elements(tree, query.and_query)))
-            paths |= set(paths_of(tree, match_elements(tree, query.or_query)))
+            paths = set(paths_of(tree, match_elements(tree, terms, AND)))
+            paths |= set(paths_of(tree, match_elements(tree, terms, OR)))
             if paths:
                 cres = brute_force_cres(all_paths(tree), list(paths))
                 records = [CoherentElement(tree.doc, path, count) for path, count in cres.items()]
                 records.sort(key=lambda record: naive_cre_key(record, config.combo))
                 pairs += [(tree.doc, record.path) for record in records]
     else:
-        and_pairs = naive_collection_match(corpus, query.and_query)
-        pairs = and_pairs + [p for p in naive_collection_match(corpus, query.or_query) if p not in and_pairs]
+        and_pairs = naive_collection_match(corpus, terms, AND)
+        pairs = and_pairs + [p for p in naive_collection_match(corpus, terms, OR) if p not in and_pairs]
     if config.n_per_article is not None:
         pairs = [
             (doc, path)
@@ -219,8 +219,8 @@ def sequence(path: ElementPath) -> tuple[int, ...]:
     return tuple(index for _, index in path.steps)
 
 
-def naive_cre_key(record: CoherentElement, combo):
-    """Reference sort key for ``rank_cres``, one comparison component per letter."""
+def naive_cre_key(record: CoherentElement, combo: str):
+    """Reference sort key for ``rank_cres``, one comparison component per letter of the code."""
 
     def component(letter: str):
         if letter == "M":
@@ -231,15 +231,15 @@ def naive_cre_key(record: CoherentElement, combo):
             return -record.path.depth
         return record.path.depth
 
-    if combo.tiebreak == "B":
+    if combo[2] == "B":
         seq = sequence(record.path)
     else:
         seq = tuple(-i for i in sequence(record.path))
     # doc + full path make the order total: distinct sibling-index sequences
     # are not guaranteed (e.g. /article[1]/bdy[1] vs /article[1]/bm[1]).
     return (
-        component(combo.primary),
-        component(combo.secondary),
+        component(combo[0]),
+        component(combo[1]),
         seq,
         record.doc,
         record.path.steps,

@@ -9,7 +9,6 @@ import pytest
 
 from xmlir import (
     ElementPath,
-    HeuristicCombo,
     RankParams,
     SystemConfig,
     build_index,
@@ -41,6 +40,7 @@ from xmlir.assessments import (
 from xmlir.cli import main
 from xmlir.cre import CoherentElement
 from xmlir.evaluation import quantize
+from xmlir.matcher import AND
 from xmlir.pipeline import HYBRID, XMLDB
 
 import support
@@ -61,10 +61,9 @@ def test_c1_coherent_element_fixture_exactness(sample_tree, sample_or_matches):
         (P(path), matches, length, sequence)
         for path, matches, length, sequence in EXPECTED_CRES_MPE
     ]
-    combo = HeuristicCombo.from_string("MpE")
 
     def run_once():
-        return rank_cres(identify_cres(sample_tree, sample_or_matches), combo)
+        return rank_cres(identify_cres(sample_tree, sample_or_matches), "MpE")
 
     run_once()  # warm caches before timing
     best = min(
@@ -89,8 +88,8 @@ def test_c2_sequence_tiebreak_directions():
         CoherentElement("d", P("/article[1]/bdy[1]/sec[2]"), matches=4),
         CoherentElement("d", P("/article[1]/bdy[1]/sec[4]"), matches=4),
     ]
-    under_e = rank_cres(records, HeuristicCombo.from_string("MpE"))
-    under_b = rank_cres(records, HeuristicCombo.from_string("MpB"))
+    under_e = rank_cres(records, "MpE")
+    under_b = rank_cres(records, "MpB")
     assert [str(r.path) for r in under_e] == [
         "/article[1]/bdy[1]/sec[4]", "/article[1]/bdy[1]/sec[2]",
     ]
@@ -321,9 +320,9 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
             for entry in run.entries:
                 per_doc[entry.doc] = per_doc.get(entry.doc, 0) + 1
             assert all(count <= 10 for count in per_doc.values()), label
-            query = translate_topic(topics[run.topic_id])
+            bag = translate_topic(topics[run.topic_id])
             if label in ("xmldb", "hybrid"):
-                and_set = set(support.naive_collection_match(corpus, query.and_query))
+                and_set = set(support.naive_collection_match(corpus, frozenset(bag), AND))
                 seen_non_and = {}
                 for entry in run.entries:
                     if (entry.doc, entry.path) in and_set:
@@ -331,7 +330,7 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
                     else:
                         seen_non_and[entry.doc] = True
             if label.startswith("hybrid"):
-                ranking = [a.doc for a in rank_articles(index, query.bag)]
+                ranking = [a.doc for a in rank_articles(index, bag)]
                 blocks = []
                 for entry in run.entries:
                     if not blocks or blocks[-1] != entry.doc:

@@ -76,6 +76,18 @@ def test_run_files_identical_across_invocations(workspace):
     assert (workspace / "a.run").read_bytes() == (workspace / "b.run").read_bytes()
 
 
+def test_run_names_a_topic_without_keyword_terms_once(workspace, capsys):
+    topics = workspace / "topics.xml"
+    topics.write_text(
+        '<topics><inex_topic topic_id="9" query_type="CO"><keywords>, ;; --</keywords></inex_topic></topics>'
+    )
+    out = workspace / "none.run"
+    argv = ["run", "--corpus", str(workspace / "corpus"), "--topics", str(topics), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == ["topic 9: skipped (no keyword terms to query with)"]
+    assert out.read_text() == ""
+
+
 def _write_run(workspace, name="run.run", system="hybrid", extra=()):
     out = workspace / name
     argv = [

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
-    ElementQuery,
     build_index,
     ingest_corpus,
     parse_document,
@@ -241,8 +240,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
         return ElementPath((("article", 1),) + (("sec", 1),) * level)
 
     def matches(mode, *terms):
-        query = ElementQuery(terms=frozenset(terms), mode=mode)
-        return support.naive_collection_match(corpus, query)
+        return support.naive_collection_match(corpus, frozenset(terms), mode)
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]
@@ -357,6 +355,26 @@ def test_ingest_resolves_html_entities_named_by_an_external_dtd(tmp_path):
     assert list(corpus.docs) == ["ieee"]
     assert corpus.diagnostics == ["odd.xml: skipped (undefined entity &nosuchentity;: line 3, column 12)"]
     assert sorted(corpus.postings) == ["caf", "order", "pre", "tries"]  # the dash and the é split words
+
+
+def test_undefined_entity_without_a_dtd_is_named(tmp_path):
+    (tmp_path / "dash.xml").write_text("<a>&ndash;</a>")
+    # in an attribute expat points at the tag, so the predefined "&amp;" before it is passed over
+    (tmp_path / "attr.xml").write_text('<a x="&amp;" y="&nosuch;"/>')
+    # a comment's "&fake;" is no reference, so the name is read at expat's line and column: line 1's
+    # "&fake;" lies past column 33, and line 2's before it
+    (tmp_path / "odd.xml").write_bytes(
+        "<article><!-- a comment that reaches past column 33: &fake; -->\r\n"
+        "<!-- &fake; --><p>é &amp; &#233; &nosuch;</p></article>".encode()
+    )
+    (tmp_path / "good.xml").write_text("<a>ok</a>")
+    corpus = ingest_corpus(tmp_path)
+    assert list(corpus.docs) == ["good"]
+    assert corpus.diagnostics == [
+        "attr.xml: skipped (undefined entity &nosuch;: line 1, column 0)",
+        "dash.xml: skipped (undefined entity &ndash;: line 1, column 3)",
+        "odd.xml: skipped (undefined entity &nosuch;: line 2, column 33)",
+    ]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

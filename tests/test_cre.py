@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xmlir import COMBO_CODES, CoherentElement, ElementPath, HeuristicCombo, identify_cres, parse_document, rank_cres
+from xmlir import COMBO_CODES, CoherentElement, ElementPath, SystemConfig, identify_cres, parse_document, rank_cres
 
 import support
 from conftest import EXPECTED_CRES_MPE, SAMPLE_DOC_ID
@@ -19,26 +19,30 @@ def P(text):
 def test_sixteen_combo_codes():
     assert len(COMBO_CODES) == 16
     assert len(set(COMBO_CODES)) == 16
+    record = CoherentElement("d", P("/article[1]"), matches=1)
     for code in COMBO_CODES:
-        combo = HeuristicCombo.from_string(code)
-        assert str(combo) == code
-        assert combo.primary in "MmPp"
-        if combo.primary in "Mm":
-            assert combo.secondary in "Pp"
+        assert rank_cres([record], code) == [record]
+        assert SystemConfig(system="hybrid", cre=True, combo=code).combo == code
+        assert len(code) == 3
+        assert code[0] in "MmPp"
+        if code[0] in "Mm":
+            assert code[1] in "Pp"
         else:
-            assert combo.secondary in "Mm"
-        assert combo.tiebreak in "BE"
+            assert code[1] in "Mm"
+        assert code[2] in "BE"
 
 
-@pytest.mark.parametrize("bad", ["MME", "ppB", "MpX", "Mp", "XpE", "EpM"])
+@pytest.mark.parametrize("bad", ["MME", "ppB", "MpX", "Mp", "XpE", "EpM", "XYZ", "MpEE", ""])
 def test_invalid_combo_codes_rejected(bad):
-    with pytest.raises(ValueError):
-        HeuristicCombo.from_string(bad)
+    with pytest.raises(ValueError, match="invalid heuristic combination"):
+        rank_cres([CoherentElement("d", P("/article[1]"), matches=1)], bad)
+    with pytest.raises(ValueError, match="invalid heuristic combination"):
+        SystemConfig(system="hybrid", cre=True, combo=bad)
 
 
 def test_known_or_list_produces_known_ranking(sample_tree, sample_or_matches):
     cres = identify_cres(sample_tree, sample_or_matches)
-    ranked = rank_cres(cres, HeuristicCombo.from_string("MpE"))
+    ranked = rank_cres(cres, "MpE")
     got = [(str(r.path), r.matches, r.path.depth, support.sequence(r.path)) for r in ranked]
     assert got == EXPECTED_CRES_MPE
     assert all(r.doc == SAMPLE_DOC_ID for r in ranked)
@@ -84,15 +88,15 @@ def test_sequence_tiebreak_directions():
         CoherentElement("d", P("/article[1]/bdy[1]/sec[2]"), matches=5),
         CoherentElement("d", P("/article[1]/bdy[1]/sec[4]"), matches=5),
     ]
-    nearer_end = rank_cres(records, HeuristicCombo.from_string("MpE"))
+    nearer_end = rank_cres(records, "MpE")
     assert str(nearer_end[0].path) == "/article[1]/bdy[1]/sec[4]"
-    nearer_beginning = rank_cres(records, HeuristicCombo.from_string("MpB"))
+    nearer_beginning = rank_cres(records, "MpB")
     assert str(nearer_beginning[0].path) == "/article[1]/bdy[1]/sec[2]"
 
 
 def test_path_length_primary_ordering(sample_tree, sample_or_matches):
     cres = identify_cres(sample_tree, sample_or_matches)
-    ranked = rank_cres(cres, HeuristicCombo.from_string("PME"))
+    ranked = rank_cres(cres, "PME")
     got = [(str(r.path), r.matches, r.path.depth) for r in ranked]
     assert got == [
         ("/article[1]/bdy[1]/sec[2]/ss1[1]", 2, 4),
@@ -110,8 +114,8 @@ def test_direction_reversal_is_antisymmetric(sample_tree, sample_or_matches):
     # the relative order of any two records with different match counts
     cres = identify_cres(sample_tree, sample_or_matches)
     for code, flipped in (("MpE", "mpE"), ("MPB", "mPB"), ("mPE", "MPE")):
-        forward = rank_cres(cres, HeuristicCombo.from_string(code))
-        backward = rank_cres(cres, HeuristicCombo.from_string(flipped))
+        forward = rank_cres(cres, code)
+        backward = rank_cres(cres, flipped)
         for a, b in itertools.combinations(cres, 2):
             if a.matches == b.matches:
                 continue
@@ -119,8 +123,8 @@ def test_direction_reversal_is_antisymmetric(sample_tree, sample_or_matches):
             bwd = backward.index(a) < backward.index(b)
             assert fwd != bwd
     # in secondary position the flip only acts within equal path lengths
-    forward = rank_cres(cres, HeuristicCombo.from_string("pME"))
-    backward = rank_cres(cres, HeuristicCombo.from_string("pmE"))
+    forward = rank_cres(cres, "pME")
+    backward = rank_cres(cres, "pmE")
     for a, b in itertools.combinations(cres, 2):
         if a.path.depth != b.path.depth or a.matches == b.matches:
             continue
@@ -130,11 +134,11 @@ def test_direction_reversal_is_antisymmetric(sample_tree, sample_or_matches):
 def test_ranking_is_total_and_duplicate_free(sample_tree, sample_or_matches):
     cres = identify_cres(sample_tree, sample_or_matches)
     for code in COMBO_CODES:
-        ranked = rank_cres(cres, HeuristicCombo.from_string(code))
+        ranked = rank_cres(cres, code)
         assert len(ranked) == len(cres)
         assert len(set(ranked)) == len(ranked)
         assert set(ranked) == set(cres)
-        again = rank_cres(list(reversed(cres)), HeuristicCombo.from_string(code))
+        again = rank_cres(list(reversed(cres)), code)
         assert again == ranked  # input order never leaks through
 
 
@@ -145,7 +149,7 @@ def test_ties_on_identical_sequences_still_total():
         CoherentElement("d", P("/article[1]/bdy[1]"), matches=2),
     ]
     for code in COMBO_CODES:
-        ranked = rank_cres(records, HeuristicCombo.from_string(code))
+        ranked = rank_cres(records, code)
         assert {str(r.path) for r in ranked} == {"/article[1]/bdy[1]", "/article[1]/bm[1]"}
         assert str(ranked[0].path) == "/article[1]/bdy[1]"  # path breaks the dead tie
 
@@ -202,5 +206,4 @@ cre_records = st.lists(
 @given(cre_records)
 def test_rank_cres_equals_reference_key_for_every_code(records):
     for code in COMBO_CODES:
-        combo = HeuristicCombo.from_string(code)
-        assert rank_cres(records, combo) == sorted(records, key=lambda r: support.naive_cre_key(r, combo))
+        assert rank_cres(records, code) == sorted(records, key=lambda r: support.naive_cre_key(r, code))

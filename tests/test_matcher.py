@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-from xmlir import ElementQuery, SystemConfig, Topic, build_index, execute, match_elements, parse_document
+from xmlir import SystemConfig, Topic, build_index, execute, match_elements, parse_document
 from xmlir.matcher import AND, OR
 
 import support
-
-
-def q(mode, *terms):
-    return ElementQuery(terms=frozenset(terms), mode=mode)
 
 
 def test_or_single_occurrence_returns_deepest_container():
@@ -22,7 +18,7 @@ def test_or_single_occurrence_returns_deepest_container():
         "</bdy></article>",
         "d",
     )
-    result = match_elements(tree, q(OR, "patricia"))
+    result = match_elements(tree, {"patricia"}, OR)
     assert result == [5]  # article, bdy, sec, p, sec, p
     assert [str(path) for path in support.paths_of(tree, result)] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
 
@@ -35,27 +31,28 @@ def test_and_terms_spread_across_siblings():
         "</bdy></article>"
     )
     tree = parse_document(text, "d")
-    result = support.paths_of(tree, match_elements(tree, q(AND, "alpha", "beta")))
+    result = support.paths_of(tree, match_elements(tree, {"alpha", "beta"}, AND))
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
-    assert result == support.brute_force_matches(text, q(AND, "alpha", "beta"))
+    assert result == support.brute_force_matches(text, frozenset({"alpha", "beta"}), AND)
 
 
 def test_or_absent_term_yields_empty():
     tree = parse_document("<article><p>something else</p></article>", "d")
-    assert match_elements(tree, q(OR, "missing")) == []
+    assert match_elements(tree, {"missing"}, OR) == []
 
 
 def test_and_unsatisfiable_yields_empty():
     tree = parse_document("<article><p>alpha</p></article>", "d")
-    assert match_elements(tree, q(AND, "alpha", "beta")) == []
+    assert match_elements(tree, {"alpha", "beta"}, AND) == []
 
 
 def test_empty_query_rejected():
-    with pytest.raises(ValueError):
-        ElementQuery(terms=frozenset(), mode=OR)
-    with pytest.raises(ValueError):
-        ElementQuery(terms=frozenset({"x"}), mode="xor")
+    tree = parse_document("<article><p>x</p></article>", "d")
+    with pytest.raises(ValueError, match="at least one term"):
+        match_elements(tree, frozenset(), OR)
+    with pytest.raises(ValueError, match="unknown query mode"):
+        match_elements(tree, {"x"}, "xor")
 
 
 def _xmldb_pairs(corpus, *keywords):
@@ -70,7 +67,7 @@ def test_collection_match_document_order():
             "b/two": "<article><p>patricia</p></article>",
         }
     )
-    result = support.naive_collection_match(corpus, q(OR, "patricia"))
+    result = support.naive_collection_match(corpus, frozenset({"patricia"}), OR)
     assert [(doc, str(path)) for doc, path in result] == [("b/two", "/article[1]/p[1]")]
     assert _xmldb_pairs(corpus, "patricia") == result
 
@@ -82,13 +79,13 @@ def test_collection_match_ingestion_order_beats_match_quality():
             "b": "<article><p>patricia patricia patricia</p></article>",
         }
     )
-    result = support.naive_collection_match(corpus, q(OR, "patricia"))
+    result = support.naive_collection_match(corpus, frozenset({"patricia"}), OR)
     assert [doc for doc, _ in result] == ["a", "b"]
     assert _xmldb_pairs(corpus, "patricia") == result
 
 
 def test_collection_match_empty_corpus():
-    assert support.naive_collection_match(support.corpus_from_strings({}), q(OR, "x")) == []
+    assert support.naive_collection_match(support.corpus_from_strings({}), frozenset({"x"}), OR) == []
 
 
 def test_most_specific_law_against_oracle():
@@ -97,10 +94,10 @@ def test_most_specific_law_against_oracle():
     for _ in range(150):
         text = support.random_xml(rng)
         tree = parse_document(text, "d")
-        terms = rng.sample(vocab, rng.randint(1, 3))
+        terms = frozenset(rng.sample(vocab, rng.randint(1, 3)))
         for mode in (AND, OR):
-            query = q(mode, *terms)
-            assert support.paths_of(tree, match_elements(tree, query)) == support.brute_force_matches(text, query)
+            expected = support.brute_force_matches(text, terms, mode)
+            assert support.paths_of(tree, match_elements(tree, terms, mode)) == expected
 
 
 def test_antichain_and_lattice_laws():
@@ -109,10 +106,9 @@ def test_antichain_and_lattice_laws():
         text = support.random_xml(rng)
         tree = parse_document(text, "d")
         own = support.own_tokens(text)
-        and_query = q(AND, "alpha", "beta")
-        or_query = q(OR, "alpha", "beta")
-        and_matches = match_elements(tree, and_query)
-        or_matches = match_elements(tree, or_query)
+        query = frozenset({"alpha", "beta"})
+        and_matches = match_elements(tree, query, AND)
+        or_matches = match_elements(tree, query, OR)
         and_paths = support.paths_of(tree, and_matches)
         or_paths = support.paths_of(tree, or_matches)
         for paths in (and_paths, or_paths):
@@ -122,7 +118,7 @@ def test_antichain_and_lattice_laws():
         # every AND match's subtree also satisfies the OR predicate
         for path in and_paths:
             terms = set(support.subtree_tokens(own, path))
-            assert support.satisfies(or_query, terms)
+            assert support.satisfies(query, OR, terms)
         # matches come back as strictly ascending pre-order indices
         assert or_matches == sorted(set(or_matches))
         assert and_matches == sorted(set(and_matches))
@@ -130,10 +126,10 @@ def test_antichain_and_lattice_laws():
 
 def test_root_failing_predicate_means_no_matches():
     tree = parse_document("<article><sec><p>alpha</p></sec></article>", "d")
-    assert match_elements(tree, q(AND, "alpha", "zeta")) == []
+    assert match_elements(tree, {"alpha", "zeta"}, AND) == []
 
 
 def test_empty_elements_never_match():
     tree = parse_document("<article><sec/><p>alpha</p></article>", "d")
-    result = support.paths_of(tree, match_elements(tree, q(OR, "alpha")))
+    result = support.paths_of(tree, match_elements(tree, {"alpha"}, OR))
     assert [str(path) for path in result] == ["/article[1]/p[1]"]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
-    HeuristicCombo,
     SystemConfig,
     Topic,
     build_index,
@@ -60,31 +59,34 @@ def test_parse_topic_container_skips_structural_and_malformed_topics(tmp_path):
     assert len(diagnostics) == 1 and "topic_id" in diagnostics[0]
 
 
-def test_translate_keywords_to_terms():
+def test_translate_keywords_to_terms(monkeypatch):
     t = topic(
         "Patricia tries", "tries", "text search", "string search algorithm",
         "string pattern matching", id=117,
     )
-    query = translate_topic(t)
-    assert set(query.bag) == {
+    bag = translate_topic(t)
+    assert set(bag) == {
         "patricia", "tries", "text", "search", "string", "algorithm", "pattern", "matching",
     }
-    # duplicates stay in the bag but collapse in the element-query term sets
-    assert len(query.bag) == 11
-    assert query.and_query.terms == query.or_query.terms == frozenset(query.bag)
-    assert query.and_query.mode == AND and query.or_query.mode == OR
+    # duplicates stay in the bag but collapse in the element query's term set
+    assert len(bag) == 11
+    corpus = support.corpus_from_strings({"d": "<article><p>patricia tries</p></article>"})
+    calls = _spy_match_elements(monkeypatch)
+    execute(t, corpus, build_index(corpus), SystemConfig(system=HYBRID))
+    assert {terms for _, _, terms in calls} == {frozenset(bag)}
+    assert {mode for _, mode, _ in calls} == {AND, OR}
 
 
 def test_translate_two_keywords():
-    query = translate_topic(topic("a", "b"))
-    assert query.and_query.terms == frozenset({"a", "b"})
-    assert query.or_query.terms == frozenset({"a", "b"})
+    bag = translate_topic(topic("a", "b"))
+    assert bag == ("a", "b")
+    assert frozenset(bag) == frozenset({"a", "b"})
 
 
 def test_translate_empty_keywords_raises():
     with pytest.raises(ValueError) as err:
         translate_topic(topic(id=9))
-    assert "9" in str(err.value)
+    assert str(err.value) == "no keyword terms to query with"  # the caller names the topic
 
 
 def test_fulltext_run_paths_are_document_roots():
@@ -124,7 +126,7 @@ def test_xmldb_empty_and_list_equals_or_list():
     t = topic("alpha", "gamma")
     config = SystemConfig(system=XMLDB)
     run = execute(t, corpus, build_index(corpus), config)
-    or_list = support.naive_collection_match(corpus, translate_topic(t).or_query)
+    or_list = support.naive_collection_match(corpus, frozenset(translate_topic(t)), OR)
     assert [(e.doc, e.path) for e in run.entries] == or_list
     assert all(e.score is None for e in run.entries)
 
@@ -178,19 +180,19 @@ def test_xmldb_equals_full_scan(docs, terms, cre, n_per_article, max_results):
     t = topic(*sorted(terms))
     config = SystemConfig(system=XMLDB, cre=cre, n_per_article=n_per_article, max_results=max_results)
     run = execute(t, corpus, build_index(corpus), config)
-    assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(corpus, translate_topic(t), config)
+    assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(corpus, frozenset(translate_topic(t)), config)
     assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
     assert all(e.score is None for e in run.entries)
 
 
-def _spy_match_elements(monkeypatch) -> list[tuple[str, str]]:
-    """Record ``(doc, mode)`` for every ``match_elements`` call, through either module."""
+def _spy_match_elements(monkeypatch) -> list[tuple[str, str, frozenset[str]]]:
+    """Record ``(doc, mode, terms)`` for every ``match_elements`` call, through either module."""
     calls = []
     original = matcher.match_elements
 
-    def spy(tree, query):
-        calls.append((tree.doc, query.mode))
-        return original(tree, query)
+    def spy(tree, terms, mode):
+        calls.append((tree.doc, mode, frozenset(terms)))
+        return original(tree, terms, mode)
 
     monkeypatch.setattr(matcher, "match_elements", spy)
     monkeypatch.setattr(pipeline, "match_elements", spy)
@@ -210,7 +212,7 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
     for cre in (False, True):
         run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, cre=cre))
         assert [e.doc for e in run.entries] == ["c", "a"]
-    assert calls and {doc for doc, _ in calls} == {"c", "a"}
+    assert calls and {doc for doc, _, _ in calls} == {"c", "a"}
 
 
 def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
@@ -224,7 +226,7 @@ def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
     calls = _spy_match_elements(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("d1", "/article[1]/p[1]")]
-    assert calls and all(mode == AND for _, mode in calls)
+    assert calls and all(mode == AND for _, mode, _ in calls)
 
 
 def test_xmldb_needs_an_index():
@@ -255,7 +257,7 @@ def test_hybrid_article_rank_overrides_ingestion_order():
     )
     t = topic("patricia")
     index = build_index(corpus)
-    ranked = [a.doc for a in rank_articles(index, translate_topic(t).bag)]
+    ranked = [a.doc for a in rank_articles(index, translate_topic(t))]
     assert ranked == ["late", "early"]
     hybrid = execute(t, corpus, index, SystemConfig(system=HYBRID))
     assert [e.doc for e in hybrid.entries] == ["late", "early"]
@@ -266,9 +268,9 @@ def test_hybrid_article_rank_overrides_ingestion_order():
 def test_hybrid_cre_top_entry_is_the_article(sample_or_paths):
     corpus = support.corpus_from_strings({"ic/1999/w4095": SAMPLE_ARTICLE_XML})
     t = topic("patricia")
-    or_list = support.naive_collection_match(corpus, translate_topic(t).or_query)
+    or_list = support.naive_collection_match(corpus, frozenset(translate_topic(t)), OR)
     assert [str(path) for _, path in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
-    config = SystemConfig(system=HYBRID, cre=True, combo=HeuristicCombo.from_string("MpE"),
+    config = SystemConfig(system=HYBRID, cre=True, combo="MpE",
                           n_per_article=1)
     run = execute(t, corpus, build_index(corpus), config)
     assert [(e.doc, str(e.path)) for e in run.entries] == [("ic/1999/w4095", "/article[1]")]
@@ -295,8 +297,7 @@ def test_and_prefix_law_per_document():
     docs = {f"d{i}": support.random_xml(rng) for i in range(12)}
     corpus = support.corpus_from_strings(docs)
     t = topic("alpha", "beta")
-    query = translate_topic(t)
-    and_set = set(support.naive_collection_match(corpus, query.and_query))
+    and_set = set(support.naive_collection_match(corpus, frozenset(translate_topic(t)), AND))
     for system in (XMLDB, HYBRID):
         config = SystemConfig(system=system)
         run = execute(t, corpus, build_index(corpus), config)
@@ -315,7 +316,7 @@ def test_hybrid_docs_form_subsequence_of_article_ranking():
     corpus = support.corpus_from_strings(docs)
     t = topic("alpha", "gamma")
     index = build_index(corpus)
-    ranking = [a.doc for a in rank_articles(index, translate_topic(t).bag)]
+    ranking = [a.doc for a in rank_articles(index, translate_topic(t))]
     for cre in (False, True):
         run = execute(t, corpus, index, SystemConfig(system=HYBRID, cre=cre))
         seen = []

@@ -13,7 +13,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from xmlir import ElementPath, ElementQuery, build_index, identify_cres, match_elements, parse_document
+from xmlir import ElementPath, build_index, identify_cres, match_elements, parse_document
 from xmlir.matcher import AND, OR
 
 import support
@@ -63,18 +63,17 @@ query_terms = st.sets(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=
 def test_match_elements_equals_brute_force(text, terms):
     tree = parse_document(text, "d")
     for mode in (AND, OR):
-        query = ElementQuery(terms=frozenset(terms), mode=mode)
-        matches = match_elements(tree, query)
+        matches = match_elements(tree, terms, mode)
         assert matches == sorted(set(matches))
-        assert support.paths_of(tree, matches) == support.brute_force_matches(text, query)
+        assert support.paths_of(tree, matches) == support.brute_force_matches(text, frozenset(terms), mode)
 
 
 @settings(max_examples=100, deadline=None)
 @given(documents, query_terms)
 def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
     tree = parse_document(text, "d")
-    and_matches = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=AND))
-    or_matches = match_elements(tree, ElementQuery(terms=frozenset(terms), mode=OR))
+    and_matches = match_elements(tree, terms, AND)
+    or_matches = match_elements(tree, terms, OR)
     combined = sorted(set(and_matches) | set(or_matches))  # AND matches may hold OR matches
     if not combined:
         return
@@ -159,10 +158,9 @@ def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, t
             assert max(corpus.parents[i] - offset, -1) == alone.corpus.parents[i - offset]
         combined: set[int] = set()
         for mode in (AND, OR):
-            query = ElementQuery(terms=frozenset(terms), mode=mode)
-            matches = match_elements(tree, query)
+            matches = match_elements(tree, terms, mode)
             assert all(tree.start <= i < tree.end for i in matches)
-            assert support.paths_of(tree, matches) == support.brute_force_matches(text, query)
+            assert support.paths_of(tree, matches) == support.brute_force_matches(text, frozenset(terms), mode)
             combined |= set(matches)
         if combined:
             got = {r.path: r.matches for r in identify_cres(tree, sorted(combined))}

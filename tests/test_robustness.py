@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from xmlir import (
     AssessmentSet,
     ElementPath,
-    ElementQuery,
     RunResult,
     Topic,
     load_assessments,
@@ -234,8 +233,7 @@ def test_empty_elements_have_size_zero_and_never_match():
         "/article[1]/p[2]": 1,
     }
     for terms in ({"alpha"}, {"alpha", "absent"}):
-        query = ElementQuery(terms=frozenset(terms), mode=OR)
-        assert [str(path) for path in support.paths_of(tree, match_elements(tree, query))] == ["/article[1]/p[2]"]
+        assert [str(path) for path in support.paths_of(tree, match_elements(tree, terms, OR))] == ["/article[1]/p[2]"]
 
 
 DUPLICATE_TOPICS = """\
