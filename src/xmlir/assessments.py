@@ -18,7 +18,7 @@ A document's only highly relevant element belongs to both reduced views.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,19 +141,16 @@ def derive_view(assessment: AssessmentSet, case: str) -> set[tuple[str, ElementP
     relevant = highly_relevant(assessment)
     if case == ORIGINAL:
         return relevant
-    by_doc: dict[str, list[ElementPath]] = defaultdict(list)
-    for doc, path in relevant:
-        by_doc[doc].append(path)
-    view: set[tuple[str, ElementPath]] = set()
-    for doc, paths in by_doc.items():
-        for path in paths:
-            if case == GENERAL:
-                keep = not any(other.is_ancestor_of(path) for other in paths)
-            else:
-                keep = not any(path.is_ancestor_of(other) for other in paths)
-            if keep:
-                view.add((doc, path))
-    return view
+    if case == GENERAL:  # no proper prefix of its steps is relevant
+        steps = {(doc, path.steps) for doc, path in relevant}
+        return {
+            (doc, path)
+            for doc, path in relevant
+            if all((doc, path.steps[:k]) not in steps for k in range(1, path.depth))
+        }
+    # specific: no relevant element has its steps as a proper prefix
+    above = {(doc, path.steps[:k]) for doc, path in relevant for k in range(1, path.depth)}
+    return {(doc, path) for doc, path in relevant if (doc, path.steps) not in above}
 
 
 def element_distribution(assessments: list[AssessmentSet], case: str) -> dict[str, int]:

@@ -2,13 +2,16 @@
 assessments, and emit summary tables.
 
 Subcommands: ``run``, ``eval``, ``report``, ``assess-stats``.
-Each option is defined once, by its flag in ``build_parser``. A JSON config
+Each option is defined once, by its entry in ``_OPTIONS``, and each
+subcommand names the options it takes in ``build_parser``. A JSON config
 file named by the ``XMLIR_CONFIG`` environment variable may set any option
 under its dest (the flag without ``--``, ``-`` written ``_``); its values
 become the subcommand's defaults, so command-line values win and the
 built-in defaults apply last. A config value is checked against its flag's
 choices or kind, and a key that names no option is an error.
-Diagnostics go to stderr, each distinct line once.
+Each command prints its diagnostics to stderr through one ``_warn_once``
+printer, each distinct line once; ``main``'s fatal ``error:`` line is the
+only other stderr write.
 """
 
 from __future__ import annotations
@@ -18,14 +21,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from . import assessments as assess
 from . import evaluation, pipeline
 from .corpus import Corpus, ingest_corpus
 from .cre import COMBO_CODES
 from .paths import ElementPath
-from .ranker import build_index
+from .ranker import InvertedIndex, build_index
 
 CONFIG_ENV = "XMLIR_CONFIG"
 
@@ -35,6 +38,7 @@ _DEFAULTS = pipeline.SystemConfig(system=pipeline.FULLTEXT)
 
 Warn = Callable[[str], None]
 Judgment = tuple[str, dict[str, frozenset[tuple[str, ElementPath]]]]
+T = TypeVar("T")
 
 
 def _warn_once() -> Warn:
@@ -102,44 +106,41 @@ def _system_config(args: argparse.Namespace, system: str, cre: bool, n: str) -> 
     )
 
 
-def _load_corpus(args: argparse.Namespace) -> Corpus:
-    if not args.corpus:
-        raise ValueError("--corpus is required")
-    corpus = ingest_corpus(args.corpus)
-    for line in corpus.diagnostics:
-        print(f"corpus: {line}", file=sys.stderr)
-    return corpus
-
-
-def _load_topics(args: argparse.Namespace) -> list[pipeline.Topic]:
-    if not args.topics:
-        raise ValueError("--topics is required")
-    topics, diagnostics = pipeline.parse_topics(args.topics)
+def _load(args: argparse.Namespace, name: str, parse: Callable[[str], tuple[T, list[str]]], warn: Warn) -> T:
+    """What option ``name`` points at, parsed; its diagnostics go to ``warn`` under that name."""
+    source = getattr(args, name)
+    if not source:
+        raise ValueError(f"--{name} is required")
+    loaded, diagnostics = parse(source)
     for line in diagnostics:
-        print(f"topics: {line}", file=sys.stderr)
-    return topics
+        warn(f"{name}: {line}")
+    return loaded
 
 
-def _load_assessment_sets(args: argparse.Namespace) -> list[assess.AssessmentSet]:
-    if not args.assessments:
-        raise ValueError("--assessments is required")
-    sets, diagnostics = assess.load_assessments(args.assessments)
-    for line in diagnostics:
-        print(f"assessments: {line}", file=sys.stderr)
-    return sets
+def _ingest(source: str) -> tuple[Corpus, list[str]]:
+    corpus = ingest_corpus(source)
+    return corpus, corpus.diagnostics
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = _system_config(args, args.system, args.cre, args.n)
-    corpus = _load_corpus(args)
-    topics = _load_topics(args)
-    index = build_index(corpus)
+def _execute_all(
+    topics: list[pipeline.Topic], corpus: Corpus, index: InvertedIndex, config: pipeline.SystemConfig, warn: Warn
+) -> list[pipeline.RunResult]:
+    """One run per topic; a topic the system cannot run is skipped with its reason."""
     runs = []
     for topic in topics:
         try:
             runs.append(pipeline.execute(topic, corpus, index, config))
         except ValueError as exc:
-            print(f"topic {topic.id}: skipped ({exc})", file=sys.stderr)
+            warn(f"topic {topic.id}: skipped ({exc})")
+    return runs
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    warn = _warn_once()
+    config = _system_config(args, args.system, args.cre, args.n)
+    corpus = _load(args, "corpus", _ingest, warn)
+    topics = _load(args, "topics", pipeline.parse_topics, warn)
+    runs = _execute_all(topics, corpus, build_index(corpus), config, warn)
     out = Path(args.out or f"{config.tag}.run")
     out.parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_run_file(out, runs)
@@ -209,7 +210,7 @@ def _score_runs(
     return per_topic
 
 
-def _write_lines(out: str | None, lines: list[str]) -> None:
+def _write_lines(out: str | Path | None, lines: list[str]) -> None:
     text = "".join(line + "\n" for line in lines)
     if out:
         path = Path(out)
@@ -220,11 +221,11 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    runs = pipeline.read_run_file(args.run_file)
-    sets = _load_assessment_sets(args)
-    case, category, metric = args.case, args.category, args.metric
-    corpus = None if metric == evaluation.METRIC_STRICT else _load_corpus(args)
     warn = _warn_once()
+    runs = pipeline.read_run_file(args.run_file)
+    sets = _load(args, "assessments", assess.load_assessments, warn)
+    case, category, metric = args.case, args.category, args.metric
+    corpus = None if metric == evaluation.METRIC_STRICT else _load(args, "corpus", _ingest, warn)
     per_topic = _score_runs(runs, _judge(sets, warn), case, category, metric, corpus, warn)
     label = evaluation.METRIC_LABELS[metric]
     lines = [f"topic\tap\t{label}/{case}/{category}"]
@@ -233,15 +234,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if per_topic:
         lines.append(f"map\t{evaluation.mean_average_precision(per_topic):.6f}")
     else:
-        print("no scoreable topics", file=sys.stderr)
+        warn("no scoreable topics")
     _write_lines(args.out, lines)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    topics = _load_topics(args)
-    sets = _load_assessment_sets(args)
+    warn = _warn_once()
+    corpus = _load(args, "corpus", _ingest, warn)
+    topics = _load(args, "topics", pipeline.parse_topics, warn)
+    sets = _load(args, "assessments", assess.load_assessments, warn)
     index = build_index(corpus)
 
     # the grid sets the system, cre and n of every cell; the options give the rest
@@ -251,17 +253,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             for n_label in N_CHOICES:
                 cells.append((_system_config(args, system, cre, n_label), n_label))
 
-    warn = _warn_once()
     judged = _judge(sets, warn)
     lines = ["system\tn\tcase\tcategory\tmetric\ttopics\tmap"]
     label = evaluation.METRIC_LABELS[args.metric]
     for config, n_label in cells:
-        runs = []
-        for topic in topics:
-            try:
-                runs.append(pipeline.execute(topic, corpus, index, config))
-            except ValueError as exc:
-                warn(f"topic {topic.id}: skipped ({exc})")
+        runs = _execute_all(topics, corpus, index, config, warn)
         for case in assess.RELEVANCE_CASES:
             for category in CATEGORY_CHOICES:
                 per_topic = _score_runs(runs, judged, case, category, args.metric, corpus, warn)
@@ -277,64 +273,49 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_assess_stats(args: argparse.Namespace) -> int:
-    sets = _load_assessment_sets(args)
-    scoreable = [s for s in sets if assess.highly_relevant(s)]
+    warn = _warn_once()
+    sets = _load(args, "assessments", assess.load_assessments, warn)
+    judged = _judge(sets, warn)
+    scoreable = [aset for aset in sets if judged[aset.topic_id]]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for case in assess.RELEVANCE_CASES:
         counts = assess.element_distribution(scoreable, case)
         lines = [f"tag\tcount\t{case}"]
         for tag in sorted(counts, key=lambda t: (-counts[t], t)):
             lines.append(f"{tag}\t{counts[tag]}")
-        (out_dir / f"distribution_{case}.tsv").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+        _write_lines(out_dir / f"distribution_{case}.tsv", lines)
     lines = ["topic\tarticles\tother\tcategory"]
     for aset in scoreable:
-        general = assess.derive_view(aset, assess.GENERAL)
+        category, views = judged[aset.topic_id]
+        general = views[assess.GENERAL]
         articles = sum(1 for _, path in general if path.depth == 1)
-        lines.append(
-            f"{aset.topic_id}\t{articles}\t{len(general) - articles}\t{assess.categorize_topic(aset)}"
-        )
-    (out_dir / "categories.tsv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    excluded = len(sets) - len(scoreable)
-    if excluded:
-        print(f"{excluded} topics without highly relevant elements excluded", file=sys.stderr)
+        lines.append(f"{aset.topic_id}\t{articles}\t{len(general) - articles}\t{category}")
+    _write_lines(out_dir / "categories.tsv", lines)
     print(f"wrote assessment statistics to {out_dir}")
     return 0
 
 
-def _add_corpus_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", help="directory of XML documents")
-
-
-def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--combo", choices=COMBO_CODES, default=_DEFAULTS.combo, metavar="{MpB..pME}",
-                        help="coherent-element ranking heuristics (default: %(default)s)")
-    parser.add_argument("--slope", type=float, default=_DEFAULTS.slope,
-                        help="length-normalization slope (default: %(default)s)")
-    parser.add_argument("--max-results", dest="max_results", type=int, default=_DEFAULTS.max_results,
-                        help="global answer-list cap (default: %(default)s)")
-
-
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", choices=pipeline.SYSTEMS, default=pipeline.FULLTEXT,
-                        help="retrieval system (default: %(default)s)")
-    parser.add_argument("--cre", action="store_true",
-                        help="replace match lists with ranked coherent elements")
-    parser.add_argument("--n", choices=N_CHOICES, default="all",
-                        help="retrieved elements per article (default: %(default)s)")
-    _add_ranking_options(parser)
-
-
-def _add_eval_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--assessments", help="directory of per-topic assessment files")
-    parser.add_argument("--case", choices=assess.RELEVANCE_CASES, default=assess.ORIGINAL,
-                        help="relevance case (default: %(default)s)")
-    parser.add_argument("--category", choices=CATEGORY_CHOICES, default="all",
-                        help="topic category (default: %(default)s)")
-    parser.add_argument("--metric", choices=evaluation.METRICS, default=evaluation.METRIC_STRICT,
-                        help="evaluation metric (default: %(default)s)")
+# each option's add_argument arguments, once; a subcommand names the options it takes
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "run_file": dict(help="run file to score"),
+    "--corpus": dict(help="directory of XML documents"),
+    "--topics": dict(help="topics file"),
+    "--assessments": dict(help="directory of per-topic assessment files"),
+    "--system": dict(choices=pipeline.SYSTEMS, default=pipeline.FULLTEXT,
+                     help="retrieval system (default: %(default)s)"),
+    "--cre": dict(action="store_true", help="replace match lists with ranked coherent elements"),
+    "--n": dict(choices=N_CHOICES, default="all", help="retrieved elements per article (default: %(default)s)"),
+    "--combo": dict(choices=COMBO_CODES, default=_DEFAULTS.combo, metavar="{MpB..pME}",
+                    help="coherent-element ranking heuristics (default: %(default)s)"),
+    "--slope": dict(type=float, default=_DEFAULTS.slope, help="length-normalization slope (default: %(default)s)"),
+    "--max-results": dict(type=int, default=_DEFAULTS.max_results,
+                          help="global answer-list cap (default: %(default)s)"),
+    "--case": dict(choices=assess.RELEVANCE_CASES, default=assess.ORIGINAL,
+                   help="relevance case (default: %(default)s)"),
+    "--category": dict(choices=CATEGORY_CHOICES, default="all", help="topic category (default: %(default)s)"),
+    "--metric": dict(choices=evaluation.METRICS, default=evaluation.METRIC_STRICT,
+                     help="evaluation metric (default: %(default)s)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,36 +324,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid XML retrieval engine and evaluation harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="execute one system over a topics file")
-    _add_corpus_option(p)
-    p.add_argument("--topics", help="topics file")
-    _add_run_options(p)
-    p.add_argument("--out", help="run file to write (default: <system tag>.run)")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="score a run file against assessments")
-    p.add_argument("run_file", help="run file to score")
-    _add_corpus_option(p)
-    _add_eval_options(p)
-    p.add_argument("--out", help="report file (default: stdout)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="full system/n/case/category grid of MAP values")
-    _add_corpus_option(p)
-    p.add_argument("--topics", help="topics file")
-    p.add_argument("--assessments", help="directory of per-topic assessment files")
-    _add_ranking_options(p)
-    p.add_argument("--metric", choices=evaluation.METRICS, default=evaluation.METRIC_STRICT,
-                   help="evaluation metric (default: %(default)s)")
-    p.add_argument("--out", help="grid file (default: stdout)")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("assess-stats", help="tag distributions and topic categories")
-    p.add_argument("--assessments", help="directory of per-topic assessment files")
-    p.add_argument("--out", default="assess-stats", help="output directory (default: %(default)s)")
-    p.set_defaults(func=cmd_assess_stats)
-
+    ranking = ("--combo", "--slope", "--max-results")
+    # the command functions are looked up per call, so one wrapped in place after import is the one bound
+    for name, func, summary, options, out in (
+        ("run", cmd_run, "execute one system over a topics file",
+         ("--corpus", "--topics", "--system", "--cre", "--n", *ranking),
+         dict(help="run file to write (default: <system tag>.run)")),
+        ("eval", cmd_eval, "score a run file against assessments",
+         ("run_file", "--corpus", "--assessments", "--case", "--category", "--metric"),
+         dict(help="report file (default: stdout)")),
+        ("report", cmd_report, "full system/n/case/category grid of MAP values",
+         ("--corpus", "--topics", "--assessments", *ranking, "--metric"),
+         dict(help="grid file (default: stdout)")),
+        ("assess-stats", cmd_assess_stats, "tag distributions and topic categories",
+         ("--assessments",),
+         dict(default="assess-stats", help="output directory (default: %(default)s)")),
+    ):
+        command = sub.add_parser(name, help=summary)
+        for option in options:
+            command.add_argument(option, **_OPTIONS[option])
+        command.add_argument("--out", **out)
+        command.set_defaults(func=func)
     return parser
 
 

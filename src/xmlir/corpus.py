@@ -16,6 +16,7 @@ lowercased text; attributes and markup never contribute terms.
 
 from __future__ import annotations
 
+import codecs
 import html.entities
 import re
 import sys
@@ -33,6 +34,8 @@ _TOKEN = re.compile(r"[0-9a-z]+")
 _ENTITIES = {name: chr(code) for name, code in html.entities.name2codepoint.items()}
 # a reference expat cannot resolve without a DTD: not predefined, not a character reference
 _REFERENCE = re.compile(r"&(?!#|(?:amp|lt|gt|quot|apos);)[\w.:-]+;")
+# a byte-order mark names the byte order of a UTF-16 source
+_BOM_CODECS = {codecs.BOM_UTF16_LE: "utf-16-le", codecs.BOM_UTF16_BE: "utf-16-be"}
 Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
 
 
@@ -140,10 +143,11 @@ def _named_entity(exc: ET.ParseError, source: str | bytes) -> ET.ParseError:
     no entity: name the first unresolvable reference from its line and
     character column on, as a document with a DTD does."""
     line, column = exc.position
-    text = source if isinstance(source, str) else source.decode("utf-8", "replace")
+    # a byte-order mark stays a character, as expat counts it in line 1's columns
+    text = source if isinstance(source, str) else source.decode(_BOM_CODECS.get(source[:2], "utf-8"), "replace")
     start = re.match(r"(?:[^\r\n]*(?:\r\n?|\n)){%d}" % (line - 1), text)
     found = start and _REFERENCE.search(text, start.end() + column)
-    if not found:  # e.g. a UTF-16 source, whose bytes do not decode as UTF-8
+    if not found:  # e.g. a source in a multi-byte encoding other than UTF-8 or UTF-16
         return exc
     named = ET.ParseError(f"undefined entity {found.group()}: line {line}, column {column}")
     named.code, named.position = exc.code, exc.position

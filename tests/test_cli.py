@@ -286,9 +286,18 @@ def test_every_option_takes_its_default_from_the_config_file(workspace, monkeypa
 
 
 @pytest.mark.parametrize(
-    "argv, code", [(["run", "--help"], 0), (["run", "--system", "bogus"], 2)], ids=["help", "usage"]
+    "argv, code",
+    [
+        (["run", "--help"], 0),
+        (["eval", "--help"], 0),
+        (["report", "--help"], 0),
+        (["assess-stats", "--help"], 0),
+        (["run", "--system", "bogus"], 2),
+    ],
+    ids=["help", "eval-help", "report-help", "assess-stats-help", "usage"],
 )
 def test_parser_answers_before_the_config_file_is_read(workspace, monkeypatch, capsys, argv, code):
+    # --help formats every option's help string, so a bad "%" in one fails here
     config_path = workspace / "config.json"
     config_path.write_text('{"corpus": ')
     monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
@@ -296,7 +305,8 @@ def test_parser_answers_before_the_config_file_is_read(workspace, monkeypatch, c
         main(argv)
     assert exit_info.value.code == code
     captured = capsys.readouterr()
-    assert (captured.out if code == 0 else captured.err).startswith("usage: xmlir run")
+    command = argv[0]
+    assert (captured.out if code == 0 else captured.err).startswith(f"usage: xmlir {command}")
     assert str(config_path) not in captured.out + captured.err
 
 
@@ -387,6 +397,27 @@ def test_assess_stats_outputs(workspace):
     assert general[1] == "article\t1"
     categories = (out / "categories.tsv").read_text().splitlines()
     assert categories[1] == "117\t1\t0\tbroad"
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "assess-stats"])
+def test_topic_without_highly_relevant_elements_is_named_once(workspace, capsys, command):
+    # topic 118 is assessed, but none of its elements is graded 3/3
+    (workspace / "assessments" / "118.xml").write_text(
+        '<assessments topic_id="118"><file file="ic/1999/w4095">'
+        '<path E="3" S="2" path="/article[1]"/><path E="2" S="3" path="/article[1]/bdy[1]"/>'
+        "</file></assessments>"
+    )
+    out = workspace / "out"
+    argv = _command_argv(workspace, command, out)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err.count("assessments: topic 118 has no highly relevant elements; excluded") == 1
+    if command == "assess-stats":
+        assert err == ["assessments: topic 118 has no highly relevant elements; excluded"]
+        categories = (out / "categories.tsv").read_text().splitlines()
+        assert categories == ["topic\tarticles\tother\tcategory", "117\t1\t0\tbroad"]
 
 
 def test_report_grid_shape(workspace, capsys):

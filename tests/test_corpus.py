@@ -1,5 +1,6 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
+import codecs
 import random
 import sys
 import xml.etree.ElementTree as ET
@@ -368,11 +369,25 @@ def test_undefined_entity_without_a_dtd_is_named(tmp_path):
         "<!-- &fake; --><p>é &amp; &#233; &nosuch;</p></article>".encode()
     )
     (tmp_path / "good.xml").write_text("<a>ok</a>")
+    # in UTF-16 the byte-order mark is a character of line 1, so its columns are one further on
+    for order, mark in (("le", codecs.BOM_UTF16_LE), ("be", codecs.BOM_UTF16_BE)):
+        for name, text in (
+            ("dash", "<a>&ndash;</a>"),
+            ("attr", '<a x="&amp;" y="&nosuch;"/>'),
+            ("later", "<a>\r\n<b>&amp; &#233; &nosuch;</b></a>"),
+        ):
+            (tmp_path / f"{name}-utf16{order}.xml").write_bytes(mark + text.encode(f"utf-16-{order}"))
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["good"]
     assert corpus.diagnostics == [
+        "attr-utf16be.xml: skipped (undefined entity &nosuch;: line 1, column 1)",
+        "attr-utf16le.xml: skipped (undefined entity &nosuch;: line 1, column 1)",
         "attr.xml: skipped (undefined entity &nosuch;: line 1, column 0)",
+        "dash-utf16be.xml: skipped (undefined entity &ndash;: line 1, column 4)",
+        "dash-utf16le.xml: skipped (undefined entity &ndash;: line 1, column 4)",
         "dash.xml: skipped (undefined entity &ndash;: line 1, column 3)",
+        "later-utf16be.xml: skipped (undefined entity &nosuch;: line 2, column 16)",
+        "later-utf16le.xml: skipped (undefined entity &nosuch;: line 2, column 16)",
         "odd.xml: skipped (undefined entity &nosuch;: line 2, column 33)",
     ]
 
