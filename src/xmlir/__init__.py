@@ -6,7 +6,6 @@ from .assessments import (
     AssessmentSet,
     categorize_topic,
     derive_view,
-    element_distribution,
     highly_relevant,
     load_assessments,
     parse_assessment_file,

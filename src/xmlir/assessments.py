@@ -18,10 +18,11 @@ A document's only highly relevant element belongs to both reduced views.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import AbstractSet
 
+from .corpus import read_xml
 from .paths import ElementPath
 
 ORIGINAL = "original"
@@ -69,7 +70,7 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
     including XML that is not well-formed in its declared encoding."""
     source = Path(path)
     try:
-        root = ET.fromstring(source.read_bytes())
+        root = read_xml(source.read_bytes())
     except (ET.ParseError, LookupError, ValueError) as exc:  # LookupError: unknown declared encoding
         raise ValueError(f"malformed assessment file {source}: {exc}") from exc
     topic_attr = root.get("topic_id")
@@ -153,26 +154,18 @@ def derive_view(assessment: AssessmentSet, case: str) -> set[tuple[str, ElementP
     return {(doc, path) for doc, path in relevant if (doc, path.steps) not in above}
 
 
-def element_distribution(assessments: list[AssessmentSet], case: str) -> dict[str, int]:
-    """Occurrences of each final path-step tag across all topics for a view."""
-    counts: Counter[str] = Counter()
-    for assessment in assessments:
-        for _, path in derive_view(assessment, case):
-            counts[path.tag] += 1
-    return dict(counts)
-
-
-def categorize_topic(assessment: AssessmentSet) -> str:
-    """Broad, narrow or neutral, from the general view's composition.
-
-    Whole-document elements are those whose path has a single step. A topic
-    with no highly relevant element cannot be categorized and raises.
-    """
-    general = derive_view(assessment, GENERAL)
-    if not general:
-        raise ValueError(f"topic {assessment.topic_id} has no highly relevant elements")
+def composition(general: AbstractSet[tuple[str, ElementPath]]) -> tuple[int, int]:
+    """A General view's whole-article elements (one-step paths) and its deeper ones."""
     articles = sum(1 for _, path in general if path.depth == 1)
-    others = len(general) - articles
+    return articles, len(general) - articles
+
+
+def categorize_topic(general: AbstractSet[tuple[str, ElementPath]]) -> str:
+    """Broad, narrow or neutral, from the composition of a topic's General
+    view; an empty view, a topic with no highly relevant element, raises."""
+    if not general:
+        raise ValueError("no highly relevant elements")
+    articles, others = composition(general)
     if articles > others:
         return BROAD
     if articles < others:

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -153,13 +154,12 @@ def _judge(sets: list[assess.AssessmentSet], warn: Warn) -> dict[int, Judgment |
     None, with a diagnostic, for a topic with no highly relevant elements."""
     judged: dict[int, Judgment | None] = {}
     for aset in sets:
+        views = {case: evaluation.quantize(aset, case) for case in assess.RELEVANCE_CASES}
         try:
-            category = assess.categorize_topic(aset)
+            judged[aset.topic_id] = assess.categorize_topic(views[assess.GENERAL]), views
         except ValueError as exc:
-            warn(f"assessments: {exc}; excluded")
+            warn(f"assessments: topic {aset.topic_id} has {exc}; excluded")
             judged[aset.topic_id] = None
-            continue
-        judged[aset.topic_id] = category, {case: evaluation.quantize(aset, case) for case in assess.RELEVANCE_CASES}
     return judged
 
 
@@ -275,21 +275,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_assess_stats(args: argparse.Namespace) -> int:
     warn = _warn_once()
     sets = _load(args, "assessments", assess.load_assessments, warn)
-    judged = _judge(sets, warn)
-    scoreable = [aset for aset in sets if judged[aset.topic_id]]
+    scoreable = {topic_id: judgment for topic_id, judgment in _judge(sets, warn).items() if judgment}
     out_dir = Path(args.out)
     for case in assess.RELEVANCE_CASES:
-        counts = assess.element_distribution(scoreable, case)
+        counts = Counter(path.tag for _, views in scoreable.values() for _, path in views[case])
         lines = [f"tag\tcount\t{case}"]
         for tag in sorted(counts, key=lambda t: (-counts[t], t)):
             lines.append(f"{tag}\t{counts[tag]}")
         _write_lines(out_dir / f"distribution_{case}.tsv", lines)
     lines = ["topic\tarticles\tother\tcategory"]
-    for aset in scoreable:
-        category, views = judged[aset.topic_id]
-        general = views[assess.GENERAL]
-        articles = sum(1 for _, path in general if path.depth == 1)
-        lines.append(f"{aset.topic_id}\t{articles}\t{len(general) - articles}\t{category}")
+    for topic_id, (category, views) in scoreable.items():
+        articles, others = assess.composition(views[assess.GENERAL])
+        lines.append(f"{topic_id}\t{articles}\t{others}\t{category}")
     _write_lines(out_dir / "categories.tsv", lines)
     print(f"wrote assessment statistics to {out_dir}")
     return 0

@@ -92,12 +92,7 @@ class Corpus:
         own token counts, parents and postings, and a reverse pass over
         ``parents`` sums subtree sizes and ends: no recursion limits depth."""
         intern = sys.intern
-        parser = ET.XMLParser()
-        parser.entity.update(_ENTITIES)
-        try:
-            top = ET.fromstring(source, parser)
-        except ET.ParseError as exc:
-            raise (_named_entity(exc, source) if exc.code == 11 else exc) from None  # 11: an undefined entity
+        top = read_xml(source)
         shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings
         start = len(paths)
         stack = [(top, ((intern(top.tag), 1),), -1)]
@@ -136,6 +131,19 @@ class Corpus:
                 ends[parent] = ends[i]
         self.docs.append(doc)
         self.starts.append(end)
+
+
+def read_xml(source: str | bytes) -> ET.Element:
+    """Parse one XML document, bytes in their declared encoding, with the HTML
+    named entities resolved as if its external DTD (not read) declared them.
+    Raises ET.ParseError, naming an undefined entity, LookupError for an
+    unknown declared encoding, or ValueError."""
+    parser = ET.XMLParser()
+    parser.entity.update(_ENTITIES)
+    try:
+        return ET.fromstring(source, parser)
+    except ET.ParseError as exc:
+        raise (_named_entity(exc, source) if exc.code == 11 else exc) from None  # 11: an undefined entity
 
 
 def _named_entity(exc: ET.ParseError, source: str | bytes) -> ET.ParseError:

@@ -20,10 +20,10 @@ mid-article at the boundary) and per article when a per-article limit is
 configured.
 
 Topics arrive in the ``<inex_topic>`` XML format (title, description,
-narrative and a comma-separated keywords field); queries are built from the
-keywords alone: phrases split on commas, tokenized, and flattened into a
-term bag for article ranking; its distinct terms are the AND and the OR
-element query.
+narrative and a comma-separated keywords field); only the keywords are
+kept, and queries are built from them: phrases split on commas, tokenized,
+and flattened into a term bag for article ranking; its distinct terms are
+the AND and the OR element query.
 
 Run files are tab-separated, one entry per line:
 ``topic_id  rank  doc_id  element_path  score_or_dash  system_tag``.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import Corpus, DocumentTree, tokenize
+from .corpus import Corpus, DocumentTree, read_xml, tokenize
 from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
 from .matcher import AND, OR, collection_match, match_elements
 from .paths import ElementPath
@@ -53,9 +53,6 @@ SYSTEMS = (FULLTEXT, XMLDB, HYBRID)
 @dataclass(frozen=True)
 class Topic:
     id: int
-    title: str = ""
-    description: str = ""
-    narrative: str = ""
     keywords: tuple[str, ...] = ()
 
 
@@ -112,7 +109,7 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
     ValueError.
     """
     try:
-        root = ET.fromstring(Path(path).read_bytes())
+        root = read_xml(Path(path).read_bytes())
     except (ET.ParseError, LookupError, ValueError) as exc:  # LookupError: unknown declared encoding
         raise ValueError(f"malformed topics file {path}: {exc}") from exc
     if root.tag == "inex_topic":
@@ -136,17 +133,8 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
             diagnostics.append(f"topic #{position}: duplicate topic_id {topic_id}; skipped")
             continue
         seen.add(topic_id)
-        keywords_text = (el.findtext("keywords") or "").strip()
-        keywords = tuple(p.strip() for p in keywords_text.split(",") if p.strip())
-        topics.append(
-            Topic(
-                id=topic_id,
-                title=(el.findtext("title") or "").strip(),
-                description=(el.findtext("description") or "").strip(),
-                narrative=(el.findtext("narrative") or "").strip(),
-                keywords=keywords,
-            )
-        )
+        keywords = (p.strip() for p in (el.findtext("keywords") or "").split(","))
+        topics.append(Topic(topic_id, tuple(p for p in keywords if p)))
     return topics, diagnostics
 
 

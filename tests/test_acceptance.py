@@ -177,17 +177,20 @@ def test_c5_categorization_rule_exhaustive():
         ]
         return AssessmentSet(topic_id=1, entries=entries)
 
-    assert categorize_topic(fixture(20, 5)) == BROAD
-    assert categorize_topic(fixture(3, 3)) == NEUTRAL
+    def general(articles, others):
+        return derive_view(fixture(articles, others), "general")
+
+    assert categorize_topic(general(20, 5)) == BROAD
+    assert categorize_topic(general(3, 3)) == NEUTRAL
     checked = 0
     for a in range(11):
         for b in range(11):
             if a == 0 and b == 0:
                 with pytest.raises(ValueError):
-                    categorize_topic(fixture(a, b))
+                    categorize_topic(general(a, b))
                 continue
             expected = BROAD if a > b else NARROW if a < b else NEUTRAL
-            assert categorize_topic(fixture(a, b)) == expected
+            assert categorize_topic(general(a, b)) == expected
             checked += 1
     print(f"\n[acceptance] 5 PASS categorization exact on anchors and {checked} grid points")
 

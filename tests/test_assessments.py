@@ -1,4 +1,4 @@
-"""Assessment parsing, derived views, distributions and topic categories."""
+"""Assessment parsing, derived views, topic categories and `assess-stats`' tag distributions."""
 
 import random
 
@@ -10,12 +10,12 @@ from xmlir import (
     ElementPath,
     categorize_topic,
     derive_view,
-    element_distribution,
     highly_relevant,
     load_assessments,
     parse_assessment_file,
 )
-from xmlir.assessments import BROAD, GENERAL, NARROW, NEUTRAL, ORIGINAL, SPECIFIC
+from xmlir.assessments import BROAD, GENERAL, NARROW, NEUTRAL, ORIGINAL, RELEVANCE_CASES, SPECIFIC
+from xmlir.cli import main
 
 import support
 from conftest import EXPECTED_SPECIFIC, SAMPLE_ASSESSMENT_XML, SAMPLE_DOC_ID
@@ -58,6 +58,18 @@ def test_grade_bounds_enforced():
 def test_duplicate_doc_path_rejected():
     with pytest.raises(ValueError):
         AssessmentSet(topic_id=1, entries=[entry("d", "/a[1]"), entry("d", "/a[1]", e=1)])
+
+
+def test_assessment_file_resolves_html_entities_named_by_an_external_dtd(tmp_path):
+    target = tmp_path / "5.xml"
+    target.write_text(
+        '<?xml version="1.0"?>\n<!DOCTYPE assessments SYSTEM "assessments.dtd">\n'
+        '<assessments topic_id="5"><title>Caf&eacute; &ndash; tries</title>'
+        '<file file="d"><path E="3" S="3" path="/article[1]"/></file></assessments>'
+    )
+    aset = parse_assessment_file(target)
+    assert aset.topic_id == 5
+    assert aset.entries == [entry("d", "/article[1]")]
 
 
 def test_load_assessments_skips_malformed(tmp_path):
@@ -104,17 +116,40 @@ def test_unknown_case_rejected(sample_set):
         derive_view(sample_set, "strict")
 
 
-def test_distribution_counts_final_tag(sample_set):
-    assert element_distribution([sample_set], GENERAL) == {"article": 1}
-    original = element_distribution([sample_set], ORIGINAL)
-    assert original == {"article": 1, "bdy": 1, "sec": 2, "ip1": 4, "ss1": 2, "p": 5}
+def _distributions(tmp_path, files):
+    """``assess-stats``' tag counts per relevance case, over assessment files named to their texts."""
+    source = tmp_path / "assessments"
+    source.mkdir()
+    for name, text in files.items():
+        (source / name).write_text(text)
+    assert main(["assess-stats", "--assessments", str(source), "--out", str(tmp_path / "stats")]) == 0
+    counts = {}
+    for case in RELEVANCE_CASES:
+        header, *lines = (tmp_path / "stats" / f"distribution_{case}.tsv").read_text().splitlines()
+        assert header == f"tag\tcount\t{case}"
+        counts[case] = {tag: int(n) for tag, n in (line.split("\t") for line in lines)}
+    return counts
 
 
-def test_distribution_empty():
-    assert element_distribution([], ORIGINAL) == {}
+def _assessment_xml(aset):
+    paths = "".join(
+        f'<file file="{e.doc}"><path E="{e.exhaustivity}" S="{e.specificity}" path="{e.path}"/></file>'
+        for e in aset.entries
+    )
+    return f'<assessments topic_id="{aset.topic_id}">{paths}</assessments>'
 
 
-def test_distribution_matches_brute_tally():
+def test_distribution_counts_final_tag(tmp_path):
+    counts = _distributions(tmp_path, {"117.xml": SAMPLE_ASSESSMENT_XML})
+    assert counts[GENERAL] == {"article": 1}
+    assert counts[ORIGINAL] == {"article": 1, "bdy": 1, "sec": 2, "ip1": 4, "ss1": 2, "p": 5}
+
+
+def test_distribution_empty(tmp_path):
+    assert _distributions(tmp_path, {})[ORIGINAL] == {}
+
+
+def test_distribution_matches_brute_tally(tmp_path):
     rng = random.Random(5)
     sets = []
     for topic_id in (1, 2):
@@ -124,13 +159,13 @@ def test_distribution_matches_brute_tally():
             chosen = rng.sample(paths, rng.randint(1, len(paths)))
             entries.extend(entry(doc, str(p)) for p in chosen)
         sets.append(AssessmentSet(topic_id=topic_id, entries=entries))
+    counts = _distributions(tmp_path, {f"{aset.topic_id}.xml": _assessment_xml(aset) for aset in sets})
     for case in (ORIGINAL, GENERAL, SPECIFIC):
-        got = element_distribution(sets, case)
         tally = {}
         for aset in sets:
             for _, path in derive_view(aset, case):
                 tally[path.tag] = tally.get(path.tag, 0) + 1
-        assert got == tally
+        assert counts[case] == tally
 
 
 def _category_fixture(articles: int, others: int) -> AssessmentSet:
@@ -143,21 +178,21 @@ def _category_fixture(articles: int, others: int) -> AssessmentSet:
 
 
 def test_categorize_broad_point():
-    assert categorize_topic(_category_fixture(20, 5)) == BROAD
+    assert categorize_topic(derive_view(_category_fixture(20, 5), GENERAL)) == BROAD
 
 
 def test_categorize_neutral_point():
-    assert categorize_topic(_category_fixture(4, 4)) == NEUTRAL
+    assert categorize_topic(derive_view(_category_fixture(4, 4), GENERAL)) == NEUTRAL
 
 
 def test_categorize_narrow_point():
-    assert categorize_topic(_category_fixture(2, 7)) == NARROW
+    assert categorize_topic(derive_view(_category_fixture(2, 7), GENERAL)) == NARROW
 
 
 def test_categorize_empty_topic_raises():
     aset = AssessmentSet(topic_id=3, entries=[entry("d", "/article[1]", e=2, s=3)])
     with pytest.raises(ValueError):
-        categorize_topic(aset)
+        categorize_topic(derive_view(aset, GENERAL))
 
 
 def test_view_laws_on_random_judgments():

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import xmlir.assessments
+import xmlir.evaluation
+from xmlir.assessments import RELEVANCE_CASES, derive_view
 from xmlir.cli import _subcommands, build_parser, main
 
 import support
@@ -397,6 +400,24 @@ def test_assess_stats_outputs(workspace):
     assert general[1] == "article\t1"
     categories = (out / "categories.tsv").read_text().splitlines()
     assert categories[1] == "117\t1\t0\tbroad"
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "assess-stats"])
+def test_each_assessed_topic_has_its_views_derived_once(workspace, monkeypatch, command):
+    (workspace / "assessments" / "119.xml").write_text(
+        '<assessments topic_id="119"><file file="ic/2000/x0002">'
+        '<path E="3" S="3" path="/article[1]/sec[1]"/></file></assessments>'
+    )
+    calls = []
+
+    def counted(assessment, case):
+        calls.append((assessment.topic_id, case))
+        return derive_view(assessment, case)
+
+    for module in (xmlir.assessments, xmlir.evaluation):  # every module that holds the name
+        monkeypatch.setattr(module, "derive_view", counted)
+    assert main(_command_argv(workspace, command, workspace / "out")) == 0
+    assert sorted(calls) == [(topic, case) for topic in (117, 119) for case in sorted(RELEVANCE_CASES)]
 
 
 @pytest.mark.parametrize("command", ["eval", "report", "assess-stats"])

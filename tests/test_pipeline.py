@@ -41,8 +41,25 @@ def test_parse_single_topic_file(tmp_path):
     assert len(topics) == 1
     t = topics[0]
     assert t.id == 117
-    assert t.title == "Patricia Tries"
     assert len(t.keywords) == 5
+
+
+def test_topics_resolve_html_entities_named_by_an_external_dtd(tmp_path):
+    target = tmp_path / "topics.xml"
+    target.write_text(
+        '<?xml version="1.0"?>\n<!DOCTYPE inex_topic SYSTEM "topic.dtd">\n'
+        '<inex_topic topic_id="7" query_type="CO"><title>Caf&eacute; tries</title>'
+        "<keywords>caf&eacute; search, pre&ndash;order</keywords></inex_topic>"
+    )
+    assert parse_topics(target) == ([Topic(7, ("caf\u00e9 search", "pre\u2013order"))], [])
+
+
+def test_topics_file_names_an_undefined_entity_without_a_dtd(tmp_path):
+    target = tmp_path / "topics.xml"
+    target.write_text('<inex_topic topic_id="7"><keywords>pre&ndash;order</keywords></inex_topic>')
+    with pytest.raises(ValueError) as info:
+        parse_topics(target)
+    assert str(info.value) == f"malformed topics file {target}: undefined entity &ndash;: line 1, column 38"
 
 
 def test_parse_topic_container_skips_structural_and_malformed_topics(tmp_path):
