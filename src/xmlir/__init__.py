@@ -6,7 +6,6 @@ from .assessments import (
     AssessmentSet,
     categorize_topic,
     derive_view,
-    highly_relevant,
     load_assessments,
     parse_assessment_file,
 )
@@ -27,7 +26,6 @@ from .evaluation import (
     build_size_map,
     inex_eval_ng,
     inex_eval_strict,
-    interpolated_average_precision,
     mean_average_precision,
     quantize,
 )

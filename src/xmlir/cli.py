@@ -187,10 +187,10 @@ def _score_runs(
                 relevant[run.topic_id] = views[case]
             else:
                 left_out[run.topic_id] = f"{topic_category}, not {category}"
-    sizes: dict[tuple[str, ElementPath], int] | None = None
+    nodes: dict[tuple[str, ElementPath], int | None] = {}
     if metric != evaluation.METRIC_STRICT:
         needed = {(e.doc, e.path) for run in runs if run.topic_id in relevant for e in run.entries}
-        sizes, diagnostics = evaluation.build_size_map(corpus, needed.union(*relevant.values()))
+        nodes, diagnostics = evaluation.build_size_map(corpus, needed.union(*relevant.values()))
         for line in diagnostics:
             warn(f"sizes: {line}")
     per_topic: dict[int, float] = {}
@@ -204,7 +204,8 @@ def _score_runs(
                 per_topic[run.topic_id] = evaluation.inex_eval_strict(entries, relevant[run.topic_id])
             else:
                 mode = "s" if metric == evaluation.METRIC_NG_SIZE else "o"
-                per_topic[run.topic_id] = evaluation.inex_eval_ng(entries, relevant[run.topic_id], sizes, mode)
+                found = {nodes[pair] for pair in relevant[run.topic_id]} - {None}
+                per_topic[run.topic_id] = evaluation.inex_eval_ng([nodes[e] for e in entries], found, corpus, mode)
         except ValueError as exc:
             warn(f"topic {run.topic_id}: skipped ({exc})")
     return per_topic

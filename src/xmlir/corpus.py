@@ -88,9 +88,12 @@ class Corpus:
 
     def add(self, doc: str, source: str | bytes) -> None:
         """Parse one XML document into the next document number; a parse error
+        or an identifier with a tab or line break (which no run file holds)
         raises before any change. One iterative pre-order pass collects paths,
         own token counts, parents and postings, and a reverse pass over
         ``parents`` sums subtree sizes and ends: no recursion limits depth."""
+        if any(c in doc for c in "\t\r\n"):
+            raise ValueError(f"document identifier {doc!r} holds a tab or line break")
         intern = sys.intern
         top = read_xml(source)
         shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings

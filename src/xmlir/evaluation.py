@@ -1,10 +1,12 @@
 """Retrieval metrics: strict average precision and size-aware variants.
 
-Every metric takes a ranked list of (doc, path) entries and the relevant
-set: ``quantize`` makes it, binary, from an assessment view, and it is the
-recall base. Strict scoring averages interpolated precision over the 100
-recall levels 0.01..1.00, where interpolated precision at level r is the
-maximum precision among ranks whose recall reaches r (0 when none does).
+Every metric takes ranked entries and the relevant set, its recall base.
+Strict scoring takes (doc, path) pairs, as ``quantize`` makes the set from
+an assessment view; the size-aware variants take the corpus nodes that
+``build_size_map`` resolves those pairs to. Strict scoring averages
+interpolated precision over the 100 recall levels 0.01..1.00, where
+interpolated precision at level r is the maximum precision among ranks
+whose recall reaches r (0 when none does).
 
 The size-aware variants (reported as ``ng-s-reconstructed`` and
 ``ng-o-reconstructed``) weigh the curve by subtree token counts. Mode ``s``
@@ -17,12 +19,12 @@ overlap-free runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import AbstractSet, Mapping, Sequence
 
 from .assessments import AssessmentSet, derive_view
 from .corpus import Corpus
-from .paths import ElementPath, PathStep
+from .paths import ElementPath
 
 RECALL_LEVELS = tuple(i / 100 for i in range(1, 101))
 
@@ -36,9 +38,6 @@ METRIC_LABELS = {
     METRIC_NG_SIZE: "ng-s-reconstructed",
     METRIC_NG_OVERLAP: "ng-o-reconstructed",
 }
-
-SizeMap = Mapping[tuple[str, ElementPath], int]
-
 
 def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, ElementPath]]:
     """The chosen view as binary judgments: the relevant set."""
@@ -88,47 +87,47 @@ def inex_eval_strict(
     return interpolated_average_precision(points)
 
 
-def _cover(roots: dict[tuple[PathStep, ...], int], path: ElementPath, size: int) -> int:
-    """Cover an entry of ``size`` in one document's covered roots (an antichain
-    of steps, each with its size) and return its part not covered before:
-    subtrees are nested or disjoint, so that is its size minus the covered
-    roots below it, or zero when a covered root encloses it."""
-    steps = path.steps
-    depth = len(steps)
-    if any(len(r) <= depth and steps[: len(r)] == r for r in roots):
+def _cover(roots: list[int], corpus: Corpus, node: int) -> int:
+    """Cover ``node``'s subtree ``[node, ends[node])`` among the covered roots
+    (ascending node numbers of disjoint subtrees) and return its part not
+    covered before: subtrees are nested or disjoint, so that is its size minus
+    the covered roots inside it, or zero when a covered root encloses it."""
+    sizes, ends = corpus.sizes, corpus.ends
+    at = bisect_right(roots, node)
+    if at and ends[roots[at - 1]] > node:
         return 0
-    inner = [r for r in roots if len(r) > depth and r[:depth] == steps]
-    uncovered = size - sum(map(roots.pop, inner))
-    roots[steps] = size
-    return max(0, uncovered)
+    stop = bisect_left(roots, ends[node], at)
+    uncovered = sizes[node] - sum(sizes[r] for r in roots[at:stop])
+    roots[at:stop] = [node]
+    return uncovered
 
 
 def inex_eval_ng(
-    entries: Sequence[tuple[str, ElementPath]],
-    relevant: AbstractSet[tuple[str, ElementPath]],
-    sizes: SizeMap,
+    entries: Sequence[int | None],
+    relevant: AbstractSet[int],
+    corpus: Corpus,
     overlap_mode: str,
 ) -> float:
-    """Size-weighted average precision.
+    """Size-weighted average precision over corpus node numbers.
 
     ``overlap_mode`` is ``"s"`` (full sizes) or ``"o"`` (overlap deducted
-    from the relevant credit). Elements missing from ``sizes`` count as
-    size 0.
+    from the relevant credit). A ``None`` entry, one that did not resolve in
+    the corpus, keeps its rank with size 0.
     """
     if overlap_mode not in ("s", "o"):
         raise ValueError(f"unknown overlap mode: {overlap_mode!r}")
-    total_relevant = sum(sizes.get(entry, 0) for entry in relevant)
+    sizes = corpus.sizes
+    total_relevant = sum(sizes[node] for node in relevant)
     if total_relevant <= 0:
         raise ValueError("empty size-weighted recall base")
-    covered_roots: dict[str, dict[tuple[PathStep, ...], int]] = {}
+    roots: list[int] = []
     covered = 0
     consumed = 0
     points = []
-    for entry in entries:
-        doc, path = entry
-        size = sizes.get(entry, 0)
-        credit = size if overlap_mode == "s" else _cover(covered_roots.setdefault(doc, {}), path, size)
-        if entry in relevant:
+    for node in entries:
+        size = 0 if node is None else sizes[node]
+        credit = size if overlap_mode == "s" or node is None else _cover(roots, corpus, node)
+        if node in relevant:
             covered += credit
         consumed += size
         recall = covered / total_relevant
@@ -146,19 +145,18 @@ def mean_average_precision(per_topic: Mapping[int, float]) -> float:
 def build_size_map(
     corpus: Corpus,
     needed: set[tuple[str, ElementPath]],
-) -> tuple[dict[tuple[str, ElementPath], int], list[str]]:
-    """Subtree token counts for the needed (doc, path) pairs.
+) -> tuple[dict[tuple[str, ElementPath], int | None], list[str]]:
+    """Each needed (doc, path) pair's corpus node, whose size is ``corpus.sizes[node]``.
 
-    Pairs that do not resolve against the corpus get size 0 and a
-    diagnostic; evaluation proceeds regardless.
+    Pairs that do not resolve against the corpus map to None, with a
+    diagnostic; evaluation proceeds regardless, counting them as size 0.
     """
     numbers = dict(zip(corpus.docs, range(len(corpus))))
-    sizes: dict[tuple[str, ElementPath], int] = {}
+    nodes: dict[tuple[str, ElementPath], int | None] = {}
     diagnostics: list[str] = []
     for doc, path in sorted(needed, key=lambda p: (p[0], p[1].steps)):
         number = numbers.get(doc)
-        node = corpus.tree(number).find(path) if number is not None else None
-        sizes[(doc, path)] = 0 if node is None else corpus.sizes[node]
+        node = nodes[doc, path] = corpus.tree(number).find(path) if number is not None else None
         if node is None:
             diagnostics.append(f"size unavailable, using 0: {doc} {path}")
-    return sizes, diagnostics
+    return nodes, diagnostics

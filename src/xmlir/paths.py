@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 PathStep = tuple[str, int]
 
-_STEP = r"/((?:\{[^}]*\})?[^/\[\]{}]+)\[([0-9]+)\]"  # optional {uri}, local name, [index]
+_STEP = r"/((?:\{[^}]*\})?[^/\[\]{}\s]+)\[([0-9]+)\]"  # optional {uri}, local name (no whitespace), [index]
 _STEP_RE = re.compile(_STEP)
 _PATH_RE = re.compile(f"(?:{_STEP})+")
 
@@ -46,10 +46,3 @@ class ElementPath:
     @property
     def tag(self) -> str:
         return self.steps[-1][0]
-
-    def is_ancestor_of(self, other: "ElementPath") -> bool:
-        """True iff self.steps is a proper prefix of other.steps."""
-        return (
-            len(self.steps) < len(other.steps)
-            and other.steps[: len(self.steps)] == self.steps
-        )

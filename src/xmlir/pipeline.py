@@ -227,9 +227,14 @@ def format_run_lines(run: RunResult) -> list[str]:
 
 
 def write_run_file(path: str | Path, runs: Iterable[RunResult]) -> None:
-    lines: list[str] = []
-    for run in runs:
-        lines.extend(format_run_lines(run))
+    """Raises ValueError, writing nothing, for a line that ``read_run_file``
+    would not read back, as a tab or line break in a field makes."""
+    lines = [line for run in runs for line in format_run_lines(run)]
+    for line in lines:
+        try:
+            _parse_run_line(line.replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
+        except ValueError as exc:
+            raise ValueError(f"{path}: cannot write {line!r}: {exc}") from None
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

@@ -19,10 +19,17 @@ from xmlir import (
     Corpus,
     DocumentTree,
     ElementPath,
+    build_size_map,
+    inex_eval_ng,
     match_elements,
     parse_document,
 )
 from xmlir.matcher import AND, OR
+
+
+def is_ancestor_of(ancestor: ElementPath, other: ElementPath) -> bool:
+    """True iff ``ancestor``'s steps are a proper prefix of ``other``'s."""
+    return len(ancestor.steps) < len(other.steps) and other.steps[: len(ancestor.steps)] == ancestor.steps
 
 
 def corpus_from_strings(docs: dict[str, str]) -> Corpus:
@@ -59,7 +66,7 @@ def own_tokens(xml_text: str) -> dict[ElementPath, tuple[str, ...]]:
 
 def subtree_tokens(own: dict[ElementPath, tuple[str, ...]], path: ElementPath) -> list[str]:
     """The own tokens of ``path`` and of every element below it."""
-    return [t for p, tokens in own.items() if p == path or path.is_ancestor_of(p) for t in tokens]
+    return [t for p, tokens in own.items() if p == path or is_ancestor_of(path, p) for t in tokens]
 
 
 def element_sizes(corpus: Corpus) -> dict[tuple[str, ElementPath], int]:
@@ -75,7 +82,7 @@ def all_paths(tree: DocumentTree) -> list[ElementPath]:
 def subtree(tree: DocumentTree, path: ElementPath) -> list[int]:
     """The nodes at or below ``path``, found by path prefix."""
     paths = tree.corpus.paths
-    return [i for i in tree.nodes if paths[i] == path or path.is_ancestor_of(paths[i])]
+    return [i for i in tree.nodes if paths[i] == path or is_ancestor_of(path, paths[i])]
 
 
 def paths_of(tree: DocumentTree, indices) -> list[ElementPath]:
@@ -134,7 +141,7 @@ def brute_force_matches(xml_text: str, terms: frozenset[str], mode: str) -> list
         path
         for path in own  # own is in document order
         if path in satisfied
-        and not any(other != path and path.is_ancestor_of(other) for other in satisfied)
+        and not any(other != path and is_ancestor_of(path, other) for other in satisfied)
     ]
 
 
@@ -202,14 +209,14 @@ def brute_force_cres(
         for candidate in all_paths:
             if candidate in qualified or candidate in matching_set:
                 continue
-            below = [item for item in items if candidate.is_ancestor_of(item)]
+            below = [item for item in items if is_ancestor_of(candidate, item)]
             children = {item.steps[candidate.depth] for item in below}
             if len(children) >= 2:
                 qualified.add(candidate)
                 items.add(candidate)
                 changed = True
     return {
-        path: sum(1 for m in matching if path.is_ancestor_of(m))
+        path: sum(1 for m in matching if is_ancestor_of(path, m))
         for path in qualified
     }
 
@@ -255,12 +262,12 @@ def brute_force_views(relevant: set[tuple[str, ElementPath]]):
     general = {
         (doc, path)
         for doc, path in relevant
-        if not any(d == doc and other.is_ancestor_of(path) for d, other in relevant)
+        if not any(d == doc and is_ancestor_of(other, path) for d, other in relevant)
     }
     specific = {
         (doc, path)
         for doc, path in relevant
-        if not any(d == doc and path.is_ancestor_of(other) for d, other in relevant)
+        if not any(d == doc and is_ancestor_of(path, other) for d, other in relevant)
     }
     return general, specific
 
@@ -286,6 +293,18 @@ def naive_strict_ap(relevance_flags: list[bool], recall_base: int) -> float:
     return float(total / 100)
 
 
+def ng_ap(
+    corpus: Corpus,
+    entries: list[tuple[str, ElementPath]],
+    relevant: set[tuple[str, ElementPath]],
+    overlap_mode: str,
+) -> float:
+    """``inex_eval_ng`` on (doc, path) pairs, each resolved to its node by
+    ``build_size_map`` as ``xmlir eval`` does; an unresolved pair is None."""
+    nodes, _ = build_size_map(corpus, set(entries) | set(relevant))
+    return inex_eval_ng([nodes[e] for e in entries], {nodes[e] for e in relevant} - {None}, corpus, overlap_mode)
+
+
 def token_regions(xml_text: str) -> dict[ElementPath, frozenset[int]]:
     """Each element's subtree as a set of concrete token identifiers."""
     ids: dict[ElementPath, range] = {}
@@ -294,7 +313,7 @@ def token_regions(xml_text: str) -> dict[ElementPath, frozenset[int]]:
         ids[path] = range(counter, counter + len(tokens))
         counter += len(tokens)
     return {
-        path: frozenset(i for p, own in ids.items() if p == path or path.is_ancestor_of(p) for i in own)
+        path: frozenset(i for p, own in ids.items() if p == path or is_ancestor_of(path, p) for i in own)
         for path in ids
     }
 
@@ -364,7 +383,7 @@ def random_antichain(rng: random.Random, paths: list[ElementPath]) -> list[Eleme
     target = rng.randint(1, 8)
     chosen: list[ElementPath] = []
     for path in rng.sample(paths, len(paths)):
-        if not any(path.is_ancestor_of(c) or c.is_ancestor_of(path) or c == path for c in chosen):
+        if not any(is_ancestor_of(path, c) or is_ancestor_of(c, path) or c == path for c in chosen):
             chosen.append(path)
         if len(chosen) >= target:
             break

@@ -165,7 +165,7 @@ def test_matches_count_law_random_antichains():
             assert cres[0].matches == 1
             continue
         for record in cres:
-            below = sum(1 for m in matching if record.path.is_ancestor_of(m))
+            below = sum(1 for m in matching if support.is_ancestor_of(record.path, m))
             assert record.matches == below
             assert record.matches >= 2
             assert record.path not in set(matching)

@@ -3,16 +3,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
     build_size_map,
     inex_eval_ng,
     inex_eval_strict,
-    interpolated_average_precision,
     mean_average_precision,
     quantize,
 )
+from xmlir.evaluation import interpolated_average_precision
 from xmlir.assessments import AssessmentEntry, AssessmentSet, GENERAL, ORIGINAL
 
 import support
@@ -106,29 +107,28 @@ NESTED_DOC = """\
 """
 
 
-def _sizes_and_regions(docs: dict[str, str]):
+def _corpus_and_regions(docs: dict[str, str]):
     corpus = support.corpus_from_strings(docs)
-    sizes = support.element_sizes(corpus)
     regions = {doc: support.token_regions(docs[doc]) for doc in corpus.docs}
-    return sizes, regions
+    return corpus, regions
 
 
 def test_ng_modes_agree_without_overlap():
-    sizes, _ = _sizes_and_regions({"d": NESTED_DOC})
+    corpus, _ = _corpus_and_regions({"d": NESTED_DOC})
     sec1, sec2 = ("d", P("/article[1]/sec[1]")), ("d", P("/article[1]/sec[2]"))
     run = [sec1, sec2]
     j = judgment(sec1, sec2)
-    assert inex_eval_ng(run, j, sizes, "s") == inex_eval_ng(run, j, sizes, "o")
+    assert support.ng_ap(corpus, run, j, "s") == support.ng_ap(corpus, run, j, "o")
 
 
 def test_ng_overlap_mode_discounts_nested_entry():
-    sizes, regions = _sizes_and_regions({"d": NESTED_DOC})
+    corpus, regions = _corpus_and_regions({"d": NESTED_DOC})
     sec = ("d", P("/article[1]/sec[1]"))
     inner = ("d", P("/article[1]/sec[1]/p[1]"))
     j = judgment(sec, inner)
     run = [sec, inner]
-    ap_s = inex_eval_ng(run, j, sizes, "s")
-    ap_o = inex_eval_ng(run, j, sizes, "o")
+    ap_s = support.ng_ap(corpus, run, j, "s")
+    ap_o = support.ng_ap(corpus, run, j, "o")
     assert ap_o < ap_s
     assert ap_s == pytest.approx(
         support.naive_ng_ap(run, set(j), regions, "s"), abs=1e-9
@@ -139,32 +139,31 @@ def test_ng_overlap_mode_discounts_nested_entry():
 
 
 def test_ng_single_exact_hit_scores_one_both_modes():
-    sizes, _ = _sizes_and_regions({"d": NESTED_DOC})
+    corpus, _ = _corpus_and_regions({"d": NESTED_DOC})
     target = ("d", P("/article[1]/sec[2]"))
     j = judgment(target)
     for mode in ("s", "o"):
-        assert inex_eval_ng([target], j, sizes, mode) == pytest.approx(1.0)
+        assert support.ng_ap(corpus, [target], j, mode) == pytest.approx(1.0)
 
 
 def test_ng_overlap_never_beats_size_mode():
     rng = random.Random(41)
     for _ in range(200):
         docs = {f"d{i}": support.random_xml(rng) for i in range(2)}
-        corpus = support.corpus_from_strings(docs)
-        sizes, regions = _sizes_and_regions(docs)
+        corpus, regions = _corpus_and_regions(docs)
         pool = [element for element, size in support.element_sizes(corpus).items() if size > 0]
         if len(pool) < 3:
             continue
         run = rng.sample(pool, rng.randint(2, min(10, len(pool))))
         relevant = set(rng.sample(pool, rng.randint(1, min(5, len(pool)))))
         j = frozenset(relevant)
-        ap_s = inex_eval_ng(run, j, sizes, "s")
-        ap_o = inex_eval_ng(run, j, sizes, "o")
+        ap_s = support.ng_ap(corpus, run, j, "s")
+        ap_o = support.ng_ap(corpus, run, j, "o")
         assert ap_o <= ap_s + 1e-12
         assert ap_s == pytest.approx(support.naive_ng_ap(run, relevant, regions, "s"), abs=1e-9)
         assert ap_o == pytest.approx(support.naive_ng_ap(run, relevant, regions, "o"), abs=1e-9)
         has_overlap = any(
-            a != b and da == db and (pa.is_ancestor_of(pb) or pb.is_ancestor_of(pa))
+            a != b and da == db and (support.is_ancestor_of(pa, pb) or support.is_ancestor_of(pb, pa))
             for a, (da, pa) in enumerate(run)
             for b, (db, pb) in enumerate(run)
         )
@@ -173,12 +172,44 @@ def test_ng_overlap_never_beats_size_mode():
 
 
 def test_ng_missing_sizes_count_zero():
-    sizes, _ = _sizes_and_regions({"d": NESTED_DOC})
+    corpus, _ = _corpus_and_regions({"d": NESTED_DOC})
     ghost = ("d", P("/article[1]/sec[9]"))
     target = ("d", P("/article[1]/sec[2]"))
     j = judgment(target)
-    ap = inex_eval_ng([ghost, target], j, sizes, "s")
+    ap = support.ng_ap(corpus, [ghost, target], j, "s")
     assert 0.0 < ap <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ng_on_node_numbers_matches_the_region_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    docs = {f"d{i}": support.random_xml(rng) for i in range(data.draw(st.integers(2, 3)))}
+    corpus, regions = _corpus_and_regions(docs)
+    regions["gone"] = {}  # a document outside the corpus
+    pool = list(support.element_sizes(corpus))
+    ghosts = [(doc, P("/article[1]/ghost[1]")) for doc in docs] + [("gone", P("/article[1]"))]
+    deep = [(doc, path) for doc, path in pool if path.depth > 1]
+    assume(deep)
+    run = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    # every run holds a nested pair, a node listed twice and an unresolvable entry
+    doc, path = data.draw(st.sampled_from(deep))
+    ancestor = ElementPath(path.steps[: data.draw(st.integers(1, path.depth - 1))])
+    extras = [(doc, path), (doc, ancestor), data.draw(st.sampled_from(run)), data.draw(st.sampled_from(ghosts))]
+    for extra in extras:
+        run.insert(data.draw(st.integers(0, len(run))), extra)
+    relevant = set(data.draw(st.lists(st.sampled_from(pool + ghosts), max_size=8)))
+    nodes, _ = build_size_map(corpus, set(run) | relevant)
+    entries = [nodes[e] for e in run]
+    found = {nodes[e] for e in relevant} - {None}
+    assert None in entries and len(set(entries)) < len(entries)
+    for mode in ("s", "o"):
+        if not any(regions[d].get(p) for d, p in relevant):
+            with pytest.raises(ValueError, match="empty size-weighted recall base"):
+                inex_eval_ng(entries, found, corpus, mode)
+        else:
+            expected = support.naive_ng_ap(run, relevant, regions, mode)
+            assert inex_eval_ng(entries, found, corpus, mode) == pytest.approx(expected, abs=1e-9)
 
 
 def test_quantize_uses_the_view():
@@ -201,8 +232,8 @@ def test_mean_average_precision():
 def test_build_size_map_reports_missing():
     corpus = support.corpus_from_strings({"d": NESTED_DOC})
     needed = {("d", P("/article[1]/sec[1]")), ("d", P("/article[1]/sec[9]")), ("x", P("/a[1]"))}
-    sizes, diagnostics = build_size_map(corpus, needed)
-    assert sizes[("d", P("/article[1]/sec[1]"))] == 8
-    assert sizes[("d", P("/article[1]/sec[9]"))] == 0
-    assert sizes[("x", P("/a[1]"))] == 0
+    nodes, diagnostics = build_size_map(corpus, needed)
+    assert corpus.sizes[nodes[("d", P("/article[1]/sec[1]"))]] == 8
+    assert nodes[("d", P("/article[1]/sec[9]"))] is None
+    assert nodes[("x", P("/a[1]"))] is None
     assert len(diagnostics) == 2

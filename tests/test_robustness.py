@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xmlir import (
     AssessmentSet,
+    Corpus,
     ElementPath,
+    RunEntry,
     RunResult,
     Topic,
     load_assessments,
@@ -19,6 +21,7 @@ from xmlir import (
     parse_document,
     parse_topics,
     read_run_file,
+    write_run_file,
 )
 from xmlir.matcher import OR
 from xmlir.cli import main
@@ -101,6 +104,56 @@ def test_namespaced_paths_round_trip():
 def test_malformed_namespaced_paths_are_rejected(bad):
     with pytest.raises(ValueError):
         ElementPath.from_string(bad)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+def test_document_identifier_with_a_tab_or_line_break_is_skipped(namespaced_workspace, capsys, name):
+    corpus = Corpus()
+    with pytest.raises(ValueError, match="holds a tab or line break"):
+        corpus.add(name, NAMESPACED_XML)
+    assert (corpus.docs, len(corpus.paths), corpus.postings) == ([], 0, {})
+    ws = namespaced_workspace
+    (ws / "corpus" / f"{name}.xml").write_text(NAMESPACED_XML)
+    run_file = ws / "xmldb.run"
+    assert main([
+        "run", "--corpus", str(ws / "corpus"), "--topics", str(ws / "topics.xml"),
+        "--system", "xmldb", "--out", str(run_file),
+    ]) == 0
+    err = capsys.readouterr().err
+    assert err == f"corpus: {name}.xml: skipped (document identifier {name!r} holds a tab or line break)\n"
+    assert [(e.doc, str(e.path)) for r in read_run_file(run_file) for e in r.entries] == [("ns/a", MATCH_PATH)]
+
+
+@pytest.mark.parametrize("uri", ["u&#9;v", "u&#10;v", "u&#13;v"], ids=["tab", "lf", "cr"])
+def test_run_line_that_would_not_read_back_is_a_clean_error(tmp_path, capsys, uri):
+    runs = [RunResult(7, "xmldb", (RunEntry(1, "a\tb", ElementPath.from_string("/article[1]"), None),))]
+    with pytest.raises(ValueError, match="cannot write"):
+        write_run_file(tmp_path / "direct.run", runs)
+    assert not (tmp_path / "direct.run").exists()
+    support.write_corpus(tmp_path / "corpus", {"d": f'<article xmlns="{uri}"><p>patricia tries</p></article>'})
+    (tmp_path / "topics.xml").write_text(NAMESPACED_TOPIC)
+    run_file = tmp_path / "xmldb.run"
+    assert main([
+        "run", "--corpus", str(tmp_path / "corpus"), "--topics", str(tmp_path / "topics.xml"),
+        "--system", "xmldb", "--out", str(run_file),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_file}: cannot write ") and err.count("\n") == 1
+    assert not run_file.exists()
+
+
+def test_whitespace_in_an_assessed_step_skips_the_file(namespaced_workspace, capsys):
+    ws = namespaced_workspace
+    (ws / "assessments" / "8.xml").write_text(
+        '<assessments topic_id="8"><file file="ns/a">'
+        '<path E="3" S="3" path="/article[1]/x&#9;y[1]"/></file></assessments>'
+    )
+    assert main(["assess-stats", "--assessments", str(ws / "assessments"), "--out", str(ws / "stats")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("assessments: 8.xml: skipped (malformed element path ")
+    for case in ("original", "general", "specific"):
+        rows = (ws / "stats" / f"distribution_{case}.tsv").read_text().splitlines()[1:]
+        assert rows == [f"{NS}p\t1"]
 
 
 GOOD_LINE = "7\t1\tns/a\t/article[1]\t-\txmldb"
