@@ -17,12 +17,13 @@ A document's only highly relevant element belongs to both reduced views.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet
 
-from .corpus import read_xml
+from .corpus import one_line, read_xml
 from .paths import ElementPath
 
 ORIGINAL = "original"
@@ -76,11 +77,11 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
     topic_attr = root.get("topic_id")
     if topic_attr is not None:
         topic_id = int(topic_attr)
-    else:
-        digits = "".join(ch for ch in source.stem if ch.isdigit())
-        if not digits:
+    else:  # the file name's one run of ASCII digits: topic-42.xml is topic 42
+        digits = re.findall(r"[0-9]+", source.stem)
+        if len(digits) != 1:
             raise ValueError(f"cannot determine topic id for {source}")
-        topic_id = int(digits)
+        topic_id = int(digits[0])
     entries = []
     for file_el in root.iter("file"):
         doc = file_el.get("file")
@@ -117,29 +118,20 @@ def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[s
         try:
             aset = parse_assessment_file(path)
         except (OSError, ValueError) as exc:
-            diagnostics.append(f"{path.name}: skipped ({exc})")
+            diagnostics.append(one_line(f"{path.name}: skipped ({exc})"))
             continue
         if aset.topic_id in by_topic:
-            diagnostics.append(f"{path.name}: duplicate topic_id {aset.topic_id}; skipped")
+            diagnostics.append(one_line(f"{path.name}: duplicate topic_id {aset.topic_id}; skipped"))
         else:
             by_topic[aset.topic_id] = aset
     return sorted(by_topic.values(), key=lambda s: s.topic_id), diagnostics
 
 
-def highly_relevant(assessment: AssessmentSet) -> set[tuple[str, ElementPath]]:
-    """Elements graded 3 on both dimensions."""
-    return {
-        (e.doc, e.path)
-        for e in assessment.entries
-        if e.exhaustivity == 3 and e.specificity == 3
-    }
-
-
 def derive_view(assessment: AssessmentSet, case: str) -> set[tuple[str, ElementPath]]:
-    """The chosen view of the highly relevant set."""
+    """The chosen view of the highly relevant set, the elements graded 3 on both dimensions."""
     if case not in RELEVANCE_CASES:
         raise ValueError(f"unknown relevance case: {case!r}")
-    relevant = highly_relevant(assessment)
+    relevant = {(e.doc, e.path) for e in assessment.entries if e.exhaustivity == 3 and e.specificity == 3}
     if case == ORIGINAL:
         return relevant
     if case == GENERAL:  # no proper prefix of its steps is relevant

@@ -173,15 +173,14 @@ def _score_runs(
     warn: Warn,
 ) -> dict[int, float]:
     """Average precision per run whose topic is judged and in ``category``;
-    every other run is skipped with its reason."""
+    every other run is skipped, with its reason unless ``_judge`` has named
+    its topic excluded."""
     relevant: dict[int, frozenset[tuple[str, ElementPath]]] = {}
     left_out: dict[int, str] = {}
     for run in runs:
         if run.topic_id not in judged:
             left_out[run.topic_id] = "no matching assessments"
-        elif judged[run.topic_id] is None:
-            left_out[run.topic_id] = "no highly relevant elements"
-        else:
+        elif judged[run.topic_id] is not None:
             topic_category, views = judged[run.topic_id]
             if category in ("all", topic_category):
                 relevant[run.topic_id] = views[case]
@@ -195,8 +194,9 @@ def _score_runs(
             warn(f"sizes: {line}")
     per_topic: dict[int, float] = {}
     for run in runs:
-        if run.topic_id in left_out:
-            warn(f"topic {run.topic_id}: {left_out[run.topic_id]}; skipped")
+        if run.topic_id not in relevant:
+            if run.topic_id in left_out:
+                warn(f"topic {run.topic_id}: {left_out[run.topic_id]}; skipped")
             continue
         entries = [(e.doc, e.path) for e in run.entries]
         try:

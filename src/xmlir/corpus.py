@@ -37,6 +37,13 @@ _REFERENCE = re.compile(r"&(?!#|(?:amp|lt|gt|quot|apos);)[\w.:-]+;")
 # a byte-order mark names the byte order of a UTF-16 source
 _BOM_CODECS = {codecs.BOM_UTF16_LE: "utf-16-le", codecs.BOM_UTF16_BE: "utf-16-be"}
 Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
+_ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
+def one_line(text: str) -> str:
+    """``text`` with each tab, CR and LF written as ``\\t``, ``\\r`` and
+    ``\\n``, so a diagnostic naming a file stays one line."""
+    return text.translate(_ESCAPES)
 
 
 def tokenize(text: str) -> list[str]:
@@ -65,7 +72,7 @@ class Corpus:
         return len(self.docs)
 
     def tree(self, number: int, runs: Runs | None = None) -> DocumentTree:
-        return DocumentTree(self, number, self.docs[number], self.starts[number], self.starts[number + 1], runs or {})
+        return DocumentTree(self, self.docs[number], self.starts[number], self.starts[number + 1], runs or {})
 
     def trees(self) -> Iterator[DocumentTree]:
         return map(self.tree, range(len(self.docs)))
@@ -170,7 +177,6 @@ class DocumentTree:
     """One document of a corpus: the node range ``[start, end)``."""
 
     corpus: Corpus
-    number: int
     doc: str
     start: int
     end: int
@@ -233,5 +239,5 @@ def ingest_corpus(root_directory: str | Path) -> Corpus:
         try:
             corpus.add(rel[: -len(".xml")], (root / rel).read_bytes())
         except (OSError, ET.ParseError, LookupError, ValueError) as exc:
-            corpus.diagnostics.append(f"{rel}: skipped ({exc})")
+            corpus.diagnostics.append(one_line(f"{rel}: skipped ({exc})"))
     return corpus

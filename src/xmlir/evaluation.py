@@ -1,26 +1,36 @@
-"""Retrieval metrics: strict average precision and size-aware variants.
+"""Retrieval metrics: strict and size-weighted average precision on one curve.
 
 Every metric takes ranked entries and the relevant set, its recall base.
 Strict scoring takes (doc, path) pairs, as ``quantize`` makes the set from
 an assessment view; the size-aware variants take the corpus nodes that
-``build_size_map`` resolves those pairs to. Strict scoring averages
-interpolated precision over the 100 recall levels 0.01..1.00, where
-interpolated precision at level r is the maximum precision among ranks
-whose recall reaches r (0 when none does).
+``build_size_map`` resolves those pairs to.
 
-The size-aware variants (reported as ``ng-s-reconstructed`` and
-``ng-o-reconstructed``) weigh the curve by subtree token counts. Mode ``s``
-credits every relevant entry with its full size; mode ``o`` credits only
-text units not already covered by earlier entries' subtrees, so nested
-re-retrieval earns nothing while still consuming rank positions and text.
-Consequently mode ``o`` never scores above mode ``s`` and the two agree on
-overlap-free runs.
+All three metrics build the same curve from one (credit, size) pair per
+rank: recall is the credit so far over the recall base, precision the credit
+so far over the size so far (0 before any size), and the score averages
+interpolated precision over the 100 recall levels 0.01..1.00, where
+interpolated precision at level r is the best precision at or after the
+first rank whose recall reaches r (0 when none does). The metrics differ
+only in what a rank earns and consumes:
+
+* ``inex-eval``: every rank has size 1; a relevant pair earns 1 the first
+  time it is listed; the base is the number of relevant pairs.
+* ``ng-s`` (reported as ``ng-s-reconstructed``): a rank has its node's
+  subtree token count as size, and a relevant node earns its full size.
+* ``ng-o`` (``ng-o-reconstructed``): sizes as in ng-s, but a relevant node
+  earns only the text units not already covered by earlier entries'
+  subtrees, so nested re-retrieval earns nothing while still consuming rank
+  positions and text.
+
+The size-aware bases are the relevant nodes' total size, and an entry that
+did not resolve in the corpus has size 0. Consequently ng-o never scores
+above ng-s and the two agree on overlap-free runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .assessments import AssessmentSet, derive_view
 from .corpus import Corpus
@@ -44,25 +54,21 @@ def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, Eleme
     return frozenset(derive_view(assessment, case))
 
 
-def interpolated_average_precision(points: Sequence[tuple[float, float]]) -> float:
-    """Mean of interpolated precision over the 100 recall levels.
-
-    ``points`` are (recall, precision) after each rank, recall non-decreasing.
-    """
-    if not points:
-        return 0.0
-    recalls = [r for r, _ in points]
-    best_at_or_after = [0.0] * len(points)
-    running = 0.0
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        best_at_or_after[i] = running
-    total = 0.0
-    for level in RECALL_LEVELS:
-        i = bisect_left(recalls, level)
-        if i < len(points):
-            total += best_at_or_after[i]
-    return total / len(RECALL_LEVELS)
+def _average_precision(steps: Iterable[tuple[int, int]], total: int) -> float:
+    """Mean interpolated precision over the 100 recall levels, from one
+    ``(credit, size)`` pair per rank and the recall base ``total``."""
+    recalls: list[float] = []
+    precisions: list[float] = []
+    credit = consumed = 0
+    for earned, size in steps:
+        credit += earned
+        consumed += size
+        recalls.append(credit / total)
+        precisions.append(credit / consumed if consumed > 0 else 0.0)
+    for i in range(len(precisions) - 2, -1, -1):  # best precision at or after each rank
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    found = (bisect_left(recalls, level) for level in RECALL_LEVELS)
+    return sum(precisions[i] for i in found if i < len(precisions)) / len(RECALL_LEVELS)
 
 
 def inex_eval_strict(
@@ -73,18 +79,14 @@ def inex_eval_strict(
 
     Raises ValueError when the recall base is empty.
     """
-    base = len(relevant)
-    if base == 0:
+    if not relevant:
         raise ValueError("empty recall base")
-    points = []
-    hits = 0
-    seen: set[tuple[str, ElementPath]] = set()
-    for rank, entry in enumerate(entries, start=1):
-        if entry in relevant and entry not in seen:
-            hits += 1
-            seen.add(entry)
-        points.append((hits / base, hits / rank))
-    return interpolated_average_precision(points)
+    unseen = set(relevant)
+    steps = []
+    for entry in entries:
+        steps.append((int(entry in unseen), 1))
+        unseen.discard(entry)
+    return _average_precision(steps, len(relevant))
 
 
 def _cover(roots: list[int], corpus: Corpus, node: int) -> int:
@@ -121,19 +123,12 @@ def inex_eval_ng(
     if total_relevant <= 0:
         raise ValueError("empty size-weighted recall base")
     roots: list[int] = []
-    covered = 0
-    consumed = 0
-    points = []
+    steps = []
     for node in entries:
         size = 0 if node is None else sizes[node]
         credit = size if overlap_mode == "s" or node is None else _cover(roots, corpus, node)
-        if node in relevant:
-            covered += credit
-        consumed += size
-        recall = covered / total_relevant
-        precision = covered / consumed if consumed > 0 else 0.0
-        points.append((recall, precision))
-    return interpolated_average_precision(points)
+        steps.append((credit if node in relevant else 0, size))
+    return _average_precision(steps, total_relevant)
 
 
 def mean_average_precision(per_topic: Mapping[int, float]) -> float:

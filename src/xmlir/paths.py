@@ -3,7 +3,9 @@
 A path is an ordered sequence of (tag, index) steps where the index is the
 node's 1-based position among same-tag siblings, written as
 ``/article[1]/bdy[1]/sec[2]``. A namespaced tag keeps ElementTree's
-``{uri}local`` form, so a step may read ``/{http://x.org/ns}article[1]``.
+``{uri}local`` form, so a step may read ``/{http://x.org/ns}article[1]``;
+the URI holds no tab, CR or LF, the only control characters an XML
+attribute can hold, so a path stays one field of a tab-separated line.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 PathStep = tuple[str, int]
 
-_STEP = r"/((?:\{[^}]*\})?[^/\[\]{}\s]+)\[([0-9]+)\]"  # optional {uri}, local name (no whitespace), [index]
+# optional {uri} (no tab or line break), local name (no whitespace), [index]
+_STEP = r"/((?:\{[^}\t\r\n]*\})?[^/\[\]{}\s]+)\[([0-9]+)\]"
 _STEP_RE = re.compile(_STEP)
 _PATH_RE = re.compile(f"(?:{_STEP})+")
 

@@ -216,25 +216,19 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
 
 
-def format_run_lines(run: RunResult) -> list[str]:
-    lines = []
-    for entry in run.entries:
-        score = "-" if entry.score is None else f"{entry.score:.6f}"
-        lines.append(
-            f"{run.topic_id}\t{entry.rank}\t{entry.doc}\t{entry.path}\t{score}\t{run.system_tag}"
-        )
-    return lines
-
-
 def write_run_file(path: str | Path, runs: Iterable[RunResult]) -> None:
     """Raises ValueError, writing nothing, for a line that ``read_run_file``
     would not read back, as a tab or line break in a field makes."""
-    lines = [line for run in runs for line in format_run_lines(run)]
-    for line in lines:
-        try:
-            _parse_run_line(line.replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
-        except ValueError as exc:
-            raise ValueError(f"{path}: cannot write {line!r}: {exc}") from None
+    lines = []
+    for run in runs:
+        for entry in run.entries:
+            score = "-" if entry.score is None else f"{entry.score:.6f}"
+            line = f"{run.topic_id}\t{entry.rank}\t{entry.doc}\t{entry.path}\t{score}\t{run.system_tag}"
+            try:
+                _parse_run_line(line.replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
+            except ValueError as exc:
+                raise ValueError(f"{path}: cannot write {line!r}: {exc}") from None
+            lines.append(line)
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

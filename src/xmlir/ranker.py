@@ -47,10 +47,6 @@ class InvertedIndex:
     doc_lengths: array  # document number -> token count
     avg_doc_length: float
 
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_lengths)
-
 
 def build_index(corpus: Corpus) -> InvertedIndex:
     """Count each term's node postings per document; equal ``(document number,
@@ -84,7 +80,7 @@ def rank_articles(
     weights = Counter(query)
     if not weights:
         return []
-    n = index.doc_count
+    n = len(index.doc_lengths)
     accum: dict[int, float] = defaultdict(float)
     for term, qtf in weights.items():
         plist = index.postings.get(term)

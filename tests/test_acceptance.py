@@ -32,7 +32,6 @@ from xmlir.assessments import (
     ORIGINAL,
     categorize_topic,
     derive_view,
-    highly_relevant,
     load_assessments,
     parse_assessment_file,
 )
@@ -127,7 +126,7 @@ def test_c4_general_specific_views(tmp_path):
     target = tmp_path / "117.xml"
     target.write_text(SAMPLE_ASSESSMENT_XML)
     aset = parse_assessment_file(target)
-    relevant = highly_relevant(aset)
+    relevant = derive_view(aset, ORIGINAL)
     assert len(relevant) == 15
     assert derive_view(aset, "general") == {(SAMPLE_DOC_ID, P("/article[1]"))}
     assert derive_view(aset, "specific") == {(SAMPLE_DOC_ID, P(p)) for p in EXPECTED_SPECIFIC}

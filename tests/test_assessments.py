@@ -13,7 +13,7 @@ from xmlir import (
     load_assessments,
     parse_assessment_file,
 )
-from xmlir.assessments import BROAD, GENERAL, NARROW, NEUTRAL, ORIGINAL, RELEVANCE_CASES, SPECIFIC, highly_relevant
+from xmlir.assessments import BROAD, GENERAL, NARROW, NEUTRAL, ORIGINAL, RELEVANCE_CASES, SPECIFIC
 from xmlir.cli import main
 
 import support
@@ -45,6 +45,15 @@ def test_topic_id_falls_back_to_filename(tmp_path):
     target = tmp_path / "topic-42.xml"
     target.write_text('<assessments><file file="d"><path E="3" S="3" path="/a[1]"/></file></assessments>')
     assert parse_assessment_file(target).topic_id == 42
+    # only a file name with one run of ASCII digits names its topic
+    for name in ("co-117-v2.xml", "t\u00b2x.xml", "topic.xml"):
+        other = tmp_path / name
+        other.write_text(target.read_text())
+        with pytest.raises(ValueError, match="cannot determine topic id"):
+            parse_assessment_file(other)
+    superscript = tmp_path / "t\u00b23.xml"  # a superscript two is no ASCII digit
+    superscript.write_text(target.read_text())
+    assert parse_assessment_file(superscript).topic_id == 3
 
 
 def test_grade_bounds_enforced():
@@ -80,14 +89,14 @@ def test_load_assessments_skips_malformed(tmp_path):
 
 
 def test_highly_relevant_requires_top_grades_on_both(sample_set):
-    relevant = highly_relevant(sample_set)
+    relevant = derive_view(sample_set, ORIGINAL)
     assert len(relevant) == 15
     assert (SAMPLE_DOC_ID, P("/article[1]/bm[1]")) not in relevant  # graded 3/2
     assert (SAMPLE_DOC_ID, P("/article[1]/bdy[1]/sec[4]/st[1]")) not in relevant  # graded 0/0
 
 
 def test_highly_relevant_empty_set():
-    assert highly_relevant(AssessmentSet(topic_id=1, entries=[])) == set()
+    assert derive_view(AssessmentSet(topic_id=1, entries=[]), ORIGINAL) == set()
 
 
 def test_general_view_is_the_whole_article(sample_set):
@@ -100,7 +109,8 @@ def test_specific_view_is_the_nine_leaves(sample_set):
 
 
 def test_original_view_unchanged(sample_set):
-    assert derive_view(sample_set, ORIGINAL) == highly_relevant(sample_set)
+    relevant = {(e.doc, e.path) for e in sample_set.entries if e.exhaustivity == e.specificity == 3}
+    assert derive_view(sample_set, ORIGINAL) == relevant
 
 
 def test_lone_element_is_both_general_and_specific():

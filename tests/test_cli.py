@@ -402,6 +402,33 @@ def test_assess_stats_outputs(workspace):
     assert categories[1] == "117\t1\t0\tbroad"
 
 
+def test_tab_in_an_assessment_paths_namespace_uri_skips_the_file(workspace, capsys):
+    # a character reference puts a tab into the attribute value, and a tag holding it would split a row
+    (workspace / "assessments" / "119.xml").write_text(
+        '<assessments topic_id="119"><file file="ic/2000/x0002">'
+        '<path E="3" S="3" path="/{u&#9;v}p[1]"/></file></assessments>'
+    )
+    out = workspace / "stats"
+    assert main(["assess-stats", "--assessments", str(workspace / "assessments"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "assessments: 119.xml: skipped (malformed element path '/{u\\tv}p[1]')"
+    ]
+    for case in RELEVANCE_CASES:
+        rows = (out / f"distribution_{case}.tsv").read_text().splitlines()[1:]
+        assert rows and all(len(row.split("\t")) == 2 for row in rows)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+def test_skipped_assessment_file_with_a_line_break_in_its_name_is_one_line(workspace, capsys, name):
+    (workspace / "assessments" / f"{name}.xml").write_text("<assessments/>")  # no topic id anywhere
+    assert main(_command_argv(workspace, "assess-stats", workspace / "stats")) == 0
+    escaped = name.encode("unicode_escape").decode()
+    source = workspace / "assessments" / f"{escaped}.xml"
+    assert capsys.readouterr().err.splitlines() == [
+        f"assessments: {escaped}.xml: skipped (cannot determine topic id for {source})"
+    ]
+
+
 @pytest.mark.parametrize("command", ["eval", "report", "assess-stats"])
 def test_each_assessed_topic_has_its_views_derived_once(workspace, monkeypatch, command):
     (workspace / "assessments" / "119.xml").write_text(
@@ -428,13 +455,19 @@ def test_topic_without_highly_relevant_elements_is_named_once(workspace, capsys,
         '<path E="3" S="2" path="/article[1]"/><path E="2" S="3" path="/article[1]/bdy[1]"/>'
         "</file></assessments>"
     )
+    # and it is a topic of the topics file, so of the run that eval scores too
+    unjudged = SAMPLE_TOPIC_XML.replace('topic_id="117"', 'topic_id="118"')
+    (workspace / "topics.xml").write_text(f"<topics>{SAMPLE_TOPIC_XML}{unjudged}</topics>")
     out = workspace / "out"
     argv = _command_argv(workspace, command, out)
+    if command == "eval":
+        assert any(line.startswith("118\t") for line in (workspace / "run.run").read_text().splitlines())
     capsys.readouterr()
     assert main(argv) == 0
     assert out.exists()
     err = capsys.readouterr().err.splitlines()
     assert err.count("assessments: topic 118 has no highly relevant elements; excluded") == 1
+    assert not [line for line in err if line.startswith("topic 118:")]
     if command == "assess-stats":
         assert err == ["assessments: topic 118 has no highly relevant elements; excluded"]
         categories = (out / "categories.tsv").read_text().splitlines()

@@ -13,7 +13,7 @@ from xmlir import (
     mean_average_precision,
     quantize,
 )
-from xmlir.evaluation import interpolated_average_precision
+from xmlir.evaluation import _average_precision
 from xmlir.assessments import AssessmentEntry, AssessmentSet, GENERAL, ORIGINAL
 
 import support
@@ -89,14 +89,17 @@ def test_tail_permutation_after_last_hit_is_irrelevant():
 
 
 def test_interpolated_precision_non_increasing():
-    points = [(0.25, 1.0), (0.25, 0.5), (0.5, 0.66), (1.0, 0.4)]
+    # (credit, size) per rank over a base of 4: (recall, precision) is
+    # (0.25, 1.0), (0.25, 0.5), (0.5, 0.67), (1.0, 0.4) after each rank
+    steps = [(1, 1), (0, 1), (1, 1), (2, 7)]
+    points = [(0.25, 1.0), (0.25, 0.5), (0.5, 2 / 3), (1.0, 0.4)]
     levels = [i / 100 for i in range(1, 101)]
     values = []
     for level in levels:
         best = max((p for r, p in points if r >= level), default=0.0)
         values.append(best)
     assert values == sorted(values, reverse=True)
-    assert interpolated_average_precision(points) == pytest.approx(sum(values) / 100)
+    assert _average_precision(steps, 4) == pytest.approx(sum(values) / 100)
 
 
 NESTED_DOC = """\

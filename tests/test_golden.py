@@ -1,5 +1,6 @@
-"""Golden digests: the answers of every system and the ng-o report grid on
-the synthetic workspace, pinned as SHA-256 of the files the CLI writes.
+"""Golden digests: the answers of every system and the report grid of every
+metric on the synthetic workspace, pinned as SHA-256 of the files the CLI
+writes.
 
 A change that alters any answer byte fails here; one that means to must
 update the digest and say why.
@@ -23,6 +24,10 @@ RUN_DIGESTS = {
     ("hybrid", True): "8b53ae96ccc20b3f4acc7d1e100afddeb9a406f0e027f86d9f56f3aa6351b9fd",
 }
 GRID_DIGEST = "0f1fc6b4e8e3f88324fd93c5087dc1f709af82a3d09e5c95731736ed791a098b"
+OTHER_GRID_DIGESTS = {
+    "inex-eval": "d955aead14a0d34251ec3edb269a09035d54129121360d3d59beb64c25674861",
+    "ng-s": "6250d307be471d3582cdd2ab1f7d3e94d0abd5b4878eead27f3dca68da5d208e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +50,18 @@ def test_run_file_digest(workspace, tmp_path, system, cre):
     assert _sha256(out) == RUN_DIGESTS[system, cre]
 
 
-def test_report_grid_digest(workspace, tmp_path, capsys):
-    out = tmp_path / "grid.tsv"
+def _grid_digest(workspace, out, capsys, metric) -> str:
     argv = ["report", "--corpus", str(workspace / "corpus"), "--topics", str(workspace / "topics.xml"),
-            "--assessments", str(workspace / "assessments"), "--metric", "ng-o", "--out", str(out)]
+            "--assessments", str(workspace / "assessments"), "--metric", metric, "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert _sha256(out) == GRID_DIGEST
+    return _sha256(out)
+
+
+def test_report_grid_digest(workspace, tmp_path, capsys):
+    assert _grid_digest(workspace, tmp_path / "grid.tsv", capsys, "ng-o") == GRID_DIGEST
+
+
+@pytest.mark.parametrize("metric", list(OTHER_GRID_DIGESTS))
+def test_strict_and_ng_s_grid_digests(workspace, tmp_path, capsys, metric):
+    assert _grid_digest(workspace, tmp_path / "grid.tsv", capsys, metric) == OTHER_GRID_DIGESTS[metric]

@@ -48,5 +48,5 @@ def test_retained_bytes_per_token_occurrence(tmp_path):
     finally:
         tracemalloc.stop()
     tokens = sum(tree.root.subtree_size for tree in corpus.trees())
-    assert len(corpus) == 300 and index.doc_count == 300 and tokens > 10_000
+    assert len(corpus) == 300 and len(index.doc_lengths) == 300 and tokens > 10_000
     assert retained / tokens < CEILING, f"{retained / tokens:.1f} bytes per token occurrence"

@@ -19,7 +19,7 @@ from xmlir import (
 )
 from xmlir import matcher, pipeline
 from xmlir.matcher import AND, OR
-from xmlir.pipeline import FULLTEXT, HYBRID, XMLDB, format_run_lines
+from xmlir.pipeline import FULLTEXT, HYBRID, XMLDB
 
 import support
 from conftest import SAMPLE_ARTICLE_XML, SAMPLE_OR_PATHS, SAMPLE_TOPIC_XML
@@ -345,7 +345,7 @@ def test_hybrid_docs_form_subsequence_of_article_ranking():
         assert positions == sorted(positions)
 
 
-def test_run_results_are_deterministic():
+def test_run_results_are_deterministic(tmp_path):
     rng = random.Random(67)
     docs = {f"d{i}": support.random_xml(rng) for i in range(10)}
     t = topic("alpha", "beta", "gamma")
@@ -355,7 +355,8 @@ def test_run_results_are_deterministic():
         for _ in range(2):
             corpus = support.corpus_from_strings(dict(docs))
             run = execute(t, corpus, build_index(corpus), config)
-            lines.append("\n".join(format_run_lines(run)))
+            write_run_file(tmp_path / "run", [run])
+            lines.append((tmp_path / "run").read_text())
         assert lines[0] == lines[1]
 
 

@@ -120,7 +120,8 @@ def test_document_identifier_with_a_tab_or_line_break_is_skipped(namespaced_work
         "--system", "xmldb", "--out", str(run_file),
     ]) == 0
     err = capsys.readouterr().err
-    assert err == f"corpus: {name}.xml: skipped (document identifier {name!r} holds a tab or line break)\n"
+    escaped = name.encode("unicode_escape").decode()  # so the diagnostic stays one line
+    assert err == f"corpus: {escaped}.xml: skipped (document identifier {name!r} holds a tab or line break)\n"
     assert [(e.doc, str(e.path)) for r in read_run_file(run_file) for e in r.entries] == [("ns/a", MATCH_PATH)]
 
 
