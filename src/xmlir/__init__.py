@@ -2,7 +2,6 @@
 retrieval elements, and an evaluation harness for graded assessments."""
 
 from .assessments import (
-    AssessmentEntry,
     AssessmentSet,
     categorize_topic,
     derive_view,

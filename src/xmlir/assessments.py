@@ -3,8 +3,11 @@
 Input format, one XML file per topic: a root element carrying a
 ``topic_id`` attribute wraps one ``<file file="doc-id">`` element per
 assessed document, each holding ``<path E=".." S=".." path="/article[1]/..."/>``
-entries. E grades exhaustivity and S specificity, both 0..3; an element is
-highly relevant when both are 3.
+entries. E grades exhaustivity and S specificity, both 0..3 in ASCII
+digits; an element is highly relevant when both are 3. That decision is
+made once, as a file is read: an ``AssessmentSet`` is its topic id and its
+highly relevant (doc, path) pairs, and every other grade is checked to lie
+in 0..3 and then dropped.
 
 Three views of the highly relevant set exist per topic:
 
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
-from .corpus import one_line, read_xml
+from .corpus import one_line, read_xml, whole_number
 from .paths import ElementPath
 
 ORIGINAL = "original"
@@ -36,39 +38,16 @@ NARROW = "narrow"
 NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class AssessmentEntry:
-    doc: str
-    path: ElementPath
-    exhaustivity: int
-    specificity: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.exhaustivity <= 3:
-            raise ValueError(f"exhaustivity out of range: {self.exhaustivity}")
-        if not 0 <= self.specificity <= 3:
-            raise ValueError(f"specificity out of range: {self.specificity}")
-
-
-@dataclass
-class AssessmentSet:
+class AssessmentSet(NamedTuple):
     topic_id: int
-    entries: list[AssessmentEntry]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for entry in self.entries:
-            key = (entry.doc, entry.path)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate assessment for topic {self.topic_id}: {entry.doc} {entry.path}"
-                )
-            seen.add(key)
+    relevant: frozenset[tuple[str, ElementPath]]  # the (doc, path) pairs graded 3/3
 
 
 def parse_assessment_file(path: str | Path) -> AssessmentSet:
-    """Parse one topic's assessment file; raises ValueError on bad content,
-    including XML that is not well-formed in its declared encoding."""
+    """Parse one topic's assessment file and keep its highly relevant pairs;
+    raises ValueError on bad content: XML that is not well-formed in its
+    declared encoding, a grade outside 0..3 or not in ASCII digits, or a
+    (doc, path) pair graded twice."""
     source = Path(path)
     try:
         root = read_xml(source.read_bytes())
@@ -76,13 +55,14 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
         raise ValueError(f"malformed assessment file {source}: {exc}") from exc
     topic_attr = root.get("topic_id")
     if topic_attr is not None:
-        topic_id = int(topic_attr)
+        topic_id = whole_number(topic_attr, f"<{root.tag}> topic_id")
     else:  # the file name's one run of ASCII digits: topic-42.xml is topic 42
         digits = re.findall(r"[0-9]+", source.stem)
         if len(digits) != 1:
             raise ValueError(f"cannot determine topic id for {source}")
-        topic_id = int(digits[0])
-    entries = []
+        topic_id = whole_number(digits[0], "file name's topic id")
+    graded = set()
+    relevant = set()
     for file_el in root.iter("file"):
         doc = file_el.get("file")
         if not doc:
@@ -91,15 +71,19 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
             raw = path_el.get("path")
             if raw is None:
                 raise ValueError(f"{source}: <path> without a path attribute")
-            entries.append(
-                AssessmentEntry(
-                    doc=doc,
-                    path=ElementPath.from_string(raw),
-                    exhaustivity=int(path_el.get("E", "0")),
-                    specificity=int(path_el.get("S", "0")),
-                )
-            )
-    return AssessmentSet(topic_id=topic_id, entries=entries)
+            element = ElementPath.from_string(raw)
+            exhaustivity = whole_number(path_el.get("E", "0"), f"E of {doc} {element}")
+            specificity = whole_number(path_el.get("S", "0"), f"S of {doc} {element}")
+            if exhaustivity > 3:
+                raise ValueError(f"exhaustivity out of range: {exhaustivity}")
+            if specificity > 3:
+                raise ValueError(f"specificity out of range: {specificity}")
+            if (doc, element) in graded:
+                raise ValueError(f"duplicate assessment for topic {topic_id}: {doc} {element}")
+            graded.add((doc, element))
+            if exhaustivity == specificity == 3:
+                relevant.add((doc, element))
+    return AssessmentSet(topic_id, frozenset(relevant))
 
 
 def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[str]]:
@@ -127,23 +111,23 @@ def load_assessments(directory: str | Path) -> tuple[list[AssessmentSet], list[s
     return sorted(by_topic.values(), key=lambda s: s.topic_id), diagnostics
 
 
-def derive_view(assessment: AssessmentSet, case: str) -> set[tuple[str, ElementPath]]:
+def derive_view(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, ElementPath]]:
     """The chosen view of the highly relevant set, the elements graded 3 on both dimensions."""
     if case not in RELEVANCE_CASES:
         raise ValueError(f"unknown relevance case: {case!r}")
-    relevant = {(e.doc, e.path) for e in assessment.entries if e.exhaustivity == 3 and e.specificity == 3}
+    relevant = assessment.relevant
     if case == ORIGINAL:
         return relevant
     if case == GENERAL:  # no proper prefix of its steps is relevant
         steps = {(doc, path.steps) for doc, path in relevant}
-        return {
+        return frozenset(
             (doc, path)
             for doc, path in relevant
             if all((doc, path.steps[:k]) not in steps for k in range(1, path.depth))
-        }
+        )
     # specific: no relevant element has its steps as a proper prefix
     above = {(doc, path.steps[:k]) for doc, path in relevant for k in range(1, path.depth)}
-    return {(doc, path) for doc, path in relevant if (doc, path.steps) not in above}
+    return frozenset((doc, path) for doc, path in relevant if (doc, path.steps) not in above)
 
 
 def composition(general: AbstractSet[tuple[str, ElementPath]]) -> tuple[int, int]:

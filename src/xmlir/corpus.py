@@ -46,6 +46,15 @@ def one_line(text: str) -> str:
     return text.translate(_ESCAPES)
 
 
+def whole_number(text: str | None, what: str) -> int:
+    """``text`` read as a whole number written in ASCII digits only, as a path
+    step's index is; anything else (a sign, a space, ``1_0``, ``٣`` or no
+    text at all) raises ValueError naming ``what`` and the text."""
+    if text is None or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be ASCII digits, not {text!r}")
+    return int(text)
+
+
 def tokenize(text: str) -> list[str]:
     """The terms of a text, in order, repeats kept."""
     return _TOKEN.findall(text.lower())

@@ -51,7 +51,7 @@ METRIC_LABELS = {
 
 def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, ElementPath]]:
     """The chosen view as binary judgments: the relevant set."""
-    return frozenset(derive_view(assessment, case))
+    return derive_view(assessment, case)
 
 
 def _average_precision(steps: Iterable[tuple[int, int]], total: int) -> float:

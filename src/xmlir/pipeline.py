@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import Corpus, DocumentTree, read_xml, tokenize
+from .corpus import Corpus, DocumentTree, read_xml, tokenize, whole_number
 from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
 from .matcher import AND, OR, collection_match, match_elements
 from .paths import ElementPath
@@ -125,8 +125,8 @@ def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
             continue  # structural topics are out of scope
         raw_id = el.get("topic_id")
         try:
-            topic_id = int(raw_id)
-        except (TypeError, ValueError):
+            topic_id = whole_number(raw_id, "topic_id")
+        except ValueError:
             diagnostics.append(f"topic #{position}: bad or missing topic_id {raw_id!r}; skipped")
             continue
         if topic_id in seen:
@@ -240,21 +240,23 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
     score = None if raw_score == "-" else float(raw_score)
     if score is not None and not math.isfinite(score):
         raise ValueError(f"score must be finite, not {raw_score!r}")
-    entry = RunEntry(rank=int(rank), doc=doc, path=ElementPath.from_string(raw_path), score=score)
+    entry = RunEntry(rank=whole_number(rank, "rank"), doc=doc, path=ElementPath.from_string(raw_path), score=score)
     if entry.rank < 1:
         raise ValueError(f"rank must be at least 1, not {entry.rank}")
-    return int(topic_id), entry, tag
+    return whole_number(topic_id, "topic_id"), entry, tag
 
 
 def read_run_file(path: str | Path) -> list[RunResult]:
     """Parse a run file back into per-topic results, preserving order.
 
     Lines end at LF, CR or CR LF. Each topic's lines must form one
-    contiguous block that lists each element once, in increasing rank from
-    1 up. A malformed line (a non-finite score, a rank below 1 or bytes that
-    are not UTF-8 included), a topic whose block starts again after another
-    topic's, an element listed twice in one topic, or a rank not above the
-    one before it raises ValueError naming the file and the line number.
+    contiguous block under one system tag that lists each element once, in
+    increasing rank from 1 up; topic ids and ranks are ASCII digits. A
+    malformed line (a non-finite score, a rank below 1 or bytes that are not
+    UTF-8 included), a topic whose block starts again after another topic's
+    or changes its tag, an element listed twice in one topic, or a rank not
+    above the one before it raises ValueError naming the file and the line
+    number.
     """
     grouped: dict[int, dict[tuple[str, ElementPath], RunEntry]] = {}
     tags: dict[int, str] = {}
@@ -271,6 +273,8 @@ def read_run_file(path: str | Path) -> list[RunResult]:
                 raise ValueError(f"topic {topic_id} lists {entry.doc} {entry.path} twice")
             if topic_id == current and entry.rank <= previous:
                 raise ValueError(f"topic {topic_id} ranks {entry.rank} after {previous}")
+            if topic_id == current and tag != tags[topic_id]:
+                raise ValueError(f"topic {topic_id} is tagged {tags[topic_id]}, then {tag}")
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: line {number}: {exc}") from None
         current, previous = topic_id, entry.rank

@@ -11,10 +11,12 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from xmlir import (
+    AssessmentSet,
     CoherentElement,
     Corpus,
     DocumentTree,
@@ -22,6 +24,7 @@ from xmlir import (
     build_size_map,
     inex_eval_ng,
     match_elements,
+    parse_assessment_file,
     parse_document,
 )
 from xmlir.matcher import AND, OR
@@ -274,6 +277,19 @@ def brute_force_views(relevant: set[tuple[str, ElementPath]]):
 
 # ---------------------------------------------------------------------------
 # metric oracles
+
+
+def assessment_xml(topic_id: int, graded) -> str:
+    """An assessment file's text grading each ``(doc, path, E, S)``, one ``<file>`` per pair."""
+    paths = "".join(f'<file file="{doc}"><path E="{e}" S="{s}" path="{path}"/></file>' for doc, path, e, s in graded)
+    return f'<assessments topic_id="{topic_id}">{paths}</assessments>'
+
+
+def parse_graded(directory, topic_id: int, graded) -> AssessmentSet:
+    """``parse_assessment_file`` on a file in ``directory`` grading each ``(doc, path, E, S)``."""
+    target = Path(directory) / f"{topic_id}.xml"
+    target.write_text(assessment_xml(topic_id, graded), encoding="utf-8")
+    return parse_assessment_file(target)
 
 
 def naive_strict_ap(relevance_flags: list[bool], recall_base: int) -> float:

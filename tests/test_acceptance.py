@@ -24,7 +24,6 @@ from xmlir import (
     translate_topic,
 )
 from xmlir.assessments import (
-    AssessmentEntry,
     AssessmentSet,
     BROAD,
     NARROW,
@@ -134,18 +133,16 @@ def test_c4_general_specific_views(tmp_path):
     rng = random.Random(424)
     violations = 0
     for _ in range(1000):
-        entries = []
+        graded = []
         relevant_pairs = set()
         for doc in ("a", "b"):
             paths = support.random_tree_paths(rng, max_nodes=18)
             for path in rng.sample(paths, rng.randint(1, len(paths))):
                 e, s = rng.choice([(3, 3), (3, 3), (3, 1), (2, 3)])
-                entries.append(
-                    AssessmentEntry(doc=doc, path=path, exhaustivity=e, specificity=s)
-                )
+                graded.append((doc, path, e, s))
                 if (e, s) == (3, 3):
                     relevant_pairs.add((doc, path))
-        aset = AssessmentSet(topic_id=1, entries=entries)
+        aset = support.parse_graded(tmp_path, 1, graded)
         general = derive_view(aset, "general")
         specific = derive_view(aset, "specific")
         for doc, path in relevant_pairs:
@@ -163,17 +160,9 @@ def test_c4_general_specific_views(tmp_path):
 
 def test_c5_categorization_rule_exhaustive():
     def fixture(articles, others):
-        entries = [
-            AssessmentEntry(doc=f"a{i}", path=P("/article[1]"), exhaustivity=3, specificity=3)
-            for i in range(articles)
-        ]
-        entries += [
-            AssessmentEntry(
-                doc=f"o{i}", path=P("/article[1]/sec[1]"), exhaustivity=3, specificity=3
-            )
-            for i in range(others)
-        ]
-        return AssessmentSet(topic_id=1, entries=entries)
+        relevant = {(f"a{i}", P("/article[1]")) for i in range(articles)}
+        relevant |= {(f"o{i}", P("/article[1]/sec[1]")) for i in range(others)}
+        return AssessmentSet(topic_id=1, relevant=frozenset(relevant))
 
     def general(articles, others):
         return derive_view(fixture(articles, others), "general")

@@ -1,11 +1,11 @@
 """Assessment parsing, derived views, topic categories and `assess-stats`' tag distributions."""
 
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from xmlir import (
-    AssessmentEntry,
     AssessmentSet,
     ElementPath,
     categorize_topic,
@@ -24,8 +24,9 @@ def P(text):
     return ElementPath.from_string(text)
 
 
-def entry(doc, path, e=3, s=3):
-    return AssessmentEntry(doc=doc, path=P(path), exhaustivity=e, specificity=s)
+SAMPLE_PATHS = list(ET.fromstring(SAMPLE_ASSESSMENT_XML).iter("path"))
+# the sample's pairs graded 3 for both exhaustivity and specificity
+SAMPLE_RELEVANT = {(SAMPLE_DOC_ID, P(el.get("path"))) for el in SAMPLE_PATHS if el.get("E") == el.get("S") == "3"}
 
 
 @pytest.fixture
@@ -37,8 +38,8 @@ def sample_set(tmp_path) -> AssessmentSet:
 
 def test_parse_sample_file(sample_set):
     assert sample_set.topic_id == 117
-    assert len(sample_set.entries) == 20
-    assert all(e.doc == SAMPLE_DOC_ID for e in sample_set.entries)
+    assert len(SAMPLE_PATHS) == 20
+    assert sample_set.relevant == SAMPLE_RELEVANT
 
 
 def test_topic_id_falls_back_to_filename(tmp_path):
@@ -56,16 +57,21 @@ def test_topic_id_falls_back_to_filename(tmp_path):
     assert parse_assessment_file(superscript).topic_id == 3
 
 
-def test_grade_bounds_enforced():
-    with pytest.raises(ValueError):
-        entry("d", "/a[1]", e=4)
-    with pytest.raises(ValueError):
-        entry("d", "/a[1]", s=-1)
+def test_grade_bounds_enforced(tmp_path):
+    with pytest.raises(ValueError, match=r"^exhaustivity out of range: 4$"):
+        support.parse_graded(tmp_path, 1, [("d", "/a[1]", 4, 3)])
+    with pytest.raises(ValueError, match=r"^specificity out of range: 4$"):
+        support.parse_graded(tmp_path, 1, [("d", "/a[1]", 0, 4)])
+    with pytest.raises(ValueError, match=r"^S of d /a\[1\] must be ASCII digits, not '-1'$"):
+        support.parse_graded(tmp_path, 1, [("d", "/a[1]", 3, -1)])
 
 
-def test_duplicate_doc_path_rejected():
-    with pytest.raises(ValueError):
-        AssessmentSet(topic_id=1, entries=[entry("d", "/a[1]"), entry("d", "/a[1]", e=1)])
+def test_duplicate_doc_path_rejected(tmp_path):
+    # found among all graded pairs, not only the highly relevant ones
+    for first, second in (((3, 3), (1, 1)), ((0, 0), (2, 1))):
+        graded = [("d", "/a[1]", *first), ("e", "/a[1]", 3, 3), ("d", "/a[1]", *second)]
+        with pytest.raises(ValueError, match=r"^duplicate assessment for topic 1: d /a\[1\]$"):
+            support.parse_graded(tmp_path, 1, graded)
 
 
 def test_assessment_file_resolves_html_entities_named_by_an_external_dtd(tmp_path):
@@ -77,15 +83,27 @@ def test_assessment_file_resolves_html_entities_named_by_an_external_dtd(tmp_pat
     )
     aset = parse_assessment_file(target)
     assert aset.topic_id == 5
-    assert aset.entries == [entry("d", "/article[1]")]
+    assert aset.relevant == {("d", P("/article[1]"))}
 
 
 def test_load_assessments_skips_malformed(tmp_path):
     (tmp_path / "117.xml").write_text(SAMPLE_ASSESSMENT_XML)
     (tmp_path / "080.xml").write_text("<assessments topic_id='80'><file></assessments>")
+    # a number that is not all ASCII digits, named with the attribute and the element that hold it
+    malformed = {
+        "081.xml": ("seven", "3", "3", "<assessments> topic_id must be ASCII digits, not 'seven'"),
+        "082.xml": ("82", "high", "3", "E of d /a[1] must be ASCII digits, not 'high'"),
+        "083.xml": ("83", "+3", "3", "E of d /a[1] must be ASCII digits, not '+3'"),
+        "084.xml": ("84", "3", "1_0", "S of d /a[1] must be ASCII digits, not '1_0'"),
+    }
+    for name, (topic_id, e, s, _) in malformed.items():
+        (tmp_path / name).write_text(
+            f'<assessments topic_id="{topic_id}"><file file="d"><path E="{e}" S="{s}" path="/a[1]"/></file></assessments>'
+        )
     sets, diagnostics = load_assessments(tmp_path)
     assert [s.topic_id for s in sets] == [117]
-    assert len(diagnostics) == 1 and "080.xml" in diagnostics[0]
+    assert len(diagnostics) == 5 and "080.xml" in diagnostics[0]
+    assert diagnostics[1:] == [f"{name}: skipped ({message})" for name, (*_, message) in malformed.items()]
 
 
 def test_highly_relevant_requires_top_grades_on_both(sample_set):
@@ -96,7 +114,7 @@ def test_highly_relevant_requires_top_grades_on_both(sample_set):
 
 
 def test_highly_relevant_empty_set():
-    assert derive_view(AssessmentSet(topic_id=1, entries=[]), ORIGINAL) == set()
+    assert derive_view(AssessmentSet(topic_id=1, relevant=frozenset()), ORIGINAL) == set()
 
 
 def test_general_view_is_the_whole_article(sample_set):
@@ -109,13 +127,12 @@ def test_specific_view_is_the_nine_leaves(sample_set):
 
 
 def test_original_view_unchanged(sample_set):
-    relevant = {(e.doc, e.path) for e in sample_set.entries if e.exhaustivity == e.specificity == 3}
-    assert derive_view(sample_set, ORIGINAL) == relevant
+    assert derive_view(sample_set, ORIGINAL) == SAMPLE_RELEVANT
 
 
 def test_lone_element_is_both_general_and_specific():
-    aset = AssessmentSet(topic_id=1, entries=[entry("d", "/article[1]/sec[3]")])
     lone = {("d", P("/article[1]/sec[3]"))}
+    aset = AssessmentSet(topic_id=1, relevant=frozenset(lone))
     assert derive_view(aset, GENERAL) == lone
     assert derive_view(aset, SPECIFIC) == lone
 
@@ -140,14 +157,6 @@ def _distributions(tmp_path, files):
     return counts
 
 
-def _assessment_xml(aset):
-    paths = "".join(
-        f'<file file="{e.doc}"><path E="{e.exhaustivity}" S="{e.specificity}" path="{e.path}"/></file>'
-        for e in aset.entries
-    )
-    return f'<assessments topic_id="{aset.topic_id}">{paths}</assessments>'
-
-
 def test_distribution_counts_final_tag(tmp_path):
     counts = _distributions(tmp_path, {"117.xml": SAMPLE_ASSESSMENT_XML})
     assert counts[GENERAL] == {"article": 1}
@@ -162,13 +171,16 @@ def test_distribution_matches_brute_tally(tmp_path):
     rng = random.Random(5)
     sets = []
     for topic_id in (1, 2):
-        entries = []
+        relevant = set()
         for doc in ("x", "y"):
             paths = support.random_tree_paths(rng, max_nodes=12)
-            chosen = rng.sample(paths, rng.randint(1, len(paths)))
-            entries.extend(entry(doc, str(p)) for p in chosen)
-        sets.append(AssessmentSet(topic_id=topic_id, entries=entries))
-    counts = _distributions(tmp_path, {f"{aset.topic_id}.xml": _assessment_xml(aset) for aset in sets})
+            relevant.update((doc, p) for p in rng.sample(paths, rng.randint(1, len(paths))))
+        sets.append(AssessmentSet(topic_id=topic_id, relevant=frozenset(relevant)))
+    counts = _distributions(
+        tmp_path,
+        {f"{aset.topic_id}.xml": support.assessment_xml(aset.topic_id, [(*pair, 3, 3) for pair in aset.relevant])
+         for aset in sets},
+    )
     for case in (ORIGINAL, GENERAL, SPECIFIC):
         tally = {}
         for aset in sets:
@@ -178,12 +190,9 @@ def test_distribution_matches_brute_tally(tmp_path):
 
 
 def _category_fixture(articles: int, others: int) -> AssessmentSet:
-    entries = []
-    for i in range(articles):
-        entries.append(entry(f"art{i}", "/article[1]"))
-    for i in range(others):
-        entries.append(entry(f"deep{i}", "/article[1]/bdy[1]/sec[1]"))
-    return AssessmentSet(topic_id=9, entries=entries)
+    relevant = {(f"art{i}", P("/article[1]")) for i in range(articles)}
+    relevant |= {(f"deep{i}", P("/article[1]/bdy[1]/sec[1]")) for i in range(others)}
+    return AssessmentSet(topic_id=9, relevant=frozenset(relevant))
 
 
 def test_categorize_broad_point():
@@ -198,25 +207,26 @@ def test_categorize_narrow_point():
     assert categorize_topic(derive_view(_category_fixture(2, 7), GENERAL)) == NARROW
 
 
-def test_categorize_empty_topic_raises():
-    aset = AssessmentSet(topic_id=3, entries=[entry("d", "/article[1]", e=2, s=3)])
+def test_categorize_empty_topic_raises(tmp_path):
+    aset = support.parse_graded(tmp_path, 3, [("d", "/article[1]", 2, 3)])
     with pytest.raises(ValueError):
         categorize_topic(derive_view(aset, GENERAL))
 
 
-def test_view_laws_on_random_judgments():
+def test_view_laws_on_random_judgments(tmp_path):
     rng = random.Random(77)
     for _ in range(300):
-        entries = []
+        graded = []
         relevant = set()
         for doc in ("a", "b"):
             paths = support.random_tree_paths(rng, max_nodes=15)
             for path in rng.sample(paths, rng.randint(1, len(paths))):
                 grade = rng.choice([(3, 3), (3, 3), (3, 2), (1, 1)])
-                entries.append(entry(doc, str(path), e=grade[0], s=grade[1]))
+                graded.append((doc, path, *grade))
                 if grade == (3, 3):
                     relevant.add((doc, path))
-        aset = AssessmentSet(topic_id=1, entries=entries)
+        aset = support.parse_graded(tmp_path, 1, graded)
+        assert aset.relevant == relevant
         general = derive_view(aset, GENERAL)
         specific = derive_view(aset, SPECIFIC)
         oracle_general, oracle_specific = support.brute_force_views(relevant)

@@ -14,7 +14,7 @@ from xmlir import (
     quantize,
 )
 from xmlir.evaluation import _average_precision
-from xmlir.assessments import AssessmentEntry, AssessmentSet, GENERAL, ORIGINAL
+from xmlir.assessments import AssessmentSet, GENERAL, ORIGINAL
 
 import support
 
@@ -216,11 +216,7 @@ def test_ng_on_node_numbers_matches_the_region_oracle(data):
 
 
 def test_quantize_uses_the_view():
-    entries = [
-        AssessmentEntry(doc="d", path=P("/article[1]"), exhaustivity=3, specificity=3),
-        AssessmentEntry(doc="d", path=P("/article[1]/sec[1]"), exhaustivity=3, specificity=3),
-    ]
-    aset = AssessmentSet(topic_id=4, entries=entries)
+    aset = AssessmentSet(topic_id=4, relevant=frozenset({("d", P("/article[1]")), ("d", P("/article[1]/sec[1]"))}))
     assert len(quantize(aset, ORIGINAL)) == 2
     general = quantize(aset, GENERAL)
     assert general == frozenset({("d", P("/article[1]"))})

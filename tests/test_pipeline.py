@@ -76,6 +76,22 @@ def test_parse_topic_container_skips_structural_and_malformed_topics(tmp_path):
     assert len(diagnostics) == 1 and "topic_id" in diagnostics[0]
 
 
+def test_topic_id_is_ascii_digits(tmp_path):
+    raw_ids = ["1_0", "10", "+3", " 7", "-5", "\u0663"]  # U+0663 is an Arabic-Indic three
+    target = tmp_path / "topics.xml"
+    target.write_text(
+        "<inex_topics>"
+        + "".join(f'<inex_topic topic_id="{raw}" query_type="CO"><keywords>a</keywords></inex_topic>' for raw in raw_ids)
+        + "</inex_topics>",
+        encoding="utf-8",
+    )
+    topics, diagnostics = parse_topics(target)
+    assert [t.id for t in topics] == [10]
+    assert diagnostics == [
+        f"topic #{n}: bad or missing topic_id {raw!r}; skipped" for n, raw in enumerate(raw_ids, start=1) if raw != "10"
+    ]
+
+
 def test_translate_keywords_to_terms(monkeypatch):
     t = topic(
         "Patricia tries", "tries", "text search", "string search algorithm",

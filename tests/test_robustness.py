@@ -187,6 +187,29 @@ def test_malformed_run_line_names_file_and_line(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "number", ["1_0", "+3", " 7", "-5", "\u0663"], ids=["underscore", "plus", "space", "minus", "arabic-indic"]
+)
+def test_run_file_topic_ids_and_ranks_are_ascii_digits(tmp_path, number):
+    run_file = tmp_path / "numbers.run"
+    for field, line in (
+        ("topic_id", f"{number}\t1\tns/a\t/article[1]\t-\txmldb"),
+        ("rank", f"7\t{number}\tns/a\t/article[1]\t-\txmldb"),
+    ):
+        run_file.write_text(f"{line}\n", encoding="utf-8")
+        message = f"{run_file}: line 1: {field} must be ASCII digits, not {number!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_run_file(run_file)
+
+
+def test_negative_topic_id_is_not_written(tmp_path):
+    run_file = tmp_path / "negative.run"
+    entry = RunEntry(rank=1, doc="ns/a", path=ElementPath.from_string(MATCH_PATH), score=None)
+    with pytest.raises(ValueError, match=r": cannot write .*: topic_id must be ASCII digits, not '-5'$"):
+        write_run_file(run_file, [RunResult(topic_id=-5, system_tag="xmldb", entries=(entry,))])
+    assert not run_file.exists()
+
+
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
 def test_non_finite_run_score_is_rejected(namespaced_workspace, capsys, score):
     ws = namespaced_workspace
@@ -323,6 +346,18 @@ def test_run_file_topic_block_restarting_is_rejected(tmp_path, capsys):
     assessments.mkdir()
     assert main(["eval", str(run_file), "--assessments", str(assessments)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {run_file}: line 3: ")
+
+
+def test_run_file_topic_block_changing_its_tag_is_rejected(tmp_path, capsys):
+    run_file = tmp_path / "retagged.run"
+    run_file.write_text("7\t1\tns/a\t/article[1]\t-\txmldb\n7\t2\tns/a\t/article[1]/p[1]\t-\thybrid\n")
+    message = f"{run_file}: line 2: topic 7 is tagged xmldb, then hybrid"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_run_file(run_file)
+    assessments = tmp_path / "assessments"
+    assessments.mkdir()
+    assert main(["eval", str(run_file), "--assessments", str(assessments)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repeated_assessment_topic_id_keeps_the_first_file(tmp_path, capsys, monkeypatch):
