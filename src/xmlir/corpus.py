@@ -8,8 +8,10 @@ across the corpus: document ``d`` is the range ``[starts[d], starts[d +
 ``paths`` (one ``ElementPath`` per distinct path), ``sizes`` (subtree token
 counts), ``ends`` and ``parents`` (-1 for a root). Each term has one
 ascending ``array('i')`` of the nodes holding it directly, one entry per
-occurrence: a document's run of it is a slice, whose length is the term's
-frequency there. ``DocumentTree`` is a view of one document. Terms and tags
+occurrence: a document's run of it is the ``bisect`` slice within the
+document's range, whose length is the term's frequency there, and a node
+list in this order is in document order across the whole corpus.
+``DocumentTree`` is a view of one document. Terms and tags
 are interned. Terms are the maximal runs of ASCII letters and digits in the
 lowercased text; attributes and markup never contribute terms.
 """
@@ -22,10 +24,9 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .paths import ElementPath, PathStep
 
@@ -36,7 +37,6 @@ _ENTITIES = {name: chr(code) for name, code in html.entities.name2codepoint.item
 _REFERENCE = re.compile(r"&(?!#|(?:amp|lt|gt|quot|apos);)[\w.:-]+;")
 # a byte-order mark names the byte order of a UTF-16 source
 _BOM_CODECS = {codecs.BOM_UTF16_LE: "utf-16-le", codecs.BOM_UTF16_BE: "utf-16-be"}
-Runs = dict[str, Sequence[int]]  # term -> one document's nodes holding it directly, one per occurrence
 _ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
@@ -80,27 +80,11 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def tree(self, number: int, runs: Runs | None = None) -> DocumentTree:
-        return DocumentTree(self, self.docs[number], self.starts[number], self.starts[number + 1], runs or {})
+    def tree(self, number: int) -> DocumentTree:
+        return DocumentTree(self, self.docs[number], self.starts[number], self.starts[number + 1])
 
     def trees(self) -> Iterator[DocumentTree]:
         return map(self.tree, range(len(self.docs)))
-
-    def runs(self, terms: Iterable[str], tfs: Mapping[str, Iterable[tuple[int, int]]]) -> dict[int, Runs]:
-        """For each document holding any of ``terms``, its run of each, cut by
-        ``tfs``: every term's ``(document number, tf)`` pairs in ascending
-        number (``InvertedIndex.postings``), as postings hold runs in that order."""
-        none = dict.fromkeys(terms, ())
-        by_document: dict[int, Runs] = {}
-        for term in none:
-            nodes, end = self.postings.get(term, ()), 0
-            for number, tf in tfs.get(term, ()):
-                runs = by_document.get(number)
-                if runs is None:
-                    runs = by_document[number] = none.copy()
-                runs[term] = nodes[end : end + tf]
-                end += tf
-        return by_document
 
     def add(self, doc: str, source: str | bytes) -> None:
         """Parse one XML document into the next document number; a parse error
@@ -189,22 +173,6 @@ class DocumentTree:
     doc: str
     start: int
     end: int
-    runs: Runs  # for the terms whose runs were cut in advance
-
-    def hits(self, terms: Iterable[str]) -> list[Sequence[int]]:
-        """Per term, in the order given, this document's nodes holding it
-        directly, one per occurrence: the run cut in advance, else the
-        ``bisect`` slice of the term's postings within the document."""
-        runs = self.runs
-        found = []
-        for term in terms:
-            run = runs.get(term)
-            if run is None:
-                nodes = self.corpus.postings.get(term, ())
-                first = bisect_left(nodes, self.start)
-                run = nodes[first : bisect_left(nodes, self.end, first)]
-            found.append(run)
-        return found
 
     @property
     def nodes(self) -> range:

@@ -3,22 +3,27 @@
 Returns the most specific elements whose subtree satisfies the term
 predicate: an element matches when its subtree holds the required terms and
 no proper descendant's subtree does likewise. A query is a non-empty term
-set and a mode, ``AND`` or ``OR``. Per document the matches form an
-antichain, returned as ascending node numbers; ``corpus.paths[i]`` gives a
-match's path. No ranking happens here.
+set and a mode, ``AND`` or ``OR``. The matches form an antichain, returned
+as ascending node numbers, which is document order; ``corpus.paths[i]``
+gives a match's path. No ranking happens here.
 
-Matching reads the document's runs of the query terms (``DocumentTree.hits``),
-not its tree. Node ``i``'s subtree is ``[i, ends[i])``, so in a sorted list
-of node numbers a member has no member below it exactly when the next one
-(or, after the last, the document's end) is not below its ``ends``: that
-test finds the most specific nodes in both modes.
+Matching reads the query terms' postings, not the tree: the whole arrays
+for the corpus (``collection_match``), or their ``bisect`` slices within one
+document's range (``match_elements``). Node ``i``'s subtree is ``[i,
+ends[i])``, so in a sorted list of node numbers a member has no member below
+it exactly when the next one (or, after the last, the range's end) is not
+below its ``ends``: that test finds the most specific nodes in both modes.
+Each document is a range of the corpus-wide numbering (the interval encoding
+of Tatarinov et al., SIGMOD 2002), so the test holds across document
+boundaries: the next satisfying node after a document's last lies in a later
+document, past that node's ``ends``.
 
 * OR: the satisfying nodes with no satisfying descendant are the
   term-bearing nodes with no term-bearing descendant, so the sorted union of
-  the runs is tested directly.
-* AND: a document lacking any query term has no match. Otherwise each run
-  is closed upwards through ``parents`` (stopping at nodes already marked
-  for that term, or past the root); the nodes marked by every term are
+  the postings is tested directly.
+* AND: a range lacking any query term has no match. Otherwise each term's
+  nodes are closed upwards through ``parents`` (stopping at nodes already
+  marked for that term, or past a root); the nodes marked by every term are
   exactly those whose subtree holds all terms, and the same ``ends`` test
   picks the smallest of them (the smallest lowest common ancestors of Xu &
   Papakonstantinou, SIGMOD 2005).
@@ -26,23 +31,36 @@ test finds the most specific nodes in both modes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from typing import Iterable, Sequence
 
-from .corpus import DocumentTree
+from .corpus import Corpus, DocumentTree
 
 AND = "and"
 OR = "or"
 
 
+def collection_match(corpus: Corpus, terms: Iterable[str], mode: str) -> list[int]:
+    """Ascending node numbers of the most specific elements of the whole
+    corpus holding all (``AND``) or any (``OR``) of ``terms``."""
+    return _match(corpus, terms, mode, 0, len(corpus.paths))
+
+
 def match_elements(tree: DocumentTree, terms: Iterable[str], mode: str) -> list[int]:
-    """Ascending node numbers of the most specific elements of one document
-    holding all (``AND``) or any (``OR``) of ``terms``."""
+    """``collection_match`` within one document: its ascending node numbers."""
+    return _match(tree.corpus, terms, mode, tree.start, tree.end)
+
+
+def _match(corpus: Corpus, terms: Iterable[str], mode: str, start: int, end: int) -> list[int]:
     if mode not in (AND, OR):
         raise ValueError(f"unknown query mode: {mode!r}")
-    found = tree.hits(terms)
+    found = []
+    for term in terms:
+        nodes = corpus.postings.get(term, ())
+        first = bisect_left(nodes, start)
+        found.append(nodes[first : bisect_left(nodes, end, first)])
     if not found:
         raise ValueError("element query needs at least one term")
-    corpus = tree.corpus
     if mode == OR:
         hits = set().union(*found)
     elif all(found):
@@ -50,7 +68,7 @@ def match_elements(tree: DocumentTree, terms: Iterable[str], mode: str) -> list[
     else:
         return []
     satisfied = sorted(hits)
-    following = satisfied[1:] + [tree.end]
+    following = satisfied[1:] + [end]
     ends = corpus.ends
     return [i for i, after in zip(satisfied, following) if after >= ends[i]]
 
@@ -64,12 +82,3 @@ def _ancestor_closure(nodes: Sequence[int], parents: Sequence[int]) -> set[int]:
             mark(i)
             i = parents[i]
     return marked
-
-
-def collection_match(
-    trees: Iterable[DocumentTree], terms: Iterable[str], mode: str
-) -> Iterator[tuple[DocumentTree, int]]:
-    """``(tree, node index)`` matches of the given documents in the order given, produced lazily."""
-    for tree in trees:
-        for i in match_elements(tree, terms, mode):
-            yield tree, i

@@ -2,18 +2,21 @@
 
 The five system configurations vary on two axes. The article stream is
 either the fulltext ranking (pivoted-cosine score order) or, for ``xmldb``,
-the documents holding a query term (found from the article index) in
-ingestion order. The answer unit is the whole article, the AND-then-OR
+ingestion order, which is document order. The answer unit is the whole article, the AND-then-OR
 match list, or the ranked coherent elements (``cre``):
 
 * ``fulltext``: ranked articles, whole, with their scores;
-* ``xmldb``: over the term-holding articles, the AND answer list followed by
-  the OR answers not already in it, with no scores;
+* ``xmldb``: the corpus's AND answer list followed by the OR answers not
+  already in it, each in document order, with no scores;
 * ``xmldb`` + coherent elements: per term-holding article, its ranked
   coherent elements;
 * ``hybrid``: per ranked article, its AND-then-OR match list;
 * ``hybrid`` + coherent elements: per ranked article, its ranked coherent
   elements.
+
+Each element system matches a topic once over the whole corpus in each mode
+(``collection_match``); an article's matches are its share of those lists,
+found by ``bisect`` on its node range.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -31,16 +34,17 @@ Run files are tab-separated, one entry per line:
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import Corpus, DocumentTree, read_xml, tokenize, whole_number
+from .corpus import Corpus, read_xml, tokenize, whole_number
 from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
-from .matcher import AND, OR, collection_match, match_elements
+from .matcher import AND, OR, collection_match
 from .paths import ElementPath
 from .ranker import InvertedIndex, RankParams, rank_articles
 
@@ -48,6 +52,9 @@ FULLTEXT = "fulltext"
 XMLDB = "xmldb"
 HYBRID = "hybrid"
 SYSTEMS = (FULLTEXT, XMLDB, HYBRID)
+# a run file's score: ASCII digits with an optional sign, fraction and exponent
+# (``float`` alone would also read ``1_0``, `` 7`` and Arabic-Indic digits)
+_DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -149,20 +156,37 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
     return tuple(bag)
 
 
-def _combined_matches(tree: DocumentTree, terms: frozenset[str]) -> list[int]:
-    """One document's AND matches followed by OR matches not already present, as node indices."""
-    and_matches = match_elements(tree, terms, AND)
+def _and_then_or(corpus: Corpus, terms: frozenset[str]) -> Iterator[int]:
+    """The corpus's AND matches, then its OR matches not among them; the OR
+    pass runs only when the caller pulls past the AND matches."""
+    and_matches = collection_match(corpus, terms, AND)
+    yield from and_matches
     and_set = set(and_matches)
-    return and_matches + [i for i in match_elements(tree, terms, OR) if i not in and_set]
+    yield from (i for i in collection_match(corpus, terms, OR) if i not in and_set)
 
 
-def _cre_answers(trees: Iterable[DocumentTree], terms: frozenset[str], combo: str) -> Iterator[Answer]:
-    for tree in trees:
-        matching = sorted(_combined_matches(tree, terms))
-        if not matching:
-            continue
-        for record in rank_cres(identify_cres(tree, matching), combo):
-            yield (tree.doc, record.path, None)
+def _article_answers(
+    corpus: Corpus, numbers: Iterable[int], terms: frozenset[str], config: SystemConfig
+) -> Iterator[Answer]:
+    """Per article in the order given, its AND matches followed by its OR
+    matches not among them or, with ``config.cre``, its ranked coherent
+    elements. An article's matches are its share of the corpus-wide lists,
+    cut by ``bisect`` on its node range."""
+    and_matches = collection_match(corpus, terms, AND)
+    or_matches = collection_match(corpus, terms, OR)
+    and_set = set(and_matches)
+    starts, paths = corpus.starts, corpus.paths
+    for number in numbers:
+        start, end = starts[number], starts[number + 1]
+        matching = and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
+        or_share = or_matches[bisect_left(or_matches, start) : bisect_left(or_matches, end)]
+        matching += [i for i in or_share if i not in and_set]
+        if not config.cre:
+            yield from ((corpus.docs[number], paths[i], None) for i in matching)
+        elif matching:
+            tree = corpus.tree(number)
+            for record in rank_cres(identify_cres(tree, sorted(matching)), config.combo):
+                yield tree.doc, record.path, None
 
 
 def _capped_entries(answers: Iterable[Answer], config: SystemConfig) -> tuple[RunEntry, ...]:
@@ -185,34 +209,29 @@ def _capped_entries(answers: Iterable[Answer], config: SystemConfig) -> tuple[Ru
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
     """Run one topic through the configured system.
 
-    ``xmldb`` matches only the documents holding a query term, since no other
-    document has an AND, OR or coherent-element answer; its OR answers are
-    drawn lazily and stop at the global cap. Raises ValueError without an
-    index or for a topic without keyword terms.
+    Each element system matches the topic once over the whole corpus, AND
+    and OR. ``xmldb`` walks the AND matches, then the OR matches not among
+    them, in document order; its OR pass runs only when the capped AND
+    answers leave room. The other systems take each article's share of both
+    lists. Raises ValueError without an index or for a topic without
+    keyword terms.
     """
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
     bag = translate_topic(topic)
     terms = frozenset(bag)
-    paths = corpus.paths
-    runs = {} if config.system == FULLTEXT else corpus.runs(terms, index.postings)
-    if config.system == XMLDB:
-        # a list, since both the AND and the OR pass read it
-        trees: Iterable[DocumentTree] = [corpus.tree(number, runs[number]) for number in sorted(runs)]
+    docs, starts, paths = corpus.docs, corpus.starts, corpus.paths
+    if config.system == XMLDB and not config.cre:
+        answers = ((docs[bisect_right(starts, i) - 1], paths[i], None) for i in _and_then_or(corpus, terms))
+    elif config.system == XMLDB:
+        holders = sorted({number for term in terms for number, _ in index.postings.get(term, ())})
+        answers = _article_answers(corpus, holders, terms, config)
     else:
         ranked = rank_articles(index, bag, config)
-        trees = (corpus.tree(a.number, runs[a.number]) for a in ranked)
-    if config.system == FULLTEXT:
-        answers = ((a.doc, paths[corpus.starts[a.number]], a.score) for a in ranked)
-    elif config.cre:
-        answers = _cre_answers(trees, terms, config.combo)
-    elif config.system == XMLDB:
-        and_matches = list(collection_match(trees, terms, AND))
-        and_set = set(and_matches)
-        or_extras = (m for m in collection_match(trees, terms, OR) if m not in and_set)
-        answers = ((tree.doc, paths[i], None) for tree, i in itertools.chain(and_matches, or_extras))
-    else:
-        answers = ((tree.doc, paths[i], None) for tree in trees for i in _combined_matches(tree, terms))
+        if config.system == FULLTEXT:
+            answers = ((a.doc, paths[starts[a.number]], a.score) for a in ranked)
+        else:
+            answers = _article_answers(corpus, (a.number for a in ranked), terms, config)
     return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
 
 
@@ -237,9 +256,11 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
     if len(parts) != 6:
         raise ValueError("expected 6 tab-separated fields")
     topic_id, rank, doc, raw_path, raw_score, tag = parts
-    score = None if raw_score == "-" else float(raw_score)
-    if score is not None and not math.isfinite(score):
-        raise ValueError(f"score must be finite, not {raw_score!r}")
+    score = None
+    if raw_score != "-":
+        score = float(raw_score) if _DECIMAL.fullmatch(raw_score) else math.nan
+        if not math.isfinite(score):
+            raise ValueError(f"score must be finite and written as an ASCII decimal, not {raw_score!r}")
     entry = RunEntry(rank=whole_number(rank, "rank"), doc=doc, path=ElementPath.from_string(raw_path), score=score)
     if entry.rank < 1:
         raise ValueError(f"rank must be at least 1, not {entry.rank}")

@@ -23,7 +23,6 @@ from xmlir import (
     ElementPath,
     build_size_map,
     inex_eval_ng,
-    match_elements,
     parse_assessment_file,
     parse_document,
 )
@@ -152,13 +151,15 @@ def brute_force_matches(xml_text: str, terms: frozenset[str], mode: str) -> list
 # xmldb oracle
 
 
-def naive_collection_match(corpus: Corpus, terms: frozenset[str], mode: str) -> list[tuple[str, ElementPath]]:
-    """Full scan: every document's match paths, documents in ingestion order."""
-    return [(tree.doc, corpus.paths[i]) for tree in corpus.trees() for i in match_elements(tree, terms, mode)]
+def naive_collection_match(docs: dict[str, str], terms: frozenset[str], mode: str) -> list[tuple[str, ElementPath]]:
+    """Full scan: every document's brute-force match paths, documents in the
+    order of ``docs`` (identifier -> source text), which is ingestion order."""
+    return [(doc, path) for doc, text in docs.items() for path in brute_force_matches(text, terms, mode)]
 
 
-def naive_xmldb(corpus: Corpus, terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
-    """The capped ``xmldb`` answer list of a topic's terms, by a full scan.
+def naive_xmldb(docs: dict[str, str], terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+    """The capped ``xmldb`` answer list of a topic's terms, by a full scan of
+    the documents' source texts in the order of ``docs``.
 
     Without coherent elements: the collection's AND list, then its OR list
     minus the AND list. With them: each document's AND and OR matches
@@ -167,17 +168,16 @@ def naive_xmldb(corpus: Corpus, terms: frozenset[str], config) -> list[tuple[str
     """
     if config.cre:
         pairs = []
-        for tree in corpus.trees():
-            paths = set(paths_of(tree, match_elements(tree, terms, AND)))
-            paths |= set(paths_of(tree, match_elements(tree, terms, OR)))
+        for doc, text in docs.items():
+            paths = set(brute_force_matches(text, terms, AND)) | set(brute_force_matches(text, terms, OR))
             if paths:
-                cres = brute_force_cres(all_paths(tree), list(paths))
-                records = [CoherentElement(tree.doc, path, count) for path, count in cres.items()]
+                cres = brute_force_cres(list(own_tokens(text)), list(paths))
+                records = [CoherentElement(doc, path, count) for path, count in cres.items()]
                 records.sort(key=lambda record: naive_cre_key(record, config.combo))
-                pairs += [(tree.doc, record.path) for record in records]
+                pairs += [(doc, record.path) for record in records]
     else:
-        and_pairs = naive_collection_match(corpus, terms, AND)
-        pairs = and_pairs + [p for p in naive_collection_match(corpus, terms, OR) if p not in and_pairs]
+        and_pairs = naive_collection_match(docs, terms, AND)
+        pairs = and_pairs + [p for p in naive_collection_match(docs, terms, OR) if p not in and_pairs]
     if config.n_per_article is not None:
         pairs = [
             (doc, path)

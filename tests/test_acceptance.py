@@ -302,6 +302,8 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
 
     corpus = ingest_corpus(ws["corpus"])
     index = build_index(corpus)
+    texts = {path.relative_to(ws["corpus"]).with_suffix("").as_posix(): path.read_text(encoding="utf-8")
+             for path in ws["corpus"].rglob("*.xml")}
     topics = {t.id: t for t in parse_topics(ws["topics"])[0]}
     for label, run_file in run_files.items():
         for run in read_run_file(run_file):
@@ -312,7 +314,7 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
             assert all(count <= 10 for count in per_doc.values()), label
             bag = translate_topic(topics[run.topic_id])
             if label in ("xmldb", "hybrid"):
-                and_set = set(support.naive_collection_match(corpus, frozenset(bag), AND))
+                and_set = set(support.naive_collection_match(texts, frozenset(bag), AND))
                 seen_non_and = {}
                 for entry in run.entries:
                     if (entry.doc, entry.path) in and_set:

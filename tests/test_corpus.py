@@ -4,6 +4,7 @@ import codecs
 import random
 import sys
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from xmlir import (
 )
 from xmlir.cli import main
 from xmlir.corpus import Node
-from xmlir.matcher import AND, OR
+from xmlir.matcher import AND, OR, collection_match
 
 import support
 
@@ -37,10 +38,14 @@ def own_terms(tree, i) -> list[str]:
 
 
 def document_postings(tree) -> dict[str, tuple[int, ...]]:
-    """The document's hits per term, as document-relative node numbers."""
-    terms = list(tree.corpus.postings)
-    postings = {term: tuple(j - tree.start for j in hits) for term, hits in zip(terms, tree.hits(terms))}
-    return {term: hits for term, hits in postings.items() if hits}
+    """The document's hits per term, as document-relative node numbers: each
+    term's postings cut by ``bisect`` on the document's range."""
+    postings = {}
+    for term, nodes in tree.corpus.postings.items():
+        run = nodes[bisect_left(nodes, tree.start) : bisect_left(nodes, tree.end)]
+        if run:
+            postings[term] = tuple(j - tree.start for j in run)
+    return postings
 
 
 def test_path_parse_roundtrip():
@@ -243,7 +248,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
         return ElementPath((("article", 1),) + (("sec", 1),) * level)
 
     def matches(mode, *terms):
-        return support.naive_collection_match(corpus, frozenset(terms), mode)
+        return [(tree.doc, corpus.paths[i]) for i in collection_match(corpus, terms, mode)]
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]
@@ -295,7 +300,8 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
     corpus = ingest_corpus(tmp_path)
     a, b = corpus.trees()
     (term,) = (term for term in corpus.postings if term == "shared")
-    assert len(a.hits([term])[0]) == len(b.hits([term])[0]) == 1  # one postings array holds both documents
+    # one postings array holds both documents
+    assert len(document_postings(a)[term]) == len(document_postings(b)[term]) == 1
     assert term is sys.intern("shared")
     sec_a = corpus.paths[a.find(ElementPath.from_string("/article[1]/sec[1]"))]
     sec_b = corpus.paths[b.find(ElementPath.from_string("/article[1]/sec[1]"))]
@@ -425,19 +431,3 @@ def test_mutated_documents_ingest_or_skip_cleanly(tmp_path, capsys, data):
         assert code == 0
     else:
         assert code == 1 and err.splitlines()[-1] == "error: cannot index an empty corpus"
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_runs_cut_from_the_index_equal_the_bisect_slices(seed):
-    rng = random.Random(seed)
-    corpus = support.corpus_from_strings({f"d{i}": support.random_xml(rng) for i in range(rng.randint(1, 6))})
-    terms = rng.sample(["alpha", "beta", "gamma", "delta", "epsilon", "absent"], rng.randint(1, 4))
-    runs = corpus.runs(terms, build_index(corpus).postings)
-    for number, tree in enumerate(corpus.trees()):
-        hits = [list(run) for run in tree.hits(terms)]
-        if not any(hits):
-            assert number not in runs  # a document holding no query term
-            continue
-        assert list(runs[number]) == terms  # every query term, in the order given
-        assert [list(runs[number][term]) for term in terms] == hits

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from xmlir import SystemConfig, Topic, build_index, execute, match_elements, parse_document
-from xmlir.matcher import AND, OR
+from xmlir.matcher import AND, OR, collection_match
 
 import support
 
@@ -61,31 +61,31 @@ def _xmldb_pairs(corpus, *keywords):
 
 
 def test_collection_match_document_order():
-    corpus = support.corpus_from_strings(
-        {
-            "a/one": "<article><p>quiet</p></article>",
-            "b/two": "<article><p>patricia</p></article>",
-        }
-    )
-    result = support.naive_collection_match(corpus, frozenset({"patricia"}), OR)
+    docs = {
+        "a/one": "<article><p>quiet</p></article>",
+        "b/two": "<article><p>patricia</p></article>",
+    }
+    corpus = support.corpus_from_strings(docs)
+    result = support.naive_collection_match(docs, frozenset({"patricia"}), OR)
     assert [(doc, str(path)) for doc, path in result] == [("b/two", "/article[1]/p[1]")]
     assert _xmldb_pairs(corpus, "patricia") == result
 
 
 def test_collection_match_ingestion_order_beats_match_quality():
-    corpus = support.corpus_from_strings(
-        {
-            "a": "<article><p>patricia</p></article>",
-            "b": "<article><p>patricia patricia patricia</p></article>",
-        }
-    )
-    result = support.naive_collection_match(corpus, frozenset({"patricia"}), OR)
+    docs = {
+        "a": "<article><p>patricia</p></article>",
+        "b": "<article><p>patricia patricia patricia</p></article>",
+    }
+    corpus = support.corpus_from_strings(docs)
+    result = support.naive_collection_match(docs, frozenset({"patricia"}), OR)
     assert [doc for doc, _ in result] == ["a", "b"]
     assert _xmldb_pairs(corpus, "patricia") == result
 
 
 def test_collection_match_empty_corpus():
-    assert support.naive_collection_match(support.corpus_from_strings({}), frozenset({"x"}), OR) == []
+    assert support.naive_collection_match({}, frozenset({"x"}), OR) == []
+    for mode in (AND, OR):
+        assert collection_match(support.corpus_from_strings({}), {"x"}, mode) == []
 
 
 def test_most_specific_law_against_oracle():

@@ -1,6 +1,7 @@
 """System composition: topic translation, answer-list assembly, wire format."""
 
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,10 +105,13 @@ def test_translate_keywords_to_terms(monkeypatch):
     # duplicates stay in the bag but collapse in the element query's term set
     assert len(bag) == 11
     corpus = support.corpus_from_strings({"d": "<article><p>patricia tries</p></article>"})
-    calls = _spy_match_elements(monkeypatch)
-    execute(t, corpus, build_index(corpus), SystemConfig(system=HYBRID))
-    assert {terms for _, _, terms in calls} == {frozenset(bag)}
-    assert {mode for _, mode, _ in calls} == {AND, OR}
+    index = build_index(corpus)
+    calls = _spy_collection_match(monkeypatch)
+    for system, cre in ((XMLDB, False), (XMLDB, True), (HYBRID, False), (HYBRID, True)):
+        calls.clear()
+        execute(t, corpus, index, SystemConfig(system=system, cre=cre))
+        assert {terms for _, terms in calls} == {frozenset(bag)}
+        assert [mode for mode, _ in calls] == [AND, OR]  # one pass over the whole corpus per mode
 
 
 def test_translate_two_keywords():
@@ -149,17 +153,16 @@ def test_fulltext_global_cap():
 
 
 def test_xmldb_empty_and_list_equals_or_list():
-    corpus = support.corpus_from_strings(
-        {
-            "d1": "<article><p>alpha</p><p>beta</p></article>",
-            "d2": "<article><p>alpha</p></article>",
-        }
-    )
+    docs = {
+        "d1": "<article><p>alpha</p><p>beta</p></article>",
+        "d2": "<article><p>alpha</p></article>",
+    }
+    corpus = support.corpus_from_strings(docs)
     # gamma never occurs, so no element satisfies the AND query
     t = topic("alpha", "gamma")
     config = SystemConfig(system=XMLDB)
     run = execute(t, corpus, build_index(corpus), config)
-    or_list = support.naive_collection_match(corpus, frozenset(translate_topic(t)), OR)
+    or_list = support.naive_collection_match(docs, frozenset(translate_topic(t)), OR)
     assert [(e.doc, e.path) for e in run.entries] == or_list
     assert all(e.score is None for e in run.entries)
 
@@ -213,23 +216,42 @@ def test_xmldb_equals_full_scan(docs, terms, cre, n_per_article, max_results):
     t = topic(*sorted(terms))
     config = SystemConfig(system=XMLDB, cre=cre, n_per_article=n_per_article, max_results=max_results)
     run = execute(t, corpus, build_index(corpus), config)
-    assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(corpus, frozenset(translate_topic(t)), config)
+    assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(docs, frozenset(translate_topic(t)), config)
     assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
     assert all(e.score is None for e in run.entries)
 
 
-def _spy_match_elements(monkeypatch) -> list[tuple[str, str, frozenset[str]]]:
-    """Record ``(doc, mode, terms)`` for every ``match_elements`` call, through either module."""
+def _spy_collection_match(monkeypatch) -> list[tuple[str, frozenset[str]]]:
+    """Record ``(mode, terms)`` for every ``collection_match`` call, through either module."""
     calls = []
-    original = matcher.match_elements
+    original = matcher.collection_match
 
-    def spy(tree, terms, mode):
-        calls.append((tree.doc, mode, frozenset(terms)))
-        return original(tree, terms, mode)
+    def spy(corpus, terms, mode):
+        calls.append((mode, frozenset(terms)))
+        return original(corpus, terms, mode)
 
-    monkeypatch.setattr(matcher, "match_elements", spy)
-    monkeypatch.setattr(pipeline, "match_elements", spy)
+    monkeypatch.setattr(matcher, "collection_match", spy)
+    monkeypatch.setattr(pipeline, "collection_match", spy)
     return calls
+
+
+class _RecordingPostings(Mapping):
+    """A term -> postings mapping that records each term read, and ``*`` for
+    a walk over every term (``Mapping.get`` and ``in`` read through ``[]``)."""
+
+    def __init__(self, postings):
+        self.postings, self.read = postings, []
+
+    def __getitem__(self, term):
+        self.read.append(term)
+        return self.postings[term]
+
+    def __iter__(self):
+        self.read.append("*")
+        return iter(self.postings)
+
+    def __len__(self):
+        return len(self.postings)
 
 
 def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
@@ -241,11 +263,15 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
         }
     )
     index = build_index(corpus)
-    calls = _spy_match_elements(monkeypatch)
+    corpus.postings = _RecordingPostings(corpus.postings)
+    calls = _spy_collection_match(monkeypatch)
     for cre in (False, True):
+        calls.clear()
         run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, cre=cre))
         assert [e.doc for e in run.entries] == ["c", "a"]
-    assert calls and {doc for doc, _, _ in calls} == {"c", "a"}
+        assert [mode for mode, _ in calls] == [AND, OR]
+    # only the query terms' node lists are read, so no other document's nodes are visited
+    assert corpus.postings.read and set(corpus.postings.read) == {"alpha", "beta"}
 
 
 def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
@@ -256,10 +282,10 @@ def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
         }
     )
     index = build_index(corpus)
-    calls = _spy_match_elements(monkeypatch)
+    calls = _spy_collection_match(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("d1", "/article[1]/p[1]")]
-    assert calls and all(mode == AND for _, mode, _ in calls)
+    assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the AND answer fills the cap: no OR pass
 
 
 def test_xmldb_needs_an_index():
@@ -299,9 +325,10 @@ def test_hybrid_article_rank_overrides_ingestion_order():
 
 
 def test_hybrid_cre_top_entry_is_the_article(sample_or_paths):
-    corpus = support.corpus_from_strings({"ic/1999/w4095": SAMPLE_ARTICLE_XML})
+    docs = {"ic/1999/w4095": SAMPLE_ARTICLE_XML}
+    corpus = support.corpus_from_strings(docs)
     t = topic("patricia")
-    or_list = support.naive_collection_match(corpus, frozenset(translate_topic(t)), OR)
+    or_list = support.naive_collection_match(docs, frozenset(translate_topic(t)), OR)
     assert [str(path) for _, path in or_list] == SAMPLE_OR_PATHS  # matcher feeds the known list
     config = SystemConfig(system=HYBRID, cre=True, combo="MpE",
                           n_per_article=1)
@@ -330,7 +357,7 @@ def test_and_prefix_law_per_document():
     docs = {f"d{i}": support.random_xml(rng) for i in range(12)}
     corpus = support.corpus_from_strings(docs)
     t = topic("alpha", "beta")
-    and_set = set(support.naive_collection_match(corpus, frozenset(translate_topic(t)), AND))
+    and_set = set(support.naive_collection_match(docs, frozenset(translate_topic(t)), AND))
     for system in (XMLDB, HYBRID):
         config = SystemConfig(system=system)
         run = execute(t, corpus, build_index(corpus), config)

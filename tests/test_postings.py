@@ -8,13 +8,14 @@ recomputation from path prefixes or the brute-force oracle in ``support``.
 """
 
 import random
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from xmlir import ElementPath, build_index, identify_cres, match_elements, parse_document
-from xmlir.matcher import AND, OR
+from xmlir.matcher import AND, OR, collection_match
 
 import support
 
@@ -66,6 +67,42 @@ def test_match_elements_equals_brute_force(text, terms):
         matches = match_elements(tree, terms, mode)
         assert matches == sorted(set(matches))
         assert support.paths_of(tree, matches) == support.brute_force_matches(text, frozenset(terms), mode)
+
+
+def _variant(text: str, kind: str) -> str:
+    """A document as drawn, without any text, without any query term, or
+    with a last node holding every term (so a match ends the document)."""
+    if kind == "textless":
+        return re.sub(r">[^<]+<", "><", text)
+    if kind == "termless":
+        return re.sub("|".join(VOCAB), "omega", text)
+    if kind == "ends in a match":
+        return text[: -len("</article>")] + f"<p>{' '.join(VOCAB)}</p></article>"
+    return text
+
+
+corpora = st.lists(
+    st.builds(_variant, documents, st.sampled_from(["as drawn", "textless", "termless", "ends in a match"])),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora, query_terms)
+def test_collection_match_equals_brute_force_per_document(texts, terms):
+    """One pass over the whole corpus finds each document's most specific
+    matches, in document order: the brute-force matches of each document's
+    source text in turn, numbered by the count of elements before them."""
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
+    for mode in (AND, OR):
+        expected: list[int] = []
+        start = 0
+        for text in texts:
+            number = {path: start + k for k, path in enumerate(support.own_tokens(text))}
+            expected += [number[path] for path in support.brute_force_matches(text, frozenset(terms), mode)]
+            start += len(number)
+        assert collection_match(corpus, terms, mode) == expected
 
 
 @settings(max_examples=100, deadline=None)

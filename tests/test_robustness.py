@@ -202,6 +202,28 @@ def test_run_file_topic_ids_and_ranks_are_ascii_digits(tmp_path, number):
             read_run_file(run_file)
 
 
+@pytest.mark.parametrize(
+    "score", ["1_0", " 7", "7 ", "٣", "0x1p3", "1.", ".5", "1e5_0"],
+    ids=["underscore", "leading-space", "trailing-space", "arabic-indic", "hex", "bare-point", "no-integer", "exponent"],
+)
+def test_run_file_scores_are_ascii_decimals(tmp_path, score):
+    run_file = tmp_path / "scores.run"
+    run_file.write_text(f"7\t1\tns/a\t/article[1]\t{score}\tfulltext\n", encoding="utf-8")
+    message = f"{run_file}: line 1: score must be finite and written as an ASCII decimal, not {score!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_run_file(run_file)
+
+
+@settings(max_examples=200, deadline=None)
+@given(score=st.floats(allow_nan=False, allow_infinity=False))
+def test_every_written_score_reads_back(tmp_path_factory, score):
+    run_file = tmp_path_factory.mktemp("scores") / "written.run"
+    entry = RunEntry(rank=1, doc="ns/a", path=ElementPath.from_string(MATCH_PATH), score=score)
+    write_run_file(run_file, [RunResult(topic_id=7, system_tag="fulltext", entries=(entry,))])
+    (loaded,) = read_run_file(run_file)
+    assert [e.score for e in loaded.entries] == [float(f"{score:.6f}")]
+
+
 def test_negative_topic_id_is_not_written(tmp_path):
     run_file = tmp_path / "negative.run"
     entry = RunEntry(rank=1, doc="ns/a", path=ElementPath.from_string(MATCH_PATH), score=None)
