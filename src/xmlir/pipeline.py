@@ -2,21 +2,23 @@
 
 The five system configurations vary on two axes. The article stream is
 either the fulltext ranking (pivoted-cosine score order) or, for ``xmldb``,
-ingestion order, which is document order. The answer unit is the whole article, the AND-then-OR
-match list, or the ranked coherent elements (``cre``):
+document order. The answer unit is the whole article, the AND-then-OR match
+list, or the ranked coherent elements (``cre``):
 
 * ``fulltext``: ranked articles, whole, with their scores;
 * ``xmldb``: the corpus's AND answer list followed by the OR answers not
   already in it, each in document order, with no scores;
-* ``xmldb`` + coherent elements: per term-holding article, its ranked
+* ``xmldb`` + coherent elements: per article holding a match, its ranked
   coherent elements;
 * ``hybrid``: per ranked article, its AND-then-OR match list;
 * ``hybrid`` + coherent elements: per ranked article, its ranked coherent
   elements.
 
 Each element system matches a topic once over the whole corpus in each mode
-(``collection_match``); an article's matches are its share of those lists,
-found by ``bisect`` on its node range.
+(``collection_match``); ``hybrid`` cuts an article's share of those lists by
+``bisect`` on its node range. With coherent elements, one ``coherent_nodes``
+pass over both lists finds every article's, and one sort on (article place,
+combination key, path) orders them. Answers stay node numbers until capped.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -38,12 +40,14 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Corpus, read_xml, tokenize, whole_number
-from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
+from .cre import COMBO_CODES, DEFAULT_COMBO, coherent_nodes, combo_key
 from .matcher import AND, OR, collection_match
 from .paths import ElementPath
 from .ranker import InvertedIndex, RankParams, rank_articles
@@ -93,10 +97,6 @@ class RunEntry(NamedTuple):  # a tuple: a capped list makes up to 1500 of them p
     doc: str
     path: ElementPath
     score: float | None
-
-
-# one answer before capping: document, element path, and score (None for elements)
-Answer = tuple[str, ElementPath, float | None]
 
 
 @dataclass
@@ -156,54 +156,49 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
     return tuple(bag)
 
 
-def _and_then_or(corpus: Corpus, terms: frozenset[str]) -> Iterator[int]:
-    """The corpus's AND matches, then its OR matches not among them; the OR
-    pass runs only when the caller pulls past the AND matches."""
-    and_matches = collection_match(corpus, terms, AND)
-    yield from and_matches
-    and_set = set(and_matches)
-    yield from (i for i in collection_match(corpus, terms, OR) if i not in and_set)
-
-
-def _article_answers(
-    corpus: Corpus, numbers: Iterable[int], terms: frozenset[str], config: SystemConfig
-) -> Iterator[Answer]:
-    """Per article in the order given, its AND matches followed by its OR
-    matches not among them or, with ``config.cre``, its ranked coherent
-    elements. An article's matches are its share of the corpus-wide lists,
-    cut by ``bisect`` on its node range."""
-    and_matches = collection_match(corpus, terms, AND)
-    or_matches = collection_match(corpus, terms, OR)
-    and_set = set(and_matches)
-    starts, paths = corpus.starts, corpus.paths
-    for number in numbers:
-        start, end = starts[number], starts[number + 1]
-        matching = and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
+def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None) -> Iterator[int]:
+    """Per article in ``numbers`` order (the whole corpus as one when None),
+    its AND matches, then its OR matches not among them: its shares of the
+    corpus-wide lists, cut by ``bisect`` on its node range. The OR pass runs
+    only when the caller pulls past the first article's AND matches."""
+    starts = corpus.starts
+    ranges = [(0, len(corpus.paths))] if numbers is None else ((starts[d], starts[d + 1]) for d in numbers)
+    and_matches, or_matches = collection_match(corpus, terms, AND), None
+    for start, end in ranges:
+        yield from and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
+        if or_matches is None:
+            or_matches, and_set = collection_match(corpus, terms, OR), set(and_matches)
         or_share = or_matches[bisect_left(or_matches, start) : bisect_left(or_matches, end)]
-        matching += [i for i in or_share if i not in and_set]
-        if not config.cre:
-            yield from ((corpus.docs[number], paths[i], None) for i in matching)
-        elif matching:
-            tree = corpus.tree(number)
-            for record in rank_cres(identify_cres(tree, sorted(matching)), config.combo):
-                yield tree.doc, record.path, None
+        yield from (i for i in or_share if i not in and_set)
 
 
-def _capped_entries(answers: Iterable[Answer], config: SystemConfig) -> tuple[RunEntry, ...]:
-    """Apply the per-article and global caps, numbering the entries kept."""
-    n = config.n_per_article
-    per_doc: dict[str, int] = {}
-    entries: list[RunEntry] = []
-    for doc, path, score in answers:
-        if n is not None:
-            taken = per_doc.get(doc, 0)
-            if taken >= n:
-                continue
-            per_doc[doc] = taken + 1
-        entries.append(RunEntry(rank=len(entries) + 1, doc=doc, path=path, score=score))
-        if len(entries) >= config.max_results:
-            break
-    return tuple(entries)
+def _ranked_cres(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None, combo: str) -> list[int]:
+    """The coherent elements of the topic's AND and OR matches, article by
+    article in ``numbers`` order (document order when None; an article not
+    listed is dropped), each article's ranked by ``combo``."""
+    places = None if numbers is None else {number: place for place, number in enumerate(numbers)}
+    matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
+    key, starts, paths = combo_key(combo), corpus.starts, corpus.paths
+    keyed = []
+    for node, below in coherent_nodes(corpus, matching):
+        number = bisect_right(starts, node) - 1
+        place = number if places is None else places.get(number)
+        if place is not None:
+            path = paths[node]
+            keyed.append(((place, *key(below, path), path.steps), node))
+    keyed.sort()
+    return [node for _, node in keyed]
+
+
+def _capped_entries(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> tuple[RunEntry, ...]:
+    """Apply the per-article and global caps, building entries for the nodes kept."""
+    docs, starts, paths, n = corpus.docs, corpus.starts, corpus.paths, config.n_per_article
+    numbered = ((bisect_right(starts, i) - 1, i) for i in nodes)
+    if n is not None:
+        taken = defaultdict(count)  # document number -> answers of it seen so far
+        numbered = ((d, i) for d, i in numbered if next(taken[d]) < n)
+    kept = islice(numbered, config.max_results)
+    return tuple(RunEntry(rank, docs[d], paths[i], None) for rank, (d, i) in enumerate(kept, 1))
 
 
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
@@ -212,27 +207,24 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     Each element system matches the topic once over the whole corpus, AND
     and OR. ``xmldb`` walks the AND matches, then the OR matches not among
     them, in document order; its OR pass runs only when the capped AND
-    answers leave room. The other systems take each article's share of both
-    lists. Raises ValueError without an index or for a topic without
-    keyword terms.
+    answers leave room. ``hybrid`` does so per ranked article. With coherent
+    elements, one pass finds them all and one sort orders them. Raises
+    ValueError without an index or for a topic without keyword terms.
     """
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
     bag = translate_topic(topic)
     terms = frozenset(bag)
-    docs, starts, paths = corpus.docs, corpus.starts, corpus.paths
-    if config.system == XMLDB and not config.cre:
-        answers = ((docs[bisect_right(starts, i) - 1], paths[i], None) for i in _and_then_or(corpus, terms))
-    elif config.system == XMLDB:
-        holders = sorted({number for term in terms for number, _ in index.postings.get(term, ())})
-        answers = _article_answers(corpus, holders, terms, config)
-    else:
-        ranked = rank_articles(index, bag, config)
+    numbers = None  # xmldb: every article, in document order
+    if config.system != XMLDB:
+        ranked = rank_articles(index, bag, config)  # at most config.max_results articles
         if config.system == FULLTEXT:
-            answers = ((a.doc, paths[starts[a.number]], a.score) for a in ranked)
-        else:
-            answers = _article_answers(corpus, (a.number for a in ranked), terms, config)
-    return RunResult(topic_id=topic.id, system_tag=config.tag, entries=_capped_entries(answers, config))
+            paths, starts = corpus.paths, corpus.starts
+            entries = tuple(RunEntry(rank, a.doc, paths[starts[a.number]], a.score) for rank, a in enumerate(ranked, 1))
+            return RunResult(topic.id, config.tag, entries)
+        numbers = [a.number for a in ranked]
+    nodes = _ranked_cres(corpus, terms, numbers, config.combo) if config.cre else _and_then_or(corpus, terms, numbers)
+    return RunResult(topic.id, config.tag, _capped_entries(corpus, nodes, config))
 
 
 def write_run_file(path: str | Path, runs: Iterable[RunResult]) -> None:

@@ -157,27 +157,25 @@ def naive_collection_match(docs: dict[str, str], terms: frozenset[str], mode: st
     return [(doc, path) for doc, text in docs.items() for path in brute_force_matches(text, terms, mode)]
 
 
-def naive_xmldb(docs: dict[str, str], terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
-    """The capped ``xmldb`` answer list of a topic's terms, by a full scan of
-    the documents' source texts in the order of ``docs``.
+def naive_article_answers(doc: str, text: str, terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+    """One article's answers by brute force: its AND matches, then its OR
+    matches not among them or, with ``config.cre``, the ``brute_force_cres``
+    fixpoint of both, sorted by ``naive_cre_key``."""
+    and_paths = brute_force_matches(text, terms, AND)
+    paths = and_paths + [p for p in brute_force_matches(text, terms, OR) if p not in and_paths]
+    if not config.cre:
+        return [(doc, path) for path in paths]
+    if not paths:
+        return []
+    cres = brute_force_cres(list(own_tokens(text)), paths)
+    records = [CoherentElement(doc, path, count) for path, count in cres.items()]
+    records.sort(key=lambda record: naive_cre_key(record, config.combo))
+    return [(doc, record.path) for record in records]
 
-    Without coherent elements: the collection's AND list, then its OR list
-    minus the AND list. With them: each document's AND and OR matches
-    replaced by the ``brute_force_cres`` fixpoint, sorted by
-    ``naive_cre_key``. Then the per-article and global caps.
-    """
-    if config.cre:
-        pairs = []
-        for doc, text in docs.items():
-            paths = set(brute_force_matches(text, terms, AND)) | set(brute_force_matches(text, terms, OR))
-            if paths:
-                cres = brute_force_cres(list(own_tokens(text)), list(paths))
-                records = [CoherentElement(doc, path, count) for path, count in cres.items()]
-                records.sort(key=lambda record: naive_cre_key(record, config.combo))
-                pairs += [(doc, record.path) for record in records]
-    else:
-        and_pairs = naive_collection_match(docs, terms, AND)
-        pairs = and_pairs + [p for p in naive_collection_match(docs, terms, OR) if p not in and_pairs]
+
+def naive_caps(pairs: list[tuple[str, ElementPath]], config) -> list[tuple[str, ElementPath]]:
+    """The first ``config.n_per_article`` answers of each article, then the
+    first ``config.max_results`` of those."""
     if config.n_per_article is not None:
         pairs = [
             (doc, path)
@@ -185,6 +183,29 @@ def naive_xmldb(docs: dict[str, str], terms: frozenset[str], config) -> list[tup
             if sum(d == doc for d, _ in pairs[:i]) < config.n_per_article
         ]
     return pairs[: config.max_results]
+
+
+def naive_xmldb(docs: dict[str, str], terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+    """The capped ``xmldb`` answer list of a topic's terms, by a full scan of
+    the documents' source texts in the order of ``docs``.
+
+    Without coherent elements: the collection's AND list, then its OR list
+    minus the AND list. With them: each document's ``naive_article_answers``
+    in document order. Then the per-article and global caps.
+    """
+    if config.cre:
+        pairs = [pair for doc, text in docs.items() for pair in naive_article_answers(doc, text, terms, config)]
+    else:
+        and_pairs = naive_collection_match(docs, terms, AND)
+        pairs = and_pairs + [p for p in naive_collection_match(docs, terms, OR) if p not in and_pairs]
+    return naive_caps(pairs, config)
+
+
+def naive_hybrid(docs: dict[str, str], ranking: list[str], terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+    """The capped ``hybrid`` answer list: each ranked article's
+    ``naive_article_answers``, articles in ``ranking`` order (identifiers,
+    as ``rank_articles`` lists them), then the per-article and global caps."""
+    return naive_caps([pair for doc in ranking for pair in naive_article_answers(doc, docs[doc], terms, config)], config)
 
 
 # ---------------------------------------------------------------------------

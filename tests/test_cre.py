@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmlir import COMBO_CODES, CoherentElement, ElementPath, SystemConfig, identify_cres, parse_document, rank_cres
+from xmlir.cre import coherent_nodes
 
 import support
 from conftest import EXPECTED_CRES_MPE, SAMPLE_DOC_ID
@@ -207,3 +208,44 @@ cre_records = st.lists(
 def test_rank_cres_equals_reference_key_for_every_code(records):
     for code in COMBO_CODES:
         assert rank_cres(records, code) == sorted(records, key=lambda r: support.naive_cre_key(r, code))
+
+
+@st.composite
+def corpus_matches(draw):
+    """A corpus of 1-6 random documents and, per document, a set of matching
+    paths: one match, only nested matches (a chain of ancestors, so no
+    coherent element), none, a set holding the last node before the next
+    document's root, or any set."""
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
+    chosen = []
+    for tree in corpus.trees():
+        paths = support.all_paths(tree)
+        shape = draw(st.sampled_from(["one", "nested", "none", "last", "any"]))
+        if shape == "one":
+            matching = {draw(st.sampled_from(paths))}
+        elif shape == "nested":
+            deepest = draw(st.sampled_from(paths))
+            depths = draw(st.sets(st.integers(1, deepest.depth), min_size=min(2, deepest.depth)))
+            matching = {ElementPath(deepest.steps[:depth]) for depth in depths}
+        elif shape == "none":
+            matching = set()
+        else:
+            matching = draw(st.sets(st.sampled_from(paths), min_size=1, max_size=8))
+            if shape == "last":
+                matching.add(paths[-1])
+        chosen.append((tree, sorted(matching, key=paths.index)))
+    return corpus, chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_matches())
+def test_coherent_nodes_over_a_corpus_equal_the_per_document_oracle(case):
+    corpus, chosen = case
+    expected = []
+    for tree, matching in chosen:
+        if matching:
+            cres = support.brute_force_cres(support.all_paths(tree), matching)
+            expected += sorted((tree.find(path), below) for path, below in cres.items())
+    nodes = sorted(i for tree, matching in chosen for i in support.indices_of(tree, matching))
+    assert coherent_nodes(corpus, nodes) == expected

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmlir import (
+    COMBO_CODES,
     ElementPath,
     SystemConfig,
     Topic,
@@ -18,7 +19,7 @@ from xmlir import (
     translate_topic,
     write_run_file,
 )
-from xmlir import matcher, pipeline
+from xmlir import cre, matcher, pipeline
 from xmlir.matcher import AND, OR
 from xmlir.pipeline import FULLTEXT, HYBRID, XMLDB
 
@@ -208,15 +209,38 @@ keywords = st.sets(st.sampled_from(["alpha", "beta", "gamma", "delta", "epsilon"
     docs=corpora,
     terms=keywords,
     cre=st.booleans(),
+    combo=st.sampled_from(COMBO_CODES),
     n_per_article=st.sampled_from([None, 1, 2]),
     max_results=st.one_of(st.integers(1, 12), st.just(1500)),
 )
-def test_xmldb_equals_full_scan(docs, terms, cre, n_per_article, max_results):
+def test_xmldb_equals_full_scan(docs, terms, cre, combo, n_per_article, max_results):
     corpus = support.corpus_from_strings(docs)
     t = topic(*sorted(terms))
-    config = SystemConfig(system=XMLDB, cre=cre, n_per_article=n_per_article, max_results=max_results)
+    config = SystemConfig(system=XMLDB, cre=cre, combo=combo, n_per_article=n_per_article, max_results=max_results)
     run = execute(t, corpus, build_index(corpus), config)
     assert [(e.doc, e.path) for e in run.entries] == support.naive_xmldb(docs, frozenset(translate_topic(t)), config)
+    assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
+    assert all(e.score is None for e in run.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=corpora,
+    terms=keywords,
+    cre=st.booleans(),
+    combo=st.sampled_from(COMBO_CODES),
+    n_per_article=st.sampled_from([None, 1, 2]),
+    max_results=st.one_of(st.integers(1, 12), st.just(1500)),
+)
+def test_hybrid_equals_ranked_full_scan(docs, terms, cre, combo, n_per_article, max_results):
+    corpus = support.corpus_from_strings(docs)
+    index = build_index(corpus)
+    t = topic(*sorted(terms))
+    config = SystemConfig(system=HYBRID, cre=cre, combo=combo, n_per_article=n_per_article, max_results=max_results)
+    ranking = [a.doc for a in rank_articles(index, translate_topic(t), config)]
+    run = execute(t, corpus, index, config)
+    expected = support.naive_hybrid(docs, ranking, frozenset(translate_topic(t)), config)
+    assert [(e.doc, e.path) for e in run.entries] == expected
     assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
     assert all(e.score is None for e in run.entries)
 
@@ -264,6 +288,7 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
     )
     index = build_index(corpus)
     corpus.postings = _RecordingPostings(corpus.postings)
+    index.postings = _RecordingPostings(index.postings)
     calls = _spy_collection_match(monkeypatch)
     for cre in (False, True):
         calls.clear()
@@ -272,6 +297,37 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
         assert [mode for mode, _ in calls] == [AND, OR]
     # only the query terms' node lists are read, so no other document's nodes are visited
     assert corpus.postings.read and set(corpus.postings.read) == {"alpha", "beta"}
+    assert index.postings.read == []  # the article index is for ranking; xmldb ranks nothing
+
+
+@pytest.mark.parametrize("system", [XMLDB, HYBRID])
+def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, system):
+    corpus = support.corpus_from_strings(
+        {
+            "a": "<article><sec><p>alpha</p><p>beta</p></sec><p>alpha beta</p></article>",
+            "b": "<article><p>beta</p></article>",
+            "c": "<article><sec><p>alpha</p></sec><sec><p>alpha</p></sec></article>",
+        }
+    )
+    index = build_index(corpus)
+    calls = _spy_collection_match(monkeypatch)
+    passes = []
+    original = pipeline.coherent_nodes
+
+    def spy(corpus, matching):
+        passes.append(list(matching))
+        return original(corpus, matching)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("execute works per article")
+
+    monkeypatch.setattr(pipeline, "coherent_nodes", spy)
+    monkeypatch.setattr(cre, "identify_cres", forbidden)
+    monkeypatch.setattr(cre, "rank_cres", forbidden)
+    run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=system, cre=True))
+    assert [mode for mode, _ in calls] == [AND, OR]
+    assert len(passes) == 1 and passes[0] == sorted(passes[0])
+    assert {e.doc for e in run.entries} == {"a", "b", "c"}
 
 
 def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
