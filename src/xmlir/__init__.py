@@ -17,7 +17,6 @@ from .corpus import (
 )
 from .cre import (
     COMBO_CODES,
-    CoherentElement,
     identify_cres,
     rank_cres,
 )

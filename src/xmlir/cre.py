@@ -1,7 +1,7 @@
 """Coherent retrieval elements: identification and heuristic ranking.
 
-Given one article's matching elements, a coherent element is an ancestor
-that contains at least two items (matching elements or other coherent
+A coherent element of an article's matching elements is an ancestor that
+contains at least two items (matching elements or other coherent
 elements) spread across at least two distinct immediate children. The
 definition is self-referential, but a coherent element below a candidate
 always has a matching element below it through the same child, so counting
@@ -17,7 +17,7 @@ Papakonstantinou, SIGMOD 2005): a branching node with matches below children
 after it, and the LCA of adjacent ``a < b``, unless it is ``a``, holds them
 below two distinct children. One walk up from each ``a`` finds its LCA.
 Each document is a range of the corpus-wide numbering, so one pass serves
-the whole corpus (``coherent_nodes``): a walk that leaves ``a``'s root
+the whole corpus (``identify_cres``): a walk that leaves ``a``'s root
 finds two documents, and that pair adds nothing.
 
 A document with one match is the special case: the sole matching element is
@@ -32,29 +32,24 @@ Ranking uses a heuristic combination, a three-letter code such as ``MpE``:
 
 The first two letters are the primary and secondary keys in either order
 (one from each pair), the third letter always resolves remaining ties,
-giving the 16 ``COMBO_CODES``. ``combo_key`` turns a code into that order.
+giving the 16 ``COMBO_CODES``. ``rank_cres`` sorts each article's coherent
+elements in that order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .corpus import Corpus, DocumentTree
+from .corpus import Corpus
 from .paths import ElementPath
 
 COMBO_CODES = tuple(a + b + t for x, y in (("Mm", "Pp"), ("Pp", "Mm")) for a in x for b in y for t in "BE")
 DEFAULT_COMBO = "MpE"
 
 
-class CoherentElement(NamedTuple):  # a tuple: cheap to make by the thousand per topic
-    doc: str
-    path: ElementPath
-    matches: int  # matching elements lying strictly below this path
-
-
-def coherent_nodes(corpus: Corpus, matching: Sequence[int]) -> list[tuple[int, int]]:
+def identify_cres(corpus: Corpus, matching: Sequence[int]) -> list[tuple[int, int]]:
     """``(node, matches below)`` for the coherent elements of every document
     holding some of the ascending node numbers ``matching``, in node order."""
     ends, parents = corpus.ends, corpus.parents
@@ -76,25 +71,17 @@ def coherent_nodes(corpus: Corpus, matching: Sequence[int]) -> list[tuple[int, i
     return found
 
 
-def identify_cres(tree: DocumentTree, matching: Sequence[int]) -> list[CoherentElement]:
-    """Coherent elements for one article's matching nodes.
+def rank_cres(
+    corpus: Corpus, cres: Iterable[tuple[int, int]], combo: str = DEFAULT_COMBO, order: Sequence[int] | None = None
+) -> list[int]:
+    """The nodes of ``(node, matches below)`` pairs, article by article in
+    ``order`` (document numbers; document order when None, and an article
+    not listed is dropped), each article's ranked by ``combo``.
 
-    ``matching`` holds node numbers of ``tree`` in strictly increasing
-    order; members may be nested. Returns records in document order;
-    callers treat the result as a set.
+    Ties left by the code fall to the full path, since sibling-index
+    sequences can repeat (``/article[1]/bdy[1]`` and ``/article[1]/bm[1]``).
+    The per-article cap is applied by the pipeline, not here.
     """
-    if not matching:
-        raise ValueError("matching element list is empty")
-    if any(b <= a for a, b in zip(matching, matching[1:])):
-        raise ValueError("matching node indices must be strictly increasing")
-    if matching[0] < tree.start or matching[-1] >= tree.end:
-        raise ValueError(f"matching node index outside [{tree.start}, {tree.end})")
-    return [CoherentElement(tree.doc, tree.corpus.paths[x], n) for x, n in coherent_nodes(tree.corpus, matching)]
-
-
-def combo_key(combo: str) -> Callable[[int, ElementPath], tuple]:
-    """A coherent element's sort key under a combination code, from its
-    matches below and its path: the code's two keys, then the sequence."""
     if combo not in COMBO_CODES:
         raise ValueError(f"invalid heuristic combination {combo!r}")
     match_sign = -1 if "M" in combo else 1
@@ -103,23 +90,19 @@ def combo_key(combo: str) -> Callable[[int, ElementPath], tuple]:
     matches_first = combo[0] in "Mm"
 
     @cache  # a corpus has few distinct paths
-    def shape(path: ElementPath) -> tuple[int, tuple[int, ...]]:
-        return path_sign * len(path.steps), tuple(sequence_sign * index for _, index in path.steps)
+    def shape(path: ElementPath) -> tuple[int, tuple[int, ...], tuple]:
+        return path_sign * len(path.steps), tuple(sequence_sign * index for _, index in path.steps), path.steps
 
-    def key(matches: int, path: ElementPath) -> tuple:
-        length, sequence = shape(path)
-        return (match_sign * matches, length, sequence) if matches_first else (length, match_sign * matches, sequence)
-
-    return key
-
-
-def rank_cres(cres: Sequence[CoherentElement], combo: str = DEFAULT_COMBO) -> list[CoherentElement]:
-    """Total order over coherent elements under a heuristic combination code.
-
-    Ties left by the code fall to the document and then the full path, since
-    sibling-index sequences can repeat (``/article[1]/bdy[1]`` and
-    ``/article[1]/bm[1]``). The per-article cap is applied by the pipeline,
-    not here.
-    """
-    key = combo_key(combo)
-    return sorted(cres, key=lambda record: (*key(record.matches, record.path), record.doc, record.path.steps))
+    places = None if order is None else {number: place for place, number in enumerate(order)}
+    starts, paths = corpus.starts, corpus.paths
+    keyed = []
+    for node, below in cres:
+        number = bisect_right(starts, node) - 1
+        place = number if places is None else places.get(number)
+        if place is not None:
+            length, sequence, steps = shape(paths[node])
+            matches = match_sign * below
+            key = (place, matches, length) if matches_first else (place, length, matches)
+            keyed.append(((*key, sequence, steps), node))
+    keyed.sort()
+    return [node for _, node in keyed]

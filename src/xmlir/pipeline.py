@@ -16,9 +16,10 @@ list, or the ranked coherent elements (``cre``):
 
 Each element system matches a topic once over the whole corpus in each mode
 (``collection_match``); ``hybrid`` cuts an article's share of those lists by
-``bisect`` on its node range. With coherent elements, one ``coherent_nodes``
-pass over both lists finds every article's, and one sort on (article place,
-combination key, path) orders them. Answers stay node numbers until capped.
+``bisect`` on its node range. With coherent elements, one ``identify_cres``
+pass over both lists finds every article's, and one ``rank_cres`` sort on
+(article place, combination key, path) orders them. Answers stay node
+numbers until capped.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -47,7 +48,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Corpus, read_xml, tokenize, whole_number
-from .cre import COMBO_CODES, DEFAULT_COMBO, coherent_nodes, combo_key
+from .cre import COMBO_CODES, DEFAULT_COMBO, identify_cres, rank_cres
 from .matcher import AND, OR, collection_match
 from .paths import ElementPath
 from .ranker import InvertedIndex, RankParams, rank_articles
@@ -172,24 +173,6 @@ def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | Non
         yield from (i for i in or_share if i not in and_set)
 
 
-def _ranked_cres(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None, combo: str) -> list[int]:
-    """The coherent elements of the topic's AND and OR matches, article by
-    article in ``numbers`` order (document order when None; an article not
-    listed is dropped), each article's ranked by ``combo``."""
-    places = None if numbers is None else {number: place for place, number in enumerate(numbers)}
-    matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
-    key, starts, paths = combo_key(combo), corpus.starts, corpus.paths
-    keyed = []
-    for node, below in coherent_nodes(corpus, matching):
-        number = bisect_right(starts, node) - 1
-        place = number if places is None else places.get(number)
-        if place is not None:
-            path = paths[node]
-            keyed.append(((place, *key(below, path), path.steps), node))
-    keyed.sort()
-    return [node for _, node in keyed]
-
-
 def _capped_entries(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> tuple[RunEntry, ...]:
     """Apply the per-article and global caps, building entries for the nodes kept."""
     docs, starts, paths, n = corpus.docs, corpus.starts, corpus.paths, config.n_per_article
@@ -223,7 +206,11 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
             entries = tuple(RunEntry(rank, a.doc, paths[starts[a.number]], a.score) for rank, a in enumerate(ranked, 1))
             return RunResult(topic.id, config.tag, entries)
         numbers = [a.number for a in ranked]
-    nodes = _ranked_cres(corpus, terms, numbers, config.combo) if config.cre else _and_then_or(corpus, terms, numbers)
+    if config.cre:
+        matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
+        nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)
+    else:
+        nodes = _and_then_or(corpus, terms, numbers)
     return RunResult(topic.id, config.tag, _capped_entries(corpus, nodes, config))
 
 

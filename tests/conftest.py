@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from xmlir import DocumentTree, ElementPath, parse_document
+from xmlir import Corpus, ElementPath
 
 import support
 
@@ -126,11 +126,12 @@ def sample_or_paths() -> list[ElementPath]:
 
 
 @pytest.fixture
-def sample_tree() -> DocumentTree:
-    return parse_document(SAMPLE_ARTICLE_XML, SAMPLE_DOC_ID)
+def sample_corpus() -> Corpus:
+    """The sample article as a corpus of its own."""
+    return support.corpus_from_strings({SAMPLE_DOC_ID: SAMPLE_ARTICLE_XML})
 
 
 @pytest.fixture
-def sample_or_matches(sample_tree, sample_or_paths) -> list[int]:
-    """Pre-order indices of ``SAMPLE_OR_PATHS`` in the parsed sample article."""
-    return support.indices_of(sample_tree, sample_or_paths)
+def sample_or_matches(sample_corpus, sample_or_paths) -> list[int]:
+    """Node numbers of ``SAMPLE_OR_PATHS`` in the sample corpus, ascending."""
+    return support.indices_of(sample_corpus.tree(0), sample_or_paths)

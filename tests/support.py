@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 
 from xmlir import (
     AssessmentSet,
-    CoherentElement,
     Corpus,
     DocumentTree,
     ElementPath,
     build_size_map,
     inex_eval_ng,
     parse_assessment_file,
-    parse_document,
 )
 from xmlir.matcher import AND, OR
 
@@ -99,7 +97,8 @@ def indices_of(tree: DocumentTree, paths) -> list[int]:
 
 
 def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
-    """Parse an XML rendering of a ``random_tree_paths`` tree.
+    """The one document of a corpus holding an XML rendering of a
+    ``random_tree_paths`` tree.
 
     Children are written in the order their paths appear, which is the
     order ``random_tree_paths`` numbered same-tag siblings in, so the parsed
@@ -112,7 +111,7 @@ def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
     def render(path: ElementPath) -> str:
         return f"<{path.tag}>{''.join(render(child) for child in children[path])}</{path.tag}>"
 
-    tree = parse_document(render(paths[0]), doc)
+    tree = corpus_from_strings({doc: render(paths[0])}).tree(0)
     assert set(all_paths(tree)) == set(paths)
     return tree
 
@@ -168,9 +167,7 @@ def naive_article_answers(doc: str, text: str, terms: frozenset[str], config) ->
     if not paths:
         return []
     cres = brute_force_cres(list(own_tokens(text)), paths)
-    records = [CoherentElement(doc, path, count) for path, count in cres.items()]
-    records.sort(key=lambda record: naive_cre_key(record, config.combo))
-    return [(doc, record.path) for record in records]
+    return [(doc, path) for path in sorted(cres, key=lambda path: naive_cre_key(doc, path, cres[path], config.combo))]
 
 
 def naive_caps(pairs: list[tuple[str, ElementPath]], config) -> list[tuple[str, ElementPath]]:
@@ -250,30 +247,32 @@ def sequence(path: ElementPath) -> tuple[int, ...]:
     return tuple(index for _, index in path.steps)
 
 
-def naive_cre_key(record: CoherentElement, combo: str):
-    """Reference sort key for ``rank_cres``, one comparison component per letter of the code."""
+def naive_cre_key(doc: str, path: ElementPath, matches: int, combo: str):
+    """Reference sort key for a coherent element at ``path`` in ``doc`` with
+    ``matches`` matching elements below, one comparison component per
+    letter of the code."""
 
     def component(letter: str):
         if letter == "M":
-            return -record.matches
+            return -matches
         if letter == "m":
-            return record.matches
+            return matches
         if letter == "P":
-            return -record.path.depth
-        return record.path.depth
+            return -path.depth
+        return path.depth
 
     if combo[2] == "B":
-        seq = sequence(record.path)
+        seq = sequence(path)
     else:
-        seq = tuple(-i for i in sequence(record.path))
+        seq = tuple(-i for i in sequence(path))
     # doc + full path make the order total: distinct sibling-index sequences
     # are not guaranteed (e.g. /article[1]/bdy[1] vs /article[1]/bm[1]).
     return (
         component(combo[0]),
         component(combo[1]),
         seq,
-        record.doc,
-        record.path.steps,
+        doc,
+        path.steps,
     )
 
 

@@ -35,7 +35,6 @@ from xmlir.assessments import (
     parse_assessment_file,
 )
 from xmlir.cli import main
-from xmlir.cre import CoherentElement
 from xmlir.evaluation import quantize
 from xmlir.matcher import AND
 from xmlir.pipeline import HYBRID, XMLDB
@@ -53,22 +52,24 @@ def P(text):
     return ElementPath.from_string(text)
 
 
-def test_c1_coherent_element_fixture_exactness(sample_tree, sample_or_matches):
+def test_c1_coherent_element_fixture_exactness(sample_corpus, sample_or_matches):
     expected = [
         (P(path), matches, length, sequence)
         for path, matches, length, sequence in EXPECTED_CRES_MPE
     ]
 
     def run_once():
-        return rank_cres(identify_cres(sample_tree, sample_or_matches), "MpE")
+        cres = identify_cres(sample_corpus, sample_or_matches)
+        return dict(cres), rank_cres(sample_corpus, cres, "MpE")
 
     run_once()  # warm caches before timing
     best = min(
         (_timed(run_once) for _ in range(5)),
         key=lambda pair: pair[0],
     )
-    elapsed, ranked = best
-    got = [(r.path, r.matches, r.path.depth, support.sequence(r.path)) for r in ranked]
+    elapsed, (below, ranked) = best
+    paths = sample_corpus.paths
+    got = [(paths[n], below[n], paths[n].depth, support.sequence(paths[n])) for n in ranked]
     assert got == expected
     assert elapsed < 0.001, f"took {elapsed * 1e3:.3f} ms"
     print(f"\n[acceptance] 1 PASS coherent-element fixture exact, {elapsed * 1e6:.0f} us")
@@ -81,16 +82,15 @@ def _timed(fn):
 
 
 def test_c2_sequence_tiebreak_directions():
-    records = [
-        CoherentElement("d", P("/article[1]/bdy[1]/sec[2]"), matches=4),
-        CoherentElement("d", P("/article[1]/bdy[1]/sec[4]"), matches=4),
-    ]
-    under_e = rank_cres(records, "MpE")
-    under_b = rank_cres(records, "MpB")
-    assert [str(r.path) for r in under_e] == [
+    corpus = support.corpus_from_strings({"d": "<article><bdy><sec/><sec/><sec/><sec/></bdy></article>"})
+    sec2, sec4 = (corpus.tree(0).find(P(f"/article[1]/bdy[1]/sec[{k}]")) for k in (2, 4))
+    cres = [(sec2, 4), (sec4, 4)]
+    under_e = rank_cres(corpus, cres, "MpE")
+    under_b = rank_cres(corpus, cres, "MpB")
+    assert [str(corpus.paths[n]) for n in under_e] == [
         "/article[1]/bdy[1]/sec[4]", "/article[1]/bdy[1]/sec[2]",
     ]
-    assert [str(r.path) for r in under_b] == [
+    assert [str(corpus.paths[n]) for n in under_b] == [
         "/article[1]/bdy[1]/sec[2]", "/article[1]/bdy[1]/sec[4]",
     ]
     print("\n[acceptance] 2 PASS tie-break fixture exact under E and B")
@@ -107,7 +107,8 @@ def test_c3_coherent_element_oracle_equivalence():
         if len(matching) == 1:
             singletons += 1
         tree = support.tree_of(paths)
-        got = {r.path: r.matches for r in identify_cres(tree, support.indices_of(tree, matching))}
+        cres = identify_cres(tree.corpus, support.indices_of(tree, matching))
+        got = {tree.corpus.paths[n]: below for n, below in cres}
         expected = support.brute_force_cres(paths, matching)
         assert got == expected, f"mismatch on tree {trees}"
         trees += 1

@@ -1,6 +1,7 @@
 """System composition: topic translation, answer-list assembly, wire format."""
 
 import random
+import sys
 from collections.abc import Mapping
 
 import pytest
@@ -300,6 +301,24 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
     assert index.postings.read == []  # the article index is for ranking; xmldb ranks nothing
 
 
+def _spy_everywhere(monkeypatch, module, name) -> list[tuple[tuple, dict, object]]:
+    """Record ``(args, kwargs, result)`` for every call of ``module.name``,
+    replacing it in every loaded ``xmlir`` module that holds it, as the
+    benchmark's tracer wraps a layer."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    for module_name, loaded in list(sys.modules.items()):
+        if (module_name == "xmlir" or module_name.startswith("xmlir.")) and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("system", [XMLDB, HYBRID])
 def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, system):
     corpus = support.corpus_from_strings(
@@ -311,23 +330,23 @@ def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, sy
     )
     index = build_index(corpus)
     calls = _spy_collection_match(monkeypatch)
-    passes = []
-    original = pipeline.coherent_nodes
-
-    def spy(corpus, matching):
-        passes.append(list(matching))
-        return original(corpus, matching)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("execute works per article")
-
-    monkeypatch.setattr(pipeline, "coherent_nodes", spy)
-    monkeypatch.setattr(cre, "identify_cres", forbidden)
-    monkeypatch.setattr(cre, "rank_cres", forbidden)
-    run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=system, cre=True))
-    assert [mode for mode, _ in calls] == [AND, OR]
-    assert len(passes) == 1 and passes[0] == sorted(passes[0])
-    assert {e.doc for e in run.entries} == {"a", "b", "c"}
+    identified = _spy_everywhere(monkeypatch, cre, "identify_cres")
+    ranked = _spy_everywhere(monkeypatch, cre, "rank_cres")
+    for config in (SystemConfig(system=FULLTEXT), SystemConfig(system=system), SystemConfig(system=system, cre=True)):
+        for spied in (calls, identified, ranked):
+            spied.clear()
+        run = execute(topic("alpha", "beta"), corpus, index, config)
+        assert {e.doc for e in run.entries} == {"a", "b", "c"}
+        if not config.cre:
+            assert identified == ranked == []
+            continue
+        assert [mode for mode, _ in calls] == [AND, OR]
+        [(args, kwargs, cres)] = identified
+        matching = args[1] if len(args) > 1 else kwargs["matching"]  # where the tracer reads it
+        assert list(matching) == sorted(set(matching))
+        [(args, kwargs, nodes)] = ranked
+        assert (args[1] if len(args) > 1 else kwargs["cres"]) is cres
+        assert [e.path for e in run.entries] == [corpus.paths[n] for n in nodes]  # no cap is reached
 
 
 def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):

@@ -105,30 +105,68 @@ def test_collection_match_equals_brute_force_per_document(texts, terms):
         assert collection_match(corpus, terms, mode) == expected
 
 
+@st.composite
+def corpus_matches(draw):
+    """A ``corpora`` corpus and, per document, a set of matching paths: one
+    match, only nested matches (a chain of ancestors, so no coherent
+    element), none, a set holding its last node (the one before the next
+    document's root), pairwise unrelated paths, any set, or its share of the
+    AND and OR matches of a query (``collection_match``, as ``execute`` takes
+    them)."""
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(draw(corpora))})
+    terms = draw(query_terms)
+    matched = set(collection_match(corpus, terms, AND)) | set(collection_match(corpus, terms, OR))
+    chosen = []
+    for tree in corpus.trees():
+        paths = support.all_paths(tree)
+        shape = draw(st.sampled_from(["one", "nested", "none", "last", "unrelated", "any", "matched"]))
+        if shape == "one":
+            matching = {draw(st.sampled_from(paths))}
+        elif shape == "nested":
+            deepest = draw(st.sampled_from(paths))
+            depths = draw(st.sets(st.integers(1, deepest.depth), min_size=min(2, deepest.depth)))
+            matching = {ElementPath(deepest.steps[:depth]) for depth in depths}
+        elif shape == "none":
+            matching = set()
+        elif shape == "unrelated":
+            matching = set(support.random_antichain(random.Random(draw(st.integers(0, 2**32 - 1))), paths))
+        elif shape == "matched":
+            matching = set(support.paths_of(tree, sorted(matched.intersection(tree.nodes))))
+        else:
+            matching = draw(st.sets(st.sampled_from(paths), min_size=1, max_size=12))
+            if shape == "last":
+                matching.add(paths[-1])
+        chosen.append((tree, sorted(matching, key=paths.index)))
+    return corpus, chosen
+
+
 @settings(max_examples=100, deadline=None)
 @given(documents, query_terms)
 def test_identify_cres_on_match_lists_equals_brute_force(text, terms):
-    tree = parse_document(text, "d")
+    tree = support.corpus_from_strings({"d": text}).tree(0)
     and_matches = match_elements(tree, terms, AND)
     or_matches = match_elements(tree, terms, OR)
     combined = sorted(set(and_matches) | set(or_matches))  # AND matches may hold OR matches
     if not combined:
         return
-    got = {r.path: r.matches for r in identify_cres(tree, combined)}
-    all_paths = support.all_paths(tree)
-    assert got == support.brute_force_cres(all_paths, support.paths_of(tree, combined))
+    got = {tree.corpus.paths[node]: below for node, below in identify_cres(tree.corpus, combined)}
+    assert got == support.brute_force_cres(support.all_paths(tree), support.paths_of(tree, combined))
 
 
-@settings(max_examples=150, deadline=None)
-@given(documents, st.data())
-def test_identify_cres_on_any_index_subset_equals_brute_force(text, data):
-    """Any strictly increasing index list, nested members included."""
-    tree = parse_document(text, "d")
-    chosen = data.draw(st.sets(st.integers(tree.start, tree.end - 1), min_size=1, max_size=12))
-    matching = sorted(chosen)
-    got = {r.path: r.matches for r in identify_cres(tree, matching)}
-    all_paths = support.all_paths(tree)
-    assert got == support.brute_force_cres(all_paths, support.paths_of(tree, matching))
+@settings(max_examples=100, deadline=None)
+@given(corpus_matches())
+def test_identify_cres_on_any_index_subset_equals_brute_force(case):
+    """One pass over the whole corpus finds each document's coherent
+    elements and their match counts, in node order: the brute-force
+    fixpoint of each document's matching paths in turn."""
+    corpus, chosen = case
+    expected = []
+    for tree, matching in chosen:
+        if matching:
+            cres = support.brute_force_cres(support.all_paths(tree), matching)
+            expected += sorted((tree.find(path), below) for path, below in cres.items())
+    nodes = sorted(i for tree, matching in chosen for i in support.indices_of(tree, matching))
+    assert identify_cres(corpus, nodes) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,6 +219,8 @@ def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, t
     texts = {f"d{i}": support.random_xml(rng) for i in range(n_docs)}
     corpus = support.corpus_from_strings(texts)
     assert list(corpus.starts) == sorted(set(corpus.starts)) and corpus.starts[-1] == len(corpus.paths)
+    expected: list[tuple[int, int]] = []  # each document's coherent elements in turn, found alone
+    every_match: set[int] = set()
     for tree, text in zip(corpus.trees(), texts.values()):
         alone = parse_document(text, tree.doc)
         offset = tree.start
@@ -200,6 +240,7 @@ def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, t
             assert support.paths_of(tree, matches) == support.brute_force_matches(text, frozenset(terms), mode)
             combined |= set(matches)
         if combined:
-            got = {r.path: r.matches for r in identify_cres(tree, sorted(combined))}
-            assert all(r.doc == tree.doc for r in identify_cres(tree, sorted(combined)))
-            assert got == support.brute_force_cres(list(regions), support.paths_of(tree, sorted(combined)))
+            cres = support.brute_force_cres(list(regions), support.paths_of(tree, sorted(combined)))
+            expected += sorted((tree.find(path), below) for path, below in cres.items())
+        every_match |= combined
+    assert identify_cres(corpus, sorted(every_match)) == expected
