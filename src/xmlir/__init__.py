@@ -12,7 +12,6 @@ from .corpus import (
     Corpus,
     DocumentTree,
     ingest_corpus,
-    parse_document,
     tokenize,
 )
 from .cre import (

@@ -11,6 +11,7 @@ ascending ``array('i')`` of the nodes holding it directly, one entry per
 occurrence: a document's run of it is the ``bisect`` slice within the
 document's range, whose length is the term's frequency there, and a node
 list in this order is in document order across the whole corpus.
+``Corpus.find`` resolves a (document, path) pair to its node, and
 ``DocumentTree`` is a view of one document. Terms and tags
 are interned. Terms are the maximal runs of ASCII letters and digits in the
 lowercased text; attributes and markup never contribute terms.
@@ -85,6 +86,19 @@ class Corpus:
 
     def trees(self) -> Iterator[DocumentTree]:
         return map(self.tree, range(len(self.docs)))
+
+    def find(self, number: int, path: ElementPath) -> int | None:
+        """The node at ``path`` in document ``number``, found by walking down
+        its steps; None when absent."""
+        paths, ends = self.paths, self.ends
+        i, stop = self.starts[number], self.starts[number + 1]  # the candidates at depth 0: the root alone
+        for depth, step in enumerate(path.steps):
+            while i < stop and paths[i].steps[depth] != step:
+                i = ends[i]  # the next sibling
+            if i == stop:
+                return None
+            i, stop = i + 1, ends[i]  # on to the first child
+        return i - 1
 
     def add(self, doc: str, source: str | bytes) -> None:
         """Parse one XML document into the next document number; a parse error
@@ -167,7 +181,8 @@ def _named_entity(exc: ET.ParseError, source: str | bytes) -> ET.ParseError:
 
 @dataclass(eq=False, slots=True)
 class DocumentTree:
-    """One document of a corpus: the node range ``[start, end)``."""
+    """One document of a corpus, as ``Corpus.tree`` returns it: its ``doc``,
+    its node range ``[start, end)`` as ``nodes``, and its ``root``."""
 
     corpus: Corpus
     doc: str
@@ -181,26 +196,6 @@ class DocumentTree:
     @property
     def root(self) -> Node:
         return Node(self.corpus.paths[self.start], self.corpus.sizes[self.start])
-
-    def find(self, path: ElementPath) -> int | None:
-        """The node at ``path``, found by walking down its steps; None when absent."""
-        paths, ends = self.corpus.paths, self.corpus.ends
-        i, stop = self.start, self.end  # the candidates at depth 0: the root alone
-        for depth, step in enumerate(path.steps):
-            while i < stop and paths[i].steps[depth] != step:
-                i = ends[i]  # the next sibling
-            if i == stop:
-                return None
-            i, stop = i + 1, ends[i]  # on to the first child
-        return i - 1
-
-
-def parse_document(source: str | bytes, doc: str) -> DocumentTree:
-    """Parse one XML document as a corpus of its own; raises ET.ParseError."""
-    corpus = Corpus()
-    corpus.add(doc, source)
-    return corpus.tree(0)
-
 
 def ingest_corpus(root_directory: str | Path) -> Corpus:
     """Ingest every ``*.xml`` file under a directory, each file's bytes parsed

@@ -139,19 +139,18 @@ def mean_average_precision(per_topic: Mapping[int, float]) -> float:
 
 def build_size_map(
     corpus: Corpus,
-    needed: set[tuple[str, ElementPath]],
+    needed: Iterable[tuple[str, ElementPath]],
 ) -> tuple[dict[tuple[str, ElementPath], int | None], list[str]]:
     """Each needed (doc, path) pair's corpus node, whose size is ``corpus.sizes[node]``.
 
-    Pairs that do not resolve against the corpus map to None, with a
-    diagnostic; evaluation proceeds regardless, counting them as size 0.
+    Pairs that do not resolve against the corpus map to None, with one
+    diagnostic each in (doc, path) order; evaluation proceeds regardless,
+    counting them as size 0.
     """
     numbers = dict(zip(corpus.docs, range(len(corpus))))
     nodes: dict[tuple[str, ElementPath], int | None] = {}
-    diagnostics: list[str] = []
-    for doc, path in sorted(needed, key=lambda p: (p[0], p[1].steps)):
+    for doc, path in needed:
         number = numbers.get(doc)
-        node = nodes[doc, path] = corpus.tree(number).find(path) if number is not None else None
-        if node is None:
-            diagnostics.append(f"size unavailable, using 0: {doc} {path}")
-    return nodes, diagnostics
+        nodes[doc, path] = None if number is None else corpus.find(number, path)
+    missing = sorted((pair for pair, node in nodes.items() if node is None), key=lambda p: (p[0], p[1].steps))
+    return nodes, [f"size unavailable, using 0: {doc} {path}" for doc, path in missing]

@@ -83,7 +83,7 @@ def _timed(fn):
 
 def test_c2_sequence_tiebreak_directions():
     corpus = support.corpus_from_strings({"d": "<article><bdy><sec/><sec/><sec/><sec/></bdy></article>"})
-    sec2, sec4 = (corpus.tree(0).find(P(f"/article[1]/bdy[1]/sec[{k}]")) for k in (2, 4))
+    sec2, sec4 = (corpus.find(0, P(f"/article[1]/bdy[1]/sec[{k}]")) for k in (2, 4))
     cres = [(sec2, 4), (sec4, 4)]
     under_e = rank_cres(corpus, cres, "MpE")
     under_b = rank_cres(corpus, cres, "MpB")

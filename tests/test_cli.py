@@ -198,6 +198,35 @@ def test_eval_ng_names_an_unresolved_recall_base_once(workspace, capsys):
     ]
 
 
+def test_eval_ng_o_names_unresolved_pairs_in_doc_then_steps_order(workspace, capsys):
+    # the assessments and the run each hold two unresolved pairs, interleaved in
+    # (doc, steps) order, and share one pair that resolves
+    (workspace / "assessments" / "117.xml").write_text(
+        '<assessments topic_id="117">'
+        '<file file="ic/1999/w0001"><path E="3" S="3" path="/article[1]"/>'
+        '<path E="3" S="3" path="/article[1]/p[9]"/></file>'
+        '<file file="ic/9999/gone"><path E="3" S="3" path="/article[1]/sec[1]"/></file>'
+        '</assessments>'
+    )
+    run_file = workspace / "two.run"
+    run_file.write_text(
+        "117\t1\tic/9999/gone\t/article[1]/sec[2]\t-\tsynthetic\n"
+        "117\t2\tic/1999/w0001\t/article[1]\t-\tsynthetic\n"
+        "117\t3\tic/1999/w0001\t/article[1]/p[10]\t-\tsynthetic\n"
+    )
+    argv = [
+        "eval", str(run_file), "--assessments", str(workspace / "assessments"),
+        "--corpus", str(workspace / "corpus"), "--metric", "ng-o", "--out", str(workspace / "ng-o.tsv"),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sizes: size unavailable, using 0: ic/1999/w0001 /article[1]/p[9]",
+        "sizes: size unavailable, using 0: ic/1999/w0001 /article[1]/p[10]",
+        "sizes: size unavailable, using 0: ic/9999/gone /article[1]/sec[1]",
+        "sizes: size unavailable, using 0: ic/9999/gone /article[1]/sec[2]",
+    ]
+
+
 def test_config_file_provides_defaults_and_cli_overrides(workspace, monkeypatch, capsys):
     config = {
         "corpus": str(workspace / "corpus"),

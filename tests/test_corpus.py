@@ -15,7 +15,6 @@ from xmlir import (
     ElementPath,
     build_index,
     ingest_corpus,
-    parse_document,
     tokenize,
 )
 from xmlir.cli import main
@@ -86,7 +85,7 @@ def test_ingest_single_file(tmp_path):
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a/x"]
     tree = corpus.tree(0)
-    node = tree.find(ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
+    node = corpus.find(0, ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
     assert node is not None and own_terms(tree, node) == ["hi"]
 
 
@@ -111,69 +110,78 @@ def test_ingest_missing_directory_is_fatal(tmp_path):
 
 
 def test_resolve_root_and_out_of_range():
-    tree = parse_document("<article><sec><p>a</p></sec><sec><p>b</p></sec></article>", "d")
-    assert tree.find(ElementPath.from_string("/article[1]")) == tree.start
-    second = tree.find(ElementPath.from_string("/article[1]/sec[2]"))
+    tree = support.corpus_from_strings({"d": "<article><sec><p>a</p></sec><sec><p>b</p></sec></article>"}).tree(0)
+    assert tree.corpus.find(0, ElementPath.from_string("/article[1]")) == tree.start
+    second = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[2]"))
     assert second is not None and tree.corpus.paths[second].tag == "sec"
-    assert tree.find(ElementPath.from_string("/article[1]/sec[9]")) is None
+    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[9]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
-    tree = parse_document("<article><fm/><sec><p>x</p></sec><fig/><sec/></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><fm/><sec><p>x</p></sec><fig/><sec/></article>"}).tree(0)
     # the fourth child overall is only the second <sec>
-    assert tree.find(ElementPath.from_string("/article[1]/sec[2]")) is not None
-    assert tree.find(ElementPath.from_string("/article[1]/sec[3]")) is None
+    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[2]")) is not None
+    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[3]")) is None
 
 
 def test_subtree_terms_leaf_and_parent():
-    tree = parse_document(
-        "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>", "d"
-    )
-    leaf = tree.find(ElementPath.from_string("/article[1]/sec[1]/p[1]"))
+    tree = support.corpus_from_strings({
+        "d": "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>",
+    }).tree(0)
+    leaf = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]/p[1]"))
     assert subtree_terms(tree, leaf) == {"patricia": 1, "tries": 1}
     assert tree.corpus.sizes[leaf] == 2
-    parent = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
+    parent = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, parent) == {"patricia": 2, "tries": 2}
     assert own_terms(tree, parent) == []
     assert tree.corpus.sizes[parent] == 4
 
 
 def test_subtree_terms_mixed_content():
-    tree = parse_document("<article><sec>lead <p>inner</p> tail</sec></article>", "d")
-    sec = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
+    tree = support.corpus_from_strings({"d": "<article><sec>lead <p>inner</p> tail</sec></article>"}).tree(0)
+    sec = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
     assert subtree_terms(tree, sec) == {"lead": 1, "inner": 1, "tail": 1}
     assert tree.corpus.sizes[sec] == 3
     assert own_terms(tree, sec) == ["lead", "tail"]  # tail text belongs to <sec>
 
 
 def test_subtree_terms_unresolvable_path_raises():
-    tree = parse_document("<article/>", "d")
-    node = tree.find(ElementPath.from_string("/article[1]/sec[1]"))
+    tree = support.corpus_from_strings({"d": "<article/>"}).tree(0)
+    node = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
     assert node is None  # no node, so no subtree terms to count
     with pytest.raises(TypeError):
         subtree_terms(tree, node)
 
 
 def test_attributes_do_not_contribute_terms():
-    tree = parse_document('<article kind="draft"><p id="p7">body</p></article>', "d")
+    tree = support.corpus_from_strings({"d": '<article kind="draft"><p id="p7">body</p></article>'}).tree(0)
     assert subtree_terms(tree, tree.start) == {"body": 1}
     assert tree.root.subtree_size == 1
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_path_roundtrip_on_random_trees(seed):
-    rng = random.Random(seed)
-    tree = parse_document(support.random_xml(rng), "d")
-    for node in tree.nodes:
-        path = tree.corpus.paths[node]
-        assert tree.find(path) == node
-        assert tree.find(ElementPath.from_string(str(path))) == node
+@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4))
+def test_path_roundtrip_on_random_trees(seeds):
+    """In a corpus of several documents, each node's path resolves to that
+    node in its own document; a path of another document that this one
+    lacks, or one past the last of a node's same-tag siblings, to None."""
+    corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
+    for number, tree in enumerate(corpus.trees()):
+        own = support.all_paths(tree)
+        for node in tree.nodes:
+            path = corpus.paths[node]
+            assert corpus.find(number, path) == node
+            assert corpus.find(number, ElementPath.from_string(str(path))) == node
+            parent, (tag, _) = path.steps[:-1], path.steps[-1]
+            siblings = sum(p.steps[:-1] == parent and p.tag == tag for p in own)
+            assert corpus.find(number, ElementPath(parent + ((tag, siblings + 1),))) is None
+        for path in set(corpus.paths) - set(own):
+            assert corpus.find(number, path) is None
 
 
 def test_prefix_law_and_size_monotonicity():
     rng = random.Random(7)
     for _ in range(50):
-        tree = parse_document(support.random_xml(rng), "d")
+        tree = support.corpus_from_strings({"d": support.random_xml(rng)}).tree(0)
         nodes = [Node(tree.corpus.paths[i], tree.corpus.sizes[i]) for i in tree.nodes]
         # prefix law, all pairs; size never grows downward
         for a in nodes:
@@ -280,9 +288,9 @@ def _elementtree_layout(text: str):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_parse_document_equals_elementtree_rederivation(seed):
+def test_corpus_add_equals_elementtree_rederivation(seed):
     text = support.random_xml(random.Random(seed))
-    tree = parse_document(text, "d")
+    tree = support.corpus_from_strings({"d": text}).tree(0)
     paths, postings, sizes, ends, parents = _elementtree_layout(text)
     corpus = tree.corpus
     assert corpus.paths == paths
@@ -303,8 +311,8 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
     # one postings array holds both documents
     assert len(document_postings(a)[term]) == len(document_postings(b)[term]) == 1
     assert term is sys.intern("shared")
-    sec_a = corpus.paths[a.find(ElementPath.from_string("/article[1]/sec[1]"))]
-    sec_b = corpus.paths[b.find(ElementPath.from_string("/article[1]/sec[1]"))]
+    sec_a = corpus.paths[corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))]
+    sec_b = corpus.paths[corpus.find(1, ElementPath.from_string("/article[1]/sec[1]"))]
     assert sec_a.steps[-1] == ("sec", 1)
     assert sec_a is sec_b  # one ElementPath per distinct path per ingest
     assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
@@ -314,8 +322,8 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
 
 
 def test_separately_parsed_documents_share_terms_and_tags():
-    a = parse_document("<article><sec>shared</sec></article>", "a")
-    b = parse_document("<article><sec>x shared</sec></article>", "b")
+    a = support.corpus_from_strings({"a": "<article><sec>shared</sec></article>"}).tree(0)
+    b = support.corpus_from_strings({"b": "<article><sec>x shared</sec></article>"}).tree(0)
     (term_a,) = a.corpus.postings
     assert term_a is next(term for term in b.corpus.postings if term == "shared")
     assert a.corpus.paths[1].tag is b.corpus.paths[1].tag
@@ -323,7 +331,7 @@ def test_separately_parsed_documents_share_terms_and_tags():
 
 def test_node_record_holds_only_path_and_size():
     assert Node._fields == ("path", "subtree_size")
-    tree = parse_document("<article><p>x</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><p>x</p></article>"}).tree(0)
     assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
     corpus = tree.corpus
     for node in tree.nodes:

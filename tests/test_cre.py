@@ -149,7 +149,7 @@ def test_matches_count_law_random_antichains():
         tree = support.tree_of(paths)
         cres = identify_cres(tree.corpus, support.indices_of(tree, matching))
         if len(matching) == 1:
-            assert cres == [(tree.find(matching[0]), 1)]
+            assert cres == [(tree.corpus.find(0, matching[0]), 1)]
             continue
         for node, below in cres:
             path = tree.corpus.paths[node]
@@ -207,10 +207,10 @@ def corpus_matches(draw):
 def test_coherent_nodes_over_a_corpus_equal_the_per_document_oracle(case):
     corpus, chosen = case
     expected = []
-    for tree, matching in chosen:
+    for number, (tree, matching) in enumerate(chosen):
         if matching:
             cres = support.brute_force_cres(support.all_paths(tree), matching)
-            expected += sorted((tree.find(path), below) for path, below in cres.items())
+            expected += sorted((corpus.find(number, path), below) for path, below in cres.items())
     nodes = sorted(i for tree, matching in chosen for i in support.indices_of(tree, matching))
     assert identify_cres(corpus, nodes) == expected
 

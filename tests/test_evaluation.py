@@ -230,9 +230,15 @@ def test_mean_average_precision():
 
 def test_build_size_map_reports_missing():
     corpus = support.corpus_from_strings({"d": NESTED_DOC})
-    needed = {("d", P("/article[1]/sec[1]")), ("d", P("/article[1]/sec[9]")), ("x", P("/a[1]"))}
-    nodes, diagnostics = build_size_map(corpus, needed)
-    assert corpus.sizes[nodes[("d", P("/article[1]/sec[1]"))]] == 8
-    assert nodes[("d", P("/article[1]/sec[9]"))] is None
-    assert nodes[("x", P("/a[1]"))] is None
-    assert len(diagnostics) == 2
+    needed = [("x", P("/a[1]")), ("d", P("/article[1]/sec[10]")), ("d", P("/article[1]/sec[1]")),
+              ("d", P("/article[1]/sec[9]")), ("c", P("/a[1]/b[1]"))]
+    for order in (needed, needed[::-1]):  # the diagnostics do not depend on the order of the pairs
+        nodes, diagnostics = build_size_map(corpus, order)
+        assert corpus.sizes[nodes[("d", P("/article[1]/sec[1]"))]] == 8
+        assert [pair for pair in needed if nodes[pair] is None] == [needed[0], needed[1], needed[3], needed[4]]
+        assert diagnostics == [
+            "size unavailable, using 0: c /a[1]/b[1]",
+            "size unavailable, using 0: d /article[1]/sec[9]",  # steps order, not text order
+            "size unavailable, using 0: d /article[1]/sec[10]",
+            "size unavailable, using 0: x /a[1]",
+        ]

@@ -1,6 +1,6 @@
 """Golden digests: the answers of every system and the report grid of every
 metric on the synthetic workspace, pinned as SHA-256 of the files the CLI
-writes.
+writes, and of what ``report`` prints to stderr.
 
 A change that alters any answer byte fails here; one that means to must
 update the digest and say why.
@@ -28,6 +28,9 @@ OTHER_GRID_DIGESTS = {
     "inex-eval": "d955aead14a0d34251ec3edb269a09035d54129121360d3d59beb64c25674861",
     "ng-s": "6250d307be471d3582cdd2ab1f7d3e94d0abd5b4878eead27f3dca68da5d208e",
 }
+# every metric's report prints the same ten "topic N: ...; skipped" lines, since
+# every answer of the workspace resolves and no "sizes:" line is printed
+REPORT_STDERR_DIGEST = "9dcb3ac0c7a8fcc212d90406951fbe5fd707aed48c351adb1820eefc164071c7"
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ def _grid_digest(workspace, out, capsys, metric) -> str:
     argv = ["report", "--corpus", str(workspace / "corpus"), "--topics", str(workspace / "topics.xml"),
             "--assessments", str(workspace / "assessments"), "--metric", metric, "--out", str(out)]
     assert main(argv) == 0
-    capsys.readouterr()
+    assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == REPORT_STDERR_DIGEST
     return _sha256(out)
 
 

@@ -4,20 +4,19 @@ import random
 
 import pytest
 
-from xmlir import SystemConfig, Topic, build_index, execute, match_elements, parse_document
+from xmlir import SystemConfig, Topic, build_index, execute, match_elements
 from xmlir.matcher import AND, OR, collection_match
 
 import support
 
 
 def test_or_single_occurrence_returns_deepest_container():
-    tree = parse_document(
-        "<article><bdy>"
+    tree = support.corpus_from_strings({
+        "d": "<article><bdy>"
         "<sec><p>nothing</p></sec>"
         "<sec><p>patricia appears here</p></sec>"
         "</bdy></article>",
-        "d",
-    )
+    }).tree(0)
     result = match_elements(tree, {"patricia"}, OR)
     assert result == [5]  # article, bdy, sec, p, sec, p
     assert [str(path) for path in support.paths_of(tree, result)] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
@@ -30,7 +29,7 @@ def test_and_terms_spread_across_siblings():
         "<sec><p>unrelated</p></sec>"
         "</bdy></article>"
     )
-    tree = parse_document(text, "d")
+    tree = support.corpus_from_strings({"d": text}).tree(0)
     result = support.paths_of(tree, match_elements(tree, {"alpha", "beta"}, AND))
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
@@ -38,17 +37,17 @@ def test_and_terms_spread_across_siblings():
 
 
 def test_or_absent_term_yields_empty():
-    tree = parse_document("<article><p>something else</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><p>something else</p></article>"}).tree(0)
     assert match_elements(tree, {"missing"}, OR) == []
 
 
 def test_and_unsatisfiable_yields_empty():
-    tree = parse_document("<article><p>alpha</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><p>alpha</p></article>"}).tree(0)
     assert match_elements(tree, {"alpha", "beta"}, AND) == []
 
 
 def test_empty_query_rejected():
-    tree = parse_document("<article><p>x</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><p>x</p></article>"}).tree(0)
     with pytest.raises(ValueError, match="at least one term"):
         match_elements(tree, frozenset(), OR)
     with pytest.raises(ValueError, match="unknown query mode"):
@@ -93,7 +92,7 @@ def test_most_specific_law_against_oracle():
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
     for _ in range(150):
         text = support.random_xml(rng)
-        tree = parse_document(text, "d")
+        tree = support.corpus_from_strings({"d": text}).tree(0)
         terms = frozenset(rng.sample(vocab, rng.randint(1, 3)))
         for mode in (AND, OR):
             expected = support.brute_force_matches(text, terms, mode)
@@ -104,7 +103,7 @@ def test_antichain_and_lattice_laws():
     rng = random.Random(202)
     for _ in range(100):
         text = support.random_xml(rng)
-        tree = parse_document(text, "d")
+        tree = support.corpus_from_strings({"d": text}).tree(0)
         own = support.own_tokens(text)
         query = frozenset({"alpha", "beta"})
         and_matches = match_elements(tree, query, AND)
@@ -125,11 +124,11 @@ def test_antichain_and_lattice_laws():
 
 
 def test_root_failing_predicate_means_no_matches():
-    tree = parse_document("<article><sec><p>alpha</p></sec></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><sec><p>alpha</p></sec></article>"}).tree(0)
     assert match_elements(tree, {"alpha", "zeta"}, AND) == []
 
 
 def test_empty_elements_never_match():
-    tree = parse_document("<article><sec/><p>alpha</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><sec/><p>alpha</p></article>"}).tree(0)
     result = support.paths_of(tree, match_elements(tree, {"alpha"}, OR))
     assert [str(path) for path in result] == ["/article[1]/p[1]"]

@@ -14,7 +14,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from xmlir import ElementPath, build_index, identify_cres, match_elements, parse_document
+from xmlir import ElementPath, build_index, identify_cres, match_elements
 from xmlir.matcher import AND, OR, collection_match
 
 import support
@@ -62,7 +62,7 @@ query_terms = st.sets(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=
 @settings(max_examples=100, deadline=None)
 @given(documents, query_terms)
 def test_match_elements_equals_brute_force(text, terms):
-    tree = parse_document(text, "d")
+    tree = support.corpus_from_strings({"d": text}).tree(0)
     for mode in (AND, OR):
         matches = match_elements(tree, terms, mode)
         assert matches == sorted(set(matches))
@@ -161,10 +161,10 @@ def test_identify_cres_on_any_index_subset_equals_brute_force(case):
     fixpoint of each document's matching paths in turn."""
     corpus, chosen = case
     expected = []
-    for tree, matching in chosen:
+    for number, (tree, matching) in enumerate(chosen):
         if matching:
             cres = support.brute_force_cres(support.all_paths(tree), matching)
-            expected += sorted((tree.find(path), below) for path, below in cres.items())
+            expected += sorted((corpus.find(number, path), below) for path, below in cres.items())
     nodes = sorted(i for tree, matching in chosen for i in support.indices_of(tree, matching))
     assert identify_cres(corpus, nodes) == expected
 
@@ -174,7 +174,7 @@ def test_identify_cres_on_any_index_subset_equals_brute_force(case):
 def test_postings_ends_parents_agree_with_walk(text):
     """Postings, ends, parents and subtree sizes equal a recomputation from
     path prefixes over the nodes in ElementTree's document order."""
-    tree = parse_document(text, "d")
+    tree = support.corpus_from_strings({"d": text}).tree(0)
     corpus = tree.corpus
     paths = corpus.paths
     assert [paths[i].tag for i in tree.nodes] == [e.tag for e in ET.fromstring(text).iter()]
@@ -221,8 +221,8 @@ def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, t
     assert list(corpus.starts) == sorted(set(corpus.starts)) and corpus.starts[-1] == len(corpus.paths)
     expected: list[tuple[int, int]] = []  # each document's coherent elements in turn, found alone
     every_match: set[int] = set()
-    for tree, text in zip(corpus.trees(), texts.values()):
-        alone = parse_document(text, tree.doc)
+    for number, (tree, text) in enumerate(zip(corpus.trees(), texts.values())):
+        alone = support.corpus_from_strings({tree.doc: text}).tree(0)
         offset = tree.start
         assert len(tree.nodes) == len(alone.nodes)
         assert corpus.parents[tree.start] == -1 and corpus.ends[tree.start] == tree.end
@@ -241,6 +241,6 @@ def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs, t
             combined |= set(matches)
         if combined:
             cres = support.brute_force_cres(list(regions), support.paths_of(tree, sorted(combined)))
-            expected += sorted((tree.find(path), below) for path, below in cres.items())
+            expected += sorted((corpus.find(number, path), below) for path, below in cres.items())
         every_match |= combined
     assert identify_cres(corpus, sorted(every_match)) == expected

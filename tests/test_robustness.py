@@ -18,7 +18,6 @@ from xmlir import (
     load_assessments,
     match_elements,
     parse_assessment_file,
-    parse_document,
     parse_topics,
     read_run_file,
     write_run_file,
@@ -80,13 +79,13 @@ def test_namespaced_corpus_runs_and_evaluates(namespaced_workspace, capsys, metr
 
 
 def test_namespaced_paths_round_trip():
-    tree = parse_document(NAMESPACED_XML, "d")
+    tree = support.corpus_from_strings({"d": NAMESPACED_XML}).tree(0)
     paths = tree.corpus.paths
     assert str(paths[1]) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
     for node in tree.nodes:
         text = str(paths[node])
         assert ElementPath.from_string(text) == paths[node]
-        assert tree.find(ElementPath.from_string(text)) == node
+        assert tree.corpus.find(0, ElementPath.from_string(text)) == node
 
 
 @pytest.mark.parametrize(
@@ -322,7 +321,7 @@ def test_hostile_documents_ingest_or_skip_cleanly(tmp_path, capsys, monkeypatch)
 
 
 def test_empty_elements_have_size_zero_and_never_match():
-    tree = parse_document("<article><sec/><p></p><sec> </sec><p>alpha</p></article>", "d")
+    tree = support.corpus_from_strings({"d": "<article><sec/><p></p><sec> </sec><p>alpha</p></article>"}).tree(0)
     sizes = {str(path): size for (_, path), size in support.element_sizes(tree.corpus).items()}
     assert sizes == {
         "/article[1]": 1,
