@@ -10,7 +10,6 @@ from .assessments import (
 )
 from .corpus import (
     Corpus,
-    DocumentTree,
     ingest_corpus,
     tokenize,
 )
@@ -26,7 +25,7 @@ from .evaluation import (
     mean_average_precision,
     quantize,
 )
-from .matcher import match_elements
+from .matcher import collection_match
 from .paths import ElementPath
 from .pipeline import (
     RunEntry,

@@ -11,8 +11,7 @@ ascending ``array('i')`` of the nodes holding it directly, one entry per
 occurrence: a document's run of it is the ``bisect`` slice within the
 document's range, whose length is the term's frequency there, and a node
 list in this order is in document order across the whole corpus.
-``Corpus.find`` resolves a (document, path) pair to its node, and
-``DocumentTree`` is a view of one document. Terms and tags
+``Corpus.find`` resolves a (document, path) pair to its node. Terms and tags
 are interned. Terms are the maximal runs of ASCII letters and digits in the
 lowercased text; attributes and markup never contribute terms.
 """
@@ -181,8 +180,8 @@ def _named_entity(exc: ET.ParseError, source: str | bytes) -> ET.ParseError:
 
 @dataclass(eq=False, slots=True)
 class DocumentTree:
-    """One document of a corpus, as ``Corpus.tree`` returns it: its ``doc``,
-    its node range ``[start, end)`` as ``nodes``, and its ``root``."""
+    """One document of a corpus, as ``Corpus.tree`` returns it; kept only for ``perfbench``
+    and read by the pin test ``test_node_record_holds_only_path_and_size``."""
 
     corpus: Corpus
     doc: str

@@ -47,7 +47,8 @@ def collection_match(corpus: Corpus, terms: Iterable[str], mode: str) -> list[in
 
 
 def match_elements(tree: DocumentTree, terms: Iterable[str], mode: str) -> list[int]:
-    """``collection_match`` within one document: its ascending node numbers."""
+    """``collection_match`` within one document; kept only for ``perfbench``'s tracer
+    and read by the pin test ``test_collection_match_equals_brute_force_per_document``."""
     return _match(tree.corpus, terms, mode, tree.start, tree.end)
 
 

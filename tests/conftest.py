@@ -134,4 +134,4 @@ def sample_corpus() -> Corpus:
 @pytest.fixture
 def sample_or_matches(sample_corpus, sample_or_paths) -> list[int]:
     """Node numbers of ``SAMPLE_OR_PATHS`` in the sample corpus, ascending."""
-    return support.indices_of(sample_corpus.tree(0), sample_or_paths)
+    return support.indices_of(sample_corpus, 0, sample_or_paths)

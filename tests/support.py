@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from xmlir import (
     AssessmentSet,
     Corpus,
-    DocumentTree,
     ElementPath,
     build_size_map,
     inex_eval_ng,
@@ -69,40 +68,39 @@ def subtree_tokens(own: dict[ElementPath, tuple[str, ...]], path: ElementPath) -
     return [t for p, tokens in own.items() if p == path or is_ancestor_of(path, p) for t in tokens]
 
 
+def nodes_of(corpus: Corpus, number: int) -> range:
+    """Document ``number``'s node numbers, in pre-order."""
+    return range(corpus.starts[number], corpus.starts[number + 1])
+
+
 def element_sizes(corpus: Corpus) -> dict[tuple[str, ElementPath], int]:
     """Every node's subtree size keyed by (document, path), in document and pre-order."""
-    return {(tree.doc, corpus.paths[i]): corpus.sizes[i] for tree in corpus.trees() for i in tree.nodes}
+    return {(doc, corpus.paths[i]): corpus.sizes[i] for d, doc in enumerate(corpus.docs) for i in nodes_of(corpus, d)}
 
 
-def all_paths(tree: DocumentTree) -> list[ElementPath]:
-    """The document's node paths in pre-order."""
-    return tree.corpus.paths[tree.start : tree.end]
+def all_paths(corpus: Corpus, number: int) -> list[ElementPath]:
+    """Document ``number``'s node paths in pre-order."""
+    return corpus.paths[corpus.starts[number] : corpus.starts[number + 1]]
 
 
-def subtree(tree: DocumentTree, path: ElementPath) -> list[int]:
-    """The nodes at or below ``path``, found by path prefix."""
-    paths = tree.corpus.paths
-    return [i for i in tree.nodes if paths[i] == path or is_ancestor_of(path, paths[i])]
+def subtree(corpus: Corpus, number: int, path: ElementPath) -> list[int]:
+    """The nodes of document ``number`` at or below ``path``, found by path prefix."""
+    paths = corpus.paths
+    return [i for i in nodes_of(corpus, number) if paths[i] == path or is_ancestor_of(path, paths[i])]
 
 
-def paths_of(tree: DocumentTree, indices) -> list[ElementPath]:
-    """The paths of the given node numbers, in the order given."""
-    return [tree.corpus.paths[i] for i in indices]
-
-
-def indices_of(tree: DocumentTree, paths) -> list[int]:
-    """The ascending node numbers of the nodes at the given paths."""
-    position = {tree.corpus.paths[i]: i for i in tree.nodes}
+def indices_of(corpus: Corpus, number: int, paths) -> list[int]:
+    """The ascending node numbers of document ``number``'s nodes at the given paths."""
+    position = {corpus.paths[i]: i for i in nodes_of(corpus, number)}
     return sorted(position[path] for path in paths)
 
 
-def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
-    """The one document of a corpus holding an XML rendering of a
-    ``random_tree_paths`` tree.
+def tree_of(paths: list[ElementPath], doc: str = "d") -> Corpus:
+    """A corpus of one document, an XML rendering of a ``random_tree_paths`` tree.
 
     Children are written in the order their paths appear, which is the
     order ``random_tree_paths`` numbered same-tag siblings in, so the parsed
-    tree has exactly the given paths.
+    document has exactly the given paths.
     """
     children: dict[ElementPath, list[ElementPath]] = {path: [] for path in paths}
     for path in paths[1:]:
@@ -111,9 +109,9 @@ def tree_of(paths: list[ElementPath], doc: str = "d") -> DocumentTree:
     def render(path: ElementPath) -> str:
         return f"<{path.tag}>{''.join(render(child) for child in children[path])}</{path.tag}>"
 
-    tree = corpus_from_strings({doc: render(paths[0])}).tree(0)
-    assert set(all_paths(tree)) == set(paths)
-    return tree
+    corpus = corpus_from_strings({doc: render(paths[0])})
+    assert set(all_paths(corpus, 0)) == set(paths)
+    return corpus
 
 
 def write_corpus(directory, docs: dict[str, str]) -> None:

@@ -106,9 +106,9 @@ def test_c3_coherent_element_oracle_equivalence():
         matching = support.random_antichain(rng, paths)
         if len(matching) == 1:
             singletons += 1
-        tree = support.tree_of(paths)
-        cres = identify_cres(tree.corpus, support.indices_of(tree, matching))
-        got = {tree.corpus.paths[n]: below for n, below in cres}
+        corpus = support.tree_of(paths)
+        cres = identify_cres(corpus, support.indices_of(corpus, 0, matching))
+        got = {corpus.paths[n]: below for n, below in cres}
         expected = support.brute_force_cres(paths, matching)
         assert got == expected, f"mismatch on tree {trees}"
         trees += 1

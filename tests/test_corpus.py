@@ -18,32 +18,31 @@ from xmlir import (
     tokenize,
 )
 from xmlir.cli import main
-from xmlir.corpus import Node
 from xmlir.matcher import AND, OR, collection_match
 
 import support
 
 
-def subtree_terms(tree, i) -> Counter:
+def subtree_terms(corpus, i) -> Counter:
     """Token multiset of node ``i`` and all its descendants, read from the postings."""
-    corpus = tree.corpus
     end = corpus.ends[i]
     return Counter(term for term, hits in corpus.postings.items() for j in hits if i <= j < end)
 
 
-def own_terms(tree, i) -> list[str]:
+def own_terms(corpus, i) -> list[str]:
     """The sorted tokens directly inside node ``i``, read from the postings."""
-    return sorted(term for term, hits in tree.corpus.postings.items() for j in hits if j == i)
+    return sorted(term for term, hits in corpus.postings.items() for j in hits if j == i)
 
 
-def document_postings(tree) -> dict[str, tuple[int, ...]]:
-    """The document's hits per term, as document-relative node numbers: each
-    term's postings cut by ``bisect`` on the document's range."""
+def document_postings(corpus, number) -> dict[str, tuple[int, ...]]:
+    """Document ``number``'s hits per term, as document-relative node numbers:
+    each term's postings cut by ``bisect`` on the document's range."""
+    start, end = corpus.starts[number], corpus.starts[number + 1]
     postings = {}
-    for term, nodes in tree.corpus.postings.items():
-        run = nodes[bisect_left(nodes, tree.start) : bisect_left(nodes, tree.end)]
+    for term, nodes in corpus.postings.items():
+        run = nodes[bisect_left(nodes, start) : bisect_left(nodes, end)]
         if run:
-            postings[term] = tuple(j - tree.start for j in run)
+            postings[term] = tuple(j - start for j in run)
     return postings
 
 
@@ -84,9 +83,8 @@ def test_ingest_single_file(tmp_path):
     (tmp_path / "a" / "x.xml").write_text("<article><bdy><p>hi</p></bdy></article>")
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a/x"]
-    tree = corpus.tree(0)
     node = corpus.find(0, ElementPath.from_string("/article[1]/bdy[1]/p[1]"))
-    assert node is not None and own_terms(tree, node) == ["hi"]
+    assert node is not None and own_terms(corpus, node) == ["hi"]
 
 
 def test_ingest_empty_directory(tmp_path):
@@ -110,53 +108,54 @@ def test_ingest_missing_directory_is_fatal(tmp_path):
 
 
 def test_resolve_root_and_out_of_range():
-    tree = support.corpus_from_strings({"d": "<article><sec><p>a</p></sec><sec><p>b</p></sec></article>"}).tree(0)
-    assert tree.corpus.find(0, ElementPath.from_string("/article[1]")) == tree.start
-    second = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[2]"))
-    assert second is not None and tree.corpus.paths[second].tag == "sec"
-    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[9]")) is None
+    corpus = support.corpus_from_strings({"d": "<article><sec><p>a</p></sec><sec><p>b</p></sec></article>"})
+    assert corpus.find(0, ElementPath.from_string("/article[1]")) == corpus.starts[0]
+    second = corpus.find(0, ElementPath.from_string("/article[1]/sec[2]"))
+    assert second is not None and corpus.paths[second].tag == "sec"
+    assert corpus.find(0, ElementPath.from_string("/article[1]/sec[9]")) is None
 
 
 def test_sibling_indices_count_same_tag_only():
-    tree = support.corpus_from_strings({"d": "<article><fm/><sec><p>x</p></sec><fig/><sec/></article>"}).tree(0)
+    corpus = support.corpus_from_strings({"d": "<article><fm/><sec><p>x</p></sec><fig/><sec/></article>"})
     # the fourth child overall is only the second <sec>
-    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[2]")) is not None
-    assert tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[3]")) is None
+    assert corpus.find(0, ElementPath.from_string("/article[1]/sec[2]")) is not None
+    assert corpus.find(0, ElementPath.from_string("/article[1]/sec[3]")) is None
 
 
 def test_subtree_terms_leaf_and_parent():
-    tree = support.corpus_from_strings({
+    corpus = support.corpus_from_strings({
         "d": "<article><sec><p>Patricia tries</p><p>Patricia tries</p></sec></article>",
-    }).tree(0)
-    leaf = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]/p[1]"))
-    assert subtree_terms(tree, leaf) == {"patricia": 1, "tries": 1}
-    assert tree.corpus.sizes[leaf] == 2
-    parent = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
-    assert subtree_terms(tree, parent) == {"patricia": 2, "tries": 2}
-    assert own_terms(tree, parent) == []
-    assert tree.corpus.sizes[parent] == 4
+    })
+    leaf = corpus.find(0, ElementPath.from_string("/article[1]/sec[1]/p[1]"))
+    assert subtree_terms(corpus, leaf) == {"patricia": 1, "tries": 1}
+    assert corpus.sizes[leaf] == 2
+    parent = corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
+    assert subtree_terms(corpus, parent) == {"patricia": 2, "tries": 2}
+    assert own_terms(corpus, parent) == []
+    assert corpus.sizes[parent] == 4
 
 
 def test_subtree_terms_mixed_content():
-    tree = support.corpus_from_strings({"d": "<article><sec>lead <p>inner</p> tail</sec></article>"}).tree(0)
-    sec = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
-    assert subtree_terms(tree, sec) == {"lead": 1, "inner": 1, "tail": 1}
-    assert tree.corpus.sizes[sec] == 3
-    assert own_terms(tree, sec) == ["lead", "tail"]  # tail text belongs to <sec>
+    corpus = support.corpus_from_strings({"d": "<article><sec>lead <p>inner</p> tail</sec></article>"})
+    sec = corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
+    assert subtree_terms(corpus, sec) == {"lead": 1, "inner": 1, "tail": 1}
+    assert corpus.sizes[sec] == 3
+    assert own_terms(corpus, sec) == ["lead", "tail"]  # tail text belongs to <sec>
 
 
 def test_subtree_terms_unresolvable_path_raises():
-    tree = support.corpus_from_strings({"d": "<article/>"}).tree(0)
-    node = tree.corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
+    corpus = support.corpus_from_strings({"d": "<article/>"})
+    node = corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))
     assert node is None  # no node, so no subtree terms to count
     with pytest.raises(TypeError):
-        subtree_terms(tree, node)
+        subtree_terms(corpus, node)
 
 
 def test_attributes_do_not_contribute_terms():
-    tree = support.corpus_from_strings({"d": '<article kind="draft"><p id="p7">body</p></article>'}).tree(0)
-    assert subtree_terms(tree, tree.start) == {"body": 1}
-    assert tree.root.subtree_size == 1
+    corpus = support.corpus_from_strings({"d": '<article kind="draft"><p id="p7">body</p></article>'})
+    root = corpus.starts[0]
+    assert subtree_terms(corpus, root) == {"body": 1}
+    assert corpus.sizes[root] == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=4))
@@ -165,9 +164,9 @@ def test_path_roundtrip_on_random_trees(seeds):
     node in its own document; a path of another document that this one
     lacks, or one past the last of a node's same-tag siblings, to None."""
     corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
-    for number, tree in enumerate(corpus.trees()):
-        own = support.all_paths(tree)
-        for node in tree.nodes:
+    for number in range(len(corpus)):
+        own = support.all_paths(corpus, number)
+        for node in support.nodes_of(corpus, number):
             path = corpus.paths[node]
             assert corpus.find(number, path) == node
             assert corpus.find(number, ElementPath.from_string(str(path))) == node
@@ -181,18 +180,15 @@ def test_path_roundtrip_on_random_trees(seeds):
 def test_prefix_law_and_size_monotonicity():
     rng = random.Random(7)
     for _ in range(50):
-        tree = support.corpus_from_strings({"d": support.random_xml(rng)}).tree(0)
-        nodes = [Node(tree.corpus.paths[i], tree.corpus.sizes[i]) for i in tree.nodes]
+        corpus = support.corpus_from_strings({"d": support.random_xml(rng)})
+        nodes = list(zip(corpus.paths, corpus.sizes))
         # prefix law, all pairs; size never grows downward
-        for a in nodes:
-            for b in nodes:
-                is_prefix = (
-                    len(a.path.steps) < len(b.path.steps)
-                    and b.path.steps[: len(a.path.steps)] == a.path.steps
-                )
-                assert support.is_ancestor_of(a.path, b.path) == is_prefix
+        for a, a_size in nodes:
+            for b, b_size in nodes:
+                is_prefix = len(a.steps) < len(b.steps) and b.steps[: len(a.steps)] == a.steps
+                assert support.is_ancestor_of(a, b) == is_prefix
                 if is_prefix:
-                    assert a.subtree_size >= b.subtree_size
+                    assert a_size >= b_size
 
 
 def test_reingest_is_deterministic(tmp_path):
@@ -202,11 +198,12 @@ def test_reingest_is_deterministic(tmp_path):
     first = ingest_corpus(tmp_path)
     second = ingest_corpus(tmp_path)
     assert list(first.docs) == list(second.docs)
-    for a, b in zip(first.trees(), second.trees()):
-        assert a.nodes == b.nodes
-        assert [first.paths[i] for i in a.nodes] == [second.paths[i] for i in b.nodes]
-        assert [first.sizes[i] for i in a.nodes] == [second.sizes[i] for i in b.nodes]
-        assert document_postings(a) == document_postings(b)
+    assert first.starts == second.starts
+    for number in range(len(first)):
+        assert support.all_paths(first, number) == support.all_paths(second, number)
+        nodes = support.nodes_of(first, number)
+        assert [first.sizes[i] for i in nodes] == [second.sizes[i] for i in nodes]
+        assert document_postings(first, number) == document_postings(second, number)
     assert first.postings == second.postings
 
 
@@ -247,16 +244,15 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
     (tmp_path / "deep.xml").write_text(text)
     corpus = ingest_corpus(tmp_path)
     assert corpus.diagnostics == []
-    (tree,) = corpus.trees()
-    assert tree.doc == "deep"
-    assert len(tree.nodes) == depth + 1
-    assert tree.root.subtree_size == 2
+    assert corpus.docs == ["deep"]
+    assert list(corpus.starts) == [0, depth + 1]
+    assert corpus.sizes[0] == 2
 
     def sec_path(level):
         return ElementPath((("article", 1),) + (("sec", 1),) * level)
 
     def matches(mode, *terms):
-        return [(tree.doc, corpus.paths[i]) for i in collection_match(corpus, terms, mode)]
+        return [(corpus.docs[0], corpus.paths[i]) for i in collection_match(corpus, terms, mode)]
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]
@@ -290,11 +286,10 @@ def _elementtree_layout(text: str):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_corpus_add_equals_elementtree_rederivation(seed):
     text = support.random_xml(random.Random(seed))
-    tree = support.corpus_from_strings({"d": text}).tree(0)
+    corpus = support.corpus_from_strings({"d": text})
     paths, postings, sizes, ends, parents = _elementtree_layout(text)
-    corpus = tree.corpus
     assert corpus.paths == paths
-    assert document_postings(tree) == postings
+    assert document_postings(corpus, 0) == postings
     assert list(corpus.sizes) == sizes
     assert list(corpus.ends) == ends
     assert list(corpus.parents) == parents
@@ -306,10 +301,10 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
         "b": "<article><fm/><sec>beta shared</sec></article>",
     })
     corpus = ingest_corpus(tmp_path)
-    a, b = corpus.trees()
+    a, b = corpus.starts[:2]  # the two roots
     (term,) = (term for term in corpus.postings if term == "shared")
     # one postings array holds both documents
-    assert len(document_postings(a)[term]) == len(document_postings(b)[term]) == 1
+    assert len(document_postings(corpus, 0)[term]) == len(document_postings(corpus, 1)[term]) == 1
     assert term is sys.intern("shared")
     sec_a = corpus.paths[corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))]
     sec_b = corpus.paths[corpus.find(1, ElementPath.from_string("/article[1]/sec[1]"))]
@@ -317,25 +312,30 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
     assert sec_a is sec_b  # one ElementPath per distinct path per ingest
     assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
     assert sec_a.tag is sec_b.tag is sys.intern("sec")
-    assert a.root.path.steps[0] is b.root.path.steps[0]
-    assert corpus.paths[a.start + 2].steps[1] is sec_a.steps[-1]  # the <p> below shares it too
+    assert corpus.paths[a].steps[0] is corpus.paths[b].steps[0]
+    assert corpus.paths[a + 2].steps[1] is sec_a.steps[-1]  # the <p> below shares it too
 
 
 def test_separately_parsed_documents_share_terms_and_tags():
-    a = support.corpus_from_strings({"a": "<article><sec>shared</sec></article>"}).tree(0)
-    b = support.corpus_from_strings({"b": "<article><sec>x shared</sec></article>"}).tree(0)
-    (term_a,) = a.corpus.postings
-    assert term_a is next(term for term in b.corpus.postings if term == "shared")
-    assert a.corpus.paths[1].tag is b.corpus.paths[1].tag
+    a = support.corpus_from_strings({"a": "<article><sec>shared</sec></article>"})
+    b = support.corpus_from_strings({"b": "<article><sec>x shared</sec></article>"})
+    (term_a,) = a.postings
+    assert term_a is next(term for term in b.postings if term == "shared")
+    assert a.paths[1].tag is b.paths[1].tag
 
 
 def test_node_record_holds_only_path_and_size():
+    """The pin test of the per-document view, which only ``perfbench`` reads."""
+    from xmlir.corpus import DocumentTree, Node
+
     assert Node._fields == ("path", "subtree_size")
-    tree = support.corpus_from_strings({"d": "<article><p>x</p></article>"}).tree(0)
-    assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
-    corpus = tree.corpus
-    for node in tree.nodes:
-        assert not hasattr(corpus.paths[node], "__dict__")
+    corpus = support.corpus_from_strings({"d": "<article><p>x</p></article>", "e": "<article>y z</article>"})
+    for number, tree in enumerate(corpus.trees()):
+        assert isinstance(tree, DocumentTree) and tree.doc == corpus.docs[number] == corpus.tree(number).doc
+        assert tree.nodes == support.nodes_of(corpus, number)
+        assert tree.root == Node(corpus.paths[tree.start], corpus.sizes[tree.start])
+        assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
+    assert not any(hasattr(path, "__dict__") for path in corpus.paths)
     # node facts are flat integer columns, not per-node objects
     assert {column.typecode for column in (corpus.sizes, corpus.ends, corpus.parents, *corpus.postings.values())} == {"i"}
 
@@ -421,7 +421,7 @@ def test_mutated_documents_ingest_or_skip_cleanly(tmp_path, capsys, data):
         assert list(corpus.docs) == ["fuzzed"] and corpus.diagnostics == []
         paths, postings, sizes, ends, parents = _elementtree_layout(data)
         assert corpus.paths == paths
-        assert document_postings(corpus.tree(0)) == postings
+        assert document_postings(corpus, 0) == postings
         assert (list(corpus.sizes), list(corpus.ends), list(corpus.parents)) == (sizes, ends, parents)
     else:
         assert len(corpus.diagnostics) == 1

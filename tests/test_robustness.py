@@ -16,13 +16,12 @@ from xmlir import (
     RunResult,
     Topic,
     load_assessments,
-    match_elements,
     parse_assessment_file,
     parse_topics,
     read_run_file,
     write_run_file,
 )
-from xmlir.matcher import OR
+from xmlir.matcher import OR, collection_match
 from xmlir.cli import main
 
 import support
@@ -79,13 +78,13 @@ def test_namespaced_corpus_runs_and_evaluates(namespaced_workspace, capsys, metr
 
 
 def test_namespaced_paths_round_trip():
-    tree = support.corpus_from_strings({"d": NAMESPACED_XML}).tree(0)
-    paths = tree.corpus.paths
+    corpus = support.corpus_from_strings({"d": NAMESPACED_XML})
+    paths = corpus.paths
     assert str(paths[1]) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
-    for node in tree.nodes:
+    for node in range(len(paths)):
         text = str(paths[node])
         assert ElementPath.from_string(text) == paths[node]
-        assert tree.corpus.find(0, ElementPath.from_string(text)) == node
+        assert corpus.find(0, ElementPath.from_string(text)) == node
 
 
 @pytest.mark.parametrize(
@@ -321,8 +320,8 @@ def test_hostile_documents_ingest_or_skip_cleanly(tmp_path, capsys, monkeypatch)
 
 
 def test_empty_elements_have_size_zero_and_never_match():
-    tree = support.corpus_from_strings({"d": "<article><sec/><p></p><sec> </sec><p>alpha</p></article>"}).tree(0)
-    sizes = {str(path): size for (_, path), size in support.element_sizes(tree.corpus).items()}
+    corpus = support.corpus_from_strings({"d": "<article><sec/><p></p><sec> </sec><p>alpha</p></article>"})
+    sizes = {str(path): size for (_, path), size in support.element_sizes(corpus).items()}
     assert sizes == {
         "/article[1]": 1,
         "/article[1]/sec[1]": 0,
@@ -331,7 +330,7 @@ def test_empty_elements_have_size_zero_and_never_match():
         "/article[1]/p[2]": 1,
     }
     for terms in ({"alpha"}, {"alpha", "absent"}):
-        assert [str(path) for path in support.paths_of(tree, match_elements(tree, terms, OR))] == ["/article[1]/p[2]"]
+        assert [str(corpus.paths[i]) for i in collection_match(corpus, terms, OR)] == ["/article[1]/p[2]"]
 
 
 DUPLICATE_TOPICS = """\
