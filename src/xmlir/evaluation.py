@@ -144,8 +144,8 @@ def build_size_map(
     """Each needed (doc, path) pair's corpus node, whose size is ``corpus.sizes[node]``.
 
     Pairs that do not resolve against the corpus map to None, with one
-    diagnostic each in (doc, path) order; evaluation proceeds regardless,
-    counting them as size 0.
+    diagnostic each, sorted by doc and then by path steps (``sec[9]`` before
+    ``sec[10]``); evaluation proceeds regardless, counting them as size 0.
     """
     numbers = dict(zip(corpus.docs, range(len(corpus))))
     nodes: dict[tuple[str, ElementPath], int | None] = {}

@@ -7,6 +7,7 @@ independent of the implementation paths they verify.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -68,6 +69,27 @@ def subtree_tokens(own: dict[ElementPath, tuple[str, ...]], path: ElementPath) -
     return [t for p, tokens in own.items() if p == path or is_ancestor_of(path, p) for t in tokens]
 
 
+def elementtree_layout(text: str | bytes):
+    """One document's paths, postings, subtree sizes, ends and parents,
+    re-derived with ElementTree as document-relative node numbers: pre-order
+    is ``iter()`` order, as in ``own_tokens``, and a root's parent is -1."""
+    own = own_tokens(text)
+    elements = list(ET.fromstring(text).iter())
+    position = {id(elem): i for i, elem in enumerate(elements)}
+    counts = [len(tokens) for tokens in own.values()]
+    parents = [-1] * len(elements)
+    for elem in elements:
+        for child in elem:
+            parents[position[id(child)]] = position[id(elem)]
+    ends = [position[id(elem)] + len(list(elem.iter())) for elem in elements]
+    sizes = [sum(counts[position[id(below)]] for below in elem.iter()) for elem in elements]
+    postings: dict[str, list[int]] = {}
+    for i, tokens in enumerate(own.values()):
+        for term in tokens:
+            postings.setdefault(term, []).append(i)
+    return list(own), {term: tuple(hits) for term, hits in postings.items()}, sizes, ends, parents
+
+
 def nodes_of(corpus: Corpus, number: int) -> range:
     """Document ``number``'s node numbers, in pre-order."""
     return range(corpus.starts[number], corpus.starts[number + 1])
@@ -81,12 +103,6 @@ def element_sizes(corpus: Corpus) -> dict[tuple[str, ElementPath], int]:
 def all_paths(corpus: Corpus, number: int) -> list[ElementPath]:
     """Document ``number``'s node paths in pre-order."""
     return corpus.paths[corpus.starts[number] : corpus.starts[number + 1]]
-
-
-def subtree(corpus: Corpus, number: int, path: ElementPath) -> list[int]:
-    """The nodes of document ``number`` at or below ``path``, found by path prefix."""
-    paths = corpus.paths
-    return [i for i in nodes_of(corpus, number) if paths[i] == path or is_ancestor_of(path, paths[i])]
 
 
 def indices_of(corpus: Corpus, number: int, paths) -> list[int]:
@@ -196,11 +212,37 @@ def naive_xmldb(docs: dict[str, str], terms: frozenset[str], config) -> list[tup
     return naive_caps(pairs, config)
 
 
-def naive_hybrid(docs: dict[str, str], ranking: list[str], terms: frozenset[str], config) -> list[tuple[str, ElementPath]]:
+def naive_hybrid(
+    docs: dict[str, str], ranking: list[str], terms: frozenset[str], config
+) -> list[tuple[str, ElementPath]]:
     """The capped ``hybrid`` answer list: each ranked article's
     ``naive_article_answers``, articles in ``ranking`` order (identifiers,
     as ``rank_articles`` lists them), then the per-article and global caps."""
-    return naive_caps([pair for doc in ranking for pair in naive_article_answers(doc, docs[doc], terms, config)], config)
+    pairs = [pair for doc in ranking for pair in naive_article_answers(doc, docs[doc], terms, config)]
+    return naive_caps(pairs, config)
+
+
+# ---------------------------------------------------------------------------
+# article-ranking oracle
+
+
+def formula_score(docs: dict[str, list[str]], query: list[str], slope: float) -> dict[str, float]:
+    """Pivoted log tf-idf of every document holding a query term, evaluated
+    directly from each document's tokens, independent of the index."""
+    n = len(docs)
+    avg = sum(len(t) for t in docs.values()) / n
+    out = {}
+    for doc, tokens in docs.items():
+        raw = 0.0
+        for term in query:  # each bag occurrence contributes
+            tf = tokens.count(term)
+            if tf == 0:
+                continue
+            df = sum(1 for t in docs.values() if term in t)
+            raw += math.log(1 + n / df) * (1 + math.log(tf))
+        if raw > 0:
+            out[doc] = raw / ((1 - slope) + slope * len(tokens) / avg)
+    return out
 
 
 # ---------------------------------------------------------------------------

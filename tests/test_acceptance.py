@@ -71,6 +71,7 @@ def test_c1_coherent_element_fixture_exactness(sample_corpus, sample_or_matches)
     paths = sample_corpus.paths
     got = [(paths[n], below[n], paths[n].depth, support.sequence(paths[n])) for n in ranked]
     assert got == expected
+    assert sample_corpus.docs == [SAMPLE_DOC_ID] and all(n < sample_corpus.starts[1] for n in ranked)
     assert elapsed < 0.001, f"took {elapsed * 1e3:.3f} ms"
     print(f"\n[acceptance] 1 PASS coherent-element fixture exact, {elapsed * 1e6:.0f} us")
 
@@ -244,26 +245,14 @@ def test_c7_ranking_properties():
         orders.append([r.doc for r in rank_articles(index, query, RankParams(slope=slope))])
     assert all(order == orders[0] for order in orders)
 
-    import math
-
     tokens = {
         doc: [t for own in support.own_tokens(docs[doc]).values() for t in own]
         for doc in corpus.docs
     }
-    n = len(tokens)
-    avg = sum(len(t) for t in tokens.values()) / n
     for slope in (0.0, 0.55, 1.0):
-        results = rank_articles(index, query, RankParams(slope=slope))
-        for r in results:
-            raw = 0.0
-            for term in query:
-                tf = tokens[r.doc].count(term)
-                if tf == 0:
-                    continue
-                df = sum(1 for t in tokens.values() if term in t)
-                raw += math.log(1 + n / df) * (1 + math.log(tf))
-            oracle = raw / ((1 - slope) + slope * len(tokens[r.doc]) / avg)
-            assert r.score == pytest.approx(oracle, abs=1e-9)
+        oracle = support.formula_score(tokens, query, slope)
+        for r in rank_articles(index, query, RankParams(slope=slope)):
+            assert r.score == pytest.approx(oracle[r.doc], abs=1e-9)
     print("\n[acceptance] 7 PASS slope-invariant ordering x5 and formula oracle at 1e-9")
 
 

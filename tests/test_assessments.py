@@ -13,11 +13,11 @@ from xmlir import (
     load_assessments,
     parse_assessment_file,
 )
-from xmlir.assessments import BROAD, GENERAL, NARROW, NEUTRAL, ORIGINAL, RELEVANCE_CASES, SPECIFIC
+from xmlir.assessments import GENERAL, ORIGINAL, RELEVANCE_CASES, SPECIFIC
 from xmlir.cli import main
 
 import support
-from conftest import EXPECTED_SPECIFIC, SAMPLE_ASSESSMENT_XML, SAMPLE_DOC_ID
+from conftest import SAMPLE_ASSESSMENT_XML, SAMPLE_DOC_ID
 
 
 def P(text):
@@ -98,7 +98,8 @@ def test_load_assessments_skips_malformed(tmp_path):
     }
     for name, (topic_id, e, s, _) in malformed.items():
         (tmp_path / name).write_text(
-            f'<assessments topic_id="{topic_id}"><file file="d"><path E="{e}" S="{s}" path="/a[1]"/></file></assessments>'
+            f'<assessments topic_id="{topic_id}"><file file="d">'
+            f'<path E="{e}" S="{s}" path="/a[1]"/></file></assessments>'
         )
     sets, diagnostics = load_assessments(tmp_path)
     assert [s.topic_id for s in sets] == [117]
@@ -115,15 +116,6 @@ def test_highly_relevant_requires_top_grades_on_both(sample_set):
 
 def test_highly_relevant_empty_set():
     assert derive_view(AssessmentSet(topic_id=1, relevant=frozenset()), ORIGINAL) == set()
-
-
-def test_general_view_is_the_whole_article(sample_set):
-    assert derive_view(sample_set, GENERAL) == {(SAMPLE_DOC_ID, P("/article[1]"))}
-
-
-def test_specific_view_is_the_nine_leaves(sample_set):
-    expected = {(SAMPLE_DOC_ID, P(p)) for p in EXPECTED_SPECIFIC}
-    assert derive_view(sample_set, SPECIFIC) == expected
 
 
 def test_original_view_unchanged(sample_set):
@@ -187,24 +179,6 @@ def test_distribution_matches_brute_tally(tmp_path):
             for _, path in derive_view(aset, case):
                 tally[path.tag] = tally.get(path.tag, 0) + 1
         assert counts[case] == tally
-
-
-def _category_fixture(articles: int, others: int) -> AssessmentSet:
-    relevant = {(f"art{i}", P("/article[1]")) for i in range(articles)}
-    relevant |= {(f"deep{i}", P("/article[1]/bdy[1]/sec[1]")) for i in range(others)}
-    return AssessmentSet(topic_id=9, relevant=frozenset(relevant))
-
-
-def test_categorize_broad_point():
-    assert categorize_topic(derive_view(_category_fixture(20, 5), GENERAL)) == BROAD
-
-
-def test_categorize_neutral_point():
-    assert categorize_topic(derive_view(_category_fixture(4, 4), GENERAL)) == NEUTRAL
-
-
-def test_categorize_narrow_point():
-    assert categorize_topic(derive_view(_category_fixture(2, 7), GENERAL)) == NARROW
 
 
 def test_categorize_empty_topic_raises(tmp_path):

@@ -67,18 +67,6 @@ def test_run_hybrid_cre_respects_per_article_limit(workspace):
     assert per_doc and all(count <= 10 for count in per_doc.values())
 
 
-def test_run_files_identical_across_invocations(workspace):
-    argvs = []
-    for name in ("a.run", "b.run"):
-        argvs.append([
-            "run", "--corpus", str(workspace / "corpus"), "--topics", str(workspace / "topics.xml"),
-            "--system", "xmldb", "--cre", "--n", "10", "--out", str(workspace / name),
-        ])
-    assert main(argvs[0]) == 0
-    assert main(argvs[1]) == 0
-    assert (workspace / "a.run").read_bytes() == (workspace / "b.run").read_bytes()
-
-
 def test_run_names_a_topic_without_keyword_terms_once(workspace, capsys):
     topics = workspace / "topics.xml"
     topics.write_text(
@@ -278,6 +266,23 @@ def _command_argv(workspace, command, out):
     if command == "eval":
         argv.append(str(_write_run(workspace, system="xmldb")))
     return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-results", "0", "max_results must be positive"),
+        ("--max-results", "-3", "max_results must be positive"),
+        ("--slope", "1.5", "slope must lie in [0, 1]: 1.5"),
+        ("--slope", "nan", "slope must lie in [0, 1]: nan"),
+    ],
+    ids=["max-results-0", "max-results-negative", "slope-above-1", "slope-nan"],
+)
+def test_out_of_range_ranking_option_is_a_clean_error(workspace, capsys, option, value, message):
+    out = workspace / "out.run"
+    assert main([*_command_argv(workspace, "run", out), option, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [{"sytem": "xmldb"}, {"max-results": 1}], ids=["misspelt", "flag-spelling"])

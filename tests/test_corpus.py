@@ -3,7 +3,6 @@
 import codecs
 import random
 import sys
-import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
@@ -262,39 +261,6 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
     assert index.postings["alpha"] == [(0, 1)]
 
 
-def _elementtree_layout(text: str):
-    """Paths, postings, subtree sizes, ends and parents re-derived with
-    ElementTree: pre-order is ``iter()`` order, as in ``support.own_tokens``."""
-    own = support.own_tokens(text)
-    elements = list(ET.fromstring(text).iter())
-    position = {id(elem): i for i, elem in enumerate(elements)}
-    counts = [len(tokens) for tokens in own.values()]
-    parents = [-1] * len(elements)
-    for elem in elements:
-        for child in elem:
-            parents[position[id(child)]] = position[id(elem)]
-    ends = [position[id(elem)] + len(list(elem.iter())) for elem in elements]
-    sizes = [sum(counts[position[id(below)]] for below in elem.iter()) for elem in elements]
-    postings: dict[str, list[int]] = {}
-    for i, tokens in enumerate(own.values()):
-        for term in tokens:
-            postings.setdefault(term, []).append(i)
-    return list(own), {term: tuple(hits) for term, hits in postings.items()}, sizes, ends, parents
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_corpus_add_equals_elementtree_rederivation(seed):
-    text = support.random_xml(random.Random(seed))
-    corpus = support.corpus_from_strings({"d": text})
-    paths, postings, sizes, ends, parents = _elementtree_layout(text)
-    assert corpus.paths == paths
-    assert document_postings(corpus, 0) == postings
-    assert list(corpus.sizes) == sizes
-    assert list(corpus.ends) == ends
-    assert list(corpus.parents) == parents
-
-
 def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
     support.write_corpus(tmp_path, {
         "a": "<article><sec><p>shared alpha</p></sec></article>",
@@ -337,7 +303,8 @@ def test_node_record_holds_only_path_and_size():
         assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
     assert not any(hasattr(path, "__dict__") for path in corpus.paths)
     # node facts are flat integer columns, not per-node objects
-    assert {column.typecode for column in (corpus.sizes, corpus.ends, corpus.parents, *corpus.postings.values())} == {"i"}
+    columns = (corpus.sizes, corpus.ends, corpus.parents, *corpus.postings.values())
+    assert {column.typecode for column in columns} == {"i"}
 
 
 def test_ingest_honours_declared_encoding(tmp_path):
@@ -419,7 +386,7 @@ def test_mutated_documents_ingest_or_skip_cleanly(tmp_path, capsys, data):
     corpus = ingest_corpus(corpus_dir)
     if corpus.docs:
         assert list(corpus.docs) == ["fuzzed"] and corpus.diagnostics == []
-        paths, postings, sizes, ends, parents = _elementtree_layout(data)
+        paths, postings, sizes, ends, parents = support.elementtree_layout(data)
         assert corpus.paths == paths
         assert document_postings(corpus, 0) == postings
         assert (list(corpus.sizes), list(corpus.ends), list(corpus.parents)) == (sizes, ends, parents)

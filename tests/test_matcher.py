@@ -111,11 +111,6 @@ def test_antichain_and_lattice_laws():
         assert and_matches == sorted(set(and_matches))
 
 
-def test_root_failing_predicate_means_no_matches():
-    corpus = support.corpus_from_strings({"d": "<article><sec><p>alpha</p></sec></article>"})
-    assert collection_match(corpus, {"alpha", "zeta"}, AND) == []
-
-
 def test_empty_elements_never_match():
     corpus = support.corpus_from_strings({"d": "<article><sec/><p>alpha</p></article>"})
     result = [corpus.paths[i] for i in collection_match(corpus, {"alpha"}, OR)]

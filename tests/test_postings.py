@@ -4,16 +4,16 @@ that read them.
 
 Random corpora cover deep chains, wide fan-outs, empty elements, terms
 repeated within and across nodes, and ``support.random_xml`` documents.
-Everything is checked against a recomputation from path prefixes or the
-brute-force oracle in ``support``. This file holds the one oracle comparison
-of each corpus-wide function: ``collection_match`` against
-``brute_force_matches`` and ``identify_cres`` against ``brute_force_cres``;
-``test_cre.py`` compares ``rank_cres`` with its reference key.
+Each layer is compared with its brute-force oracle once. This file holds
+the comparisons of ingest (the columns against ``support.elementtree_layout``),
+``collection_match`` (``brute_force_matches``) and ``identify_cres``
+(``brute_force_cres``). ``test_cre.py`` compares ``rank_cres`` with its
+reference key, ``test_evaluation.py`` the ng metrics with their token-region
+scorer, and ``test_acceptance.py`` holds criteria C1-C9.
 """
 
 import random
 import re
-import xml.etree.ElementTree as ET
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -165,64 +165,42 @@ def test_identify_cres_on_any_index_subset_equals_brute_force(case):
             assert all(below >= 2 and node not in nodes for node, below in mine)
 
 
-@settings(max_examples=100, deadline=None)
-@given(documents)
-def test_postings_ends_parents_agree_with_walk(text):
-    """Postings, ends, parents and subtree sizes equal a recomputation from
-    path prefixes over the nodes in ElementTree's document order."""
-    corpus = support.corpus_from_strings({"d": text})
-    paths, nodes = corpus.paths, support.nodes_of(corpus, 0)
-    assert [paths[i].tag for i in nodes] == [e.tag for e in ET.fromstring(text).iter()]
-    assert len(corpus.ends) == len(corpus.parents) == len(corpus.sizes) == len(paths) == len(nodes)
-    index_of = {paths[i]: i for i in nodes}
-    own = support.own_tokens(text)
-    assert list(own) == support.all_paths(corpus, 0)
-
+@settings(max_examples=30, deadline=None)
+@given(corpora)
+def test_multi_document_columns_equal_each_document_parsed_alone(texts):
+    """``Corpus.add`` numbers every document's nodes after the documents
+    before it: ``starts`` ascends from 0 to the node count, and each
+    document's paths, subtree sizes, ends and parents and the corpus-wide
+    postings equal the document's ElementTree re-derivation, shifted by its
+    start (a root's parent stays -1)."""
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
+    starts = list(corpus.starts)
+    assert starts == sorted(set(starts)) and starts[0] == 0
+    assert starts[-1] == len(corpus.paths) == len(corpus.sizes) == len(corpus.ends) == len(corpus.parents)
     postings: dict[str, list[int]] = {}
-    for i in nodes:
-        for term in own[paths[i]]:
-            postings.setdefault(term, []).append(i)
-        below = support.subtree(corpus, 0, paths[i])
-        assert below == list(range(i, corpus.ends[i]))
-        assert corpus.sizes[i] == sum(len(own[paths[j]]) for j in below)
-        parent = ElementPath(paths[i].steps[:-1]) if paths[i].depth > 1 else None
-        assert corpus.parents[i] == index_of.get(parent, -1)
+    for number, text in enumerate(texts):
+        start, nodes = starts[number], support.nodes_of(corpus, number)
+        paths, own_postings, sizes, ends, parents = support.elementtree_layout(text)
+        assert support.all_paths(corpus, number) == paths
+        assert [corpus.sizes[i] for i in nodes] == sizes
+        assert [corpus.ends[i] for i in nodes] == [start + end for end in ends]
+        assert [corpus.parents[i] for i in nodes] == [start + parent if parent >= 0 else -1 for parent in parents]
+        for term, hits in own_postings.items():
+            postings.setdefault(term, []).extend(start + j for j in hits)
     assert {term: list(hits) for term, hits in corpus.postings.items()} == postings
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(documents, min_size=1, max_size=4))
+@given(st.lists(documents | random_documents, min_size=1, max_size=4))
 def test_build_index_tf_equals_token_counter(texts):
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
     expected: dict[str, list[tuple[int, int]]] = {}
+    lengths = []
     for number, text in enumerate(texts):
         counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
         for term in sorted(counts):
             expected.setdefault(term, []).append((number, counts[term]))
-    assert build_index(corpus).postings == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 6))
-def test_multi_document_columns_equal_each_document_parsed_alone(seed, n_docs):
-    """In a corpus of several documents, each document's paths, subtree sizes,
-    ends and parents, read from the corpus-wide columns, equal those of that
-    document parsed alone; so the document boundaries (``ends`` and
-    ``parents`` at a document's first and last node) hold. The two oracle
-    tests above check matches and coherent elements across the boundaries."""
-    rng = random.Random(seed)
-    texts = {f"d{i}": support.random_xml(rng) for i in range(n_docs)}
-    corpus = support.corpus_from_strings(texts)
-    assert list(corpus.starts) == sorted(set(corpus.starts)) and corpus.starts[-1] == len(corpus.paths)
-    for number, (doc, text) in enumerate(texts.items()):
-        alone = support.corpus_from_strings({doc: text})
-        start, end = corpus.starts[number], corpus.starts[number + 1]
-        assert end - start == len(alone.paths)
-        assert corpus.parents[start] == -1 and corpus.ends[start] == end
-        assert corpus.ends[end - 1] == end
-        regions = support.token_regions(text)
-        for i in range(start, end):
-            assert corpus.paths[i] == alone.paths[i - start]
-            assert corpus.sizes[i] == len(regions[corpus.paths[i]])
-            assert corpus.ends[i] - start == alone.ends[i - start]
-            assert max(corpus.parents[i] - start, -1) == alone.parents[i - start]
+        lengths.append(counts.total())
+    index = build_index(corpus)
+    assert index.postings == expected
+    assert list(index.doc_lengths) == lengths

@@ -202,7 +202,9 @@ def test_run_file_topic_ids_and_ranks_are_ascii_digits(tmp_path, number):
 
 @pytest.mark.parametrize(
     "score", ["1_0", " 7", "7 ", "٣", "0x1p3", "1.", ".5", "1e5_0"],
-    ids=["underscore", "leading-space", "trailing-space", "arabic-indic", "hex", "bare-point", "no-integer", "exponent"],
+    ids=[
+        "underscore", "leading-space", "trailing-space", "arabic-indic", "hex", "bare-point", "no-integer", "exponent",
+    ],
 )
 def test_run_file_scores_are_ascii_decimals(tmp_path, score):
     run_file = tmp_path / "scores.run"
@@ -431,7 +433,8 @@ def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, d
 
 VALID_TOPICS = (
     "<inex_topics>\n"
-    '<inex_topic topic_id="7" query_type="CO"><title>Patricia Tries</title><keywords>patricia, tries</keywords></inex_topic>\n'
+    '<inex_topic topic_id="7" query_type="CO"><title>Patricia Tries</title>'
+    "<keywords>patricia, tries</keywords></inex_topic>\n"
     '<inex_topic topic_id="8" query_type="CO"><keywords>compact storage</keywords></inex_topic>\n'
     '<inex_topic topic_id="9" query_type="CAS"><keywords>other</keywords></inex_topic>\n'
     "</inex_topics>\n"
