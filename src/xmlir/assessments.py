@@ -16,6 +16,9 @@ Three views of the highly relevant set exist per topic:
 * specific - per document, those with no highly relevant proper descendant.
 
 A document's only highly relevant element belongs to both reduced views.
+Both reduced views come from one scan of the pairs in ``(doc, path.steps)``
+order, where an element's relevant descendants follow it straight away:
+General skips a pair inside the last one kept; Specific puts it in its place.
 """
 
 from __future__ import annotations
@@ -118,16 +121,14 @@ def derive_view(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, El
     relevant = assessment.relevant
     if case == ORIGINAL:
         return relevant
-    if case == GENERAL:  # no proper prefix of its steps is relevant
-        steps = {(doc, path.steps) for doc, path in relevant}
-        return frozenset(
-            (doc, path)
-            for doc, path in relevant
-            if all((doc, path.steps[:k]) not in steps for k in range(1, path.depth))
-        )
-    # specific: no relevant element has its steps as a proper prefix
-    above = {(doc, path.steps[:k]) for doc, path in relevant for k in range(1, path.depth)}
-    return frozenset((doc, path) for doc, path in relevant if (doc, path.steps) not in above)
+    kept: list[tuple[str, ElementPath]] = []
+    for doc, path in sorted(relevant, key=lambda pair: (pair[0], pair[1].steps)):
+        last = kept[-1] if kept else None
+        if last is None or last[0] != doc or path.steps[: last[1].depth] != last[1].steps:
+            kept.append((doc, path))
+        elif case == SPECIFIC:  # the last one kept is this pair's ancestor, so not specific
+            kept[-1] = (doc, path)
+    return frozenset(kept)
 
 
 def composition(general: AbstractSet[tuple[str, ElementPath]]) -> tuple[int, int]:

@@ -1,7 +1,9 @@
 """Assessment parsing, derived views, topic categories and `assess-stats`' tag distributions."""
 
 import random
+import timeit
 import xml.etree.ElementTree as ET
+from functools import partial
 
 import pytest
 
@@ -127,6 +129,22 @@ def test_lone_element_is_both_general_and_specific():
     aset = AssessmentSet(topic_id=1, relevant=frozenset(lone))
     assert derive_view(aset, GENERAL) == lone
     assert derive_view(aset, SPECIFIC) == lone
+
+
+def test_reduced_views_are_linear_in_path_depth():
+    """A relevant path 16,000 steps deep under its relevant 8,000-step prefix.
+    Each reduced view, best of 3, costs at most 5 times the best-of-3 parse of
+    the deep path's text, which also grows linearly with depth; a view that
+    tests every prefix of a path grows with its square."""
+    text = "/article[1]" + "/sec[1]" * 15_999
+    deep = ElementPath.from_string(text)
+    prefix = ElementPath(deep.steps[:8000])
+    aset = AssessmentSet(topic_id=1, relevant=frozenset({("d", deep), ("d", prefix)}))
+    parse = min(timeit.repeat(partial(ElementPath.from_string, text), number=1, repeat=3))
+    for case, expected in ((GENERAL, {("d", prefix)}), (SPECIFIC, {("d", deep)})):
+        assert derive_view(aset, case) == expected
+        view = min(timeit.repeat(partial(derive_view, aset, case), number=1, repeat=3))
+        assert view <= 5 * parse, f"{case}: {view * 1e3:.2f} ms, parse {parse * 1e3:.2f} ms"
 
 
 def test_unknown_case_rejected(sample_set):

@@ -65,11 +65,6 @@ def test_two_siblings_qualify_only_their_parent():
     assert got == {("/article[1]/bdy[1]/sec[1]", 2, 3)}
 
 
-def test_everything_under_one_child_never_qualifies(sample_corpus, sample_or_matches):
-    cres = identify_cres(sample_corpus, sample_or_matches)
-    assert P("/article[1]/bm[1]") not in {sample_corpus.paths[n] for n, _ in cres}
-
-
 def test_path_length_primary_ordering(sample_corpus, sample_or_matches):
     cres = identify_cres(sample_corpus, sample_or_matches)
     below, paths = dict(cres), sample_corpus.paths

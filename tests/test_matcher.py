@@ -36,11 +36,6 @@ def test_and_terms_spread_across_siblings():
     assert result == support.brute_force_matches(text, frozenset({"alpha", "beta"}), AND)
 
 
-def test_or_absent_term_yields_empty():
-    corpus = support.corpus_from_strings({"d": "<article><p>something else</p></article>"})
-    assert collection_match(corpus, {"missing"}, OR) == []
-
-
 def test_and_unsatisfiable_yields_empty():
     corpus = support.corpus_from_strings({"d": "<article><p>alpha</p></article>"})
     assert collection_match(corpus, {"alpha", "beta"}, AND) == []

@@ -16,7 +16,7 @@ import random
 import re
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xmlir import ElementPath, build_index, identify_cres
 from xmlir.matcher import AND, OR, collection_match
@@ -83,6 +83,7 @@ corpora = st.lists(st.builds(_variant, documents | random_documents, variants), 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora, query_terms)
+@example(["<article><p>something else</p></article>"], {"absent"})  # OR with only absent terms
 def test_collection_match_equals_brute_force_per_document(texts, terms):
     """One pass over the whole corpus finds each document's most specific
     matches, in document order: the brute-force matches of each document's
