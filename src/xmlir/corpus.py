@@ -6,11 +6,12 @@ paths, breaks ties everywhere downstream. Nodes are numbered in pre-order
 across the corpus: document ``d`` is the range ``[starts[d], starts[d +
 1])`` and node ``i``'s subtree is ``[i, ends[i])``. Node facts are columns:
 ``paths`` (one ``ElementPath`` per distinct path), ``sizes`` (subtree token
-counts), ``ends`` and ``parents`` (-1 for a root). Each term has one
-ascending ``array('i')`` of the nodes holding it directly, one entry per
-occurrence: a document's run of it is the ``bisect`` slice within the
-document's range, whose length is the term's frequency there, and a node
-list in this order is in document order across the whole corpus.
+counts), ``ends``, ``parents`` (-1 for a root) and ``doc_of`` (the node's
+document number). Each term has one ascending ``array('i')`` of the nodes
+holding it directly, one entry per occurrence: a document's run of it is the
+``bisect`` slice within the document's range, whose length is the term's
+frequency there, and a node list in this order is in document order across
+the whole corpus.
 ``Corpus.find`` resolves a (document, path) pair to its node. Terms and tags
 are interned. Terms are the maximal runs of ASCII letters and digits in the
 lowercased text; attributes and markup never contribute terms.
@@ -25,6 +26,7 @@ import sys
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -73,6 +75,7 @@ class Corpus:
     sizes: array = field(default_factory=lambda: array("i"))
     ends: array = field(default_factory=lambda: array("i"))  # ends[i]: just past node i's subtree
     parents: array = field(default_factory=lambda: array("i"))
+    doc_of: array = field(default_factory=lambda: array("i"))  # node -> document number
     postings: dict[str, array] = field(default_factory=dict)  # term -> ascending node numbers
     diagnostics: list[str] = field(default_factory=list)
     _shared: dict[tuple[PathStep, ...], ElementPath] = field(default_factory=dict, repr=False)
@@ -145,6 +148,7 @@ class Corpus:
             sizes[parent] += sizes[i]
             if ends[i] > ends[parent]:
                 ends[parent] = ends[i]
+        self.doc_of.extend(repeat(len(self.docs), end - start))
         self.docs.append(doc)
         self.starts.append(end)
 

@@ -38,7 +38,7 @@ elements in that order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -94,10 +94,10 @@ def rank_cres(
         return path_sign * len(path.steps), tuple(sequence_sign * index for _, index in path.steps), path.steps
 
     places = None if order is None else {number: place for place, number in enumerate(order)}
-    starts, paths = corpus.starts, corpus.paths
+    doc_of, paths = corpus.doc_of, corpus.paths
     keyed = []
     for node, below in cres:
-        number = bisect_right(starts, node) - 1
+        number = doc_of[node]
         place = number if places is None else places.get(number)
         if place is not None:
             length, sequence, steps = shape(paths[node])

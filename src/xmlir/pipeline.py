@@ -40,10 +40,10 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ET
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -170,18 +170,21 @@ def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | Non
         if or_matches is None:
             or_matches, and_set = collection_match(corpus, terms, OR), set(and_matches)
         or_share = or_matches[bisect_left(or_matches, start) : bisect_left(or_matches, end)]
-        yield from (i for i in or_share if i not in and_set)
+        yield from filterfalse(and_set.__contains__, or_share)
 
 
 def _capped_entries(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> tuple[RunEntry, ...]:
-    """Apply the per-article and global caps, building entries for the nodes kept."""
-    docs, starts, paths, n = corpus.docs, corpus.starts, corpus.paths, config.n_per_article
-    numbered = ((bisect_right(starts, i) - 1, i) for i in nodes)
+    """Apply the per-article and global caps, building entries for the nodes
+    kept; a kept node's document is its ``doc_of`` entry. ``tuple.__new__``
+    builds each entry as ``RunEntry._make`` does, without a Python frame."""
+    doc_of, n = corpus.doc_of, config.n_per_article
     if n is not None:
         taken = defaultdict(count)  # document number -> answers of it seen so far
-        numbered = ((d, i) for d, i in numbered if next(taken[d]) < n)
-    kept = islice(numbered, config.max_results)
-    return tuple(RunEntry(rank, docs[d], paths[i], None) for rank, (d, i) in enumerate(kept, 1))
+        nodes = (i for i in nodes if next(taken[doc_of[i]]) < n)
+    kept = list(islice(nodes, config.max_results))
+    docs = map(corpus.docs.__getitem__, map(doc_of.__getitem__, kept))
+    fields = zip(count(1), docs, map(corpus.paths.__getitem__, kept), repeat(None))
+    return tuple(map(tuple.__new__, repeat(RunEntry), fields))
 
 
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:

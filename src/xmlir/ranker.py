@@ -16,7 +16,6 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import pairwise, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
@@ -49,14 +48,12 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    """Count each term's node postings per document; equal ``(document number,
-    tf)`` pairs are one tuple, shared across terms."""
+    """Count each term's node postings per document, reading each node's
+    document number from ``corpus.doc_of``; equal ``(document number, tf)``
+    pairs are one tuple, shared across terms."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    starts = corpus.starts
-    doc_of = array("i")  # node -> document number
-    for number, (start, end) in enumerate(pairwise(starts)):
-        doc_of.extend(repeat(number, end - start))
+    starts, doc_of = corpus.starts, corpus.doc_of
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     postings = {
         term: [shared.setdefault(pair, pair) for pair in Counter(map(doc_of.__getitem__, nodes)).items()]

@@ -93,12 +93,16 @@ def test_ingest_empty_directory(tmp_path):
 
 
 def test_ingest_skips_malformed_file(tmp_path):
-    (tmp_path / "good.xml").write_text("<article><p>ok</p></article>")
-    (tmp_path / "bad.xml").write_text("<article><p>broken</article>")
+    (tmp_path / "a.xml").write_text("<article><p>ok</p></article>")
+    (tmp_path / "b.xml").write_text("<article><p>broken</article>")
+    (tmp_path / "c.xml").write_text("<article><sec><p>ok</p></sec></article>")
     corpus = ingest_corpus(tmp_path)
-    assert list(corpus.docs) == ["good"]
+    assert list(corpus.docs) == ["a", "c"]
     assert len(corpus.diagnostics) == 1
-    assert "bad.xml" in corpus.diagnostics[0]
+    assert "b.xml" in corpus.diagnostics[0]
+    # the kept documents are numbered 0 and 1, not by their files' places 0 and 2
+    assert list(corpus.starts) == [0, 2, 5]
+    assert list(corpus.doc_of) == [0, 0, 1, 1, 1]
 
 
 def test_ingest_missing_directory_is_fatal(tmp_path):

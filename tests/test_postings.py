@@ -170,17 +170,19 @@ def test_identify_cres_on_any_index_subset_equals_brute_force(case):
 @given(corpora)
 def test_multi_document_columns_equal_each_document_parsed_alone(texts):
     """``Corpus.add`` numbers every document's nodes after the documents
-    before it: ``starts`` ascends from 0 to the node count, and each
-    document's paths, subtree sizes, ends and parents and the corpus-wide
-    postings equal the document's ElementTree re-derivation, shifted by its
-    start (a root's parent stays -1)."""
+    before it: ``starts`` ascends from 0 to the node count, every node's
+    ``doc_of`` is its document's number, and each document's paths, subtree
+    sizes, ends and parents and the corpus-wide postings equal the document's
+    ElementTree re-derivation, shifted by its start (a root's parent stays -1)."""
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
     starts = list(corpus.starts)
     assert starts == sorted(set(starts)) and starts[0] == 0
-    assert starts[-1] == len(corpus.paths) == len(corpus.sizes) == len(corpus.ends) == len(corpus.parents)
+    columns = (corpus.paths, corpus.sizes, corpus.ends, corpus.parents, corpus.doc_of)
+    assert {len(column) for column in columns} == {starts[-1]}
     postings: dict[str, list[int]] = {}
     for number, text in enumerate(texts):
         start, nodes = starts[number], support.nodes_of(corpus, number)
+        assert [corpus.doc_of[i] for i in nodes] == [number] * len(nodes)
         paths, own_postings, sizes, ends, parents = support.elementtree_layout(text)
         assert support.all_paths(corpus, number) == paths
         assert [corpus.sizes[i] for i in nodes] == sizes
