@@ -29,6 +29,7 @@ from .matcher import collection_match
 from .paths import ElementPath
 from .pipeline import (
     RunEntry,
+    RunRecord,
     RunResult,
     SystemConfig,
     Topic,

@@ -164,7 +164,7 @@ def _judge(sets: list[assess.AssessmentSet], warn: Warn) -> dict[int, Judgment |
 
 
 def _score_runs(
-    runs: list[pipeline.RunResult],
+    runs: list[pipeline.RunResult] | list[pipeline.RunRecord],
     judged: dict[int, Judgment | None],
     case: str,
     category: str,
@@ -174,7 +174,9 @@ def _score_runs(
 ) -> dict[int, float]:
     """Average precision per run whose topic is judged and in ``category``;
     every other run is skipped, with its reason unless ``_judge`` has named
-    its topic excluded."""
+    its topic excluded. The size-aware metrics score an executed run's nodes
+    as they are and a run read from a file by the nodes its pairs resolve
+    to; strict scoring compares (doc, path) pairs."""
     relevant: dict[int, frozenset[tuple[str, ElementPath]]] = {}
     left_out: dict[int, str] = {}
     for run in runs:
@@ -188,8 +190,11 @@ def _score_runs(
                 left_out[run.topic_id] = f"{topic_category}, not {category}"
     nodes: dict[tuple[str, ElementPath], int | None] = {}
     if metric != evaluation.METRIC_STRICT:
-        needed = {(e.doc, e.path) for run in runs if run.topic_id in relevant for e in run.entries}
-        nodes, diagnostics = evaluation.build_size_map(corpus, needed.union(*relevant.values()))
+        needed = set().union(*relevant.values())
+        for run in runs:
+            if run.topic_id in relevant and not isinstance(run, pipeline.RunResult):
+                needed.update((e.doc, e.path) for e in run.entries)
+        nodes, diagnostics = evaluation.build_size_map(corpus, needed)
         for line in diagnostics:
             warn(f"sizes: {line}")
     per_topic: dict[int, float] = {}
@@ -198,14 +203,16 @@ def _score_runs(
             if run.topic_id in left_out:
                 warn(f"topic {run.topic_id}: {left_out[run.topic_id]}; skipped")
             continue
-        entries = [(e.doc, e.path) for e in run.entries]
         try:
             if metric == evaluation.METRIC_STRICT:
+                entries = [(e.doc, e.path) for e in run.entries]
                 per_topic[run.topic_id] = evaluation.inex_eval_strict(entries, relevant[run.topic_id])
             else:
                 mode = "s" if metric == evaluation.METRIC_NG_SIZE else "o"
                 found = {nodes[pair] for pair in relevant[run.topic_id]} - {None}
-                per_topic[run.topic_id] = evaluation.inex_eval_ng([nodes[e] for e in entries], found, corpus, mode)
+                read = not isinstance(run, pipeline.RunResult)
+                answers = [nodes[e.doc, e.path] for e in run.entries] if read else run.nodes
+                per_topic[run.topic_id] = evaluation.inex_eval_ng(answers, found, corpus, mode)
         except ValueError as exc:
             warn(f"topic {run.topic_id}: skipped ({exc})")
     return per_topic

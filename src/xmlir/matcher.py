@@ -19,12 +19,19 @@ slice of the corpus's on its range, which is what ``match_elements`` returns.
 * OR: the satisfying nodes with no satisfying descendant are the
   term-bearing nodes with no term-bearing descendant, so the sorted union of
   the postings is tested directly.
-* AND: a corpus lacking any query term has no match. Otherwise each term's
-  nodes are closed upwards through ``parents`` (stopping at nodes already
-  marked for that term, or past a root); the nodes marked by every term are
-  exactly those whose subtree holds all terms, and the same ``ends`` test
-  picks the smallest of them (the smallest lowest common ancestors of Xu &
-  Papakonstantinou, SIGMOD 2005).
+* AND: a corpus lacking any query term has no match. Otherwise only the
+  shortest postings list is closed upwards through ``parents`` (stopping at
+  nodes already marked, or past a root): the marked nodes are those whose
+  subtree holds that term. Each other term's nodes then walk up only to
+  their lowest marked ancestor-or-self, which is kept, and a walk stops
+  early at a node an earlier walk of that term passed. Every kept node holds
+  both terms, and every smallest node holding both is kept, since no marked
+  node lies between it and the term's node below it; so the same ``ends``
+  test picks the smallest lowest common ancestors (Xu & Papakonstantinou,
+  SIGMOD 2005). With a third term or more, the kept nodes are closed again,
+  which marks exactly the nodes holding every term so far, before the next
+  term walks. A one-term query tests its postings as they are: a node listed
+  once per occurrence fails the ``ends`` test on all but its last copy.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ def collection_match(corpus: Corpus, terms: Iterable[str], mode: str) -> list[in
     if mode == OR:
         hits = set().union(*found)
     elif all(found):
-        hits = set.intersection(*[_ancestor_closure(nodes, corpus.parents) for nodes in found])
+        hits, *others = sorted(found, key=len)
+        for nodes in others:
+            hits = _lowest_marked(nodes, _ancestor_closure(hits, corpus.parents), corpus.parents)
     else:
         return []
     satisfied = sorted(hits)
@@ -65,7 +74,7 @@ def match_elements(tree: DocumentTree, terms: Iterable[str], mode: str) -> list[
     return matches[bisect_left(matches, tree.start) : bisect_left(matches, tree.end)]
 
 
-def _ancestor_closure(nodes: Sequence[int], parents: Sequence[int]) -> set[int]:
+def _ancestor_closure(nodes: Iterable[int], parents: Sequence[int]) -> set[int]:
     """The given nodes and all their ancestors, stopping at nodes already marked."""
     marked: set[int] = set()
     mark = marked.add
@@ -74,3 +83,18 @@ def _ancestor_closure(nodes: Sequence[int], parents: Sequence[int]) -> set[int]:
             mark(i)
             i = parents[i]
     return marked
+
+
+def _lowest_marked(nodes: Sequence[int], marked: set[int], parents: Sequence[int]) -> set[int]:
+    """Each node's lowest ancestor-or-self in ``marked``, where it has one. A
+    walk stops at a node an earlier walk passed, whose own walk went on to the
+    same ancestor."""
+    lowest: set[int] = set()
+    passed: set[int] = set()
+    for i in nodes:
+        while i >= 0 and i not in marked and i not in passed:
+            passed.add(i)
+            i = parents[i]
+        if i in marked:
+            lowest.add(i)
+    return lowest

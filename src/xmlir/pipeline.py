@@ -18,12 +18,13 @@ Each element system matches a topic once over the whole corpus in each mode
 (``collection_match``); ``hybrid`` cuts an article's share of those lists by
 ``bisect`` on its node range. With coherent elements, one ``identify_cres``
 pass over both lists finds every article's, and one ``rank_cres`` sort on
-(article place, combination key, path) orders them. Answers stay node
-numbers until capped.
+(article place, combination key, path) orders them.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
-configured.
+configured. A run is its capped node numbers (``RunResult.nodes``, plus the
+``fulltext`` scores): its ``RunEntry`` records of rank, document, path and
+score are built only when first read, as writing a run file does.
 
 Topics arrive in the ``<inex_topic>`` XML format (title, description,
 narrative and a comma-separated keywords field); only the keywords are
@@ -33,6 +34,8 @@ the AND and the OR element query.
 
 Run files are tab-separated, one entry per line:
 ``topic_id  rank  doc_id  element_path  score_or_dash  system_tag``.
+A file names (document, path) pairs, not nodes, so ``read_run_file``
+returns ``RunRecord`` records of the entries it read.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
-from itertools import count, filterfalse, islice, repeat
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, count, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -60,6 +64,9 @@ SYSTEMS = (FULLTEXT, XMLDB, HYBRID)
 # a run file's score: ASCII digits with an optional sign, fraction and exponent
 # (``float`` alone would also read ``1_0``, `` 7`` and Arabic-Indic digits)
 _DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+_SCORE = re.compile(rf"-|{_DECIMAL.pattern}")  # a score field: a dash or a decimal
+_RANK = re.compile(r"0*[1-9][0-9]*")  # a rank field: ASCII digits, at least 1
+_LINE = "{}\t{}\t{}\t{}\t{}\t{}\n"
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,33 @@ class RunEntry(NamedTuple):  # a tuple: a capped list makes up to 1500 of them p
 
 @dataclass
 class RunResult:
+    """One executed topic: its capped answers as corpus node numbers, in rank
+    order, and for ``fulltext`` their scores."""
+
     topic_id: int
     system_tag: str
-    entries: tuple[RunEntry, ...] = ()
+    corpus: Corpus = field(repr=False)
+    nodes: list[int]
+    scores: list[float] | None = None
+
+    @cached_property
+    def entries(self) -> tuple[RunEntry, ...]:
+        """The answers as run entries, built on first read and then kept;
+        ``tuple.__new__`` builds each as ``RunEntry._make`` does, without a
+        Python frame."""
+        corpus, nodes = self.corpus, self.nodes
+        docs = map(corpus.docs.__getitem__, map(corpus.doc_of.__getitem__, nodes))
+        scores = repeat(None) if self.scores is None else self.scores
+        fields = zip(count(1), docs, map(corpus.paths.__getitem__, nodes), scores)
+        return tuple(map(tuple.__new__, repeat(RunEntry), fields))
+
+
+class RunRecord(NamedTuple):
+    """One topic's block of a run file, as ``read_run_file`` reads it."""
+
+    topic_id: int
+    system_tag: str
+    entries: tuple[RunEntry, ...]
 
 
 def parse_topics(path: str | Path) -> tuple[list[Topic], list[str]]:
@@ -157,34 +188,32 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
     return tuple(bag)
 
 
-def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None) -> Iterator[int]:
+def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None) -> Iterator[Iterable[int]]:
     """Per article in ``numbers`` order (the whole corpus as one when None),
     its AND matches, then its OR matches not among them: its shares of the
-    corpus-wide lists, cut by ``bisect`` on its node range. The OR pass runs
-    only when the caller pulls past the first article's AND matches."""
+    corpus-wide lists, cut by ``bisect`` on its node range. Each share is
+    yielded whole, so the caller's ``chain`` resumes this frame once per
+    share, not once per answer; the OR pass runs only when the caller pulls
+    past the first article's AND matches."""
     starts = corpus.starts
     ranges = [(0, len(corpus.paths))] if numbers is None else ((starts[d], starts[d + 1]) for d in numbers)
     and_matches, or_matches = collection_match(corpus, terms, AND), None
     for start, end in ranges:
-        yield from and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
+        yield and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
         if or_matches is None:
             or_matches, and_set = collection_match(corpus, terms, OR), set(and_matches)
         or_share = or_matches[bisect_left(or_matches, start) : bisect_left(or_matches, end)]
-        yield from filterfalse(and_set.__contains__, or_share)
+        yield filterfalse(and_set.__contains__, or_share)
 
 
-def _capped_entries(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> tuple[RunEntry, ...]:
-    """Apply the per-article and global caps, building entries for the nodes
-    kept; a kept node's document is its ``doc_of`` entry. ``tuple.__new__``
-    builds each entry as ``RunEntry._make`` does, without a Python frame."""
-    doc_of, n = corpus.doc_of, config.n_per_article
+def _cap(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> list[int]:
+    """The nodes kept by the per-article and the global caps; a node's
+    document is its ``doc_of`` entry."""
+    n = config.n_per_article
     if n is not None:
-        taken = defaultdict(count)  # document number -> answers of it seen so far
+        doc_of, taken = corpus.doc_of, defaultdict(count)  # document number -> answers of it seen so far
         nodes = (i for i in nodes if next(taken[doc_of[i]]) < n)
-    kept = list(islice(nodes, config.max_results))
-    docs = map(corpus.docs.__getitem__, map(doc_of.__getitem__, kept))
-    fields = zip(count(1), docs, map(corpus.paths.__getitem__, kept), repeat(None))
-    return tuple(map(tuple.__new__, repeat(RunEntry), fields))
+    return list(islice(nodes, config.max_results))
 
 
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
@@ -194,7 +223,8 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     and OR. ``xmldb`` walks the AND matches, then the OR matches not among
     them, in document order; its OR pass runs only when the capped AND
     answers leave room. ``hybrid`` does so per ranked article. With coherent
-    elements, one pass finds them all and one sort orders them. Raises
+    elements, one pass finds them all and one sort orders them. The result
+    holds the capped node numbers; no run entry is built here. Raises
     ValueError without an index or for a topic without keyword terms.
     """
     if index is None:
@@ -205,32 +235,57 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     if config.system != XMLDB:
         ranked = rank_articles(index, bag, config)  # at most config.max_results articles
         if config.system == FULLTEXT:
-            paths, starts = corpus.paths, corpus.starts
-            entries = tuple(RunEntry(rank, a.doc, paths[starts[a.number]], a.score) for rank, a in enumerate(ranked, 1))
-            return RunResult(topic.id, config.tag, entries)
+            roots = [corpus.starts[a.number] for a in ranked]
+            return RunResult(topic.id, config.tag, corpus, roots, [a.score for a in ranked])
         numbers = [a.number for a in ranked]
     if config.cre:
         matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
         nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)
     else:
-        nodes = _and_then_or(corpus, terms, numbers)
-    return RunResult(topic.id, config.tag, _capped_entries(corpus, nodes, config))
+        nodes = chain.from_iterable(_and_then_or(corpus, terms, numbers))
+    return RunResult(topic.id, config.tag, corpus, _cap(corpus, nodes, config))
 
 
-def write_run_file(path: str | Path, runs: Iterable[RunResult]) -> None:
-    """Raises ValueError, writing nothing, for a line that ``read_run_file``
-    would not read back, as a tab or line break in a field makes."""
-    lines = []
+def write_run_file(path: str | Path, runs: Iterable[RunResult | RunRecord]) -> None:
+    """Write each run's entries, one line each, in run order.
+
+    Raises ValueError, writing nothing, for a line that ``read_run_file``
+    would not read back, as a tab or line break in a field makes: the first
+    such line is named with ``_parse_run_line``'s reason. Each value is
+    checked once, not each line: a run's topic id, each distinct path
+    (formatted once) and each rank and score are read as that function reads
+    them, and a tab or line break in any field, a document or a tag included,
+    shows as a separator too many in the whole text.
+    """
+    texts: dict[ElementPath, str] = {}  # each distinct path's text
+    lines: list[str] = []
+    readable = True
     for run in runs:
-        for entry in run.entries:
-            score = "-" if entry.score is None else f"{entry.score:.6f}"
-            line = f"{run.topic_id}\t{entry.rank}\t{entry.doc}\t{entry.path}\t{score}\t{run.system_tag}"
+        if not run.entries:
+            continue
+        ranks, docs, paths, scores = zip(*run.entries)
+        ranks = list(map(str, ranks))
+        scores = ["-" if score is None else f"{score:.6f}" for score in scores]
+        new = {element: str(element) for element in set(paths).difference(texts)}
+        texts.update(new)
+        topic = str(run.topic_id)
+        try:
+            whole_number(topic, "topic_id")
+            for text in new.values():
+                ElementPath.from_string(text)
+        except ValueError:
+            readable = False
+        readable = readable and all(map(_RANK.fullmatch, ranks)) and all(map(_SCORE.fullmatch, scores))
+        tag = repeat(run.system_tag)
+        lines += map(_LINE.format, repeat(topic), ranks, docs, map(texts.__getitem__, paths), scores, tag)
+    text = "".join(lines)
+    if not readable or text.count("\t") != 5 * len(lines) or text.count("\n") != len(lines) or "\r" in text:
+        for line in lines:
             try:
-                _parse_run_line(line.replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
+                _parse_run_line(line[:-1].replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
             except ValueError as exc:
-                raise ValueError(f"{path}: cannot write {line!r}: {exc}") from None
-            lines.append(line)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+                raise ValueError(f"{path}: cannot write {line[:-1]!r}: {exc}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
@@ -249,8 +304,8 @@ def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:
     return whole_number(topic_id, "topic_id"), entry, tag
 
 
-def read_run_file(path: str | Path) -> list[RunResult]:
-    """Parse a run file back into per-topic results, preserving order.
+def read_run_file(path: str | Path) -> list[RunRecord]:
+    """Parse a run file back into per-topic records, preserving order.
 
     Lines end at LF, CR or CR LF. Each topic's lines must form one
     contiguous block under one system tag that lists each element once, in
@@ -283,7 +338,4 @@ def read_run_file(path: str | Path) -> list[RunResult]:
         current, previous = topic_id, entry.rank
         grouped.setdefault(topic_id, {})[entry.doc, entry.path] = entry
         tags[topic_id] = tag
-    return [
-        RunResult(topic_id=topic_id, system_tag=tags[topic_id], entries=tuple(entries.values()))
-        for topic_id, entries in grouped.items()
-    ]
+    return [RunRecord(topic_id, tags[topic_id], tuple(entries.values())) for topic_id, entries in grouped.items()]

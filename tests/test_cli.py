@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, exit codes, config handling."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import pytest
 
 import xmlir.assessments
 import xmlir.evaluation
+import xmlir.pipeline
 from xmlir.assessments import RELEVANCE_CASES, derive_view
 from xmlir.cli import _subcommands, build_parser, main
 
 import support
 from conftest import SAMPLE_ARTICLE_XML, SAMPLE_ASSESSMENT_XML, SAMPLE_TOPIC_XML
+from test_golden import GRID_DIGEST, REPORT_STDERR_DIGEST
 
 
 @pytest.fixture
@@ -549,6 +552,81 @@ def test_report_names_each_skipped_topics_category(tmp_path, monkeypatch, capsys
         for topic in range(1, support.N_TOPICS + 1)
     ]
     assert sorted(capsys.readouterr().err.splitlines()) == sorted(expected)
+
+
+# SHA-256 of eval's (stdout, stderr) per metric and category, on a synthetic-workspace hybrid-cre
+# run whose last topic, a narrow one, lists one more pair, in a document the corpus lacks
+EVAL_DIGESTS = {
+    ("inex-eval", "all"): (
+        "18676fdcef09979d75c95a19159a853d4bb3541de49eff90d5c7c7cbbc41ffad",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("inex-eval", "narrow"): (
+        "8f1cfc720fcfe5f3a802bf58d365fe4f9db5afa4656d11009a22c1a74a623ec9",
+        "a223c249955eea6898d5456a57001db047653ca8b529f66c566bba3aa793c511",
+    ),
+    ("ng-s", "all"): (
+        "96859fca2f2553ff63c603d148e5eecbbf8dd2924f7cadba55a2dd3b7bbb7b48",
+        "418f6076a13f4df12038db1558d72838cb471ab4659d4d7eb579c20361fab076",
+    ),
+    ("ng-s", "narrow"): (
+        "052e3b6b3a68bd80535b6b8229a0b0de27ad062540e3fc09d0bf046224d2b7c5",
+        "1092804942d0faa902bc8fa38083bc402abde52bab9dbfa463d3004358018007",
+    ),
+    ("ng-o", "all"): (
+        "1ef2c4c8b153dd4f62ff78fb590c9f372ef1aa4848b72d28ab746a0622270f27",
+        "418f6076a13f4df12038db1558d72838cb471ab4659d4d7eb579c20361fab076",
+    ),
+    ("ng-o", "narrow"): (
+        "01c35a03139e41eb170e1a867d16b7fab2b9a59c37b5a590f16972d0d9c36e16",
+        "1092804942d0faa902bc8fa38083bc402abde52bab9dbfa463d3004358018007",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval-golden")
+    ws = support.build_synthetic_workspace(root)
+    run_file = root / "hybrid-cre.run"
+    argv = ["run", "--system", "hybrid", "--cre", "--corpus", str(ws["corpus"]),
+            "--topics", str(ws["topics"]), "--out", str(run_file)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("XMLIR_CONFIG", raising=False)
+        assert main(argv) == 0
+    topic, rank, *_ = run_file.read_text().splitlines()[-1].split("\t")
+    assert topic == str(support.N_TOPICS)
+    with run_file.open("a", encoding="utf-8") as out:
+        out.write(f"{topic}\t{int(rank) + 1}\tr/t99-0\t/article[1]\t-\thybrid-cre\n")
+    return ws, run_file
+
+
+@pytest.mark.parametrize(("metric", "category"), list(EVAL_DIGESTS))
+def test_eval_output_digests(synthetic_run, monkeypatch, capsys, metric, category):
+    # the "sizes:" line comes before the narrow run's "broad, not narrow" lines
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    ws, run_file = synthetic_run
+    argv = ["eval", str(run_file), "--assessments", str(ws["assessments"]), "--corpus", str(ws["corpus"]),
+            "--category", category, "--metric", metric]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err)) == EVAL_DIGESTS[metric, category]
+
+
+def test_report_scores_executed_runs_on_their_nodes(synthetic_run, monkeypatch, capsys):
+    # ng-o reads no run entry of an executed run, yet gives the golden grid and stderr
+    def unread(run):
+        raise AssertionError(f"topic {run.topic_id}: {run.system_tag} entries read")
+
+    monkeypatch.setattr(xmlir.pipeline.RunResult, "entries", property(unread))
+    monkeypatch.delenv("XMLIR_CONFIG", raising=False)
+    ws, _ = synthetic_run
+    out = ws["corpus"].parent / "nodes-grid.tsv"
+    argv = ["report", "--corpus", str(ws["corpus"]), "--topics", str(ws["topics"]),
+            "--assessments", str(ws["assessments"]), "--metric", "ng-o", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_DIGEST
+    assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == REPORT_STDERR_DIGEST
 
 
 def test_module_entry_point_runs_as_subprocess(workspace):

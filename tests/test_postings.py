@@ -60,8 +60,8 @@ documents = st.builds(
     words,
     st.lists(st.tuples(st.one_of(bushy, chain()), words), max_size=4),
 )
-# epsilon: only random_xml documents hold it
-query_terms = st.sets(st.sampled_from(VOCAB + ["epsilon", "absent"]), min_size=1, max_size=3)
+# epsilon: only random_xml documents hold it; up to five terms, so AND re-closes its kept nodes
+query_terms = st.sets(st.sampled_from(VOCAB + ["epsilon", "absent"]), min_size=1, max_size=5)
 
 
 def _variant(text: str, kind: str) -> str:
@@ -84,6 +84,11 @@ corpora = st.lists(st.builds(_variant, documents | random_documents, variants), 
 @settings(max_examples=100, deadline=None)
 @given(corpora, query_terms)
 @example(["<article><p>something else</p></article>"], {"absent"})  # OR with only absent terms
+# each pair of the three terms shares a section in one document, so whichever two AND takes
+# first, the third term's nodes there lie outside the pair's matches but inside their closure
+@example([f"<article><sec><p>{x}</p><p>{y}</p></sec><p>{z}</p></article>"
+          for x, y, z in (("alpha", "beta", "gamma"), ("alpha", "gamma", "beta"), ("beta", "gamma", "alpha"))],
+         {"alpha", "beta", "gamma"})
 def test_collection_match_equals_brute_force_per_document(texts, terms):
     """One pass over the whole corpus finds each document's most specific
     matches, in document order: the brute-force matches of each document's

@@ -13,7 +13,7 @@ from xmlir import (
     Corpus,
     ElementPath,
     RunEntry,
-    RunResult,
+    RunRecord,
     Topic,
     load_assessments,
     parse_assessment_file,
@@ -125,7 +125,7 @@ def test_document_identifier_with_a_tab_or_line_break_is_skipped(namespaced_work
 
 @pytest.mark.parametrize("uri", ["u&#9;v", "u&#10;v", "u&#13;v"], ids=["tab", "lf", "cr"])
 def test_run_line_that_would_not_read_back_is_a_clean_error(tmp_path, capsys, uri):
-    runs = [RunResult(7, "xmldb", (RunEntry(1, "a\tb", ElementPath.from_string("/article[1]"), None),))]
+    runs = [RunRecord(7, "xmldb", (RunEntry(1, "a\tb", ElementPath.from_string("/article[1]"), None),))]
     with pytest.raises(ValueError, match="cannot write"):
         write_run_file(tmp_path / "direct.run", runs)
     assert not (tmp_path / "direct.run").exists()
@@ -219,7 +219,7 @@ def test_run_file_scores_are_ascii_decimals(tmp_path, score):
 def test_every_written_score_reads_back(tmp_path_factory, score):
     run_file = tmp_path_factory.mktemp("scores") / "written.run"
     entry = RunEntry(rank=1, doc="ns/a", path=ElementPath.from_string(MATCH_PATH), score=score)
-    write_run_file(run_file, [RunResult(topic_id=7, system_tag="fulltext", entries=(entry,))])
+    write_run_file(run_file, [RunRecord(topic_id=7, system_tag="fulltext", entries=(entry,))])
     (loaded,) = read_run_file(run_file)
     assert [e.score for e in loaded.entries] == [float(f"{score:.6f}")]
 
@@ -228,7 +228,32 @@ def test_negative_topic_id_is_not_written(tmp_path):
     run_file = tmp_path / "negative.run"
     entry = RunEntry(rank=1, doc="ns/a", path=ElementPath.from_string(MATCH_PATH), score=None)
     with pytest.raises(ValueError, match=r": cannot write .*: topic_id must be ASCII digits, not '-5'$"):
-        write_run_file(run_file, [RunResult(topic_id=-5, system_tag="xmldb", entries=(entry,))])
+        write_run_file(run_file, [RunRecord(topic_id=-5, system_tag="xmldb", entries=(entry,))])
+    assert not run_file.exists()
+
+
+@pytest.mark.parametrize(("field", "value", "reason"), [
+    ("rank", 0, "rank must be at least 1, not 0"),
+    ("doc", "a\rb", "expected 6 tab-separated fields"),
+    ("score", float("nan"), "score must be finite and written as an ASCII decimal, not 'nan'"),
+    ("system_tag", "x\ny", "expected 6 tab-separated fields"),
+])
+def test_a_value_that_would_not_read_back_names_the_first_line_holding_it(tmp_path, field, value, reason):
+    # values are checked once each, not line by line, but the message still names the first bad line
+    path = ElementPath.from_string(MATCH_PATH)
+    good = RunRecord(7, "fulltext", (RunEntry(1, "ns/a", path, 0.5), RunEntry(2, "ns/b", path, 0.25)))
+    if field == "system_tag":
+        bad, line = good._replace(topic_id=8, system_tag=value), f"8\t1\tns/a\t{MATCH_PATH}\t0.500000\t{value}"
+    else:
+        second = good.entries[1]._replace(**{field: value})
+        bad = good._replace(topic_id=8, entries=(good.entries[0], second))
+        fields = {"rank": "2", "doc": "ns/b", "path": MATCH_PATH, "score": "0.250000"}
+        fields[field] = str(value)
+        line = "\t".join(["8", *fields.values(), "fulltext"])
+    run_file = tmp_path / "bad.run"
+    message = f"{run_file}: cannot write {line!r}: {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_run_file(run_file, [good, bad, bad])
     assert not run_file.exists()
 
 
@@ -420,7 +445,7 @@ def test_mutated_run_files_parse_or_fail_cleanly(namespaced_workspace, capsys, d
         runs = read_run_file(run_file)
     except ValueError:
         runs = None
-    assert runs is None or all(isinstance(run, RunResult) for run in runs)
+    assert runs is None or all(isinstance(run, RunRecord) for run in runs)
     capsys.readouterr()
     argv = ["eval", str(run_file), "--assessments", str(ws / "assessments"), "--corpus", str(ws / "corpus")]
     code = main(argv + ["--metric", metric])
