@@ -4,17 +4,19 @@ A document's identifier is its file's relative path without ``.xml``
 (``ic/1999/w4095``); its number, its place in the sorted order of those
 paths, breaks ties everywhere downstream. Nodes are numbered in pre-order
 across the corpus: document ``d`` is the range ``[starts[d], starts[d +
-1])`` and node ``i``'s subtree is ``[i, ends[i])``. Node facts are columns:
-``paths`` (one ``ElementPath`` per distinct path), ``sizes`` (subtree token
-counts), ``ends``, ``parents`` (-1 for a root) and ``doc_of`` (the node's
-document number). Each term has one ascending ``array('i')`` of the nodes
-holding it directly, one entry per occurrence: a document's run of it is the
-``bisect`` slice within the document's range, whose length is the term's
-frequency there, and a node list in this order is in document order across
-the whole corpus.
-``Corpus.find`` resolves a (document, path) pair to its node. Terms and tags
-are interned. Terms are the maximal runs of ASCII letters and digits in the
-lowercased text; attributes and markup never contribute terms.
+1])`` and node ``i``'s subtree is ``[i, ends[i])``. Node facts are integer
+columns: ``path_ids``, ``sizes`` (subtree token counts), ``ends``,
+``parents`` (-1 for a root) and ``doc_of`` (the node's document number).
+Each distinct path is one ``(parent path id, tag, index)`` row of a table
+private to this module (a DataGuide with sibling indexes, Goldman & Widom,
+VLDB 1997): ``corpus.path(i)`` builds node ``i``'s ``ElementPath`` from it,
+and ``Corpus.find`` resolves a (document, path) pair to its node through it.
+Each term has one ascending ``array('i')`` of the nodes holding it directly,
+one entry per occurrence: a document's run of it is the ``bisect`` slice
+within the document's range, whose length is the term's frequency there,
+and a node list in this order is in document order across the whole corpus.
+Terms and tags are interned. Terms are the maximal runs of ASCII letters and
+digits in the lowercased text; attributes and markup never contribute terms.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .paths import ElementPath, PathStep
+from .paths import ElementPath
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 # the HTML named entities, for documents whose external DTD (not read) declares them
@@ -40,6 +42,7 @@ _REFERENCE = re.compile(r"&(?!#|(?:amp|lt|gt|quot|apos);)[\w.:-]+;")
 # a byte-order mark names the byte order of a UTF-16 source
 _BOM_CODECS = {codecs.BOM_UTF16_LE: "utf-16-le", codecs.BOM_UTF16_BE: "utf-16-be"}
 _ESCAPES = str.maketrans({"\t": "\\t", "\r": "\\r", "\n": "\\n"})
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what a file name's undecodable bytes become, and UTF-8 cannot encode
 
 
 def one_line(text: str) -> str:
@@ -71,14 +74,16 @@ class Node(NamedTuple):
 class Corpus:
     docs: list[str] = field(default_factory=list)  # document number -> identifier
     starts: array = field(default_factory=lambda: array("i", [0]))  # one past the last document too
-    paths: list[ElementPath] = field(default_factory=list)
+    path_ids: array = field(default_factory=lambda: array("i"))  # node -> its path's row in the path table
     sizes: array = field(default_factory=lambda: array("i"))
     ends: array = field(default_factory=lambda: array("i"))  # ends[i]: just past node i's subtree
     parents: array = field(default_factory=lambda: array("i"))
     doc_of: array = field(default_factory=lambda: array("i"))  # node -> document number
     postings: dict[str, array] = field(default_factory=dict)  # term -> ascending node numbers
     diagnostics: list[str] = field(default_factory=list)
-    _shared: dict[tuple[PathStep, ...], ElementPath] = field(default_factory=dict, repr=False)
+    _rows: list[tuple[int, str, int]] = field(default_factory=list, repr=False)  # (parent path id, tag, index)
+    _row_ids: dict[tuple[int, str, int], int] = field(default_factory=dict, repr=False)  # row -> path id
+    _built: dict[int, ElementPath] = field(default_factory=dict, repr=False)  # path id -> its ElementPath
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -89,36 +94,53 @@ class Corpus:
     def trees(self) -> Iterator[DocumentTree]:
         return map(self.tree, range(len(self.docs)))
 
+    def path(self, i: int) -> ElementPath:
+        """Node ``i``'s path, built from the path table once per distinct path."""
+        pid = self.path_ids[i]
+        built = self._built.get(pid)
+        if built is None:
+            steps, row = [], pid
+            while row >= 0:
+                row, tag, index = self._rows[row]
+                steps.append((tag, index))
+            built = self._built[pid] = ElementPath(tuple(reversed(steps)))
+        return built
+
     def find(self, number: int, path: ElementPath) -> int | None:
-        """The node at ``path`` in document ``number``, found by walking down
-        its steps; None when absent."""
-        paths, ends = self.paths, self.ends
-        i, stop = self.starts[number], self.starts[number + 1]  # the candidates at depth 0: the root alone
-        for depth, step in enumerate(path.steps):
-            while i < stop and paths[i].steps[depth] != step:
-                i = ends[i]  # the next sibling
-            if i == stop:
-                return None
-            i, stop = i + 1, ends[i]  # on to the first child
-        return i - 1
+        """The node at ``path`` in document ``number``: its steps name one row
+        of the path table, and the document holds at most one node of it;
+        None when absent."""
+        pid = -1
+        for tag, index in path.steps:
+            pid = self._row_ids.get((pid, tag, index))  # past a missing row, None keys no row
+        try:
+            return None if pid is None else self.path_ids.index(pid, self.starts[number], self.starts[number + 1])
+        except ValueError:
+            return None
 
     def add(self, doc: str, source: str | bytes) -> None:
         """Parse one XML document into the next document number; a parse error
-        or an identifier with a tab or line break (which no run file holds)
-        raises before any change. One iterative pre-order pass collects paths,
-        own token counts, parents and postings, and a reverse pass over
-        ``parents`` sums subtree sizes and ends: no recursion limits depth."""
+        or an identifier with a tab, a line break or a surrogate (which no run
+        file holds) raises before any change. One iterative pre-order pass
+        collects path ids (one table lookup each), own token counts, parents
+        and postings, and a reverse pass over ``parents`` sums subtree sizes
+        and ends: no recursion limits depth, and no step grows with it."""
         if any(c in doc for c in "\t\r\n"):
             raise ValueError(f"document identifier {doc!r} holds a tab or line break")
+        if _SURROGATE.search(doc):
+            raise ValueError(f"document identifier {doc!r} is not UTF-8 text")
         intern = sys.intern
         top = read_xml(source)
-        shared, paths, sizes, parents, postings = self._shared, self.paths, self.sizes, self.parents, self.postings
-        start = len(paths)
-        stack = [(top, ((intern(top.tag), 1),), -1)]
+        rows, row_ids, path_ids, sizes, parents = self._rows, self._row_ids, self.path_ids, self.sizes, self.parents
+        postings = self.postings
+        start = len(path_ids)
+        stack = [(top, (-1, intern(top.tag), 1), -1)]
         while stack:
-            elem, steps, parent = stack.pop()
-            path = shared.get(steps) or shared.setdefault(steps, ElementPath(steps))
-            i = len(paths)
+            elem, row, parent = stack.pop()
+            pid = row_ids.setdefault(row, len(rows))
+            if pid == len(rows):
+                rows.append(row)
+            i = len(path_ids)
             own = tokenize(elem.text or "")
             if len(elem):
                 seen: dict[str, int] = {}
@@ -129,7 +151,7 @@ class Corpus:
                         own.extend(tokenize(child.tail))
                     tag = intern(child.tag)
                     n = seen[tag] = seen.get(tag, 0) + 1
-                    pending.append((child, path.steps + ((tag, n),), i))
+                    pending.append((child, (pid, tag, n), i))
                 stack.extend(reversed(pending))
             for term in own:
                 hits = postings.get(term)
@@ -137,11 +159,11 @@ class Corpus:
                     postings[intern(term)] = array("i", (i,))
                 else:
                     hits.append(i)
-            paths.append(path)
+            path_ids.append(pid)
             sizes.append(len(own))
             parents.append(parent)
 
-        end, ends = len(paths), self.ends
+        end, ends = len(path_ids), self.ends
         ends.extend(range(start + 1, end + 1))
         for i in range(end - 1, start, -1):  # every descendant of a node comes after it
             parent = parents[i]
@@ -198,7 +220,7 @@ class DocumentTree:
 
     @property
     def root(self) -> Node:
-        return Node(self.corpus.paths[self.start], self.corpus.sizes[self.start])
+        return Node(self.corpus.path(self.start), self.corpus.sizes[self.start])
 
 def ingest_corpus(root_directory: str | Path) -> Corpus:
     """Ingest every ``*.xml`` file under a directory, each file's bytes parsed

@@ -39,11 +39,9 @@ elements in that order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
-from .paths import ElementPath
 
 COMBO_CODES = tuple(a + b + t for x, y in (("Mm", "Pp"), ("Pp", "Mm")) for a in x for b in y for t in "BE")
 DEFAULT_COMBO = "MpE"
@@ -89,18 +87,19 @@ def rank_cres(
     sequence_sign = -1 if combo[2] == "E" else 1
     matches_first = combo[0] in "Mm"
 
-    @cache  # a corpus has few distinct paths
-    def shape(path: ElementPath) -> tuple[int, tuple[int, ...], tuple]:
-        return path_sign * len(path.steps), tuple(sequence_sign * index for _, index in path.steps), path.steps
-
     places = None if order is None else {number: place for place, number in enumerate(order)}
-    doc_of, paths = corpus.doc_of, corpus.paths
+    doc_of, path_ids = corpus.doc_of, corpus.path_ids
+    shapes: dict[int, tuple[int, tuple[int, ...], tuple]] = {}  # path id -> its key parts; a corpus has few paths
     keyed = []
     for node, below in cres:
         number = doc_of[node]
         place = number if places is None else places.get(number)
         if place is not None:
-            length, sequence, steps = shape(paths[node])
+            pid = path_ids[node]
+            if pid not in shapes:
+                steps = corpus.path(node).steps
+                shapes[pid] = path_sign * len(steps), tuple(sequence_sign * index for _, index in steps), steps
+            length, sequence, steps = shapes[pid]
             matches = match_sign * below
             key = (place, matches, length) if matches_first else (place, length, matches)
             keyed.append(((*key, sequence, steps), node))

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .assessments import AssessmentSet, derive_view
-from .corpus import Corpus
+from .corpus import Corpus, one_line
 from .paths import ElementPath
 
 RECALL_LEVELS = tuple(i / 100 for i in range(1, 101))
@@ -144,8 +144,9 @@ def build_size_map(
     """Each needed (doc, path) pair's corpus node, whose size is ``corpus.sizes[node]``.
 
     Pairs that do not resolve against the corpus map to None, with one
-    diagnostic each, sorted by doc and then by path steps (``sec[9]`` before
-    ``sec[10]``); evaluation proceeds regardless, counting them as size 0.
+    diagnostic line each (``one_line``), sorted by doc and then by path steps
+    (``sec[9]`` before ``sec[10]``); evaluation proceeds regardless, counting
+    them as size 0.
     """
     numbers = dict(zip(corpus.docs, range(len(corpus))))
     nodes: dict[tuple[str, ElementPath], int | None] = {}
@@ -153,4 +154,4 @@ def build_size_map(
         number = numbers.get(doc)
         nodes[doc, path] = None if number is None else corpus.find(number, path)
     missing = sorted((pair for pair, node in nodes.items() if node is None), key=lambda p: (p[0], p[1].steps))
-    return nodes, [f"size unavailable, using 0: {doc} {path}" for doc, path in missing]
+    return nodes, [one_line(f"size unavailable, using 0: {doc} {path}") for doc, path in missing]

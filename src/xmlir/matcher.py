@@ -4,7 +4,7 @@ Returns the most specific elements whose subtree satisfies the term
 predicate: an element matches when its subtree holds the required terms and
 no proper descendant's subtree does likewise. A query is a non-empty term
 set and a mode, ``AND`` or ``OR``. The matches form an antichain, returned
-as ascending node numbers, which is document order; ``corpus.paths[i]``
+as ascending node numbers, which is document order; ``corpus.path(i)``
 gives a match's path. No ranking happens here.
 
 Matching reads the query terms' whole postings arrays, not the tree. Node

@@ -126,7 +126,7 @@ class RunResult:
         corpus, nodes = self.corpus, self.nodes
         docs = map(corpus.docs.__getitem__, map(corpus.doc_of.__getitem__, nodes))
         scores = repeat(None) if self.scores is None else self.scores
-        fields = zip(count(1), docs, map(corpus.paths.__getitem__, nodes), scores)
+        fields = zip(count(1), docs, map(corpus.path, nodes), scores)
         return tuple(map(tuple.__new__, repeat(RunEntry), fields))
 
 
@@ -196,7 +196,7 @@ def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | Non
     share, not once per answer; the OR pass runs only when the caller pulls
     past the first article's AND matches."""
     starts = corpus.starts
-    ranges = [(0, len(corpus.paths))] if numbers is None else ((starts[d], starts[d + 1]) for d in numbers)
+    ranges = [(0, len(corpus.parents))] if numbers is None else ((starts[d], starts[d + 1]) for d in numbers)
     and_matches, or_matches = collection_match(corpus, terms, AND), None
     for start, end in ranges:
         yield and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
@@ -250,12 +250,12 @@ def write_run_file(path: str | Path, runs: Iterable[RunResult | RunRecord]) -> N
     """Write each run's entries, one line each, in run order.
 
     Raises ValueError, writing nothing, for a line that ``read_run_file``
-    would not read back, as a tab or line break in a field makes: the first
-    such line is named with ``_parse_run_line``'s reason. Each value is
-    checked once, not each line: a run's topic id, each distinct path
-    (formatted once) and each rank and score are read as that function reads
-    them, and a tab or line break in any field, a document or a tag included,
-    shows as a separator too many in the whole text.
+    would not read back, as a tab or line break in a field makes, or that
+    UTF-8 cannot encode: the first such line is named with the reason. Each
+    value is checked once, not each line: a run's topic id, each distinct
+    path (formatted once) and each rank and score are read as that function
+    reads them, and a tab or line break in any field, a document or a tag
+    included, shows as a separator too many in the whole text.
     """
     texts: dict[ElementPath, str] = {}  # each distinct path's text
     lines: list[str] = []
@@ -279,13 +279,18 @@ def write_run_file(path: str | Path, runs: Iterable[RunResult | RunRecord]) -> N
         tag = repeat(run.system_tag)
         lines += map(_LINE.format, repeat(topic), ranks, docs, map(texts.__getitem__, paths), scores, tag)
     text = "".join(lines)
+    try:
+        data = text.encode("utf-8")  # before the file is opened, so a failure leaves it as it was
+    except UnicodeEncodeError:
+        readable = False
     if not readable or text.count("\t") != 5 * len(lines) or text.count("\n") != len(lines) or "\r" in text:
         for line in lines:
             try:
+                line.encode("utf-8")  # UnicodeEncodeError is a ValueError
                 _parse_run_line(line[:-1].replace("\r", "\t").replace("\n", "\t"))  # a line break splits it too
             except ValueError as exc:
                 raise ValueError(f"{path}: cannot write {line[:-1]!r}: {exc}") from None
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_bytes(data)
 
 
 def _parse_run_line(line: str) -> tuple[int, RunEntry, str]:

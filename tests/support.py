@@ -97,17 +97,17 @@ def nodes_of(corpus: Corpus, number: int) -> range:
 
 def element_sizes(corpus: Corpus) -> dict[tuple[str, ElementPath], int]:
     """Every node's subtree size keyed by (document, path), in document and pre-order."""
-    return {(doc, corpus.paths[i]): corpus.sizes[i] for d, doc in enumerate(corpus.docs) for i in nodes_of(corpus, d)}
+    return {(doc, corpus.path(i)): corpus.sizes[i] for d, doc in enumerate(corpus.docs) for i in nodes_of(corpus, d)}
 
 
 def all_paths(corpus: Corpus, number: int) -> list[ElementPath]:
     """Document ``number``'s node paths in pre-order."""
-    return corpus.paths[corpus.starts[number] : corpus.starts[number + 1]]
+    return list(map(corpus.path, nodes_of(corpus, number)))
 
 
 def indices_of(corpus: Corpus, number: int, paths) -> list[int]:
     """The ascending node numbers of document ``number``'s nodes at the given paths."""
-    position = {corpus.paths[i]: i for i in nodes_of(corpus, number)}
+    position = {corpus.path(i): i for i in nodes_of(corpus, number)}
     return sorted(position[path] for path in paths)
 
 

@@ -68,8 +68,8 @@ def test_c1_coherent_element_fixture_exactness(sample_corpus, sample_or_matches)
         key=lambda pair: pair[0],
     )
     elapsed, (below, ranked) = best
-    paths = sample_corpus.paths
-    got = [(paths[n], below[n], paths[n].depth, support.sequence(paths[n])) for n in ranked]
+    path = sample_corpus.path
+    got = [(path(n), below[n], path(n).depth, support.sequence(path(n))) for n in ranked]
     assert got == expected
     assert sample_corpus.docs == [SAMPLE_DOC_ID] and all(n < sample_corpus.starts[1] for n in ranked)
     assert elapsed < 0.001, f"took {elapsed * 1e3:.3f} ms"
@@ -88,10 +88,10 @@ def test_c2_sequence_tiebreak_directions():
     cres = [(sec2, 4), (sec4, 4)]
     under_e = rank_cres(corpus, cres, "MpE")
     under_b = rank_cres(corpus, cres, "MpB")
-    assert [str(corpus.paths[n]) for n in under_e] == [
+    assert [str(corpus.path(n)) for n in under_e] == [
         "/article[1]/bdy[1]/sec[4]", "/article[1]/bdy[1]/sec[2]",
     ]
-    assert [str(corpus.paths[n]) for n in under_b] == [
+    assert [str(corpus.path(n)) for n in under_b] == [
         "/article[1]/bdy[1]/sec[2]", "/article[1]/bdy[1]/sec[4]",
     ]
     print("\n[acceptance] 2 PASS tie-break fixture exact under E and B")
@@ -109,7 +109,7 @@ def test_c3_coherent_element_oracle_equivalence():
             singletons += 1
         corpus = support.tree_of(paths)
         cres = identify_cres(corpus, support.indices_of(corpus, 0, matching))
-        got = {corpus.paths[n]: below for n, below in cres}
+        got = {corpus.path(n): below for n, below in cres}
         expected = support.brute_force_cres(paths, matching)
         assert got == expected, f"mismatch on tree {trees}"
         trees += 1

@@ -189,6 +189,26 @@ def test_eval_ng_names_an_unresolved_recall_base_once(workspace, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_sizes_diagnostic_naming_a_line_break_stays_one_line(workspace, capsys, command):
+    # topic 117's only 3/3 element names a document whose identifier holds a line break
+    (workspace / "assessments" / "117.xml").write_text(
+        '<assessments topic_id="117"><file file="x&#10;y">'
+        '<path E="3" S="3" path="/article[1]"/></file></assessments>'
+    )
+    run_file = workspace / "one.run"
+    run_file.write_text("117\t1\tic/1999/w0001\t/article[1]\t-\tsynthetic\n")
+    common = ["--assessments", str(workspace / "assessments"), "--corpus", str(workspace / "corpus")]
+    argv = {
+        "eval": ["eval", str(run_file), *common, "--metric", "ng-o"],
+        "report": ["report", "--topics", str(workspace / "topics.xml"), *common, "--metric", "ng-s"],
+    }[command]
+    assert main(argv) == 0
+    sizes = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("topic 117: ")]
+    assert sizes[0] == "sizes: size unavailable, using 0: x\\ny /article[1]"
+    assert not any(line.startswith("y ") for line in sizes)
+
+
 def test_eval_ng_o_names_unresolved_pairs_in_doc_then_steps_order(workspace, capsys):
     # the assessments and the run each hold two unresolved pairs, interleaved in
     # (doc, steps) order, and share one pair that resolves

@@ -114,7 +114,7 @@ def test_resolve_root_and_out_of_range():
     corpus = support.corpus_from_strings({"d": "<article><sec><p>a</p></sec><sec><p>b</p></sec></article>"})
     assert corpus.find(0, ElementPath.from_string("/article[1]")) == corpus.starts[0]
     second = corpus.find(0, ElementPath.from_string("/article[1]/sec[2]"))
-    assert second is not None and corpus.paths[second].tag == "sec"
+    assert second is not None and corpus.path(second).tag == "sec"
     assert corpus.find(0, ElementPath.from_string("/article[1]/sec[9]")) is None
 
 
@@ -170,13 +170,13 @@ def test_path_roundtrip_on_random_trees(seeds):
     for number in range(len(corpus)):
         own = support.all_paths(corpus, number)
         for node in support.nodes_of(corpus, number):
-            path = corpus.paths[node]
+            path = corpus.path(node)
             assert corpus.find(number, path) == node
             assert corpus.find(number, ElementPath.from_string(str(path))) == node
             parent, (tag, _) = path.steps[:-1], path.steps[-1]
             siblings = sum(p.steps[:-1] == parent and p.tag == tag for p in own)
             assert corpus.find(number, ElementPath(parent + ((tag, siblings + 1),))) is None
-        for path in set(corpus.paths) - set(own):
+        for path in set(map(corpus.path, range(len(corpus.path_ids)))) - set(own):
             assert corpus.find(number, path) is None
 
 
@@ -184,7 +184,7 @@ def test_prefix_law_and_size_monotonicity():
     rng = random.Random(7)
     for _ in range(50):
         corpus = support.corpus_from_strings({"d": support.random_xml(rng)})
-        nodes = list(zip(corpus.paths, corpus.sizes))
+        nodes = list(zip(support.all_paths(corpus, 0), corpus.sizes))
         # prefix law, all pairs; size never grows downward
         for a, a_size in nodes:
             for b, b_size in nodes:
@@ -255,7 +255,7 @@ def test_deeply_nested_document_ingests_and_matches(tmp_path):
         return ElementPath((("article", 1),) + (("sec", 1),) * level)
 
     def matches(mode, *terms):
-        return [(corpus.docs[0], corpus.paths[i]) for i in collection_match(corpus, terms, mode)]
+        return [(corpus.docs[0], corpus.path(i)) for i in collection_match(corpus, terms, mode)]
 
     assert matches(OR, "alpha", "beta") == [("deep", sec_path(depth))]
     assert matches(AND, "alpha", "beta") == [("deep", sec_path(beta_level))]
@@ -271,19 +271,17 @@ def test_ingest_shares_terms_tags_and_path_steps(tmp_path):
         "b": "<article><fm/><sec>beta shared</sec></article>",
     })
     corpus = ingest_corpus(tmp_path)
-    a, b = corpus.starts[:2]  # the two roots
     (term,) = (term for term in corpus.postings if term == "shared")
     # one postings array holds both documents
     assert len(document_postings(corpus, 0)[term]) == len(document_postings(corpus, 1)[term]) == 1
     assert term is sys.intern("shared")
-    sec_a = corpus.paths[corpus.find(0, ElementPath.from_string("/article[1]/sec[1]"))]
-    sec_b = corpus.paths[corpus.find(1, ElementPath.from_string("/article[1]/sec[1]"))]
+    sec_a = corpus.path(corpus.find(0, ElementPath.from_string("/article[1]/sec[1]")))
+    sec_b = corpus.path(corpus.find(1, ElementPath.from_string("/article[1]/sec[1]")))
     assert sec_a.steps[-1] == ("sec", 1)
     assert sec_a is sec_b  # one ElementPath per distinct path per ingest
-    assert sec_a.steps[-1] is sec_b.steps[-1]  # one (tag, n) tuple per ingest
     assert sec_a.tag is sec_b.tag is sys.intern("sec")
-    assert corpus.paths[a].steps[0] is corpus.paths[b].steps[0]
-    assert corpus.paths[a + 2].steps[1] is sec_a.steps[-1]  # the <p> below shares it too
+    # the two documents add one path table row per distinct path: article, its sec, fm and sec/p
+    assert len(corpus._rows) == len(set(map(corpus.path, range(len(corpus.path_ids))))) == 4
 
 
 def test_separately_parsed_documents_share_terms_and_tags():
@@ -291,7 +289,7 @@ def test_separately_parsed_documents_share_terms_and_tags():
     b = support.corpus_from_strings({"b": "<article><sec>x shared</sec></article>"})
     (term_a,) = a.postings
     assert term_a is next(term for term in b.postings if term == "shared")
-    assert a.paths[1].tag is b.paths[1].tag
+    assert a.path(1).tag is b.path(1).tag
 
 
 def test_node_record_holds_only_path_and_size():
@@ -303,11 +301,11 @@ def test_node_record_holds_only_path_and_size():
     for number, tree in enumerate(corpus.trees()):
         assert isinstance(tree, DocumentTree) and tree.doc == corpus.docs[number] == corpus.tree(number).doc
         assert tree.nodes == support.nodes_of(corpus, number)
-        assert tree.root == Node(corpus.paths[tree.start], corpus.sizes[tree.start])
+        assert tree.root == Node(corpus.path(tree.start), corpus.sizes[tree.start])
         assert not hasattr(tree.root, "__dict__") and not hasattr(tree, "__dict__")
-    assert not any(hasattr(path, "__dict__") for path in corpus.paths)
+    assert not any(hasattr(corpus.path(i), "__dict__") for i in range(len(corpus.path_ids)))
     # node facts are flat integer columns, not per-node objects
-    columns = (corpus.sizes, corpus.ends, corpus.parents, *corpus.postings.values())
+    columns = (corpus.path_ids, corpus.sizes, corpus.ends, corpus.parents, corpus.doc_of, *corpus.postings.values())
     assert {column.typecode for column in columns} == {"i"}
 
 
@@ -391,7 +389,7 @@ def test_mutated_documents_ingest_or_skip_cleanly(tmp_path, capsys, data):
     if corpus.docs:
         assert list(corpus.docs) == ["fuzzed"] and corpus.diagnostics == []
         paths, postings, sizes, ends, parents = support.elementtree_layout(data)
-        assert corpus.paths == paths
+        assert support.all_paths(corpus, 0) == paths
         assert document_postings(corpus, 0) == postings
         assert (list(corpus.sizes), list(corpus.ends), list(corpus.parents)) == (sizes, ends, parents)
     else:

@@ -53,22 +53,22 @@ def test_invalid_combo_codes_rejected(bad):
 def test_singleton_input_returns_the_matching_element():
     corpus = one_document("<article><bdy><sec><p/></sec></bdy></article>")
     assert identify_cres(corpus, [3]) == [(3, 1)]
-    assert corpus.paths[3] == P("/article[1]/bdy[1]/sec[1]/p[1]")
-    assert corpus.paths[3].depth == 4
-    assert support.sequence(corpus.paths[3]) == (1, 1, 1, 1)
+    assert corpus.path(3) == P("/article[1]/bdy[1]/sec[1]/p[1]")
+    assert corpus.path(3).depth == 4
+    assert support.sequence(corpus.path(3)) == (1, 1, 1, 1)
 
 
 def test_two_siblings_qualify_only_their_parent():
     corpus = one_document("<article><bdy><sec><p/><p/></sec></bdy></article>")
-    got = {(str(corpus.paths[n]), below, corpus.paths[n].depth) for n, below in identify_cres(corpus, [3, 4])}
+    got = {(str(corpus.path(n)), below, corpus.path(n).depth) for n, below in identify_cres(corpus, [3, 4])}
     # bdy and article hold both items under a single child, so neither qualifies
     assert got == {("/article[1]/bdy[1]/sec[1]", 2, 3)}
 
 
 def test_path_length_primary_ordering(sample_corpus, sample_or_matches):
     cres = identify_cres(sample_corpus, sample_or_matches)
-    below, paths = dict(cres), sample_corpus.paths
-    got = [(str(paths[n]), below[n], paths[n].depth) for n in rank_cres(sample_corpus, cres, "PME")]
+    below, path = dict(cres), sample_corpus.path
+    got = [(str(path(n)), below[n], path(n).depth) for n in rank_cres(sample_corpus, cres, "PME")]
     assert got == [
         ("/article[1]/bdy[1]/sec[2]/ss1[1]", 2, 4),
         ("/article[1]/bm[1]/app[1]/sec[2]", 2, 4),
@@ -84,7 +84,7 @@ def test_direction_reversal_is_antisymmetric(sample_corpus, sample_or_matches):
     # flipping the matches direction while it is the primary key reverses
     # the relative order of any two elements with different match counts
     cres = identify_cres(sample_corpus, sample_or_matches)
-    paths = sample_corpus.paths
+    path = sample_corpus.path
     for code, flipped in (("MpE", "mpE"), ("MPB", "mPB"), ("mPE", "MPE")):
         forward = rank_cres(sample_corpus, cres, code)
         backward = rank_cres(sample_corpus, cres, flipped)
@@ -98,7 +98,7 @@ def test_direction_reversal_is_antisymmetric(sample_corpus, sample_or_matches):
     forward = rank_cres(sample_corpus, cres, "pME")
     backward = rank_cres(sample_corpus, cres, "pmE")
     for (a, a_below), (b, b_below) in itertools.combinations(cres, 2):
-        if paths[a].depth != paths[b].depth or a_below == b_below:
+        if path(a).depth != path(b).depth or a_below == b_below:
             continue
         assert (forward.index(a) < forward.index(b)) != (backward.index(a) < backward.index(b))
 
@@ -120,7 +120,7 @@ def test_ties_on_identical_sequences_still_total():
     bdy, bm = 1, 2
     for code in COMBO_CODES:
         ranked = rank_cres(corpus, [(bm, 2), (bdy, 2)], code)
-        assert {str(corpus.paths[n]) for n in ranked} == {"/article[1]/bdy[1]", "/article[1]/bm[1]"}
+        assert {str(corpus.path(n)) for n in ranked} == {"/article[1]/bdy[1]", "/article[1]/bm[1]"}
         assert ranked[0] == bdy  # path breaks the dead tie
 
 
@@ -132,7 +132,7 @@ def ranking_inputs(draw):
     and on the sibling-index sequence (/article[1]/sec[1] vs /article[1]/p[1])."""
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
     corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
-    nodes = draw(st.sets(st.integers(0, len(corpus.paths) - 1), max_size=16))
+    nodes = draw(st.sets(st.integers(0, len(corpus.path_ids) - 1), max_size=16))
     cres = draw(st.permutations([(node, draw(st.integers(1, 3))) for node in sorted(nodes)]))
     order = draw(st.none() | st.lists(st.integers(0, len(seeds) - 1), unique=True))
     return corpus, cres, order
@@ -147,6 +147,6 @@ def test_rank_cres_equals_reference_key_for_every_code(case):
         for number in range(len(corpus)) if order is None else order:
             nodes, doc = support.nodes_of(corpus, number), corpus.docs[number]
             mine = [(node, below) for node, below in cres if node in nodes]
-            mine.sort(key=lambda pair: support.naive_cre_key(doc, corpus.paths[pair[0]], pair[1], code))
+            mine.sort(key=lambda pair: support.naive_cre_key(doc, corpus.path(pair[0]), pair[1], code))
             expected += [node for node, _ in mine]
         assert rank_cres(corpus, cres, code, order) == expected

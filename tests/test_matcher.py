@@ -19,7 +19,7 @@ def test_or_single_occurrence_returns_deepest_container():
     })
     result = collection_match(corpus, {"patricia"}, OR)
     assert result == [5]  # article, bdy, sec, p, sec, p
-    assert [str(corpus.paths[i]) for i in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
+    assert [str(corpus.path(i)) for i in result] == ["/article[1]/bdy[1]/sec[2]/p[1]"]
 
 
 def test_and_terms_spread_across_siblings():
@@ -30,7 +30,7 @@ def test_and_terms_spread_across_siblings():
         "</bdy></article>"
     )
     corpus = support.corpus_from_strings({"d": text})
-    result = [corpus.paths[i] for i in collection_match(corpus, {"alpha", "beta"}, AND)]
+    result = [corpus.path(i) for i in collection_match(corpus, {"alpha", "beta"}, AND)]
     assert [str(path) for path in result] == ["/article[1]/bdy[1]/sec[1]"]
     # confirmed by the brute-force most-specific oracle
     assert result == support.brute_force_matches(text, frozenset({"alpha", "beta"}), AND)
@@ -91,8 +91,8 @@ def test_antichain_and_lattice_laws():
         query = frozenset({"alpha", "beta"})
         and_matches = collection_match(corpus, query, AND)
         or_matches = collection_match(corpus, query, OR)
-        and_paths = [corpus.paths[i] for i in and_matches]
-        or_paths = [corpus.paths[i] for i in or_matches]
+        and_paths = [corpus.path(i) for i in and_matches]
+        or_paths = [corpus.path(i) for i in or_matches]
         for paths in (and_paths, or_paths):
             for a in paths:
                 for b in paths:
@@ -108,5 +108,5 @@ def test_antichain_and_lattice_laws():
 
 def test_empty_elements_never_match():
     corpus = support.corpus_from_strings({"d": "<article><sec/><p>alpha</p></article>"})
-    result = [corpus.paths[i] for i in collection_match(corpus, {"alpha"}, OR)]
+    result = [corpus.path(i) for i in collection_match(corpus, {"alpha"}, OR)]
     assert [str(path) for path in result] == ["/article[1]/p[1]"]

@@ -1,4 +1,5 @@
-"""Memory guard: what an ingested corpus and its index keep alive.
+"""Memory guard: what an ingested corpus and its index keep alive, and how
+ingest's peak grows with nesting depth.
 
 The retained bytes of ``ingest_corpus`` + ``build_index`` are measured with
 tracemalloc and divided by the corpus's token occurrences. The corpus is a
@@ -12,14 +13,17 @@ import gc
 import random
 import tracemalloc
 
-from xmlir import build_index, ingest_corpus
+from xmlir import Corpus, build_index, collection_match, ingest_corpus
+from xmlir.matcher import AND
 
 import support
 
 # Retained bytes per token occurrence on this corpus (CPython 3.11): 179.2
 # with per-document postings dicts, node records and (document id, tf)
 # tuples; 62.4 with corpus-wide columns and shared (document number, tf)
-# pairs. The ceiling lies halfway between.
+# pairs. The ceiling lies halfway between. Later columns moved it to 82.1,
+# and a path id per node with one path-table row per distinct path, in
+# place of an ElementPath per node, to 81.5.
 CEILING = 120.8
 
 
@@ -50,3 +54,27 @@ def test_retained_bytes_per_token_occurrence(tmp_path):
     tokens = sum(corpus.sizes[root] for root in corpus.starts[:-1])
     assert len(corpus) == 300 and len(index.doc_lengths) == 300 and tokens > 10_000
     assert retained / tokens < CEILING, f"{retained / tokens:.1f} bytes per token occurrence"
+
+
+def _chain_peak(depth: int) -> int:
+    """The tracemalloc peak of ingesting one ``<a>`` chain ``depth`` deep,
+    matching the terms of its every level and of its deepest, and reading
+    the match's path."""
+    text = "<a>alpha " * depth + "beta" + "</a>" * depth
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = Corpus()
+        corpus.add("deep", text)
+        (match,) = collection_match(corpus, {"alpha", "beta"}, AND)
+        assert corpus.path(match).depth == depth
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_nesting_peak_grows_linearly():
+    """Doubling the depth at most about doubles the peak: a node's path is one
+    table row, not a copy of its parent's steps."""
+    shallow, deep = _chain_peak(5000), _chain_peak(10_000)
+    assert deep / shallow <= 2.2, f"peak {shallow} -> {deep} bytes"

@@ -334,7 +334,7 @@ def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, sy
         assert list(matching) == sorted(set(matching))
         [(args, kwargs, nodes)] = ranked
         assert (args[1] if len(args) > 1 else kwargs["cres"]) is cres
-        assert [e.path for e in run.entries] == [corpus.paths[n] for n in nodes]  # no cap is reached
+        assert [e.path for e in run.entries] == [corpus.path(n) for n in nodes]  # no cap is reached
 
 
 def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):

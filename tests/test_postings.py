@@ -136,7 +136,7 @@ def corpus_matches(draw):
         elif shape == "unrelated":
             matching = set(support.random_antichain(random.Random(draw(st.integers(0, 2**32 - 1))), paths))
         elif shape == "matched":
-            matching = {corpus.paths[i] for i in matched.intersection(support.nodes_of(corpus, number))}
+            matching = {corpus.path(i) for i in matched.intersection(support.nodes_of(corpus, number))}
         else:
             matching = draw(st.sets(st.sampled_from(paths), min_size=1, max_size=12))
             if shape == "last":
@@ -182,7 +182,7 @@ def test_multi_document_columns_equal_each_document_parsed_alone(texts):
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
     starts = list(corpus.starts)
     assert starts == sorted(set(starts)) and starts[0] == 0
-    columns = (corpus.paths, corpus.sizes, corpus.ends, corpus.parents, corpus.doc_of)
+    columns = (corpus.path_ids, corpus.sizes, corpus.ends, corpus.parents, corpus.doc_of)
     assert {len(column) for column in columns} == {starts[-1]}
     postings: dict[str, list[int]] = {}
     for number, text in enumerate(texts):

@@ -1,7 +1,9 @@
 """The README's ``## Library`` section names every name the package exports,
-and only the named pin tests read the per-document view."""
+only the named pin tests read the per-document view, and only ``corpus.py``
+reads how a path is stored."""
 
 import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
@@ -42,3 +44,19 @@ def test_only_the_pin_tests_read_the_per_document_view():
                 ):
                     readers.add((source.name, getattr(top, "name", "<module>")))
     assert readers == VIEW_PINS
+
+
+def test_only_corpus_reads_the_path_table():
+    """A node's path is read through ``Corpus.path``: no module of the package
+    but ``corpus.py`` reads the path table's private members, and none reads a
+    per-node ``paths`` column."""
+    private = {f.name for f in dataclasses.fields(xmlir.Corpus) if f.name.startswith("_")}
+    assert private
+    readers = set()
+    for source in Path(xmlir.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "paths" or node.attr in private and source.name != "corpus.py"
+            ):
+                readers.add((source.name, node.attr))
+    assert readers == set()

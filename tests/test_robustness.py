@@ -3,6 +3,7 @@ and empty documents, repeated topic ids and malformed run files end in
 results, in one diagnostic per skipped item, or in one clean ``error:``
 line, never in a traceback."""
 
+import os
 import re
 
 import pytest
@@ -79,11 +80,10 @@ def test_namespaced_corpus_runs_and_evaluates(namespaced_workspace, capsys, metr
 
 def test_namespaced_paths_round_trip():
     corpus = support.corpus_from_strings({"d": NAMESPACED_XML})
-    paths = corpus.paths
-    assert str(paths[1]) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
-    for node in range(len(paths)):
-        text = str(paths[node])
-        assert ElementPath.from_string(text) == paths[node]
+    assert str(corpus.path(1)) == f"/{NS}article[1]/{{http://x.org/meta}}fm[1]"
+    for node in range(len(corpus.parents)):
+        text = str(corpus.path(node))
+        assert ElementPath.from_string(text) == corpus.path(node)
         assert corpus.find(0, ElementPath.from_string(text)) == node
 
 
@@ -109,7 +109,7 @@ def test_document_identifier_with_a_tab_or_line_break_is_skipped(namespaced_work
     corpus = Corpus()
     with pytest.raises(ValueError, match="holds a tab or line break"):
         corpus.add(name, NAMESPACED_XML)
-    assert (corpus.docs, len(corpus.paths), corpus.postings) == ([], 0, {})
+    assert (corpus.docs, len(corpus.path_ids), corpus.postings) == ([], 0, {})
     ws = namespaced_workspace
     (ws / "corpus" / f"{name}.xml").write_text(NAMESPACED_XML)
     run_file = ws / "xmldb.run"
@@ -121,6 +121,36 @@ def test_document_identifier_with_a_tab_or_line_break_is_skipped(namespaced_work
     escaped = name.encode("unicode_escape").decode()  # so the diagnostic stays one line
     assert err == f"corpus: {escaped}.xml: skipped (document identifier {name!r} holds a tab or line break)\n"
     assert [(e.doc, str(e.path)) for r in read_run_file(run_file) for e in r.entries] == [("ns/a", MATCH_PATH)]
+
+
+@pytest.mark.parametrize("system", ["fulltext", "xmldb"])
+def test_document_file_name_that_is_not_utf8_is_skipped(namespaced_workspace, capfd, system):
+    corpus = Corpus()
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        corpus.add("b\udcffd", NAMESPACED_XML)  # the name the bytes b"b\xffd" decode to
+    assert (corpus.docs, len(corpus.path_ids), corpus.postings) == ([], 0, {})
+    ws = namespaced_workspace
+    (ws / "corpus" / os.fsdecode(b"b\xffd.xml")).write_text(NAMESPACED_XML)
+    run_file = ws / "out.run"
+    run_file.write_text("old")
+    assert main([
+        "run", "--corpus", str(ws / "corpus"), "--topics", str(ws / "topics.xml"),
+        "--system", system, "--out", str(run_file),
+    ]) == 0
+    err = capfd.readouterr().err  # how the file name's surrogate shows depends on the stream's error handler
+    assert err.startswith("corpus: b") and err.count("\n") == 1
+    assert err.endswith(".xml: skipped (document identifier 'b\\udcffd' is not UTF-8 text)\n")
+    assert "ns/a" in {e.doc for r in read_run_file(run_file) for e in r.entries}
+
+
+def test_run_line_that_utf8_cannot_encode_leaves_the_file_as_it_was(tmp_path):
+    out = tmp_path / "out.run"
+    out.write_text("old")
+    ok = RunEntry(1, "a", ElementPath.from_string("/article[1]"), None)
+    bad = RunEntry(2, "b\udcffd", ElementPath.from_string("/article[1]"), None)
+    with pytest.raises(ValueError, match=re.escape(f"{out}: cannot write '7\\t2\\tb\\udcffd\\t")):
+        write_run_file(out, [RunRecord(7, "xmldb", (ok, bad))])
+    assert out.read_text() == "old"
 
 
 @pytest.mark.parametrize("uri", ["u&#9;v", "u&#10;v", "u&#13;v"], ids=["tab", "lf", "cr"])
@@ -357,7 +387,7 @@ def test_empty_elements_have_size_zero_and_never_match():
         "/article[1]/p[2]": 1,
     }
     for terms in ({"alpha"}, {"alpha", "absent"}):
-        assert [str(corpus.paths[i]) for i in collection_match(corpus, terms, OR)] == ["/article[1]/p[2]"]
+        assert [str(corpus.path(i)) for i in collection_match(corpus, terms, OR)] == ["/article[1]/p[2]"]
 
 
 DUPLICATE_TOPICS = """\
