@@ -222,6 +222,7 @@ class DocumentTree:
     def root(self) -> Node:
         return Node(self.corpus.path(self.start), self.corpus.sizes[self.start])
 
+
 def ingest_corpus(root_directory: str | Path) -> Corpus:
     """Ingest every ``*.xml`` file under a directory, each file's bytes parsed
     in its declared encoding; re-ingesting an unchanged directory yields the

@@ -87,7 +87,7 @@ def rank_cres(
     sequence_sign = -1 if combo[2] == "E" else 1
     matches_first = combo[0] in "Mm"
 
-    places = None if order is None else {number: place for place, number in enumerate(order)}
+    places = None if order is None else dict(zip(order, range(len(order))))
     doc_of, path_ids = corpus.doc_of, corpus.path_ids
     shapes: dict[int, tuple[int, tuple[int, ...], tuple]] = {}  # path id -> its key parts; a corpus has few paths
     keyed = []

@@ -49,6 +49,7 @@ METRIC_LABELS = {
     METRIC_NG_OVERLAP: "ng-o-reconstructed",
 }
 
+
 def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, ElementPath]]:
     """The chosen view as binary judgments: the relevant set."""
     return derive_view(assessment, case)

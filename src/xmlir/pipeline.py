@@ -15,10 +15,10 @@ list, or the ranked coherent elements (``cre``):
   elements.
 
 Each element system matches a topic once over the whole corpus in each mode
-(``collection_match``); ``hybrid`` cuts an article's share of those lists by
-``bisect`` on its node range. With coherent elements, one ``identify_cres``
-pass over both lists finds every article's, and one ``rank_cres`` sort on
-(article place, combination key, path) orders them.
+(``collection_match``); ``hybrid`` groups each list by document once, so an
+article's share is one dict lookup. With coherent elements, one
+``identify_cres`` pass over both lists finds every article's, and one
+``rank_cres`` sort on (article place, combination key, path) orders them.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -43,11 +43,11 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ET
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, groupby, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -190,20 +190,25 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
 
 def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None) -> Iterator[Iterable[int]]:
     """Per article in ``numbers`` order (the whole corpus as one when None),
-    its AND matches, then its OR matches not among them: its shares of the
-    corpus-wide lists, cut by ``bisect`` on its node range. Each share is
-    yielded whole, so the caller's ``chain`` resumes this frame once per
-    share, not once per answer; the OR pass runs only when the caller pulls
-    past the first article's AND matches."""
-    starts = corpus.starts
-    ranges = [(0, len(corpus.parents))] if numbers is None else ((starts[d], starts[d + 1]) for d in numbers)
-    and_matches, or_matches = collection_match(corpus, terms, AND), None
-    for start, end in ranges:
-        yield and_matches[bisect_left(and_matches, start) : bisect_left(and_matches, end)]
-        if or_matches is None:
-            or_matches, and_set = collection_match(corpus, terms, OR), set(and_matches)
-        or_share = or_matches[bisect_left(or_matches, start) : bisect_left(or_matches, end)]
-        yield filterfalse(and_set.__contains__, or_share)
+    its AND matches, then its OR matches not among them. Each corpus-wide
+    list is grouped by document once, and all shares after the first
+    article's AND share are yielded as one stream, so the caller's ``chain``
+    resumes this frame a fixed number of times per topic; the OR pass runs
+    only when the caller pulls past the first article's AND matches."""
+    and_matches = collection_match(corpus, terms, AND)
+    if numbers is None:
+        yield and_matches
+        and_set = set(and_matches)
+        yield filterfalse(and_set.__contains__, collection_match(corpus, terms, OR))
+    elif numbers:
+        doc_of = corpus.doc_of.__getitem__
+        ands = {d: list(share) for d, share in groupby(and_matches, doc_of)}
+        yield ands.get(numbers[0], ())
+        and_set = set(and_matches)
+        or_rest = filterfalse(and_set.__contains__, collection_match(corpus, terms, OR))
+        ors = {d: list(share) for d, share in groupby(or_rest, doc_of)}
+        shares = chain.from_iterable(zip(map(ands.get, numbers, repeat(())), map(ors.get, numbers, repeat(()))))
+        yield chain.from_iterable(islice(shares, 1, None))
 
 
 def _cap(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> list[int]:
@@ -235,9 +240,9 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     if config.system != XMLDB:
         ranked = rank_articles(index, bag, config)  # at most config.max_results articles
         if config.system == FULLTEXT:
-            roots = [corpus.starts[a.number] for a in ranked]
-            return RunResult(topic.id, config.tag, corpus, roots, [a.score for a in ranked])
-        numbers = [a.number for a in ranked]
+            roots = list(map(corpus.starts.__getitem__, map(itemgetter(0), ranked)))
+            return RunResult(topic.id, config.tag, corpus, roots, list(map(itemgetter(2), ranked)))
+        numbers = list(map(itemgetter(0), ranked))
     if config.cre:
         matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
         nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)

@@ -13,9 +13,12 @@ ingestion order.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
@@ -31,6 +34,8 @@ class RankParams:
             raise ValueError(f"slope must lie in [0, 1]: {self.slope}")
         if self.max_results < 1:
             raise ValueError("max_results must be positive")
+        if self.max_results > sys.maxsize:  # the largest cap ``islice`` takes
+            raise ValueError(f"max_results must be at most {sys.maxsize}: {self.max_results}")
 
 
 class ScoredArticle(NamedTuple):  # a tuple: a ranking makes up to 1500 of them per query
@@ -73,27 +78,27 @@ def rank_articles(
     query: Iterable[str],
     params: RankParams = RankParams(),
 ) -> list[ScoredArticle]:
-    """Rank documents for a term bag; repeated terms contribute per occurrence."""
+    """Rank documents for a term bag; repeated terms contribute per occurrence.
+    ``1 + ln tf`` is computed once per distinct tf, and the list is built in C."""
     weights = Counter(query)
-    if not weights:
-        return []
     n = len(index.doc_lengths)
     accum: dict[int, float] = defaultdict(float)
+    tf_weights: dict[int, float] = {}  # tf -> 1 + ln tf
     for term, qtf in weights.items():
         plist = index.postings.get(term)
         if not plist:
             continue
-        w_q = math.log(1.0 + n / len(plist))
+        w_q = qtf * math.log(1.0 + n / len(plist))
+        for tf in set(map(itemgetter(1), plist)).difference(tf_weights):
+            tf_weights[tf] = 1.0 + math.log(tf)
         for number, tf in plist:
-            accum[number] += qtf * w_q * (1.0 + math.log(tf))
-    if not accum:
-        return []
+            accum[number] += w_q * tf_weights[tf]
     slope = params.slope
-    avg = index.avg_doc_length
-    scored = []
-    for number, raw in accum.items():
-        norm = (1.0 - slope) + slope * (index.doc_lengths[number] / avg)
-        scored.append((number, raw / norm))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    del scored[params.max_results :]
-    return [ScoredArticle(number, index.docs[number], score) for number, score in scored]
+    numbers = sorted(accum)
+    ratios = map(truediv, map(index.doc_lengths.__getitem__, numbers), repeat(index.avg_doc_length))
+    norms = map(add, repeat(1.0 - slope), map(mul, repeat(slope), ratios))
+    scores = dict(zip(numbers, map(truediv, map(accum.__getitem__, numbers), norms)))
+    numbers.sort(key=scores.__getitem__, reverse=True)  # stable: equal scores keep ascending numbers
+    del numbers[params.max_results :]
+    fields = zip(numbers, map(index.docs.__getitem__, numbers), map(scores.__getitem__, numbers))
+    return list(map(tuple.__new__, repeat(ScoredArticle), fields))

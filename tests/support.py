@@ -11,6 +11,7 @@ import math
 import random
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from xmlir import (
     AssessmentSet,
     Corpus,
     ElementPath,
+    ScoredArticle,
     build_size_map,
     inex_eval_ng,
     parse_assessment_file,
@@ -243,6 +245,35 @@ def formula_score(docs: dict[str, list[str]], query: list[str], slope: float) ->
         if raw > 0:
             out[doc] = raw / ((1 - slope) + slope * len(tokens) / avg)
     return out
+
+
+def naive_rank_articles(index, query, params) -> list:
+    """``rank_articles`` as a plain loop over the postings: one accumulation
+    per posting, with ``1 + ln tf`` computed each time, then one sort on
+    (-score, document number). The float operations are those of
+    ``rank_articles``, in the same order, so its scores must equal these
+    exactly."""
+    weights = Counter(query)
+    if not weights:
+        return []
+    n = len(index.doc_lengths)
+    accum: dict[int, float] = defaultdict(float)
+    for term, qtf in weights.items():
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        w_q = math.log(1.0 + n / len(plist))
+        for number, tf in plist:
+            accum[number] += qtf * w_q * (1.0 + math.log(tf))
+    slope = params.slope
+    avg = index.avg_doc_length
+    scored = []
+    for number, raw in accum.items():
+        norm = (1.0 - slope) + slope * (index.doc_lengths[number] / avg)
+        scored.append((number, raw / norm))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    del scored[params.max_results :]
+    return [ScoredArticle(number, index.docs[number], score) for number, score in scored]
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,24 @@ def test_out_of_range_ranking_option_is_a_clean_error(workspace, capsys, option,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_max_results_above_sys_maxsize_is_a_clean_error(workspace, monkeypatch, capsys, command, source):
+    # a larger cap once reached islice, which skipped every element topic with its own message and exited 0
+    out = workspace / "out"
+    argv = _command_argv(workspace, command, out)
+    value = sys.maxsize + 1
+    if source == "flag":
+        argv += ["--max-results", str(value)]
+    else:
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps({"max_results": value}))
+        monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: max_results must be at most {sys.maxsize}: {value}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [{"sytem": "xmldb"}, {"max-results": 1}], ids=["misspelt", "flag-spelling"])
 def test_unknown_config_key_is_a_clean_error(workspace, monkeypatch, capsys, config):
     out = workspace / "out.run"

@@ -351,6 +351,21 @@ def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
     assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the AND answer fills the cap: no OR pass
 
 
+def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
+    corpus = support.corpus_from_strings(
+        {
+            "early": "<article><p>alpha</p></article>",
+            "late": "<article><p>alpha beta</p><p>alpha</p></article>",
+        }
+    )
+    index = build_index(corpus)
+    assert [a.doc for a in rank_articles(index, ["alpha", "beta"])] == ["late", "early"]
+    calls = _spy_collection_match(monkeypatch)
+    run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=HYBRID, max_results=1))
+    assert [(e.doc, str(e.path)) for e in run.entries] == [("late", "/article[1]/p[1]")]
+    assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the top article's AND answer fills the cap: no OR pass
+
+
 def test_xmldb_needs_an_index():
     corpus = support.corpus_from_strings({"d": "<article>alpha</article>"})
     with pytest.raises(ValueError, match="xmldb runs need an index"):

@@ -1,7 +1,9 @@
 """Inverted index construction and pivoted-length-normalized ranking.
 
 Scores are compared with ``support.formula_score``, the scoring formula
-evaluated directly. The index's one oracle comparison is
+evaluated directly, and the ranking, scores included, with
+``support.naive_rank_articles``, the same arithmetic as a plain loop, by
+``==``. The index's one oracle comparison is
 ``test_postings::test_build_index_tf_equals_token_counter``; ``test_postings.py``
 also holds those of ingest, ``collection_match`` and ``identify_cres``,
 ``test_cre.py`` that of ``rank_cres``, ``test_evaluation.py`` those of the ng
@@ -10,10 +12,12 @@ slope-invariant order and formula oracle.
 """
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xmlir import RankParams, build_index, rank_articles
+from xmlir import RankParams, ScoredArticle, build_index, rank_articles
 
 import support
 
@@ -139,3 +143,41 @@ def test_slope_bounds_validated():
         RankParams(slope=1.5)
     with pytest.raises(ValueError):
         RankParams(slope=-0.1)
+
+
+VOCABULARY = ("alpha", "beta", "gamma", "pad")
+SWAP = {"alpha": "beta", "beta": "alpha"}
+
+
+@st.composite
+def ranking_inputs(draw):
+    """A corpus whose documents repeat and may be mirrored with alpha and beta
+    swapped (so scores tie on the same or on different terms) and repeat
+    terms (tf above 1), shuffled; a query bag with repeated and absent terms,
+    a slope and a cap often below the number of documents that hold a query
+    term."""
+    bodies = draw(st.lists(st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=6), min_size=1, max_size=4))
+    picked = [bodies[b] for b in draw(st.lists(st.integers(0, len(bodies) - 1), min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        picked += [[SWAP.get(t, t) for t in body] for body in picked]
+    picked = draw(st.permutations(picked))
+    docs = {f"d{i}": "<article><p>" + " ".join(body) + "</p></article>" for i, body in enumerate(picked)}
+    query = draw(st.lists(st.sampled_from((*VOCABULARY, "absent")), min_size=1, max_size=5))
+    params = RankParams(slope=draw(st.sampled_from((0.0, 0.55, 1.0))), max_results=draw(st.integers(1, len(docs) + 1)))
+    return docs, query, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_inputs())
+def test_rank_equals_naive_loop_exactly(inputs):
+    docs, query, params = inputs
+    index = build_index(support.corpus_from_strings(docs))
+    ranked = rank_articles(index, query, params)
+    assert ranked == support.naive_rank_articles(index, query, params)  # numbers, docs, order and scores, by ==
+    assert all(type(a) is ScoredArticle for a in ranked)
+
+
+def test_max_results_bounds_validated():
+    assert RankParams(max_results=sys.maxsize).max_results == sys.maxsize
+    with pytest.raises(ValueError, match=f"max_results must be at most {sys.maxsize}: {sys.maxsize + 1}"):
+        RankParams(max_results=sys.maxsize + 1)
