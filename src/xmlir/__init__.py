@@ -42,7 +42,6 @@ from .pipeline import (
 from .ranker import (
     InvertedIndex,
     RankParams,
-    ScoredArticle,
     build_index,
     rank_articles,
 )

@@ -249,17 +249,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     warn = _warn_once()
-    corpus = _load(args, "corpus", _ingest, warn)
-    topics = _load(args, "topics", pipeline.parse_topics, warn)
-    sets = _load(args, "assessments", assess.load_assessments, warn)
-    index = build_index(corpus)
-
-    # the grid sets the system, cre and n of every cell; the options give the rest
+    # the grid sets the system, cre and n of every cell; the options give the rest, checked before any input is read
     cells = [(_system_config(args, pipeline.FULLTEXT, False, "all"), "-")]
     for system in (pipeline.XMLDB, pipeline.HYBRID):
         for cre in (False, True):
             for n_label in N_CHOICES:
                 cells.append((_system_config(args, system, cre, n_label), n_label))
+    corpus = _load(args, "corpus", _ingest, warn)
+    topics = _load(args, "topics", pipeline.parse_topics, warn)
+    sets = _load(args, "assessments", assess.load_assessments, warn)
+    index = build_index(corpus)
 
     judged = _judge(sets, warn)
     lines = ["system\tn\tcase\tcategory\tmetric\ttopics\tmap"]

@@ -47,7 +47,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, filterfalse, groupby, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -238,11 +237,9 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     terms = frozenset(bag)
     numbers = None  # xmldb: every article, in document order
     if config.system != XMLDB:
-        ranked = rank_articles(index, bag, config)  # at most config.max_results articles
+        numbers, scores = rank_articles(index, bag, config)  # at most config.max_results articles
         if config.system == FULLTEXT:
-            roots = list(map(corpus.starts.__getitem__, map(itemgetter(0), ranked)))
-            return RunResult(topic.id, config.tag, corpus, roots, list(map(itemgetter(2), ranked)))
-        numbers = list(map(itemgetter(0), ranked))
+            return RunResult(topic.id, config.tag, corpus, list(map(corpus.starts.__getitem__, numbers)), scores)
     if config.cre:
         matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
         nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)

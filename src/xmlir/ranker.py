@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from .corpus import Corpus
 
@@ -38,16 +38,9 @@ class RankParams:
             raise ValueError(f"max_results must be at most {sys.maxsize}: {self.max_results}")
 
 
-class ScoredArticle(NamedTuple):  # a tuple: a ranking makes up to 1500 of them per query
-    number: int  # the document's number in the corpus
-    doc: str
-    score: float
-
-
 @dataclass(eq=False)
 class InvertedIndex:
     postings: dict[str, list[tuple[int, int]]]  # term -> [(document number, tf)], ascending numbers
-    docs: Sequence[str]  # document number -> identifier, the corpus's list
     doc_lengths: array  # document number -> token count
     avg_doc_length: float
 
@@ -67,7 +60,6 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     doc_lengths = array("i", map(corpus.sizes.__getitem__, starts[:-1]))
     return InvertedIndex(
         postings=postings,
-        docs=corpus.docs,
         doc_lengths=doc_lengths,
         avg_doc_length=sum(doc_lengths) / len(doc_lengths),
     )
@@ -77,9 +69,9 @@ def rank_articles(
     index: InvertedIndex,
     query: Iterable[str],
     params: RankParams = RankParams(),
-) -> list[ScoredArticle]:
-    """Rank documents for a term bag; repeated terms contribute per occurrence.
-    ``1 + ln tf`` is computed once per distinct tf, and the list is built in C."""
+) -> tuple[list[int], list[float]]:
+    """The capped document numbers for a term bag, in score order, and their scores;
+    repeated terms contribute per occurrence, and ``1 + ln tf`` is computed once per distinct tf."""
     weights = Counter(query)
     n = len(index.doc_lengths)
     accum: dict[int, float] = defaultdict(float)
@@ -100,5 +92,4 @@ def rank_articles(
     scores = dict(zip(numbers, map(truediv, map(accum.__getitem__, numbers), norms)))
     numbers.sort(key=scores.__getitem__, reverse=True)  # stable: equal scores keep ascending numbers
     del numbers[params.max_results :]
-    fields = zip(numbers, map(index.docs.__getitem__, numbers), map(scores.__getitem__, numbers))
-    return list(map(tuple.__new__, repeat(ScoredArticle), fields))
+    return numbers, list(map(scores.__getitem__, numbers))

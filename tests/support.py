@@ -21,7 +21,6 @@ from xmlir import (
     AssessmentSet,
     Corpus,
     ElementPath,
-    ScoredArticle,
     build_size_map,
     inex_eval_ng,
     parse_assessment_file,
@@ -218,8 +217,8 @@ def naive_hybrid(
     docs: dict[str, str], ranking: list[str], terms: frozenset[str], config
 ) -> list[tuple[str, ElementPath]]:
     """The capped ``hybrid`` answer list: each ranked article's
-    ``naive_article_answers``, articles in ``ranking`` order (identifiers,
-    as ``rank_articles`` lists them), then the per-article and global caps."""
+    ``naive_article_answers``, articles in ``ranking`` order (the identifiers
+    of the numbers ``rank_articles`` lists), then the per-article and global caps."""
     pairs = [pair for doc in ranking for pair in naive_article_answers(doc, docs[doc], terms, config)]
     return naive_caps(pairs, config)
 
@@ -247,7 +246,7 @@ def formula_score(docs: dict[str, list[str]], query: list[str], slope: float) ->
     return out
 
 
-def naive_rank_articles(index, query, params) -> list:
+def naive_rank_articles(index, query, params) -> tuple[list[int], list[float]]:
     """``rank_articles`` as a plain loop over the postings: one accumulation
     per posting, with ``1 + ln tf`` computed each time, then one sort on
     (-score, document number). The float operations are those of
@@ -255,7 +254,7 @@ def naive_rank_articles(index, query, params) -> list:
     exactly."""
     weights = Counter(query)
     if not weights:
-        return []
+        return [], []
     n = len(index.doc_lengths)
     accum: dict[int, float] = defaultdict(float)
     for term, qtf in weights.items():
@@ -273,7 +272,7 @@ def naive_rank_articles(index, query, params) -> list:
         scored.append((number, raw / norm))
     scored.sort(key=lambda item: (-item[1], item[0]))
     del scored[params.max_results :]
-    return [ScoredArticle(number, index.docs[number], score) for number, score in scored]
+    return [number for number, _ in scored], [score for _, score in scored]
 
 
 # ---------------------------------------------------------------------------

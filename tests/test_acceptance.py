@@ -242,7 +242,7 @@ def test_c7_ranking_properties():
     query = ["alpha", "beta"]
     orders = []
     for slope in (0.0, 0.25, 0.5, 0.75, 1.0):
-        orders.append([r.doc for r in rank_articles(index, query, RankParams(slope=slope))])
+        orders.append(rank_articles(index, query, RankParams(slope=slope))[0])
     assert all(order == orders[0] for order in orders)
 
     tokens = {
@@ -251,8 +251,8 @@ def test_c7_ranking_properties():
     }
     for slope in (0.0, 0.55, 1.0):
         oracle = support.formula_score(tokens, query, slope)
-        for r in rank_articles(index, query, RankParams(slope=slope)):
-            assert r.score == pytest.approx(oracle[r.doc], abs=1e-9)
+        for d, score in zip(*rank_articles(index, query, RankParams(slope=slope))):
+            assert score == pytest.approx(oracle[corpus.docs[d]], abs=1e-9)
     print("\n[acceptance] 7 PASS slope-invariant ordering x5 and formula oracle at 1e-9")
 
 
@@ -312,7 +312,7 @@ def test_c8_pipeline_determinism_and_structure(synthetic_workspace, tmp_path):
                     else:
                         seen_non_and[entry.doc] = True
             if label.startswith("hybrid"):
-                ranking = [a.doc for a in rank_articles(index, bag)]
+                ranking = [corpus.docs[d] for d in rank_articles(index, bag)[0]]
                 blocks = []
                 for entry in run.entries:
                     if not blocks or blocks[-1] != entry.doc:

@@ -103,10 +103,23 @@ def test_load_assessments_skips_malformed(tmp_path):
             f'<assessments topic_id="{topic_id}"><file file="d">'
             f'<path E="{e}" S="{s}" path="/a[1]"/></file></assessments>'
         )
+    # a well-formed file whose <file> or <path> lacks the attribute naming it
+    unnamed = {
+        "085.xml": ('<file><path E="3" S="3" path="/a[1]"/></file>', "<file> without a file attribute"),
+        "086.xml": ('<file file="d"><path E="3" S="3"/></file>', "<path> without a path attribute"),
+    }
+    for name, (body, _) in unnamed.items():
+        (tmp_path / name).write_text(f'<assessments topic_id="{name[:3]}">{body}</assessments>')
     sets, diagnostics = load_assessments(tmp_path)
     assert [s.topic_id for s in sets] == [117]
-    assert len(diagnostics) == 5 and "080.xml" in diagnostics[0]
-    assert diagnostics[1:] == [f"{name}: skipped ({message})" for name, (*_, message) in malformed.items()]
+    assert len(diagnostics) == 7 and "080.xml" in diagnostics[0]
+    assert diagnostics[1:5] == [f"{name}: skipped ({message})" for name, (*_, message) in malformed.items()]
+    assert diagnostics[5:] == [f"{name}: skipped ({tmp_path / name}: {why})" for name, (_, why) in unnamed.items()]
+
+
+def test_load_assessments_missing_directory_is_fatal(tmp_path):
+    with pytest.raises(FileNotFoundError, match="^assessments directory not found: "):
+        load_assessments(tmp_path / "nope")
 
 
 def test_highly_relevant_requires_top_grades_on_both(sample_set):

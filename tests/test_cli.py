@@ -275,6 +275,9 @@ def test_malformed_config_file_names_the_file(workspace, monkeypatch, capsys):
     monkeypatch.setenv("XMLIR_CONFIG", str(config_path))
     assert main(["run"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {config_path}: Expecting ")
+    config_path.write_text('["corpus"]')  # JSON, but not an object
+    assert main(["run"]) == 1
+    assert capsys.readouterr().err == f"error: config file must hold a JSON object: {config_path}\n"
 
 
 def _command_argv(workspace, command, out):
@@ -292,18 +295,23 @@ def _command_argv(workspace, command, out):
 
 
 @pytest.mark.parametrize(
-    "option, value, message",
+    "command, option, value, message",
     [
-        ("--max-results", "0", "max_results must be positive"),
-        ("--max-results", "-3", "max_results must be positive"),
-        ("--slope", "1.5", "slope must lie in [0, 1]: 1.5"),
-        ("--slope", "nan", "slope must lie in [0, 1]: nan"),
+        pytest.param(command, option, value, message, id=prefix + case)
+        for command, prefix in (("run", ""), ("report", "report-"))
+        for case, (option, value, message) in {
+            "max-results-0": ("--max-results", "0", "max_results must be positive"),
+            "max-results-negative": ("--max-results", "-3", "max_results must be positive"),
+            "slope-above-1": ("--slope", "1.5", "slope must lie in [0, 1]: 1.5"),
+            "slope-nan": ("--slope", "nan", "slope must lie in [0, 1]: nan"),
+        }.items()
     ],
-    ids=["max-results-0", "max-results-negative", "slope-above-1", "slope-nan"],
 )
-def test_out_of_range_ranking_option_is_a_clean_error(workspace, capsys, option, value, message):
+def test_out_of_range_ranking_option_is_a_clean_error(workspace, capsys, command, option, value, message):
+    # the options are checked before any input is read, so a malformed document prints no diagnostic
+    (workspace / "corpus" / "bad.xml").write_text("<article>unclosed")
     out = workspace / "out.run"
-    assert main([*_command_argv(workspace, "run", out), option, value]) == 1
+    assert main([*_command_argv(workspace, command, out), option, value]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 

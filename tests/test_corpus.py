@@ -62,6 +62,11 @@ def test_path_parse_rejects_malformed(bad):
         ElementPath.from_string(bad)
 
 
+def test_path_needs_a_step():
+    with pytest.raises(ValueError, match="^element path needs at least the root step$"):
+        ElementPath(())
+
+
 def test_path_ancestry():
     a = ElementPath.from_string("/article[1]/bdy[1]")
     b = ElementPath.from_string("/article[1]/bdy[1]/sec[2]")

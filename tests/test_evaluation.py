@@ -162,6 +162,12 @@ def test_ng_missing_sizes_count_zero():
     assert 0.0 < ap <= 1.0
 
 
+def test_ng_unknown_overlap_mode_raises():
+    corpus, _ = _corpus_and_regions({"d": NESTED_DOC})
+    with pytest.raises(ValueError, match="^unknown overlap mode: 'x'$"):
+        inex_eval_ng([0], {0}, corpus, "x")
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_ng_on_node_numbers_matches_the_region_oracle(data):

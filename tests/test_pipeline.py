@@ -226,7 +226,7 @@ def test_hybrid_equals_ranked_full_scan(docs, terms, cre, combo, n_per_article, 
     index = build_index(corpus)
     t = topic(*sorted(terms))
     config = SystemConfig(system=HYBRID, cre=cre, combo=combo, n_per_article=n_per_article, max_results=max_results)
-    ranking = [a.doc for a in rank_articles(index, translate_topic(t), config)]
+    ranking = [corpus.docs[d] for d in rank_articles(index, translate_topic(t), config)[0]]
     run = execute(t, corpus, index, config)
     expected = support.naive_hybrid(docs, ranking, frozenset(translate_topic(t)), config)
     assert [(e.doc, e.path) for e in run.entries] == expected
@@ -359,7 +359,7 @@ def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
         }
     )
     index = build_index(corpus)
-    assert [a.doc for a in rank_articles(index, ["alpha", "beta"])] == ["late", "early"]
+    assert [corpus.docs[d] for d in rank_articles(index, ["alpha", "beta"])[0]] == ["late", "early"]
     calls = _spy_collection_match(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=HYBRID, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("late", "/article[1]/p[1]")]
@@ -394,7 +394,7 @@ def test_hybrid_article_rank_overrides_ingestion_order():
     )
     t = topic("patricia")
     index = build_index(corpus)
-    ranked = [a.doc for a in rank_articles(index, translate_topic(t))]
+    ranked = [corpus.docs[d] for d in rank_articles(index, translate_topic(t))[0]]
     assert ranked == ["late", "early"]
     hybrid = execute(t, corpus, index, SystemConfig(system=HYBRID))
     assert [e.doc for e in hybrid.entries] == ["late", "early"]
@@ -431,12 +431,15 @@ def test_run_file_roundtrip(tmp_path):
     runs = [
         execute(topic("patricia", id=1), corpus, index, SystemConfig(system=FULLTEXT)),
         execute(topic("tries", id=2), corpus, index, SystemConfig(system=XMLDB)),
+        execute(topic("absent", id=3), corpus, index, SystemConfig(system=HYBRID)),  # no answers, no lines
     ]
     target = tmp_path / "mixed.run"
     write_run_file(target, runs)
     text = target.read_text()
+    assert len(text.splitlines()) == 3
     for line in text.splitlines():
         assert len(line.split("\t")) == 6
+    target.write_text(text.replace("\n", "\n\n", 1))  # a blank line is skipped
     loaded = read_run_file(target)
     assert [r.topic_id for r in loaded] == [1, 2]
     assert loaded[0].system_tag == "fulltext"

@@ -17,7 +17,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xmlir import RankParams, ScoredArticle, build_index, rank_articles
+from xmlir import RankParams, build_index, rank_articles
 
 import support
 
@@ -53,7 +53,6 @@ def test_build_index_shares_equal_pairs():
     assert index.postings["x"] == [(0, 1), (1, 1)]
     assert index.postings["y"] == [(0, 2), (1, 1)]
     assert index.postings["x"][1] is index.postings["y"][1]  # one (document number, tf) tuple
-    assert index.docs is corpus.docs
 
 
 def test_build_index_empty_corpus_raises():
@@ -63,17 +62,16 @@ def test_build_index_empty_corpus_raises():
 
 def test_rank_empty_query():
     index = build_index(support.corpus_from_strings(FIXTURE))
-    assert rank_articles(index, []) == []
+    assert rank_articles(index, []) == ([], [])
 
 
 def test_rank_matches_frozen_oracle_scores():
     # frozen from an independent evaluation of the scoring formula
     index = build_index(support.corpus_from_strings(FIXTURE))
-    results = rank_articles(index, ["patricia", "tries"], RankParams(slope=0.55))
-    assert [r.doc for r in results] == ["d1", "d2", "d3"]
+    numbers, scores = rank_articles(index, ["patricia", "tries"], RankParams(slope=0.55))
+    assert numbers == [0, 1, 2]  # d1, d2, d3
     expected = [2.3089644922761074, 1.0623660659410494, 0.8573480532155836]
-    for result, value in zip(results, expected):
-        assert result.score == pytest.approx(value, abs=1e-9)
+    assert scores == pytest.approx(expected, abs=1e-9)
 
 
 def test_rank_matches_formula_oracle_on_10_docs():
@@ -86,11 +84,11 @@ def test_rank_matches_formula_oracle_on_10_docs():
     index = build_index(corpus)
     query = ["alpha", "beta", "alpha"]
     for slope in (0.0, 0.25, 0.55, 1.0):
-        results = rank_articles(index, query, RankParams(slope=slope))
+        numbers, scores = rank_articles(index, query, RankParams(slope=slope))
         oracle = support.formula_score(tokens, query, slope)
-        assert {r.doc for r in results} == set(oracle)
-        for r in results:
-            assert r.score == pytest.approx(oracle[r.doc], abs=1e-9)
+        assert {corpus.docs[d] for d in numbers} == set(oracle)
+        for d, score in zip(numbers, scores):
+            assert score == pytest.approx(oracle[corpus.docs[d]], abs=1e-9)
 
 
 def test_slope_zero_means_no_normalization():
@@ -99,9 +97,9 @@ def test_slope_zero_means_no_normalization():
         "long": "<article>alpha " + "pad " * 50 + "</article>",
     }
     index = build_index(support.corpus_from_strings(docs))
-    results = rank_articles(index, ["alpha"], RankParams(slope=0.0))
-    by_doc = {r.doc: r.score for r in results}
-    assert by_doc["short"] == pytest.approx(by_doc["long"], abs=1e-12)
+    numbers, scores = rank_articles(index, ["alpha"], RankParams(slope=0.0))
+    assert numbers == [0, 1]  # short, long
+    assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
 
 def test_adding_query_free_doc_preserves_order():
@@ -118,24 +116,22 @@ def test_adding_query_free_doc_preserves_order():
             body = ["alpha"] * a + ["gamma"] * g + ["pad"] * (length - a - g)
             docs[f"d{i}"] = "<article>" + " ".join(body) + "</article>"
         tokens = {d: docs[d].split(">")[1].split("<")[0].split() for d in docs}
-        before = [r.doc for r in rank_articles(build_index(support.corpus_from_strings(docs)), query)]
+        before = [f"d{d}" for d in rank_articles(build_index(support.corpus_from_strings(docs)), query)[0]]
         oracle_before = support.formula_score(tokens, query, 0.55)
         assert before == sorted(oracle_before, key=lambda d: (-oracle_before[d], before.index(d)))
         docs["zz"] = "<article>" + " ".join(["filler"] * length) + "</article>"
-        after = [
-            r.doc for r in rank_articles(build_index(support.corpus_from_strings(docs)), query)
-        ]
+        after = [f"d{d}" for d in rank_articles(build_index(support.corpus_from_strings(docs)), query)[0]]
         assert after == before, f"trial {trial}: order changed"
 
 
 def test_scores_positive_and_cap_enforced():
     docs = {f"d{i:03d}": "<article>alpha beta</article>" for i in range(30)}
     index = build_index(support.corpus_from_strings(docs))
-    results = rank_articles(index, ["alpha"], RankParams(max_results=10))
-    assert len(results) == 10
-    assert all(r.score > 0 for r in results)
+    numbers, scores = rank_articles(index, ["alpha"], RankParams(max_results=10))
+    assert len(scores) == 10
+    assert all(score > 0 for score in scores)
     # equal scores fall back to ingestion order
-    assert [r.doc for r in results] == [f"d{i:03d}" for i in range(10)]
+    assert numbers == list(range(10))
 
 
 def test_slope_bounds_validated():
@@ -173,8 +169,7 @@ def test_rank_equals_naive_loop_exactly(inputs):
     docs, query, params = inputs
     index = build_index(support.corpus_from_strings(docs))
     ranked = rank_articles(index, query, params)
-    assert ranked == support.naive_rank_articles(index, query, params)  # numbers, docs, order and scores, by ==
-    assert all(type(a) is ScoredArticle for a in ranked)
+    assert ranked == support.naive_rank_articles(index, query, params)  # numbers, order and scores, by ==
 
 
 def test_max_results_bounds_validated():
