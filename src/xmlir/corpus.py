@@ -10,7 +10,8 @@ columns: ``path_ids``, ``sizes`` (subtree token counts), ``ends``,
 Each distinct path is one ``(parent path id, tag, index)`` row of a table
 private to this module (a DataGuide with sibling indexes, Goldman & Widom,
 VLDB 1997): ``corpus.path(i)`` builds node ``i``'s ``ElementPath`` from it,
-and ``Corpus.find`` resolves a (document, path) pair to its node through it.
+and ``Corpus.find`` resolves a (document, path) pair to its node through it;
+``Corpus.path_order`` ranks all its paths, once per sign pair, for ``rank_cres``.
 Each term has one ascending ``array('i')`` of the nodes holding it directly,
 one entry per occurrence: a document's run of it is the ``bisect`` slice
 within the document's range, whose length is the term's frequency there,
@@ -28,7 +29,7 @@ import sys
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, groupby, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -84,6 +85,7 @@ class Corpus:
     _rows: list[tuple[int, str, int]] = field(default_factory=list, repr=False)  # (parent path id, tag, index)
     _row_ids: dict[tuple[int, str, int], int] = field(default_factory=dict, repr=False)  # row -> path id
     _built: dict[int, ElementPath] = field(default_factory=dict, repr=False)  # path id -> its ElementPath
+    _orders: dict = field(default_factory=dict, repr=False)  # sign pair -> (rows counted, places, signed lengths)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -105,6 +107,37 @@ class Corpus:
                 steps.append((tag, index))
             built = self._built[pid] = ElementPath(tuple(reversed(steps)))
         return built
+
+    def path_order(self, length_sign: int, sequence_sign: int) -> tuple[list[int], list[int]]:
+        """For every path id, its place among all distinct paths sorted by
+        ``length_sign`` times their length, then their sibling-index sequence
+        times ``sequence_sign``, then their steps, and its signed length.
+        Sequences and steps only meet at equal lengths, so each depth is ranked
+        alone from its rows' parents (a row's parent comes before it) and no
+        path is spelled out. Memoized per sign pair while the table keeps its size."""
+        rows = self._rows
+        n, memo = len(rows), self._orders.get((length_sign, sequence_sign))
+        if memo is None or memo[0] != n:
+            # per path id, plus one 0 past the end that a root's parent, -1, reads
+            depths, sequences, steps = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+            for pid, (parent, _, _) in enumerate(rows):
+                depths[pid] = depths[parent] + 1
+            for _, level in groupby(sorted(range(n), key=depths.__getitem__), depths.__getitem__):
+                level = list(level)
+                keys = [(sequences[rows[pid][0]], sequence_sign * rows[pid][2]) for pid in level]
+                dense = dict(zip(sorted(set(keys)), count()))  # equal sequences share a rank
+                for pid, key in zip(level, keys):
+                    sequences[pid] = dense[key]
+                # rows under one parent rank compare by (tag, index), as their steps do
+                level.sort(key=lambda pid: (steps[rows[pid][0]], rows[pid]))
+                for rank, pid in enumerate(level):
+                    steps[pid] = rank
+            lengths = [length_sign * depth for depth in depths[:n]]
+            places = [0] * n
+            for place, pid in enumerate(sorted(range(n), key=lambda pid: (lengths[pid], sequences[pid], steps[pid]))):
+                places[pid] = place
+            memo = self._orders[length_sign, sequence_sign] = n, places, lengths
+        return memo[1], memo[2]
 
     def find(self, number: int, path: ElementPath) -> int | None:
         """The node at ``path`` in document ``number``: its steps name one row

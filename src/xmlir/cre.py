@@ -17,8 +17,9 @@ Papakonstantinou, SIGMOD 2005): a branching node with matches below children
 after it, and the LCA of adjacent ``a < b``, unless it is ``a``, holds them
 below two distinct children. One walk up from each ``a`` finds its LCA.
 Each document is a range of the corpus-wide numbering, so one pass serves
-the whole corpus (``identify_cres``): a walk that leaves ``a``'s root
-finds two documents, and that pair adds nothing.
+the whole corpus (``identify_cres``): when ``b`` lies past the end of
+``a``'s document the pair has no LCA and no walk is taken, and otherwise
+the walk stops inside the document, at its root at the latest.
 
 A document with one match is the special case: the sole matching element is
 returned as-is, since nothing supports promoting any of its ancestors.
@@ -33,7 +34,9 @@ Ranking uses a heuristic combination, a three-letter code such as ``MpE``:
 The first two letters are the primary and secondary keys in either order
 (one from each pair), the third letter always resolves remaining ties,
 giving the 16 ``COMBO_CODES``. ``rank_cres`` sorts each article's coherent
-elements in that order.
+elements in that order. A path's part of each key is one integer, its place
+in the corpus's order of all its distinct paths (``Corpus.path_order``), so
+no sequence or step tuple is built per call.
 """
 
 from __future__ import annotations
@@ -50,17 +53,19 @@ DEFAULT_COMBO = "MpE"
 def identify_cres(corpus: Corpus, matching: Sequence[int]) -> list[tuple[int, int]]:
     """``(node, matches below)`` for the coherent elements of every document
     holding some of the ascending node numbers ``matching``, in node order."""
-    ends, parents = corpus.ends, corpus.parents
+    ends, parents, doc_of, starts = corpus.ends, corpus.parents, corpus.doc_of, corpus.starts
     lcas, found, alone = set(), [], True  # alone: no match before a in its document
-    for a, b in zip(matching, [*matching[1:], len(ends)]):  # the last walk leaves the corpus
+    for a, b in zip(matching, [*matching[1:], len(ends)]):  # past the last match: the corpus's end
+        if starts[doc_of[a] + 1] <= b:  # b lies past a's document, so the pair has no LCA
+            if alone:  # a is its document's only match
+                found.append((a, 1))
+            alone = True
+            continue
         x = a
-        while x >= 0 and ends[x] <= b:
+        while ends[x] <= b:  # stops at a's root at the latest, whose subtree holds b
             x = parents[x]
-        if x >= 0:
-            lcas.add(x)
-        elif alone:  # the walk left a's root: a is its document's only match
-            found.append((a, 1))
-        alone = x < 0
+        lcas.add(x)
+        alone = False
     for x in lcas:
         first = bisect_left(matching, x)
         if matching[first] != x:  # a match is never its own coherent element
@@ -78,30 +83,27 @@ def rank_cres(
 
     Ties left by the code fall to the full path, since sibling-index
     sequences can repeat (``/article[1]/bdy[1]`` and ``/article[1]/bm[1]``).
-    The per-article cap is applied by the pipeline, not here.
+    Length, sequence and path are one integer per path id, its place in
+    ``corpus.path_order``; a path-first code keeps the signed length ahead of
+    the match count. The per-article cap is applied by the pipeline, not here.
     """
     if combo not in COMBO_CODES:
         raise ValueError(f"invalid heuristic combination {combo!r}")
     match_sign = -1 if "M" in combo else 1
-    path_sign = -1 if "P" in combo else 1
-    sequence_sign = -1 if combo[2] == "E" else 1
     matches_first = combo[0] in "Mm"
+    path_places, lengths = corpus.path_order(-1 if "P" in combo else 1, -1 if combo[2] == "E" else 1)
 
     places = None if order is None else dict(zip(order, range(len(order))))
     doc_of, path_ids = corpus.doc_of, corpus.path_ids
-    shapes: dict[int, tuple[int, tuple[int, ...], tuple]] = {}  # path id -> its key parts; a corpus has few paths
     keyed = []
     for node, below in cres:
         number = doc_of[node]
         place = number if places is None else places.get(number)
         if place is not None:
             pid = path_ids[node]
-            if pid not in shapes:
-                steps = corpus.path(node).steps
-                shapes[pid] = path_sign * len(steps), tuple(sequence_sign * index for _, index in steps), steps
-            length, sequence, steps = shapes[pid]
-            matches = match_sign * below
-            key = (place, matches, length) if matches_first else (place, length, matches)
-            keyed.append(((*key, sequence, steps), node))
+            if matches_first:
+                keyed.append((place, match_sign * below, path_places[pid], node))
+            else:
+                keyed.append((place, lengths[pid], match_sign * below, path_places[pid], node))
     keyed.sort()
-    return [node for _, node in keyed]
+    return [key[-1] for key in keyed]

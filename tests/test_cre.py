@@ -1,11 +1,12 @@
 """Coherent-element identification and heuristic ranking on small corpora.
 
 This file holds the one oracle comparison of ``rank_cres``: against the
-reference key for every code. ``test_postings.py`` holds those of ingest,
-``collection_match`` and ``identify_cres`` (with its laws),
-``test_evaluation.py`` those of the ng metrics, and ``test_acceptance.py``
-criteria C1-C9, among them the worked fixture's ranking (C1) and the
-sequence tie-break (C2)."""
+reference key for every code, and that of ``Corpus.path_order``, the path
+part of its keys: against sorting the spelled paths. ``test_postings.py``
+holds those of ingest, ``collection_match`` and ``identify_cres`` (with its
+laws), ``test_evaluation.py`` those of the ng metrics, and
+``test_acceptance.py`` criteria C1-C9, among them the worked fixture's
+ranking (C1) and the sequence tie-break (C2)."""
 
 import itertools
 import random
@@ -150,3 +151,26 @@ def test_rank_cres_equals_reference_key_for_every_code(case):
             mine.sort(key=lambda pair: support.naive_cre_key(doc, corpus.path(pair[0]), pair[1], code))
             expected += [node for node, _ in mine]
         assert rank_cres(corpus, cres, code, order) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_path_order_equals_sorting_the_spelled_paths(seeds, extra):
+    """For every sign pair, each path id's place is its rank when the spelled
+    paths are sorted by (signed length, signed sequence, steps), and the places
+    are a permutation; after one more document, whose paths all are new, the
+    order covers them too."""
+    corpus = support.corpus_from_strings({f"d{k}": support.random_xml(random.Random(s)) for k, s in enumerate(seeds)})
+    for _ in range(2):
+        paths = {pid: corpus.path(node) for node, pid in enumerate(corpus.path_ids)}
+        for length_sign, sequence_sign in itertools.product((1, -1), repeat=2):
+            places, lengths = corpus.path_order(length_sign, sequence_sign)
+            assert sorted(paths) == sorted(places) == list(range(len(places)))
+
+            def spelled(pid):
+                path = paths[pid]
+                return length_sign * path.depth, tuple(sequence_sign * i for i in support.sequence(path)), path.steps
+
+            assert [places[pid] for pid in sorted(paths, key=spelled)] == list(range(len(places)))
+            assert lengths == [length_sign * paths[pid].depth for pid in range(len(places))]
+        corpus.add("extra", f"<article><extra>{support.random_xml(random.Random(extra))}</extra></article>")

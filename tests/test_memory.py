@@ -13,7 +13,7 @@ import gc
 import random
 import tracemalloc
 
-from xmlir import Corpus, build_index, collection_match, ingest_corpus
+from xmlir import Corpus, build_index, collection_match, identify_cres, ingest_corpus, rank_cres
 from xmlir.matcher import AND
 
 import support
@@ -58,8 +58,9 @@ def test_retained_bytes_per_token_occurrence(tmp_path):
 
 def _chain_peak(depth: int) -> int:
     """The tracemalloc peak of ingesting one ``<a>`` chain ``depth`` deep,
-    matching the terms of its every level and of its deepest, and reading
-    the match's path."""
+    matching the terms of its every level and of its deepest, reading the
+    match's path, and ranking it as a coherent element by a matches-first and
+    a path-first code."""
     text = "<a>alpha " * depth + "beta" + "</a>" * depth
     gc.collect()
     tracemalloc.start()
@@ -68,6 +69,8 @@ def _chain_peak(depth: int) -> int:
         corpus.add("deep", text)
         (match,) = collection_match(corpus, {"alpha", "beta"}, AND)
         assert corpus.path(match).depth == depth
+        for code in ("MpE", "PmB"):
+            assert rank_cres(corpus, identify_cres(corpus, [match]), code) == [match]
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,6 +78,7 @@ def _chain_peak(depth: int) -> int:
 
 def test_deep_nesting_peak_grows_linearly():
     """Doubling the depth at most about doubles the peak: a node's path is one
-    table row, not a copy of its parent's steps."""
+    table row, not a copy of its parent's steps, and the path order ranks the
+    rows depth by depth without spelling a path."""
     shallow, deep = _chain_peak(5000), _chain_peak(10_000)
     assert deep / shallow <= 2.2, f"peak {shallow} -> {deep} bytes"
