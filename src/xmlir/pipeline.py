@@ -234,12 +234,12 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
     if index is None:
         raise ValueError(f"{config.system} runs need an index")
     bag = translate_topic(topic)
-    terms = frozenset(bag)
     numbers = None  # xmldb: every article, in document order
     if config.system != XMLDB:
         numbers, scores = rank_articles(index, bag, config)  # at most config.max_results articles
         if config.system == FULLTEXT:
             return RunResult(topic.id, config.tag, corpus, list(map(corpus.starts.__getitem__, numbers)), scores)
+    terms = frozenset(bag)
     if config.cre:
         matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
         nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)

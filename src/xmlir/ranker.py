@@ -6,6 +6,8 @@ Scoring is log tf-idf with pivoted length normalization:
                ln(1 + N/df_t) * (1 + ln(tf_td))  /  norm(d)
     norm(d)  = (1 - slope) + slope * len(d)/avg_len
 
+The index derives ``1 + ln tf`` once per distinct tf, and each document's
+norm once per slope, on first use, so a query pays only per posting.
 Documents scoring zero are omitted; ties break by document number, which is
 ingestion order.
 """
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter, mul, truediv
 from typing import Iterable
@@ -43,6 +45,16 @@ class InvertedIndex:
     postings: dict[str, list[tuple[int, int]]]  # term -> [(document number, tf)], ascending numbers
     doc_lengths: array  # document number -> token count
     avg_doc_length: float
+    tf_weights: dict[int, float]  # tf -> 1 + ln tf, for each tf in the postings
+    _norms: dict[float, list[float]] = field(default_factory=dict, init=False, repr=False)  # slope -> norms
+
+    def norms(self, slope: float) -> list[float]:
+        """Each document's norm at ``slope``, memoized; raises ZeroDivisionError when no document has a token."""
+        norms = self._norms.get(slope)
+        if norms is None:
+            ratios = map(truediv, self.doc_lengths, repeat(self.avg_doc_length))
+            norms = self._norms[slope] = list(map(add, repeat(1.0 - slope), map(mul, repeat(slope), ratios)))
+        return norms
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -62,6 +74,7 @@ def build_index(corpus: Corpus) -> InvertedIndex:
         postings=postings,
         doc_lengths=doc_lengths,
         avg_doc_length=sum(doc_lengths) / len(doc_lengths),
+        tf_weights={tf: 1.0 + math.log(tf) for tf in set(map(itemgetter(1), shared))},
     )
 
 
@@ -71,25 +84,23 @@ def rank_articles(
     params: RankParams = RankParams(),
 ) -> tuple[list[int], list[float]]:
     """The capped document numbers for a term bag, in score order, and their scores;
-    repeated terms contribute per occurrence, and ``1 + ln tf`` is computed once per distinct tf."""
+    repeated terms contribute per occurrence."""
     weights = Counter(query)
     n = len(index.doc_lengths)
-    accum: dict[int, float] = defaultdict(float)
-    tf_weights: dict[int, float] = {}  # tf -> 1 + ln tf
+    tf_weights = index.tf_weights
+    accum: dict[int, float] = {}
     for term, qtf in weights.items():
         plist = index.postings.get(term)
         if not plist:
             continue
         w_q = qtf * math.log(1.0 + n / len(plist))
-        for tf in set(map(itemgetter(1), plist)).difference(tf_weights):
-            tf_weights[tf] = 1.0 + math.log(tf)
         for number, tf in plist:
-            accum[number] += w_q * tf_weights[tf]
-    slope = params.slope
-    numbers = sorted(accum)
-    ratios = map(truediv, map(index.doc_lengths.__getitem__, numbers), repeat(index.avg_doc_length))
-    norms = map(add, repeat(1.0 - slope), map(mul, repeat(slope), ratios))
-    scores = dict(zip(numbers, map(truediv, map(accum.__getitem__, numbers), norms)))
+            accum[number] = accum.get(number, 0.0) + w_q * tf_weights[tf]
+    if not accum:
+        return [], []
+    norms = index.norms(params.slope)
+    scores = dict(zip(accum, map(truediv, accum.values(), map(norms.__getitem__, accum))))
+    numbers = sorted(scores)
     numbers.sort(key=scores.__getitem__, reverse=True)  # stable: equal scores keep ascending numbers
     del numbers[params.max_results :]
     return numbers, list(map(scores.__getitem__, numbers))

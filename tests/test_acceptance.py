@@ -354,3 +354,26 @@ def test_c9_directional_sanity(synthetic_workspace):
         "\n[acceptance] 9 PASS MAP ordering "
         f"hybrid-cre {hybrid_cre_map:.4f} > hybrid {hybrid_map:.4f} > xmldb {xmldb_map:.4f}"
     )
+
+
+def test_c10_and_match_as_only_branching_node(tmp_path):
+    # /a[1] is the one AND match and the one branching node of the matches
+    # /a[1]/b[1] and /a[1]/c[1]; a match is never its own coherent element,
+    # so the coherent-element systems write nothing for this document
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "d.xml").write_text("<a><b>alpha</b><c>beta</c></a>", encoding="utf-8")
+    topics = tmp_path / "topics.xml"
+    topics.write_text('<inex_topic topic_id="1" query_type="CO"><keywords>alpha, beta</keywords></inex_topic>',
+                      encoding="utf-8")
+    written = {}
+    for system, extra in SYSTEM_CELLS[1:]:
+        label = system + ("-cre" if extra else "")
+        out = tmp_path / f"{label}.run"
+        argv = ["run", "--corpus", str(tmp_path / "corpus"), "--topics", str(topics), "--system", system, *extra]
+        assert main([*argv, "--out", str(out)]) == 0
+        written[label] = out.read_text(encoding="utf-8")
+    for label in ("xmldb", "hybrid"):
+        paths = ("/a[1]", "/a[1]/b[1]", "/a[1]/c[1]")
+        assert written[label] == "".join(f"1\t{r}\td\t{p}\t-\t{label}\n" for r, p in enumerate(paths, 1))
+    assert written["xmldb-cre"] == written["hybrid-cre"] == ""
+    print("\n[acceptance] 10 PASS an AND match that is its document's only branching node yields no coherent element")

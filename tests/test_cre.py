@@ -5,7 +5,7 @@ reference key for every code, and that of ``Corpus.path_order``, the path
 part of its keys: against sorting the spelled paths. ``test_postings.py``
 holds those of ingest, ``collection_match`` and ``identify_cres`` (with its
 laws), ``test_evaluation.py`` those of the ng metrics, and
-``test_acceptance.py`` criteria C1-C9, among them the worked fixture's
+``test_acceptance.py`` criteria C1-C10, among them the worked fixture's
 ranking (C1) and the sequence tie-break (C2)."""
 
 import itertools

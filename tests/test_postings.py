@@ -9,7 +9,7 @@ the comparisons of ingest (the columns against ``support.elementtree_layout``),
 ``collection_match`` (``brute_force_matches``) and ``identify_cres``
 (``brute_force_cres``). ``test_cre.py`` compares ``rank_cres`` with its
 reference key, ``test_evaluation.py`` the ng metrics with their token-region
-scorer, and ``test_acceptance.py`` holds criteria C1-C9.
+scorer, and ``test_acceptance.py`` holds criteria C1-C10.
 """
 
 import random

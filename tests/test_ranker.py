@@ -7,7 +7,7 @@ evaluated directly, and the ranking, scores included, with
 ``test_postings::test_build_index_tf_equals_token_counter``; ``test_postings.py``
 also holds those of ingest, ``collection_match`` and ``identify_cres``,
 ``test_cre.py`` that of ``rank_cres``, ``test_evaluation.py`` those of the ng
-metrics, and ``test_acceptance.py`` criteria C1-C9, among them C7's
+metrics, and ``test_acceptance.py`` criteria C1-C10, among them C7's
 slope-invariant order and formula oracle.
 """
 
@@ -149,10 +149,11 @@ SWAP = {"alpha": "beta", "beta": "alpha"}
 def ranking_inputs(draw):
     """A corpus whose documents repeat and may be mirrored with alpha and beta
     swapped (so scores tie on the same or on different terms) and repeat
-    terms (tf above 1), shuffled; a query bag with repeated and absent terms,
-    a slope and a cap often below the number of documents that hold a query
-    term."""
-    bodies = draw(st.lists(st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=6), min_size=1, max_size=4))
+    terms (tf above 1), shuffled; a document may hold no token, and so may
+    the whole corpus, whose average length is then 0. A query bag with
+    repeated and absent terms, a slope and a cap often below the number of
+    documents that hold a query term."""
+    bodies = draw(st.lists(st.lists(st.sampled_from(VOCABULARY), max_size=6), min_size=1, max_size=4))
     picked = [bodies[b] for b in draw(st.lists(st.integers(0, len(bodies) - 1), min_size=1, max_size=6))]
     if draw(st.booleans()):
         picked += [[SWAP.get(t, t) for t in body] for body in picked]
@@ -170,6 +171,18 @@ def test_rank_equals_naive_loop_exactly(inputs):
     index = build_index(support.corpus_from_strings(docs))
     ranked = rank_articles(index, query, params)
     assert ranked == support.naive_rank_articles(index, query, params)  # numbers, order and scores, by ==
+
+
+def test_rank_at_each_slope_in_turn_equals_naive_loop():
+    # one index keeps a norm column per slope: a column built for one slope
+    # must not serve another, and asking for 0.55 again reuses its own
+    rng = random.Random(29)
+    docs = {f"d{i}": support.random_xml(rng) for i in range(12)}
+    index = build_index(support.corpus_from_strings(docs))
+    query = ["alpha", "beta", "alpha"]
+    for slope in (0.55, 1.0, 0.0, 0.55):
+        params = RankParams(slope=slope)
+        assert rank_articles(index, query, params) == support.naive_rank_articles(index, query, params)
 
 
 def test_max_results_bounds_validated():
