@@ -14,11 +14,13 @@ the node count) is not below its ``ends``: that test finds the most specific
 nodes in both modes. The test holds across document boundaries, as each
 document is a range of the corpus-wide numbering (the interval encoding of
 Tatarinov et al., SIGMOD 2002). So one document's matches are the ``bisect``
-slice of the corpus's on its range, which is what ``match_elements`` returns.
+slice of the corpus's on its range (``match_elements``), and matching in
+listed documents only cuts each term's postings to their ranges first.
 
 * OR: the satisfying nodes with no satisfying descendant are the
-  term-bearing nodes with no term-bearing descendant, so the sorted union of
-  the postings is tested directly.
+  term-bearing nodes with no term-bearing descendant, so the postings are
+  merged into one sorted list and tested directly: a node listed more than
+  once, per occurrence or per term, fails the test on all but its last copy.
 * AND: a corpus lacking any query term has no match. Otherwise only the
   shortest postings list is closed upwards through ``parents`` (stopping at
   nodes already marked, or past a root): the marked nodes are those whose
@@ -37,6 +39,7 @@ slice of the corpus's on its range, which is what ``match_elements`` returns.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, DocumentTree
@@ -45,23 +48,27 @@ AND = "and"
 OR = "or"
 
 
-def collection_match(corpus: Corpus, terms: Iterable[str], mode: str) -> list[int]:
-    """Ascending node numbers of the most specific elements of the whole
-    corpus holding all (``AND``) or any (``OR``) of ``terms``."""
+def collection_match(corpus: Corpus, terms: Iterable[str], mode: str, docs: Sequence[int] | None = None) -> list[int]:
+    """Ascending node numbers of the most specific elements holding all
+    (``AND``) or any (``OR``) of ``terms``, in the whole corpus or, given
+    ascending document numbers ``docs``, in those documents only."""
     if mode not in (AND, OR):
         raise ValueError(f"unknown query mode: {mode!r}")
     found = [corpus.postings.get(term, ()) for term in terms]
     if not found:
         raise ValueError("element query needs at least one term")
+    if docs is not None:  # each term's nodes in the ranges [starts[d], starts[d + 1]) of the listed documents
+        bounds = [(corpus.starts[d], corpus.starts[d + 1]) for d in docs]
+        found = [list(chain.from_iterable(p[bisect_left(p, a) : bisect_left(p, b)] for a, b in bounds)) for p in found]
     if mode == OR:
-        hits = set().union(*found)
+        satisfied = sorted(chain.from_iterable(found))
     elif all(found):
         hits, *others = sorted(found, key=len)
         for nodes in others:
             hits = _lowest_marked(nodes, _ancestor_closure(hits, corpus.parents), corpus.parents)
+        satisfied = sorted(hits)
     else:
         return []
-    satisfied = sorted(hits)
     ends = corpus.ends
     following = satisfied[1:] + [len(ends)]
     return [i for i, after in zip(satisfied, following) if after >= ends[i]]

@@ -114,8 +114,8 @@ def test_translate_keywords_to_terms(monkeypatch):
     for system, cre in ((XMLDB, False), (XMLDB, True), (HYBRID, False), (HYBRID, True)):
         calls.clear()
         execute(t, corpus, index, SystemConfig(system=system, cre=cre))
-        assert {terms for _, terms in calls} == {frozenset(bag)}
-        assert [mode for mode, _ in calls] == [AND, OR]  # one pass over the whole corpus per mode
+        assert {terms for _, terms, _ in calls} == {frozenset(bag)}
+        assert [mode for mode, _, _ in calls] == [AND, OR]  # one pass per mode
 
 
 def test_translate_two_keywords():
@@ -234,14 +234,14 @@ def test_hybrid_equals_ranked_full_scan(docs, terms, cre, combo, n_per_article, 
     assert all(e.score is None for e in run.entries)
 
 
-def _spy_collection_match(monkeypatch) -> list[tuple[str, frozenset[str]]]:
-    """Record ``(mode, terms)`` for every ``collection_match`` call, through either module."""
+def _spy_collection_match(monkeypatch) -> list[tuple[str, frozenset[str], list[int] | None]]:
+    """Record ``(mode, terms, docs)`` for every ``collection_match`` call, through either module."""
     calls = []
     original = matcher.collection_match
 
-    def spy(corpus, terms, mode):
-        calls.append((mode, frozenset(terms)))
-        return original(corpus, terms, mode)
+    def spy(corpus, terms, mode, docs=None):
+        calls.append((mode, frozenset(terms), docs))
+        return original(corpus, terms, mode, docs)
 
     monkeypatch.setattr(matcher, "collection_match", spy)
     monkeypatch.setattr(pipeline, "collection_match", spy)
@@ -283,10 +283,33 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
         calls.clear()
         run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, cre=cre))
         assert [e.doc for e in run.entries] == ["c", "a"]
-        assert [mode for mode, _ in calls] == [AND, OR]
+        assert [mode for mode, _, _ in calls] == [AND, OR]
     # only the query terms' node lists are read, so no other document's nodes are visited
     assert corpus.postings.read and set(corpus.postings.read) == {"alpha", "beta"}
-    assert index.postings.read == []  # the article index is for ranking; xmldb ranks nothing
+    # xmldb ranks nothing: of the article index it reads only the query terms' lists, for the documents
+    # holding both (none here, so the AND pass visits no node)
+    assert set(index.postings.read) == {"alpha", "beta"}
+    assert [docs for mode, _, docs in calls] == [[], None]
+
+
+@pytest.mark.parametrize("system", [XMLDB, HYBRID])
+@pytest.mark.parametrize("cre_on", [False, True])
+def test_and_pass_matches_only_in_documents_holding_every_term(monkeypatch, system, cre_on):
+    """The AND pass is cut to the documents holding every term, unless they are
+    more than half of the rarest term's; the OR pass always runs everywhere."""
+    texts = {"a": "<article><p>alpha</p></article>", "b": "<article><p>beta</p><p>alpha beta</p></article>",
+             "c": "<article><p>beta</p></article>"}
+    config = SystemConfig(system=system, cre=cre_on)
+    calls = _spy_collection_match(monkeypatch)
+    for both_everywhere in (False, True):
+        if both_everywhere:
+            texts = {doc: text.replace("</article>", "<p>alpha beta</p></article>") for doc, text in texts.items()}
+        corpus = support.corpus_from_strings(texts)
+        calls.clear()
+        run = execute(topic("alpha", "beta"), corpus, build_index(corpus), config)
+        # both terms in all three documents: no cut; in one of alpha's two, the AND pass looks only there
+        assert [(mode, docs) for mode, _, docs in calls] == [(AND, None if both_everywhere else [1]), (OR, None)]
+        assert {e.doc for e in run.entries} == {"a", "b", "c"}
 
 
 def _spy_everywhere(monkeypatch, module, name) -> list[tuple[tuple, dict, object]]:
@@ -328,7 +351,7 @@ def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, sy
         if not config.cre:
             assert identified == ranked == []
             continue
-        assert [mode for mode, _ in calls] == [AND, OR]
+        assert [mode for mode, _, _ in calls] == [AND, OR]
         [(args, kwargs, cres)] = identified
         matching = args[1] if len(args) > 1 else kwargs["matching"]  # where the tracer reads it
         assert list(matching) == sorted(set(matching))
@@ -348,7 +371,7 @@ def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
     calls = _spy_collection_match(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("d1", "/article[1]/p[1]")]
-    assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the AND answer fills the cap: no OR pass
+    assert calls == [(AND, frozenset({"alpha", "beta"}), None)]  # the AND answer fills the cap: no OR pass
 
 
 def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
@@ -363,7 +386,8 @@ def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
     calls = _spy_collection_match(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=HYBRID, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("late", "/article[1]/p[1]")]
-    assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the top article's AND answer fills the cap: no OR pass
+    # the top article's AND answer fills the cap: no OR pass
+    assert calls == [(AND, frozenset({"alpha", "beta"}), None)]
 
 
 def test_xmldb_needs_an_index():
