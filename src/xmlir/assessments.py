@@ -66,6 +66,7 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
         topic_id = whole_number(digits[0], "file name's topic id")
     graded = set()
     relevant = set()
+    elements: dict[str, ElementPath] = {}  # each distinct path text, parsed once
     for file_el in root.iter("file"):
         doc = file_el.get("file")
         if not doc:
@@ -74,9 +75,14 @@ def parse_assessment_file(path: str | Path) -> AssessmentSet:
             raw = path_el.get("path")
             if raw is None:
                 raise ValueError(f"{source}: <path> without a path attribute")
-            element = ElementPath.from_string(raw)
-            exhaustivity = whole_number(path_el.get("E", "0"), f"E of {doc} {element}")
-            specificity = whole_number(path_el.get("S", "0"), f"S of {doc} {element}")
+            element = elements.get(raw)
+            if element is None:
+                element = elements[raw] = ElementPath.from_string(raw)
+            e, s = path_el.get("E", "0"), path_el.get("S", "0")
+            if not (e.isascii() and e.isdigit() and s.isascii() and s.isdigit()):  # name the bad grade
+                whole_number(e, f"E of {doc} {element}")
+                whole_number(s, f"S of {doc} {element}")
+            exhaustivity, specificity = int(e), int(s)
             if exhaustivity > 3:
                 raise ValueError(f"exhaustivity out of range: {exhaustivity}")
             if specificity > 3:

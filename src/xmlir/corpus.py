@@ -16,6 +16,8 @@ Each term has one ascending ``array('i')`` of the nodes holding it directly,
 one entry per occurrence: a document's run of it is the ``bisect`` slice
 within the document's range, whose length is the term's frequency there,
 and a node list in this order is in document order across the whole corpus.
+The article index (``ranker.build_index``) reads a term's array only when the
+term is first read, to count its ``(document number, tf)`` pairs.
 Terms and tags are interned. Terms are the maximal runs of ASCII letters and
 digits in the lowercased text; attributes and markup never contribute terms.
 """
@@ -24,12 +26,14 @@ from __future__ import annotations
 
 import codecs
 import html.entities
+import os
 import re
 import sys
 import xml.etree.ElementTree as ET
 from array import array
 from dataclasses import dataclass, field
-from itertools import count, groupby, repeat
+from itertools import count, groupby, islice, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -156,17 +160,20 @@ class Corpus:
         or an identifier with a tab, a line break or a surrogate (which no run
         file holds) raises before any change. One iterative pre-order pass
         collects path ids (one table lookup each), own token counts, parents
-        and postings, and a reverse pass over ``parents`` sums subtree sizes
-        and ends: no recursion limits depth, and no step grows with it."""
+        and postings in the document's own lists, a reverse pass over its
+        parents sums subtree sizes and ends there, and each column is then
+        extended once: no recursion limits depth, and no step grows with it."""
         if any(c in doc for c in "\t\r\n"):
             raise ValueError(f"document identifier {doc!r} holds a tab or line break")
         if _SURROGATE.search(doc):
             raise ValueError(f"document identifier {doc!r} is not UTF-8 text")
         intern = sys.intern
         top = read_xml(source)
-        rows, row_ids, path_ids, sizes, parents = self._rows, self._row_ids, self.path_ids, self.sizes, self.parents
-        postings = self.postings
-        start = len(path_ids)
+        rows, row_ids, postings = self._rows, self._row_ids, self.postings
+        start = len(self.path_ids)
+        path_ids: list[int] = []  # per node of this document, numbered from 0
+        sizes: list[int] = []
+        parents: list[int] = []  # the parent's number in this document, -1 for the root
         stack = [(top, (-1, intern(top.tag), 1), -1)]
         while stack:
             elem, row, parent = stack.pop()
@@ -186,26 +193,32 @@ class Corpus:
                     n = seen[tag] = seen.get(tag, 0) + 1
                     pending.append((child, (pid, tag, n), i))
                 stack.extend(reversed(pending))
+            node = start + i
             for term in own:
                 hits = postings.get(term)
                 if hits is None:
-                    postings[intern(term)] = array("i", (i,))
+                    postings[intern(term)] = array("i", (node,))
                 else:
-                    hits.append(i)
+                    hits.append(node)
             path_ids.append(pid)
             sizes.append(len(own))
             parents.append(parent)
 
-        end, ends = len(path_ids), self.ends
-        ends.extend(range(start + 1, end + 1))
-        for i in range(end - 1, start, -1):  # every descendant of a node comes after it
+        n = len(path_ids)
+        ends = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):  # every descendant of a node comes after it
             parent = parents[i]
             sizes[parent] += sizes[i]
             if ends[i] > ends[parent]:
                 ends[parent] = ends[i]
-        self.doc_of.extend(repeat(len(self.docs), end - start))
+        self.path_ids.extend(path_ids)
+        self.sizes.extend(sizes)
+        self.ends.extend(map(add, ends, repeat(start)))
+        self.parents.append(-1)
+        self.parents.extend(map(add, islice(parents, 1, None), repeat(start)))
+        self.doc_of.extend(repeat(len(self.docs), n))
         self.docs.append(doc)
-        self.starts.append(end)
+        self.starts.append(start + n)
 
 
 def read_xml(source: str | bytes) -> ET.Element:
@@ -261,14 +274,24 @@ def ingest_corpus(root_directory: str | Path) -> Corpus:
     in its declared encoding; re-ingesting an unchanged directory yields the
     same corpus. Malformed or unreadable files, directories named ``*.xml``
     and false or unknown declared encodings included, are skipped with one
-    diagnostic each; a missing corpus directory raises."""
+    diagnostic each; a missing corpus directory raises. The files are those
+    ``Path.rglob("*.xml")`` lists, found by one ``os.walk``: hidden names and
+    broken symbolic links included, symbolic links to directories not walked."""
     root = Path(root_directory)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
+    top = os.path.join(root, "")
+    base = "" if root == Path() else top  # as ``root / rel`` spells a file's path
+    found = []
+    for directory, dirs, files in os.walk(top):
+        prefix = os.path.join(directory, "")[len(top) :]
+        found += [prefix + name for names in (dirs, files) for name in names if name.endswith(".xml")]
     corpus = Corpus()
-    for rel in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.xml")):
+    for rel in sorted(found):
         try:
-            corpus.add(rel[: -len(".xml")], (root / rel).read_bytes())
+            with open(base + rel, "rb") as file:
+                source = file.read()
+            corpus.add(rel[: -len(".xml")], source)
         except (OSError, ET.ParseError, LookupError, ValueError) as exc:
             corpus.diagnostics.append(one_line(f"{rel}: skipped ({exc})"))
     return corpus

@@ -190,9 +190,10 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
 
 def _shared_docs(index: InvertedIndex, terms: frozenset[str]) -> list[int] | None:
     """Ascending numbers of the documents holding every term, to match AND in; None (match everywhere) for one
-    term, a term without postings or over half the rarest term's documents, as the cut costs per kept document."""
-    rarest, *others = sorted(map(index.postings.get, terms, repeat(())), key=len)
-    if not others or not rarest:
+    term, a term without postings or over half the rarest term's documents, as the cut costs per kept document.
+    When the rarest term is in every document, so is every term, and no set is built."""
+    rarest, *others = sorted(map(index.postings.__getitem__, terms), key=len)
+    if not others or not rarest or len(rarest) == len(index.doc_lengths):
         return None
     shared = set(map(itemgetter(0), rarest))
     for plist in others:

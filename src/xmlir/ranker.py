@@ -6,10 +6,13 @@ Scoring is log tf-idf with pivoted length normalization:
                ln(1 + N/df_t) * (1 + ln(tf_td))  /  norm(d)
     norm(d)  = (1 - slope) + slope * len(d)/avg_len
 
-The index derives ``1 + ln tf`` once per distinct tf, and each document's
-norm once per slope, on first use, so a query pays only per posting.
-Documents scoring zero are omitted; ties break by document number, which is
-ingestion order.
+Building the index computes only the document lengths and their mean. A
+term's ``(document number, tf)`` list is derived from the corpus's node
+postings the first time the term is read, and kept, with ``1 + ln tf`` for
+each new tf; each document's norm is derived once per slope, on first use.
+So a command pays only for the terms its topics hold, and a query then pays
+only per posting. Documents scoring zero are omitted; ties break by document
+number, which is ingestion order.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -40,12 +44,44 @@ class RankParams:
             raise ValueError(f"max_results must be at most {sys.maxsize}: {self.max_results}")
 
 
+class Postings(dict):
+    """term -> [(document number, tf)] in ascending numbers, derived from the
+    corpus's node postings on a term's first read (by ``[]`` or ``get``) and
+    kept; equal pairs are one tuple, shared across terms. Only the nodes the
+    corpus held when it was indexed are read, so a later ``Corpus.add`` leaves
+    the index as it was. A term absent from them reads as ``()``, kept too,
+    so every later read of a term is one dict lookup."""
+
+    __slots__ = ("_nodes", "_doc_of", "_limit", "_shared", "_tf_weights")
+
+    def __init__(self, corpus: Corpus, tf_weights: dict[int, float]) -> None:
+        super().__init__()
+        self._nodes, self._doc_of, self._limit = corpus.postings, corpus.doc_of, len(corpus.doc_of)
+        self._shared: dict[tuple[int, int], tuple[int, int]] = {}
+        self._tf_weights = tf_weights
+
+    def __missing__(self, term: str) -> list[tuple[int, int]] | tuple[()]:
+        nodes = self._nodes.get(term, ())
+        if nodes and nodes[-1] >= self._limit:  # nodes added after indexing
+            nodes = nodes[: bisect_left(nodes, self._limit)]
+        shared = self._shared
+        plist = [shared.setdefault(pair, pair) for pair in Counter(map(self._doc_of.__getitem__, nodes)).items()]
+        for tf in set(map(itemgetter(1), plist)).difference(self._tf_weights):
+            self._tf_weights[tf] = 1.0 + math.log(tf)
+        plist = self[term] = plist or ()
+        return plist
+
+    def get(self, term: str, default=None):
+        """``term``'s list, derived on first read; ``default`` when no indexed document holds it."""
+        return self[term] or default
+
+
 @dataclass(eq=False)
 class InvertedIndex:
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(document number, tf)], ascending numbers
+    postings: Postings  # term -> [(document number, tf)], ascending numbers, derived on first read
     doc_lengths: array  # document number -> token count
     avg_doc_length: float
-    tf_weights: dict[int, float]  # tf -> 1 + ln tf, for each tf in the postings
+    tf_weights: dict[int, float]  # tf -> 1 + ln tf, for each tf in the lists derived so far
     _norms: dict[float, list[float]] = field(default_factory=dict, init=False, repr=False)  # slope -> norms
 
     def norms(self, slope: float) -> list[float]:
@@ -58,23 +94,17 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    """Count each term's node postings per document, reading each node's
-    document number from ``corpus.doc_of``; equal ``(document number, tf)``
-    pairs are one tuple, shared across terms."""
+    """The corpus's document lengths and their mean; each term's list is
+    counted from its node postings, per ``corpus.doc_of`` entry, on first read."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    starts, doc_of = corpus.starts, corpus.doc_of
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-    postings = {
-        term: [shared.setdefault(pair, pair) for pair in Counter(map(doc_of.__getitem__, nodes)).items()]
-        for term, nodes in corpus.postings.items()
-    }
-    doc_lengths = array("i", map(corpus.sizes.__getitem__, starts[:-1]))
+    doc_lengths = array("i", map(corpus.sizes.__getitem__, corpus.starts[:-1]))
+    tf_weights: dict[int, float] = {}
     return InvertedIndex(
-        postings=postings,
+        postings=Postings(corpus, tf_weights),
         doc_lengths=doc_lengths,
         avg_doc_length=sum(doc_lengths) / len(doc_lengths),
-        tf_weights={tf: 1.0 + math.log(tf) for tf in set(map(itemgetter(1), shared))},
+        tf_weights=tf_weights,
     )
 
 
@@ -87,10 +117,10 @@ def rank_articles(
     repeated terms contribute per occurrence."""
     weights = Counter(query)
     n = len(index.doc_lengths)
-    tf_weights = index.tf_weights
+    postings, tf_weights = index.postings, index.tf_weights
     accum: dict[int, float] = {}
     for term, qtf in weights.items():
-        plist = index.postings.get(term)
+        plist = postings[term]
         if not plist:
             continue
         w_q = qtf * math.log(1.0 + n / len(plist))

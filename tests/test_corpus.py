@@ -1,6 +1,7 @@
 """Corpus ingestion, path resolution and subtree term accounting."""
 
 import codecs
+import os
 import random
 import sys
 from bisect import bisect_left
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import xmlir.corpus
 from xmlir import (
     ElementPath,
     build_index,
@@ -225,17 +227,49 @@ def test_ingest_skips_directory_named_like_a_document(tmp_path):
     assert corpus.diagnostics[0].startswith("x.xml: skipped (")
 
 
+@pytest.mark.parametrize("given_as", ["path", "."])
+def test_ingest_lists_the_files_rglob_lists_in_its_sorted_order(tmp_path, monkeypatch, given_as):
+    """The documents are the files ``sorted(rglob("*.xml"))`` lists, in that
+    order: hidden ones included, nested ones under their relative path, a
+    directory named ``*.xml`` or a broken symbolic link skipped with the
+    diagnostic its read gives, and a symbolically linked directory not walked.
+    The corpus directory is given by its path or, as the working directory, as ``.``."""
+    root, outside = tmp_path / "corpus", tmp_path / "outside"
+    (root / "sub" / "deeper").mkdir(parents=True)
+    (root / "d.xml").mkdir()
+    outside.mkdir()
+    files = [".h.xml", "d.xml/in.xml", "sub/n.xml", "sub/deeper/m.xml", "sub/.x.xml", "Z.xml", "a.XML", "notes.txt"]
+    for number, rel in enumerate(files + ["../outside/o.xml"]):
+        (root / rel).write_text(f"<article><p>w{number}</p></article>")
+    (root / "b.xml").symlink_to(root / "missing.xml")
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    if given_as == ".":
+        monkeypatch.chdir(root)
+        root = Path(".")
+    listed = sorted(path.relative_to(root).as_posix() for path in root.rglob("*.xml"))
+    assert "linked/o.xml" not in listed and {".h.xml", "b.xml", "d.xml", "sub/deeper/m.xml"} <= set(listed)
+    docs, diagnostics = [], []
+    for rel in listed:
+        try:
+            (root / rel).read_bytes()
+            docs.append(rel[: -len(".xml")])
+        except OSError as exc:
+            diagnostics.append(f"{rel}: skipped ({exc})")
+    corpus = ingest_corpus(root)
+    assert corpus.docs == docs and corpus.diagnostics == diagnostics
+    assert [rel for rel, _ in (line.split(": ", 1) for line in diagnostics)] == ["b.xml", "d.xml"]
+
+
 def test_ingest_skips_unreadable_file(tmp_path, monkeypatch):
     (tmp_path / "a.xml").write_text("<article><p>ok</p></article>")
     (tmp_path / "b.xml").write_text("<article><p>locked</p></article>")
-    read_bytes = Path.read_bytes
 
-    def deny_b(self, *args, **kwargs):
-        if self.name == "b.xml":
-            raise PermissionError(13, "Permission denied", str(self))
-        return read_bytes(self, *args, **kwargs)
+    def deny_b(file, *args, **kwargs):  # ingest reads each file through the module's ``open``
+        if os.path.basename(file) == "b.xml":
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", deny_b)
+    monkeypatch.setattr(xmlir.corpus, "open", deny_b, raising=False)
     corpus = ingest_corpus(tmp_path)
     assert list(corpus.docs) == ["a"]
     assert len(corpus.diagnostics) == 1

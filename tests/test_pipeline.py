@@ -305,11 +305,53 @@ def test_and_pass_matches_only_in_documents_holding_every_term(monkeypatch, syst
         if both_everywhere:
             texts = {doc: text.replace("</article>", "<p>alpha beta</p></article>") for doc, text in texts.items()}
         corpus = support.corpus_from_strings(texts)
+        index = build_index(corpus)
+        index.postings = _WalkRecordingPostings(index.postings)
         calls.clear()
-        run = execute(topic("alpha", "beta"), corpus, build_index(corpus), config)
+        run = execute(topic("alpha", "beta"), corpus, index, config)
         # both terms in all three documents: no cut; in one of alpha's two, the AND pass looks only there
         assert [(mode, docs) for mode, _, docs in calls] == [(AND, None if both_everywhere else [1]), (OR, None)]
         assert {e.doc for e in run.entries} == {"a", "b", "c"}
+        # hybrid's ranking walks each list once; the shared documents are collected by walking them again,
+        # except when the rarest term is in every document, which settles that there is no cut
+        walks = (system == HYBRID) + (not both_everywhere)
+        assert sorted(index.postings.walks) == sorted(["alpha", "beta"] * walks)
+
+
+class _WalkRecordingPostings(_RecordingPostings):
+    """A ``_RecordingPostings`` that also records, in ``walks``, the term of each list walked."""
+
+    def __init__(self, postings):
+        super().__init__(postings)
+        self.walks = []
+
+    def __getitem__(self, term):
+        return _WalkedList(super().__getitem__(term), term, self.walks)
+
+
+class _WalkedList(list):
+    def __init__(self, items, term, walks):
+        super().__init__(items)
+        self.term, self.walks = term, walks
+
+    def __iter__(self):
+        self.walks.append(self.term)
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("system", [FULLTEXT, XMLDB, HYBRID])
+@pytest.mark.parametrize("cre_on", [False, True])
+def test_index_derives_only_the_terms_a_topic_reads(system, cre_on):
+    """Building the index derives no term's list; executing a topic derives its
+    present terms' and none other, and an absent term reads as no documents."""
+    corpus = support.corpus_from_strings(
+        {"a": "<article><p>alpha gamma</p></article>", "b": "<article><p>beta</p><p>alpha delta</p></article>"}
+    )
+    index = build_index(corpus)
+    assert len(index.postings) == 0 and index.tf_weights == {}
+    execute(topic("alpha", "beta absent"), corpus, index, SystemConfig(system=system, cre=cre_on))
+    assert {term for term, plist in index.postings.items() if plist} == {"alpha", "beta"}
+    assert set(index.postings) <= {"alpha", "beta", "absent"} and index.postings["absent"] == ()
 
 
 def _spy_everywhere(monkeypatch, module, name) -> list[tuple[tuple, dict, object]]:

@@ -12,6 +12,7 @@ reference key, ``test_evaluation.py`` the ng metrics with their token-region
 scorer, and ``test_acceptance.py`` holds criteria C1-C10.
 """
 
+import math
 import random
 import re
 from collections import Counter
@@ -220,5 +221,48 @@ def test_build_index_tf_equals_token_counter(texts):
             expected.setdefault(term, []).append((number, counts[term]))
         lengths.append(counts.total())
     index = build_index(corpus)
-    assert index.postings == expected
+    assert {term: index.postings[term] for term in corpus.postings} == expected
     assert list(index.doc_lengths) == lengths
+
+
+def _token_counts(texts: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """Each term's ``(document number, tf)`` list, from each document's own ElementTree tokens."""
+    expected: dict[str, list[tuple[int, int]]] = {}
+    for number, text in enumerate(texts):
+        counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
+        for term in sorted(counts):
+            expected.setdefault(term, []).append((number, counts[term]))
+    return expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(documents | random_documents, min_size=1, max_size=4), documents, st.randoms(use_true_random=False))
+def test_index_derives_each_term_on_first_read_from_the_indexed_corpus(texts, later, rng):
+    """A term's list is derived on its first read, in any order, by ``[]`` or
+    ``get``, and equals the per-document token counts of the corpus as it was
+    indexed, though a document holding every term and a new one is added
+    between reads; a repeated read returns the same list, equal pairs are one
+    tuple across terms, ``tf_weights`` holds ``1 + ln tf`` for every derived
+    tf, and a term no indexed document holds reads as ``get``'s default."""
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
+    expected = _token_counts(texts)
+    index = build_index(corpus)
+    terms = sorted(set(expected).union(VOCAB, ["absent", "omega"]))
+    rng.shuffle(terms)
+    before = rng.randrange(len(terms) + 1)
+    lists = {}
+    for position, term in enumerate(terms):
+        if position == before:
+            corpus.add("later", later.replace("</article>", f"<p>{' '.join(VOCAB)} omega</p></article>"))
+        lists[term] = index.postings[term] if rng.random() < 0.5 else index.postings.get(term, "default")
+    missing = object()
+    for term in terms:
+        if term in expected:
+            assert lists[term] == expected[term]
+            assert index.postings[term] is lists[term] and index.postings.get(term, missing) is lists[term]
+        else:  # ``[]`` reads an absent term as no documents
+            assert lists[term] in ((), "default") and index.postings.get(term, missing) is missing
+    pairs = [pair for term in expected for pair in lists[term]]
+    one = {pair: pair for pair in pairs}
+    assert all(pair is one[pair] for pair in pairs)
+    assert index.tf_weights == {tf: 1.0 + math.log(tf) for _, tf in pairs}
