@@ -17,7 +17,9 @@ one entry per occurrence: a document's run of it is the ``bisect`` slice
 within the document's range, whose length is the term's frequency there,
 and a node list in this order is in document order across the whole corpus.
 The article index (``ranker.build_index``) reads a term's array only when the
-term is first read, to count its ``(document number, tf)`` pairs.
+term is first read, to count its ``(document number, tf)`` pairs, and
+``Corpus.holders`` closes it upwards through ``parents`` on its first read,
+for the AND matcher, keeping the result until the next ``add``.
 Terms and tags are interned. Terms are the maximal runs of ASCII letters and
 digits in the lowercased text; attributes and markup never contribute terms.
 """
@@ -90,6 +92,7 @@ class Corpus:
     _row_ids: dict[tuple[int, str, int], int] = field(default_factory=dict, repr=False)  # row -> path id
     _built: dict[int, ElementPath] = field(default_factory=dict, repr=False)  # path id -> its ElementPath
     _orders: dict = field(default_factory=dict, repr=False)  # sign pair -> (rows counted, places, signed lengths)
+    _holders: dict[str, array] = field(default_factory=dict, repr=False)  # term -> holders, until the next ``add``
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -143,6 +146,21 @@ class Corpus:
             memo = self._orders[length_sign, sequence_sign] = n, places, lengths
         return memo[1], memo[2]
 
+    def holders(self, term: str) -> array:
+        """The ascending nodes whose subtree holds ``term``: its postings and
+        all their ancestors, each walk up ``parents`` stopping at a node an
+        earlier one marked. Derived on first read and kept until the next ``add``."""
+        found = self._holders.get(term)
+        if found is None:
+            marked: set[int] = set()
+            mark, parents = marked.add, self.parents
+            for i in self.postings.get(term, ()):
+                while i >= 0 and i not in marked:
+                    mark(i)
+                    i = parents[i]
+            found = self._holders[term] = array("i", sorted(marked))
+        return found
+
     def find(self, number: int, path: ElementPath) -> int | None:
         """The node at ``path`` in document ``number``: its steps name one row
         of the path table, and the document holds at most one node of it;
@@ -169,6 +187,7 @@ class Corpus:
             raise ValueError(f"document identifier {doc!r} is not UTF-8 text")
         intern = sys.intern
         top = read_xml(source)
+        self._holders.clear()
         rows, row_ids, postings = self._rows, self._row_ids, self.postings
         start = len(self.path_ids)
         path_ids: list[int] = []  # per node of this document, numbered from 0

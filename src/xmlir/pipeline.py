@@ -14,11 +14,12 @@ list, or the ranked coherent elements (``cre``):
 * ``hybrid`` + coherent elements: per ranked article, its ranked coherent
   elements.
 
-Each element system matches a topic once per mode, AND only in the documents
-holding every term (``collection_match``); ``hybrid`` groups each list by
-document once, so an article's share is one dict lookup. With coherent
-elements, one ``identify_cres`` pass over both lists finds every article's,
-and one ``rank_cres`` sort on (article place, combination key, path) orders them.
+Each element system matches a topic once per mode over the whole corpus
+(``collection_match``): AND intersects the terms' holder lists, which the
+corpus derives once per term. ``hybrid`` groups each list by document once,
+so an article's share is one dict lookup. With coherent elements, one
+``identify_cres`` pass over both lists finds every article's, and one
+``rank_cres`` sort on (article place, combination key, path) orders them.
 
 Every answer list is capped globally (default 1500 entries, cutting
 mid-article at the boundary) and per article when a per-article limit is
@@ -47,7 +48,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, filterfalse, groupby, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -188,29 +188,14 @@ def translate_topic(topic: Topic) -> tuple[str, ...]:
     return tuple(bag)
 
 
-def _shared_docs(index: InvertedIndex, terms: frozenset[str]) -> list[int] | None:
-    """Ascending numbers of the documents holding every term, to match AND in; None (match everywhere) for one
-    term, a term without postings or over half the rarest term's documents, as the cut costs per kept document.
-    When the rarest term is in every document, so is every term, and no set is built."""
-    rarest, *others = sorted(map(index.postings.__getitem__, terms), key=len)
-    if not others or not rarest or len(rarest) == len(index.doc_lengths):
-        return None
-    shared = set(map(itemgetter(0), rarest))
-    for plist in others:
-        shared.intersection_update(map(itemgetter(0), plist))
-    return sorted(shared) if 2 * len(shared) <= len(rarest) else None
-
-
-def _and_then_or(
-    corpus: Corpus, terms: frozenset[str], numbers: list[int] | None, docs: list[int] | None
-) -> Iterator[Iterable[int]]:
+def _and_then_or(corpus: Corpus, terms: frozenset[str], numbers: list[int] | None) -> Iterator[Iterable[int]]:
     """Per article in ``numbers`` order (the whole corpus as one when None),
-    its AND matches (in ``docs`` only, unless None), then its OR matches not
-    among them. Each list is grouped by document once, and all shares after
-    the first article's AND share are yielded as one stream, so the caller's
-    ``chain`` resumes this frame a fixed number of times per topic; the OR
-    pass runs only when the caller pulls past the first article's AND matches."""
-    and_matches = collection_match(corpus, terms, AND, docs)
+    its AND matches, then its OR matches not among them. Each list is
+    grouped by document once, and all shares after the first article's AND
+    share are yielded as one stream, so the caller's ``chain`` resumes this
+    frame a fixed number of times per topic; the OR pass runs only when the
+    caller pulls past the first article's AND matches."""
+    and_matches = collection_match(corpus, terms, AND)
     if numbers is None:
         yield and_matches
         and_set = set(and_matches)
@@ -239,8 +224,8 @@ def _cap(corpus: Corpus, nodes: Iterable[int], config: SystemConfig) -> list[int
 def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: SystemConfig) -> RunResult:
     """Run one topic through the configured system.
 
-    Each element system matches the topic once in each mode, AND only in the
-    documents holding every term (``_shared_docs``). ``xmldb`` walks the AND
+    Each element system matches the topic once in each mode over the whole
+    corpus, so ``xmldb`` reads no article-index list. ``xmldb`` walks the AND
     matches, then the OR matches not among them, in document order; its OR
     pass runs only when the capped AND answers leave room. ``hybrid`` does
     so per ranked article. With coherent elements, one pass finds them all
@@ -257,12 +242,11 @@ def execute(topic: Topic, corpus: Corpus, index: InvertedIndex | None, config: S
         if config.system == FULLTEXT:
             return RunResult(topic.id, config.tag, corpus, list(map(corpus.starts.__getitem__, numbers)), scores)
     terms = frozenset(bag)
-    docs = _shared_docs(index, terms)
     if config.cre:
-        matching = sorted(set(collection_match(corpus, terms, AND, docs)).union(collection_match(corpus, terms, OR)))
+        matching = sorted(set(collection_match(corpus, terms, AND)).union(collection_match(corpus, terms, OR)))
         nodes = rank_cres(corpus, identify_cres(corpus, matching), config.combo, numbers)
     else:
-        nodes = chain.from_iterable(_and_then_or(corpus, terms, numbers, docs))
+        nodes = chain.from_iterable(_and_then_or(corpus, terms, numbers))
     return RunResult(topic.id, config.tag, corpus, _cap(corpus, nodes, config))
 
 

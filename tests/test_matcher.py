@@ -49,6 +49,31 @@ def test_empty_query_rejected():
         collection_match(corpus, {"x"}, "xor")
 
 
+# "a": a paragraph holding both terms, in a section holding both, and each term alone; "b": alpha alone, nested
+_TWO_TERMS = {
+    "a": "<article><sec><p>alpha</p><p>beta alpha</p></sec><p>beta</p></article>",
+    "b": "<article><p>alpha</p><sec><p>alpha</p></sec></article>",
+}
+
+
+@pytest.mark.parametrize("mode", [AND, OR])
+def test_term_iterable_is_read_once_and_repeats_collapse(mode):
+    """A one-shot iterator of terms, or a term given twice, matches as the
+    term set does."""
+    corpus = support.corpus_from_strings(_TWO_TERMS)
+    expected = collection_match(corpus, frozenset({"alpha", "beta"}), mode)
+    assert expected and collection_match(corpus, iter(["alpha", "beta"]), mode) == expected
+    assert collection_match(corpus, ["alpha", "alpha"], mode) == collection_match(corpus, {"alpha"}, mode)
+
+
+def test_one_term_and_is_the_ends_test_over_its_postings():
+    """A one-term AND keeps the term's postings with no posting below them, as OR does."""
+    corpus = support.corpus_from_strings(_TWO_TERMS)
+    ends, postings = corpus.ends, list(corpus.postings["alpha"])
+    most_specific = [i for i, after in zip(postings, postings[1:] + [len(ends)]) if after >= ends[i]]
+    assert collection_match(corpus, {"alpha"}, AND) == collection_match(corpus, {"alpha"}, OR) == most_specific
+
+
 def _xmldb_pairs(corpus, *keywords):
     run = execute(Topic(id=1, keywords=keywords), corpus, build_index(corpus), SystemConfig(system="xmldb"))
     return [(e.doc, e.path) for e in run.entries]

@@ -114,8 +114,8 @@ def test_translate_keywords_to_terms(monkeypatch):
     for system, cre in ((XMLDB, False), (XMLDB, True), (HYBRID, False), (HYBRID, True)):
         calls.clear()
         execute(t, corpus, index, SystemConfig(system=system, cre=cre))
-        assert {terms for _, terms, _ in calls} == {frozenset(bag)}
-        assert [mode for mode, _, _ in calls] == [AND, OR]  # one pass per mode
+        assert {terms for _, terms in calls} == {frozenset(bag)}
+        assert [mode for mode, _ in calls] == [AND, OR]  # one pass per mode
 
 
 def test_translate_two_keywords():
@@ -234,14 +234,14 @@ def test_hybrid_equals_ranked_full_scan(docs, terms, cre, combo, n_per_article, 
     assert all(e.score is None for e in run.entries)
 
 
-def _spy_collection_match(monkeypatch) -> list[tuple[str, frozenset[str], list[int] | None]]:
-    """Record ``(mode, terms, docs)`` for every ``collection_match`` call, through either module."""
+def _spy_collection_match(monkeypatch) -> list[tuple[str, frozenset[str]]]:
+    """Record ``(mode, terms)`` for every ``collection_match`` call, through either module."""
     calls = []
     original = matcher.collection_match
 
-    def spy(corpus, terms, mode, docs=None):
-        calls.append((mode, frozenset(terms), docs))
-        return original(corpus, terms, mode, docs)
+    def spy(corpus, terms, mode):
+        calls.append((mode, frozenset(terms)))
+        return original(corpus, terms, mode)
 
     monkeypatch.setattr(matcher, "collection_match", spy)
     monkeypatch.setattr(pipeline, "collection_match", spy)
@@ -283,75 +283,30 @@ def test_xmldb_matches_only_documents_holding_a_query_term(monkeypatch):
         calls.clear()
         run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, cre=cre))
         assert [e.doc for e in run.entries] == ["c", "a"]
-        assert [mode for mode, _, _ in calls] == [AND, OR]
+        assert [mode for mode, _ in calls] == [AND, OR]
     # only the query terms' node lists are read, so no other document's nodes are visited
     assert corpus.postings.read and set(corpus.postings.read) == {"alpha", "beta"}
-    # xmldb ranks nothing: of the article index it reads only the query terms' lists, for the documents
-    # holding both (none here, so the AND pass visits no node)
-    assert set(index.postings.read) == {"alpha", "beta"}
-    assert [docs for mode, _, docs in calls] == [[], None]
-
-
-@pytest.mark.parametrize("system", [XMLDB, HYBRID])
-@pytest.mark.parametrize("cre_on", [False, True])
-def test_and_pass_matches_only_in_documents_holding_every_term(monkeypatch, system, cre_on):
-    """The AND pass is cut to the documents holding every term, unless they are
-    more than half of the rarest term's; the OR pass always runs everywhere."""
-    texts = {"a": "<article><p>alpha</p></article>", "b": "<article><p>beta</p><p>alpha beta</p></article>",
-             "c": "<article><p>beta</p></article>"}
-    config = SystemConfig(system=system, cre=cre_on)
-    calls = _spy_collection_match(monkeypatch)
-    for both_everywhere in (False, True):
-        if both_everywhere:
-            texts = {doc: text.replace("</article>", "<p>alpha beta</p></article>") for doc, text in texts.items()}
-        corpus = support.corpus_from_strings(texts)
-        index = build_index(corpus)
-        index.postings = _WalkRecordingPostings(index.postings)
-        calls.clear()
-        run = execute(topic("alpha", "beta"), corpus, index, config)
-        # both terms in all three documents: no cut; in one of alpha's two, the AND pass looks only there
-        assert [(mode, docs) for mode, _, docs in calls] == [(AND, None if both_everywhere else [1]), (OR, None)]
-        assert {e.doc for e in run.entries} == {"a", "b", "c"}
-        # hybrid's ranking walks each list once; the shared documents are collected by walking them again,
-        # except when the rarest term is in every document, which settles that there is no cut
-        walks = (system == HYBRID) + (not both_everywhere)
-        assert sorted(index.postings.walks) == sorted(["alpha", "beta"] * walks)
-
-
-class _WalkRecordingPostings(_RecordingPostings):
-    """A ``_RecordingPostings`` that also records, in ``walks``, the term of each list walked."""
-
-    def __init__(self, postings):
-        super().__init__(postings)
-        self.walks = []
-
-    def __getitem__(self, term):
-        return _WalkedList(super().__getitem__(term), term, self.walks)
-
-
-class _WalkedList(list):
-    def __init__(self, items, term, walks):
-        super().__init__(items)
-        self.term, self.walks = term, walks
-
-    def __iter__(self):
-        self.walks.append(self.term)
-        return super().__iter__()
+    # xmldb ranks nothing, so it reads no article-index list
+    assert index.postings.read == []
 
 
 @pytest.mark.parametrize("system", [FULLTEXT, XMLDB, HYBRID])
 @pytest.mark.parametrize("cre_on", [False, True])
 def test_index_derives_only_the_terms_a_topic_reads(system, cre_on):
     """Building the index derives no term's list; executing a topic derives its
-    present terms' and none other, and an absent term reads as no documents."""
+    present terms' and none other, and an absent term reads as no documents.
+    ``xmldb`` ranks nothing, so it derives none."""
     corpus = support.corpus_from_strings(
         {"a": "<article><p>alpha gamma</p></article>", "b": "<article><p>beta</p><p>alpha delta</p></article>"}
     )
     index = build_index(corpus)
     assert len(index.postings) == 0 and index.tf_weights == {}
     execute(topic("alpha", "beta absent"), corpus, index, SystemConfig(system=system, cre=cre_on))
-    assert {term for term, plist in index.postings.items() if plist} == {"alpha", "beta"}
-    assert set(index.postings) <= {"alpha", "beta", "absent"} and index.postings["absent"] == ()
+    if system == XMLDB:
+        assert len(index.postings) == 0 and index.tf_weights == {}
+    else:
+        assert {term for term, plist in index.postings.items() if plist} == {"alpha", "beta"}
+        assert set(index.postings) <= {"alpha", "beta", "absent"} and index.postings["absent"] == ()
 
 
 def _spy_everywhere(monkeypatch, module, name) -> list[tuple[tuple, dict, object]]:
@@ -393,7 +348,7 @@ def test_cre_systems_find_and_rank_coherent_elements_in_one_pass(monkeypatch, sy
         if not config.cre:
             assert identified == ranked == []
             continue
-        assert [mode for mode, _, _ in calls] == [AND, OR]
+        assert [mode for mode, _ in calls] == [AND, OR]
         [(args, kwargs, cres)] = identified
         matching = args[1] if len(args) > 1 else kwargs["matching"]  # where the tracer reads it
         assert list(matching) == sorted(set(matching))
@@ -413,7 +368,7 @@ def test_xmldb_or_pass_stops_at_the_cap(monkeypatch):
     calls = _spy_collection_match(monkeypatch)
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=XMLDB, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("d1", "/article[1]/p[1]")]
-    assert calls == [(AND, frozenset({"alpha", "beta"}), None)]  # the AND answer fills the cap: no OR pass
+    assert calls == [(AND, frozenset({"alpha", "beta"}))]  # the AND answer fills the cap: no OR pass
 
 
 def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
@@ -429,7 +384,7 @@ def test_hybrid_or_pass_stops_at_the_cap(monkeypatch):
     run = execute(topic("alpha", "beta"), corpus, index, SystemConfig(system=HYBRID, max_results=1))
     assert [(e.doc, str(e.path)) for e in run.entries] == [("late", "/article[1]/p[1]")]
     # the top article's AND answer fills the cap: no OR pass
-    assert calls == [(AND, frozenset({"alpha", "beta"}), None)]
+    assert calls == [(AND, frozenset({"alpha", "beta"}))]
 
 
 def test_xmldb_needs_an_index():

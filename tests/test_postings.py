@@ -61,7 +61,7 @@ documents = st.builds(
     words,
     st.lists(st.tuples(st.one_of(bushy, chain()), words), max_size=4),
 )
-# epsilon: only random_xml documents hold it; up to five terms, so AND re-closes its kept nodes
+# epsilon: only random_xml documents hold it; up to five terms, so AND intersects up to five holder lists
 query_terms = st.sets(st.sampled_from(VOCAB + ["epsilon", "absent"]), min_size=1, max_size=5)
 
 
@@ -80,35 +80,28 @@ def _variant(text: str, kind: str) -> str:
 random_documents = st.integers(0, 2**32 - 1).map(lambda seed: support.random_xml(random.Random(seed)))
 variants = st.sampled_from(["as drawn", "textless", "termless", "ends in a match"])
 corpora = st.lists(st.builds(_variant, documents | random_documents, variants), min_size=1, max_size=6)
-# the documents a match is cut to, taken modulo the corpus size: none, one, every one, or any set
-kept_docs = (
-    st.just(frozenset()) | st.integers(0, 5).map(lambda k: frozenset({k}))
-    | st.just(frozenset(range(6))) | st.frozensets(st.integers(0, 5))
-)
 
 
 @settings(max_examples=100, deadline=None)
-@given(corpora, query_terms, kept_docs)
-@example(["<article><p>something else</p></article>"], {"absent"}, frozenset())  # OR with only absent terms
-# each pair of the three terms shares a section in one document, so whichever two AND takes
-# first, the third term's nodes there lie outside the pair's matches but inside their closure
+@given(corpora, query_terms)
+@example(["<article><p>something else</p></article>"], {"absent"})  # OR with only absent terms
+# each pair of the three terms shares a section in one document, so whichever two AND intersects
+# first, an AND that skipped the third term would answer with that section, not the article
 @example([f"<article><sec><p>{x}</p><p>{y}</p></sec><p>{z}</p></article>"
           for x, y, z in (("alpha", "beta", "gamma"), ("alpha", "gamma", "beta"), ("beta", "gamma", "alpha"))],
-         {"alpha", "beta", "gamma"}, frozenset({0, 2}))
+         {"alpha", "beta", "gamma"})
 # a node listed twice under one term and once under another: the OR merge keeps it once
 @example(["<article><p>gamma</p></article>", "<article><p>alpha beta alpha</p></article>"],
-         {"alpha", "beta"}, frozenset({1}))
-def test_collection_match_equals_brute_force_per_document(texts, terms, kept):
+         {"alpha", "beta"})
+def test_collection_match_equals_brute_force_per_document(texts, terms):
     """One pass over the whole corpus finds each document's most specific
     matches, in document order: the brute-force matches of each document's
-    source text in turn, numbered by the count of elements before them. Cut
-    to an ascending subset of the documents, it finds just their matches.
+    source text in turn, numbered by the count of elements before them.
     Also the pin test of ``match_elements``, kept only for ``perfbench``'s
     tracer: on each document's view it finds that document's share."""
     from xmlir.matcher import match_elements
 
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
-    docs = sorted({k % len(texts) for k in kept})
     for mode in (AND, OR):
         shares: list[list[int]] = []
         start = 0
@@ -118,7 +111,27 @@ def test_collection_match_equals_brute_force_per_document(texts, terms, kept):
             assert match_elements(corpus.tree(k), terms, mode) == shares[-1]
             start += len(number)
         assert collection_match(corpus, terms, mode) == [i for share in shares for i in share]
-        assert collection_match(corpus, terms, mode, docs) == [i for k in docs for i in shares[k]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora, st.sampled_from(VOCAB + ["epsilon", "absent"]), documents | random_documents)
+def test_holders_equal_brute_force_until_add(texts, term, extra):
+    """``Corpus.holders(term)`` is the ascending list of the nodes ``i`` with a
+    posting ``p`` of the term such that ``i <= p < ends[i]``, empty for an
+    absent term. A second read returns the same object, and after ``add`` of
+    a document holding the term the next read holds that document's holders."""
+    corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
+
+    def brute_force() -> list[int]:
+        postings, ends = corpus.postings.get(term, ()), corpus.ends
+        return [i for i in range(len(ends)) if any(i <= p < ends[i] for p in postings)]
+
+    holders = corpus.holders(term)
+    assert list(holders) == brute_force()
+    assert corpus.holders(term) is holders
+    corpus.add("extra", extra[: -len("</article>")] + f"<p>{term}</p></article>")
+    assert list(corpus.holders(term)) == brute_force()
+    assert corpus.starts[-2] in corpus.holders(term)  # the added document's root
 
 
 @st.composite
