@@ -91,7 +91,7 @@ class Corpus:
     _rows: list[tuple[int, str, int]] = field(default_factory=list, repr=False)  # (parent path id, tag, index)
     _row_ids: dict[tuple[int, str, int], int] = field(default_factory=dict, repr=False)  # row -> path id
     _built: dict[int, ElementPath] = field(default_factory=dict, repr=False)  # path id -> its ElementPath
-    _orders: dict = field(default_factory=dict, repr=False)  # sign pair -> (rows counted, places, signed lengths)
+    _orders: dict = field(default_factory=dict, repr=False)  # sign pair -> (places, signed lengths), until ``add``
     _holders: dict[str, array] = field(default_factory=dict, repr=False)  # term -> holders, until the next ``add``
 
     def __len__(self) -> int:
@@ -121,10 +121,10 @@ class Corpus:
         times ``sequence_sign``, then their steps, and its signed length.
         Sequences and steps only meet at equal lengths, so each depth is ranked
         alone from its rows' parents (a row's parent comes before it) and no
-        path is spelled out. Memoized per sign pair while the table keeps its size."""
-        rows = self._rows
-        n, memo = len(rows), self._orders.get((length_sign, sequence_sign))
-        if memo is None or memo[0] != n:
+        path is spelled out. Memoized per sign pair until the next ``add``."""
+        rows, memo = self._rows, self._orders.get((length_sign, sequence_sign))
+        if memo is None:
+            n = len(rows)
             # per path id, plus one 0 past the end that a root's parent, -1, reads
             depths, sequences, steps = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
             for pid, (parent, _, _) in enumerate(rows):
@@ -143,8 +143,8 @@ class Corpus:
             places = [0] * n
             for place, pid in enumerate(sorted(range(n), key=lambda pid: (lengths[pid], sequences[pid], steps[pid]))):
                 places[pid] = place
-            memo = self._orders[length_sign, sequence_sign] = n, places, lengths
-        return memo[1], memo[2]
+            memo = self._orders[length_sign, sequence_sign] = places, lengths
+        return memo
 
     def holders(self, term: str) -> array:
         """The ascending nodes whose subtree holds ``term``: its postings and
@@ -188,6 +188,7 @@ class Corpus:
         intern = sys.intern
         top = read_xml(source)
         self._holders.clear()
+        self._orders.clear()
         rows, row_ids, postings = self._rows, self._row_ids, self.postings
         start = len(self.path_ids)
         path_ids: list[int] = []  # per node of this document, numbered from 0

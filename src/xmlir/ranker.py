@@ -6,17 +6,18 @@ Scoring is log tf-idf with pivoted length normalization:
                ln(1 + N/df_t) * (1 + ln(tf_td))  /  norm(d)
     norm(d)  = (1 - slope) + slope * len(d)/avg_len
 
-Building the index computes only the document lengths and their mean. A
-term's ``(document number, tf)`` list is derived from the corpus's node
-postings the first time the term is read, and kept, with ``1 + ln tf`` for
-each new tf; each document's norm is derived once per slope, on first use.
-So a command pays only for the terms its topics hold, and a query then pays
-only per posting. Documents scoring zero are omitted; ties break by document
-number, which is ingestion order.
+Building the index computes only the document lengths. A term's
+``(document number, 1 + ln tf)`` list is derived from the corpus's node
+postings the first time the term is read, and kept; each document's norm is
+derived once per slope, on first use, from the lengths and their mean. So a
+command pays only for the terms its topics hold, and a query then pays only
+one multiply-add per posting. Documents scoring zero are omitted; ties break
+by document number, which is ingestion order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from array import array
@@ -24,7 +25,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, itemgetter, mul, truediv
+from operator import add, mul, truediv
 from typing import Iterable
 
 from .corpus import Corpus
@@ -45,30 +46,28 @@ class RankParams:
 
 
 class Postings(dict):
-    """term -> [(document number, tf)] in ascending numbers, derived from the
-    corpus's node postings on a term's first read (by ``[]`` or ``get``) and
-    kept; equal pairs are one tuple, shared across terms. Only the nodes the
-    corpus held when it was indexed are read, so a later ``Corpus.add`` leaves
-    the index as it was. A term absent from them reads as ``()``, kept too,
-    so every later read of a term is one dict lookup."""
+    """term -> [(document number, 1 + ln tf)] in ascending numbers, derived
+    from the corpus's node postings on a term's first read (by ``[]`` or
+    ``get``) and kept; pairs of equal document and tf are one tuple, shared
+    across terms. Only the nodes the corpus held when it was indexed are read,
+    so a later ``Corpus.add`` leaves the index as it was. A term absent from
+    them reads as ``()``, kept too, so every later read is one dict lookup."""
 
-    __slots__ = ("_nodes", "_doc_of", "_limit", "_shared", "_tf_weights")
+    __slots__ = ("_nodes", "_doc_of", "_limit", "_shared")
 
-    def __init__(self, corpus: Corpus, tf_weights: dict[int, float]) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         super().__init__()
         self._nodes, self._doc_of, self._limit = corpus.postings, corpus.doc_of, len(corpus.doc_of)
-        self._shared: dict[tuple[int, int], tuple[int, int]] = {}
-        self._tf_weights = tf_weights
+        self._shared: dict[tuple[int, int], tuple[int, float]] = {}  # (document number, tf) -> its pair
 
-    def __missing__(self, term: str) -> list[tuple[int, int]] | tuple[()]:
+    def __missing__(self, term: str) -> list[tuple[int, float]] | tuple[()]:
         nodes = self._nodes.get(term, ())
         if nodes and nodes[-1] >= self._limit:  # nodes added after indexing
             nodes = nodes[: bisect_left(nodes, self._limit)]
-        shared = self._shared
-        plist = [shared.setdefault(pair, pair) for pair in Counter(map(self._doc_of.__getitem__, nodes)).items()]
-        for tf in set(map(itemgetter(1), plist)).difference(self._tf_weights):
-            self._tf_weights[tf] = 1.0 + math.log(tf)
-        plist = self[term] = plist or ()
+        counts = Counter(map(self._doc_of.__getitem__, nodes)).items()
+        for number, tf in counts - self._shared.keys():
+            self._shared[number, tf] = number, 1.0 + math.log(tf)
+        plist = self[term] = list(map(self._shared.__getitem__, counts)) or ()
         return plist
 
     def get(self, term: str, default=None):
@@ -78,34 +77,26 @@ class Postings(dict):
 
 @dataclass(eq=False)
 class InvertedIndex:
-    postings: Postings  # term -> [(document number, tf)], ascending numbers, derived on first read
+    postings: Postings  # term -> [(document number, 1 + ln tf)], ascending numbers, derived on first read
     doc_lengths: array  # document number -> token count
-    avg_doc_length: float
-    tf_weights: dict[int, float]  # tf -> 1 + ln tf, for each tf in the lists derived so far
     _norms: dict[float, list[float]] = field(default_factory=dict, init=False, repr=False)  # slope -> norms
 
     def norms(self, slope: float) -> list[float]:
         """Each document's norm at ``slope``, memoized; raises ZeroDivisionError when no document has a token."""
         norms = self._norms.get(slope)
         if norms is None:
-            ratios = map(truediv, self.doc_lengths, repeat(self.avg_doc_length))
+            ratios = map(truediv, self.doc_lengths, repeat(sum(self.doc_lengths) / len(self.doc_lengths)))
             norms = self._norms[slope] = list(map(add, repeat(1.0 - slope), map(mul, repeat(slope), ratios)))
         return norms
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    """The corpus's document lengths and their mean; each term's list is
-    counted from its node postings, per ``corpus.doc_of`` entry, on first read."""
+    """The corpus's document lengths; each term's list is counted from its
+    node postings, per ``corpus.doc_of`` entry, on first read."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     doc_lengths = array("i", map(corpus.sizes.__getitem__, corpus.starts[:-1]))
-    tf_weights: dict[int, float] = {}
-    return InvertedIndex(
-        postings=Postings(corpus, tf_weights),
-        doc_lengths=doc_lengths,
-        avg_doc_length=sum(doc_lengths) / len(doc_lengths),
-        tf_weights=tf_weights,
-    )
+    return InvertedIndex(postings=Postings(corpus), doc_lengths=doc_lengths)
 
 
 def rank_articles(
@@ -117,20 +108,18 @@ def rank_articles(
     repeated terms contribute per occurrence."""
     weights = Counter(query)
     n = len(index.doc_lengths)
-    postings, tf_weights = index.postings, index.tf_weights
     accum: dict[int, float] = {}
     for term, qtf in weights.items():
-        plist = postings[term]
+        plist = index.postings[term]
         if not plist:
             continue
         w_q = qtf * math.log(1.0 + n / len(plist))
-        for number, tf in plist:
-            accum[number] = accum.get(number, 0.0) + w_q * tf_weights[tf]
+        for number, weight in plist:
+            accum[number] = accum.get(number, 0.0) + w_q * weight
     if not accum:
         return [], []
     norms = index.norms(params.slope)
     scores = dict(zip(accum, map(truediv, accum.values(), map(norms.__getitem__, accum))))
-    numbers = sorted(scores)
-    numbers.sort(key=scores.__getitem__, reverse=True)  # stable: equal scores keep ascending numbers
-    del numbers[params.max_results :]
+    # nlargest is sorted(..., reverse=True)[:n], a stable sort: equal scores keep ascending numbers
+    numbers = heapq.nlargest(params.max_results, sorted(scores), key=scores.__getitem__)
     return numbers, list(map(scores.__getitem__, numbers))

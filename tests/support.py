@@ -246,29 +246,32 @@ def formula_score(docs: dict[str, list[str]], query: list[str], slope: float) ->
     return out
 
 
-def naive_rank_articles(index, query, params) -> tuple[list[int], list[float]]:
-    """``rank_articles`` as a plain loop over the postings: one accumulation
-    per posting, with ``1 + ln tf`` computed each time, then one sort on
-    (-score, document number). The float operations are those of
-    ``rank_articles``, in the same order, so its scores must equal these
-    exactly."""
+def naive_rank_articles(corpus: Corpus, query, params) -> tuple[list[int], list[float]]:
+    """``rank_articles`` as a plain loop over the corpus, reading no index:
+    each document's tf counted from ``corpus.postings`` and ``corpus.doc_of``,
+    its length read from ``corpus.sizes`` at ``corpus.starts``, and ``1 + ln tf``
+    and the mean length computed here; one accumulation per (term, document),
+    then one sort on (-score, document number). The float operations are
+    those of ``rank_articles``, in the same order, so its scores must equal
+    these exactly."""
     weights = Counter(query)
     if not weights:
         return [], []
-    n = len(index.doc_lengths)
+    n = len(corpus.docs)
+    lengths = [corpus.sizes[corpus.starts[number]] for number in range(n)]
     accum: dict[int, float] = defaultdict(float)
     for term, qtf in weights.items():
-        plist = index.postings.get(term)
-        if not plist:
+        tfs = Counter(corpus.doc_of[i] for i in corpus.postings.get(term, ()))
+        if not tfs:
             continue
-        w_q = math.log(1.0 + n / len(plist))
-        for number, tf in plist:
-            accum[number] += qtf * w_q * (1.0 + math.log(tf))
+        w_q = math.log(1.0 + n / len(tfs))
+        for number in sorted(tfs):
+            accum[number] += qtf * w_q * (1.0 + math.log(tfs[number]))
     slope = params.slope
-    avg = index.avg_doc_length
+    avg = sum(lengths) / n
     scored = []
     for number, raw in accum.items():
-        norm = (1.0 - slope) + slope * (index.doc_lengths[number] / avg)
+        norm = (1.0 - slope) + slope * (lengths[number] / avg)
         scored.append((number, raw / norm))
     scored.sort(key=lambda item: (-item[1], item[0]))
     del scored[params.max_results :]

@@ -23,6 +23,14 @@ RUN_DIGESTS = {
     ("hybrid", False): "2b4c208b6a204b884269c47533c1a9944877158c19ec9033969ca214e261c42c",
     ("hybrid", True): "8b53ae96ccc20b3f4acc7d1e100afddeb9a406f0e027f86d9f56f3aa6351b9fd",
 }
+# the article-ranking systems at the slope's ends; hybrid's answers at 1.0
+# happen to equal those at the default 0.55
+SLOPE_DIGESTS = {
+    ("fulltext", "0.0"): "324da850c48affa5ac8c8e147d51be514c3d9397866369f4dbc7abbf36547d7f",
+    ("fulltext", "1.0"): "8cfe2b4ad016ef4067f6975b7fe856ff93622be05e51010299f5af1b08845e0d",
+    ("hybrid", "0.0"): "e4713532c4e225f8bcc11ca485da956ed8ac41086ef874b980c7f965f4a6a46e",
+    ("hybrid", "1.0"): "2b4c208b6a204b884269c47533c1a9944877158c19ec9033969ca214e261c42c",
+}
 GRID_DIGEST = "0f1fc6b4e8e3f88324fd93c5087dc1f709af82a3d09e5c95731736ed791a098b"
 OTHER_GRID_DIGESTS = {
     "inex-eval": "d955aead14a0d34251ec3edb269a09035d54129121360d3d59beb64c25674861",
@@ -44,13 +52,21 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize(("system", "cre"), list(RUN_DIGESTS), ids=lambda v: str(v))
-def test_run_file_digest(workspace, tmp_path, system, cre):
-    out = tmp_path / "out.run"
+def _run_digest(workspace, out, system, *options) -> str:
     argv = ["run", "--system", system, "--corpus", str(workspace / "corpus"),
             "--topics", str(workspace / "topics.xml"), "--out", str(out)]
-    assert main(argv + ["--cre"] * cre) == 0
-    assert _sha256(out) == RUN_DIGESTS[system, cre]
+    assert main(argv + list(options)) == 0
+    return _sha256(out)
+
+
+@pytest.mark.parametrize(("system", "cre"), list(RUN_DIGESTS), ids=lambda v: str(v))
+def test_run_file_digest(workspace, tmp_path, system, cre):
+    assert _run_digest(workspace, tmp_path / "out.run", system, *["--cre"] * cre) == RUN_DIGESTS[system, cre]
+
+
+@pytest.mark.parametrize(("system", "slope"), list(SLOPE_DIGESTS), ids=lambda v: str(v))
+def test_run_file_digest_at_other_slopes(workspace, tmp_path, system, slope):
+    assert _run_digest(workspace, tmp_path / "out.run", system, "--slope", slope) == SLOPE_DIGESTS[system, slope]
 
 
 def _grid_digest(workspace, out, capsys, metric) -> str:

@@ -225,26 +225,22 @@ def test_multi_document_columns_equal_each_document_parsed_alone(texts):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(documents | random_documents, min_size=1, max_size=4))
 def test_build_index_tf_equals_token_counter(texts):
+    """Each term's list holds ``1 + ln`` its per-document token counts, and
+    each document's length is its token count."""
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
-    expected: dict[str, list[tuple[int, int]]] = {}
-    lengths = []
-    for number, text in enumerate(texts):
-        counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
-        for term in sorted(counts):
-            expected.setdefault(term, []).append((number, counts[term]))
-        lengths.append(counts.total())
     index = build_index(corpus)
-    assert {term: index.postings[term] for term in corpus.postings} == expected
+    assert {term: index.postings[term] for term in corpus.postings} == _token_weights(texts)
+    lengths = [sum(map(len, support.own_tokens(text).values())) for text in texts]
     assert list(index.doc_lengths) == lengths
 
 
-def _token_counts(texts: list[str]) -> dict[str, list[tuple[int, int]]]:
-    """Each term's ``(document number, tf)`` list, from each document's own ElementTree tokens."""
-    expected: dict[str, list[tuple[int, int]]] = {}
+def _token_weights(texts: list[str]) -> dict[str, list[tuple[int, float]]]:
+    """Each term's ``(document number, 1 + ln tf)`` list, from each document's own ElementTree tokens."""
+    expected: dict[str, list[tuple[int, float]]] = {}
     for number, text in enumerate(texts):
         counts = Counter(t for tokens in support.own_tokens(text).values() for t in tokens)
         for term in sorted(counts):
-            expected.setdefault(term, []).append((number, counts[term]))
+            expected.setdefault(term, []).append((number, 1.0 + math.log(counts[term])))
     return expected
 
 
@@ -252,13 +248,13 @@ def _token_counts(texts: list[str]) -> dict[str, list[tuple[int, int]]]:
 @given(st.lists(documents | random_documents, min_size=1, max_size=4), documents, st.randoms(use_true_random=False))
 def test_index_derives_each_term_on_first_read_from_the_indexed_corpus(texts, later, rng):
     """A term's list is derived on its first read, in any order, by ``[]`` or
-    ``get``, and equals the per-document token counts of the corpus as it was
-    indexed, though a document holding every term and a new one is added
-    between reads; a repeated read returns the same list, equal pairs are one
-    tuple across terms, ``tf_weights`` holds ``1 + ln tf`` for every derived
-    tf, and a term no indexed document holds reads as ``get``'s default."""
+    ``get``, and equals ``1 + ln`` the per-document token counts of the corpus
+    as it was indexed, though a document holding every term and a new one is
+    added between reads; a repeated read returns the same list, equal pairs
+    are one tuple across terms, and a term no indexed document holds reads as
+    ``get``'s default."""
     corpus = support.corpus_from_strings({f"d{i}": text for i, text in enumerate(texts)})
-    expected = _token_counts(texts)
+    expected = _token_weights(texts)
     index = build_index(corpus)
     terms = sorted(set(expected).union(VOCAB, ["absent", "omega"]))
     rng.shuffle(terms)
@@ -278,4 +274,3 @@ def test_index_derives_each_term_on_first_read_from_the_indexed_corpus(texts, la
     pairs = [pair for term in expected for pair in lists[term]]
     one = {pair: pair for pair in pairs}
     assert all(pair is one[pair] for pair in pairs)
-    assert index.tf_weights == {tf: 1.0 + math.log(tf) for _, tf in pairs}

@@ -2,15 +2,16 @@
 
 Scores are compared with ``support.formula_score``, the scoring formula
 evaluated directly, and the ranking, scores included, with
-``support.naive_rank_articles``, the same arithmetic as a plain loop, by
-``==``. The index's one oracle comparison is
-``test_postings::test_build_index_tf_equals_token_counter``; ``test_postings.py``
+``support.naive_rank_articles``, the same arithmetic as a plain loop over
+the corpus that reads no index, by ``==``. The index's one oracle comparison
+is ``test_postings::test_build_index_tf_equals_token_counter``; ``test_postings.py``
 also holds those of ingest, ``collection_match`` and ``identify_cres``,
 ``test_cre.py`` that of ``rank_cres``, ``test_evaluation.py`` those of the ng
 metrics, and ``test_acceptance.py`` criteria C1-C10, among them C7's
 slope-invariant order and formula oracle.
 """
 
+import math
 import random
 import sys
 
@@ -32,10 +33,10 @@ FIXTURE = {
 def test_build_index_hand_counts():
     corpus = support.corpus_from_strings({"d1": "<article>a a b</article>"})
     index = build_index(corpus)
-    assert index.postings["a"] == [(0, 2)]
-    assert index.postings["b"] == [(0, 1)]
+    assert index.postings["a"] == [(0, 1.0 + math.log(2))]
+    assert index.postings["b"] == [(0, 1.0)]
     assert list(index.doc_lengths) == [3]
-    assert index.avg_doc_length == 3.0
+    assert index.norms(1.0) == [1.0]  # the one length is the mean
 
 
 def test_build_index_identical_docs():
@@ -43,16 +44,16 @@ def test_build_index_identical_docs():
         {"d1": "<article>x y</article>", "d2": "<article>x y</article>"}
     )
     index = build_index(corpus)
-    assert index.postings["x"] == [(0, 1), (1, 1)]
-    assert index.avg_doc_length == 2.0
+    assert index.postings["x"] == [(0, 1.0), (1, 1.0)]
+    assert index.norms(1.0) == [1.0, 1.0]  # both lengths are the mean
 
 
 def test_build_index_shares_equal_pairs():
     corpus = support.corpus_from_strings({"d1": "<article>x y y</article>", "d2": "<article>x y</article>"})
     index = build_index(corpus)
-    assert index.postings["x"] == [(0, 1), (1, 1)]
-    assert index.postings["y"] == [(0, 2), (1, 1)]
-    assert index.postings["x"][1] is index.postings["y"][1]  # one (document number, tf) tuple
+    assert index.postings["x"] == [(0, 1.0), (1, 1.0)]
+    assert index.postings["y"] == [(0, 1.0 + math.log(2)), (1, 1.0)]
+    assert index.postings["x"][1] is index.postings["y"][1]  # one (document number, 1 + ln tf) tuple
 
 
 def test_build_index_empty_corpus_raises():
@@ -168,9 +169,10 @@ def ranking_inputs(draw):
 @given(ranking_inputs())
 def test_rank_equals_naive_loop_exactly(inputs):
     docs, query, params = inputs
-    index = build_index(support.corpus_from_strings(docs))
+    corpus = support.corpus_from_strings(docs)
+    index = build_index(corpus)
     ranked = rank_articles(index, query, params)
-    assert ranked == support.naive_rank_articles(index, query, params)  # numbers, order and scores, by ==
+    assert ranked == support.naive_rank_articles(corpus, query, params)  # numbers, order and scores, by ==
 
 
 def test_rank_at_each_slope_in_turn_equals_naive_loop():
@@ -178,11 +180,12 @@ def test_rank_at_each_slope_in_turn_equals_naive_loop():
     # must not serve another, and asking for 0.55 again reuses its own
     rng = random.Random(29)
     docs = {f"d{i}": support.random_xml(rng) for i in range(12)}
-    index = build_index(support.corpus_from_strings(docs))
+    corpus = support.corpus_from_strings(docs)
+    index = build_index(corpus)
     query = ["alpha", "beta", "alpha"]
     for slope in (0.55, 1.0, 0.0, 0.55):
         params = RankParams(slope=slope)
-        assert rank_articles(index, query, params) == support.naive_rank_articles(index, query, params)
+        assert rank_articles(index, query, params) == support.naive_rank_articles(corpus, query, params)
 
 
 def test_max_results_bounds_validated():

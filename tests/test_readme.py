@@ -1,6 +1,7 @@
 """The README's ``## Library`` section names every name the package exports,
-only the named pin tests read the per-document view, and only ``corpus.py``
-reads how a path is stored."""
+its ``corpus.X`` and ``index.X`` name only members a built one has, only the
+named pin tests read the per-document view, and only ``corpus.py`` reads how
+a path is stored."""
 
 import ast
 import dataclasses
@@ -30,6 +31,20 @@ def test_library_section_names_every_export():
     }
     assert "execute" in exports
     assert sorted(exports - named) == []
+
+
+def test_readme_names_only_members_a_built_index_has():
+    """Every ``corpus.X`` and ``index.X`` the README names in code is an
+    attribute of a built ``Corpus`` or ``InvertedIndex``, so a deleted member
+    cannot stay documented."""
+    corpus = xmlir.Corpus()
+    corpus.add("d", "<article><p>alpha</p></article>")
+    built = {"corpus": corpus, "index": xmlir.build_index(corpus)}
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)  # fenced blocks apart
+    spans = re.findall(r"`([^`]+)`", prose)
+    named = {pair for span in spans for pair in re.findall(r"(?<![\w.])(corpus|index)\.(\w+)", span)}
+    assert {owner for owner, _ in named} == set(built)
+    assert sorted(f"{owner}.{name}" for owner, name in named if not hasattr(built[owner], name)) == []
 
 
 def test_only_the_pin_tests_read_the_per_document_view():
