@@ -5,22 +5,25 @@ Strict scoring takes (doc, path) pairs, as ``quantize`` makes the set from
 an assessment view; the size-aware variants take the corpus nodes that
 ``build_size_map`` resolves those pairs to.
 
-All three metrics build the same curve from one (credit, size) pair per
-rank: recall is the credit so far over the recall base, precision the credit
-so far over the size so far (0 before any size), and the score averages
-interpolated precision over the 100 recall levels 0.01..1.00, where
-interpolated precision at level r is the best precision at or after the
-first rank whose recall reaches r (0 when none does). The metrics differ
-only in what a rank earns and consumes:
+All three metrics build the same curve from what each rank earns and
+consumes: recall is the credit so far over the recall base, precision the
+credit so far over the size so far, and the score averages interpolated
+precision over the 100 recall levels 0.01..1.00, where interpolated precision
+at level r is the best precision at or after the first rank whose recall
+reaches r (0 when none does). Only the ranks that earn credit enter the
+curve, and that is exact: a rank that earns nothing keeps the credit and
+adds size, so its precision never beats the earning rank before it, and the
+first rank to reach a recall level earns. The metrics differ only in what a
+rank earns and consumes:
 
 * ``inex-eval``: every rank has size 1; a relevant pair earns 1 the first
   time it is listed; the base is the number of relevant pairs.
 * ``ng-s`` (reported as ``ng-s-reconstructed``): a rank has its node's
   subtree token count as size, and a relevant node earns its full size.
 * ``ng-o`` (``ng-o-reconstructed``): sizes as in ng-s, but a relevant node
-  earns only the text units not already covered by earlier entries'
-  subtrees, so nested re-retrieval earns nothing while still consuming rank
-  positions and text.
+  earns only how much the text under the entries so far grows at its rank,
+  so nested re-retrieval earns nothing while still consuming rank positions
+  and text.
 
 The size-aware bases are the relevant nodes' total size, and an entry that
 did not resolve in the corpus has size 0. Consequently ng-o never scores
@@ -29,7 +32,8 @@ above ng-s and the two agree on overlap-free runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from itertools import accumulate, compress, count
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .assessments import AssessmentSet, derive_view
@@ -55,18 +59,13 @@ def quantize(assessment: AssessmentSet, case: str) -> frozenset[tuple[str, Eleme
     return derive_view(assessment, case)
 
 
-def _average_precision(steps: Iterable[tuple[int, int]], total: int) -> float:
-    """Mean interpolated precision over the 100 recall levels, from one
-    ``(credit, size)`` pair per rank and the recall base ``total``."""
-    recalls: list[float] = []
-    precisions: list[float] = []
-    credit = consumed = 0
-    for earned, size in steps:
-        credit += earned
-        consumed += size
-        recalls.append(credit / total)
-        precisions.append(credit / consumed if consumed > 0 else 0.0)
-    for i in range(len(precisions) - 2, -1, -1):  # best precision at or after each rank
+def _average_precision(points: Sequence[tuple[int, int]], total: int) -> float:
+    """Mean interpolated precision over the 100 recall levels, from the
+    ``(credit so far, size so far)`` pair at each rank that earns credit, in
+    rank order, and the recall base ``total``."""
+    recalls = [credit / total for credit, _ in points]
+    precisions = [credit / consumed for credit, consumed in points]  # an earning rank has consumed size
+    for i in range(len(precisions) - 2, -1, -1):  # best precision at or after each earning rank
         precisions[i] = max(precisions[i], precisions[i + 1])
     found = (bisect_left(recalls, level) for level in RECALL_LEVELS)
     return sum(precisions[i] for i in found if i < len(precisions)) / len(RECALL_LEVELS)
@@ -78,31 +77,14 @@ def inex_eval_strict(
 ) -> float:
     """Average precision with exact (doc, path) matching against the relevant set.
 
-    Raises ValueError when the recall base is empty.
+    ``entries`` is a sequence, best first. Raises ValueError when the recall
+    base is empty.
     """
     if not relevant:
         raise ValueError("empty recall base")
-    unseen = set(relevant)
-    steps = []
-    for entry in entries:
-        steps.append((int(entry in unseen), 1))
-        unseen.discard(entry)
-    return _average_precision(steps, len(relevant))
-
-
-def _cover(roots: list[int], corpus: Corpus, node: int) -> int:
-    """Cover ``node``'s subtree ``[node, ends[node])`` among the covered roots
-    (ascending node numbers of disjoint subtrees) and return its part not
-    covered before: subtrees are nested or disjoint, so that is its size minus
-    the covered roots inside it, or zero when a covered root encloses it."""
-    sizes, ends = corpus.sizes, corpus.ends
-    at = bisect_right(roots, node)
-    if at and ends[roots[at - 1]] > node:
-        return 0
-    stop = bisect_left(roots, ends[node], at)
-    uncovered = sizes[node] - sum(sizes[r] for r in roots[at:stop])
-    roots[at:stop] = [node]
-    return uncovered
+    first = dict(zip(reversed(entries), range(len(entries) - 1, -1, -1)))  # each entry's first rank
+    ranks = sorted(rank for entry, rank in first.items() if entry in relevant)
+    return _average_precision([(i, rank + 1) for i, rank in enumerate(ranks, 1)], len(relevant))
 
 
 def inex_eval_ng(
@@ -113,23 +95,35 @@ def inex_eval_ng(
 ) -> float:
     """Size-weighted average precision over corpus node numbers.
 
-    ``overlap_mode`` is ``"s"`` (full sizes) or ``"o"`` (overlap deducted
-    from the relevant credit). A ``None`` entry, one that did not resolve in
-    the corpus, keeps its rank with size 0.
+    ``entries`` is a sequence, best first. ``overlap_mode`` is ``"s"`` (full
+    sizes) or ``"o"`` (overlap deducted from the relevant credit). A ``None``
+    entry, one that did not resolve in the corpus, keeps its rank with size 0.
     """
     if overlap_mode not in ("s", "o"):
         raise ValueError(f"unknown overlap mode: {overlap_mode!r}")
-    sizes = corpus.sizes
+    sizes, ends = corpus.sizes, corpus.ends
     total_relevant = sum(sizes[node] for node in relevant)
     if total_relevant <= 0:
         raise ValueError("empty size-weighted recall base")
-    roots: list[int] = []
-    steps = []
-    for node in entries:
-        size = 0 if node is None else sizes[node]
-        credit = size if overlap_mode == "s" or node is None else _cover(roots, corpus, node)
-        steps.append((credit if node in relevant else 0, size))
-    return _average_precision(steps, total_relevant)
+    consumed = list(accumulate((0 if node is None else sizes[node] for node in entries), initial=0))
+    covered = consumed  # ng-s: a relevant rank earns its full size, covered before or not
+    if overlap_mode == "o":  # covered[k]: the text under entries[:k]
+        first = dict(zip(reversed(entries), range(len(entries) - 1, -1, -1)))  # each entry's first rank
+        first.pop(None, None)
+        change = [0] * (len(entries) + 2)
+        stack: list[tuple[int, int]] = []  # (end, first rank of it or any ancestor) per enclosing node
+        for node in sorted(first):
+            while stack and stack[-1][0] <= node:
+                stack.pop()
+            above = stack[-1][1] if stack else len(entries)
+            if first[node] < above:  # its size counts from its first rank up to a listed ancestor's
+                change[first[node] + 1] += sizes[node]
+                change[above + 1] -= sizes[node]
+            stack.append((ends[node], min(above, first[node])))
+        covered = list(accumulate(change))
+    ranks = [k for k in compress(count(), map(relevant.__contains__, entries)) if covered[k + 1] > covered[k]]
+    credits = accumulate(covered[k + 1] - covered[k] for k in ranks)
+    return _average_precision(list(zip(credits, (consumed[k + 1] for k in ranks))), total_relevant)
 
 
 def mean_average_precision(per_topic: Mapping[int, float]) -> float:

@@ -2,7 +2,8 @@
 
 Everything here checks definitions directly (brute force over all elements,
 exact rational arithmetic, token-id region accounting) so the oracles stay
-independent of the implementation paths they verify.
+independent of the implementation paths they verify. The one exception is
+the metrics' earlier per-rank scorers, kept to pin the present ones by ==.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import math
 import random
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
+from typing import AbstractSet, Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from xmlir import (
     inex_eval_ng,
     parse_assessment_file,
 )
+from xmlir.evaluation import RECALL_LEVELS
 from xmlir.matcher import AND, OR
 
 
@@ -463,6 +467,88 @@ def naive_ng_ap(
         total += best
     return float(total / 100)
 
+
+
+# The scorers as they were before they took only the earning ranks: one
+# (credit, size) step per rank, and ng-o covering each entry's subtree among
+# the covered roots. The tests compare the scorers with these by float ==.
+
+
+def _stepwise_average_precision(steps: Iterable[tuple[int, int]], total: int) -> float:
+    """Mean interpolated precision over the 100 recall levels, from one
+    ``(credit, size)`` pair per rank and the recall base ``total``."""
+    recalls: list[float] = []
+    precisions: list[float] = []
+    credit = consumed = 0
+    for earned, size in steps:
+        credit += earned
+        consumed += size
+        recalls.append(credit / total)
+        precisions.append(credit / consumed if consumed > 0 else 0.0)
+    for i in range(len(precisions) - 2, -1, -1):  # best precision at or after each rank
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    found = (bisect_left(recalls, level) for level in RECALL_LEVELS)
+    return sum(precisions[i] for i in found if i < len(precisions)) / len(RECALL_LEVELS)
+
+
+def stepwise_strict_ap(
+    entries: Sequence[tuple[str, ElementPath]],
+    relevant: AbstractSet[tuple[str, ElementPath]],
+) -> float:
+    """Average precision with exact (doc, path) matching against the relevant set.
+
+    Raises ValueError when the recall base is empty.
+    """
+    if not relevant:
+        raise ValueError("empty recall base")
+    unseen = set(relevant)
+    steps = []
+    for entry in entries:
+        steps.append((int(entry in unseen), 1))
+        unseen.discard(entry)
+    return _stepwise_average_precision(steps, len(relevant))
+
+
+def _cover(roots: list[int], corpus: Corpus, node: int) -> int:
+    """Cover ``node``'s subtree ``[node, ends[node])`` among the covered roots
+    (ascending node numbers of disjoint subtrees) and return its part not
+    covered before: subtrees are nested or disjoint, so that is its size minus
+    the covered roots inside it, or zero when a covered root encloses it."""
+    sizes, ends = corpus.sizes, corpus.ends
+    at = bisect_right(roots, node)
+    if at and ends[roots[at - 1]] > node:
+        return 0
+    stop = bisect_left(roots, ends[node], at)
+    uncovered = sizes[node] - sum(sizes[r] for r in roots[at:stop])
+    roots[at:stop] = [node]
+    return uncovered
+
+
+def stepwise_ng_ap(
+    entries: Sequence[int | None],
+    relevant: AbstractSet[int],
+    corpus: Corpus,
+    overlap_mode: str,
+) -> float:
+    """Size-weighted average precision over corpus node numbers.
+
+    ``overlap_mode`` is ``"s"`` (full sizes) or ``"o"`` (overlap deducted
+    from the relevant credit). A ``None`` entry, one that did not resolve in
+    the corpus, keeps its rank with size 0.
+    """
+    if overlap_mode not in ("s", "o"):
+        raise ValueError(f"unknown overlap mode: {overlap_mode!r}")
+    sizes = corpus.sizes
+    total_relevant = sum(sizes[node] for node in relevant)
+    if total_relevant <= 0:
+        raise ValueError("empty size-weighted recall base")
+    roots: list[int] = []
+    steps = []
+    for node in entries:
+        size = 0 if node is None else sizes[node]
+        credit = size if overlap_mode == "s" or node is None else _cover(roots, corpus, node)
+        steps.append((credit if node in relevant else 0, size))
+    return _stepwise_average_precision(steps, total_relevant)
 
 # ---------------------------------------------------------------------------
 # random structures

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from xmlir import (
     ElementPath,
@@ -68,9 +68,11 @@ def test_tail_permutation_after_last_hit_is_irrelevant():
 
 
 def test_interpolated_precision_non_increasing():
-    # (credit, size) per rank over a base of 4: (recall, precision) is
-    # (0.25, 1.0), (0.25, 0.5), (0.5, 0.67), (1.0, 0.4) after each rank
-    steps = [(1, 1), (0, 1), (1, 1), (2, 7)]
+    # ranks earning (credit, size) (1, 1), (0, 1), (1, 1), (2, 7) over a base of 4:
+    # (recall, precision) is (0.25, 1.0), (0.25, 0.5), (0.5, 0.67), (1.0, 0.4)
+    # after each rank, and the curve takes (credit so far, size so far) at the
+    # three ranks that earn credit
+    steps = [(1, 1), (2, 3), (4, 10)]
     points = [(0.25, 1.0), (0.25, 0.5), (0.5, 2 / 3), (1.0, 0.4)]
     levels = [i / 100 for i in range(1, 101)]
     values = []
@@ -198,6 +200,76 @@ def test_ng_on_node_numbers_matches_the_region_oracle(data):
         else:
             expected = support.naive_ng_ap(run, relevant, regions, mode)
             assert inex_eval_ng(entries, found, corpus, mode) == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Random documents, a run over their nodes with nested, repeated and
+    unresolved (None) entries, and a relevant set of nodes, some of size 0."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    docs = {f"d{i}": support.random_xml(rng) for i in range(draw(st.integers(2, 3)))}
+    corpus = support.corpus_from_strings(docs)
+    nodes = st.integers(0, len(corpus.sizes) - 1)
+    run = draw(st.lists(st.one_of(nodes, st.none()), max_size=25))
+    for node in draw(st.lists(nodes, max_size=4)):  # a node and one of its ancestors, anywhere in the run
+        up = [node]
+        while corpus.parents[up[-1]] >= 0:
+            up.append(corpus.parents[up[-1]])
+        run.insert(draw(st.integers(0, len(run))), node)
+        run.insert(draw(st.integers(0, len(run))), draw(st.sampled_from(up)))
+    if run:
+        run.insert(draw(st.integers(0, len(run))), draw(st.sampled_from(run)))
+    relevant = set(draw(st.lists(nodes, max_size=8)))
+    empty = [node for node in range(len(corpus.sizes)) if corpus.sizes[node] == 0]
+    if empty and draw(st.booleans()):  # a relevant node of size 0, listed where it may consume nothing
+        zero = draw(st.sampled_from(empty))
+        relevant.add(zero)
+        run.insert(draw(st.integers(0, len(run))), zero)
+    return docs, run, frozenset(relevant)
+
+
+def _outcome(score, *args):
+    """A scorer's value, or the message of the ValueError it raises."""
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# one document nested 20,000 deep: node i is at depth i, with size 20,000 - i
+CHAIN = {"chain": "<a>alpha " * 20_000 + "</a>" * 20_000}
+NESTED = [13 * i for i in range(1500)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases())
+@example(case=(CHAIN, NESTED[::-1], frozenset(NESTED)))  # deepest first
+@example(case=(CHAIN, NESTED, frozenset(NESTED)))  # shallowest first
+@example(case=(CHAIN, [node for pair in zip(NESTED, NESTED[::-1]) for node in pair][:1500], frozenset(NESTED)))
+@example(case=({"d": "<article><sec></sec>alpha</article>"}, [1, None, 0], frozenset({0, 1})))  # <sec> has size 0
+@example(case=({"d": NESTED_DOC}, [], frozenset({1})))
+def test_scorers_equal_the_stepwise_oracle(case):
+    docs, run, relevant = case
+    corpus = support.corpus_from_strings(docs)
+    for mode in ("s", "o"):
+        expected = _outcome(support.stepwise_ng_ap, run, relevant, corpus, mode)
+        assert _outcome(inex_eval_ng, run, relevant, corpus, mode) == expected
+
+    def pair(node):  # equal to another exactly when their (doc, path) pairs are; None is a pair outside the corpus
+        return ("gone", -1) if node is None else (corpus.docs[corpus.doc_of[node]], corpus.path_ids[node])
+
+    pairs, judged = list(map(pair, run)), set(map(pair, relevant))
+    assert _outcome(inex_eval_strict, pairs, judged) == _outcome(support.stepwise_strict_ap, pairs, judged)
+
+
+def test_a_run_scores_the_same_as_a_list_and_as_a_tuple():
+    corpus = support.corpus_from_strings({"d": NESTED_DOC})
+    run, relevant = [2, 1, None, 1, 4], {1, 4}
+    for mode in ("s", "o"):
+        assert inex_eval_ng(run, relevant, corpus, mode) == inex_eval_ng(tuple(run), relevant, corpus, mode) > 0
+    pairs = [("d", P("/article[1]/sec[9]")) if node is None else ("d", corpus.path(node)) for node in run]
+    judged = {("d", corpus.path(node)) for node in relevant}
+    assert inex_eval_strict(pairs, judged) == inex_eval_strict(tuple(pairs), judged) > 0
 
 
 def test_quantize_uses_the_view():
